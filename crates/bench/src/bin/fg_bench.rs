@@ -25,7 +25,6 @@ const BLESS_PATH: &str = "BENCH_baseline.json";
 struct Args {
     bench_json: Option<String>,
     compare: Option<String>,
-    serve_json: Option<String>,
     tolerance: f64,
     hard_fail: f64,
     normalize: bool,
@@ -39,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         bench_json: None,
         compare: None,
-        serve_json: None,
         tolerance: 0.5,
         hard_fail: 10.0,
         normalize: true,
@@ -60,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
                 args.bench_json = Some(value("--bench-json")?);
             }
             "--compare" => args.compare = Some(value("--compare")?),
-            "--serve-json" => args.serve_json = Some(value("--serve-json")?),
             "--tolerance" => {
                 args.tolerance = value("--tolerance")?
                     .parse()
@@ -91,16 +88,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other} (see --help)")),
         }
     }
-    if !args.list
-        && args.bench_json.is_none()
-        && args.compare.is_none()
-        && args.serve_json.is_none()
-    {
-        return Err(
-            "nothing to do: pass --list, --bench-json <path>, --compare <path>, \
-             or --serve-json <path>"
-                .into(),
-        );
+    if !args.list && args.bench_json.is_none() && args.compare.is_none() {
+        return Err("nothing to do: pass --list, --bench-json <path>, or --compare <path>".into());
     }
     Ok(args)
 }
@@ -120,8 +109,6 @@ fn print_help() {
          \x20 --bless                re-measure and overwrite BENCH_baseline.json in the\n\
          \x20                        current directory (run from the repo root; full\n\
          \x20                        profile; commit the diff deliberately)\n\
-         \x20 --serve-json <PATH>    print a wire-bench summary from a BENCH_serve.json\n\
-         \x20                        (fg-loadgen output); report-only, never fails the run\n\
          \x20 --filter <SUBSTR>      only run cases whose group/name contains SUBSTR\n\
          \x20 --note <TEXT>          provenance note stored in the emitted JSON\n\
          \x20 --quick                short CI measurement profile\n"
@@ -141,38 +128,6 @@ fn main() -> ExitCode {
         for case in perf::cases() {
             println!("{:<44} units/op={}", case.full_name(), case.units_per_op);
         }
-        return ExitCode::SUCCESS;
-    }
-
-    // Report-only wire-bench summary: shown alongside (or without) the
-    // hot-path gate, never part of the verdict — wire latency is a property
-    // of the runner, not the code, until a serve baseline is blessed.
-    if let Some(path) = &args.serve_json {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| fg_serve::LoadReport::from_json(&text))
-        {
-            Ok(report) => {
-                println!(
-                    "serve wire bench ({path}, report-only): seed={} conns={} \
-                     {:.1}s {:.1} decisions/s p50={:.2}ms p99={:.2}ms p999={:.2}ms \
-                     sent={} ok={} transport_errors={}",
-                    report.seed,
-                    report.connections,
-                    report.duration_secs,
-                    report.decisions_per_sec,
-                    report.latency_ms.p50,
-                    report.latency_ms.p99,
-                    report.latency_ms.p999,
-                    report.sent,
-                    report.ok,
-                    report.transport_errors,
-                );
-            }
-            Err(e) => eprintln!("fg-bench: --serve-json {path}: {e} (report-only, ignoring)"),
-        }
-    }
-    if args.bench_json.is_none() && args.compare.is_none() {
         return ExitCode::SUCCESS;
     }
 

@@ -4,124 +4,15 @@
 //!
 //! Two entry points:
 //!
-//! * **Criterion benches** (`cargo bench -p fg-bench`) — one per paper
-//!   artifact (`fig1_nip`, `table1_sms_surge`, `casea_rotation`,
-//!   `caseb_patterns`, `casec_pumping`, `mit_ablation`, `honeypot_econ`,
-//!   `detect_microbench`) plus [`components`] micro-benchmarks of the hot
-//!   building blocks (rate limiter, sessionization, fingerprint sampling,
-//!   chi-square). Each experiment bench also *asserts* its report's headline
-//!   shape, so `cargo bench` doubles as a reproduction check.
 //! * **The `experiments` binary** (`cargo run -p fg-bench --bin
 //!   experiments [name]`) — regenerates every table and figure, printing the
 //!   human-readable report and writing a JSON artifact next to it.
-//!
-//! A third surface, the [`perf`] module plus the `fg-bench` binary
-//! (`cargo run -p fg-bench --release --bin fg-bench -- --bench-json …`),
-//! measures the per-event hot paths headlessly, emits the machine-readable
-//! `BENCH_baseline.json`, and diffs fresh runs against it — the CI
-//! regression gate. The `hotpaths` Criterion bench exposes the same case
-//! registry interactively.
-//!
-//! [`components`]: ../benches/components.rs
+//! * **The `fg-bench` binary** (`cargo run -p fg-bench --release --bin
+//!   fg-bench -- --bench-json …`) — measures the per-event hot paths of the
+//!   [`perf`] registry headlessly, emits the machine-readable
+//!   `BENCH_baseline.json`, and diffs fresh runs against it: the CI
+//!   regression gate.
 
 #![forbid(unsafe_code)]
 
 pub mod perf;
-
-/// Reduced-size experiment configurations used by the Criterion benches so a
-/// full `cargo bench` finishes in minutes. The `experiments` binary uses the
-/// full defaults instead.
-pub mod small {
-    use fg_scenario::experiments::*;
-
-    /// Small Fig. 1 config.
-    pub fn fig1() -> fig1::Fig1Config {
-        fig1::Fig1Config {
-            arrivals_per_day: 120.0,
-            flights: 6,
-            ..fig1::Fig1Config::default()
-        }
-    }
-
-    /// Small Table I config.
-    pub fn table1() -> table1::Table1Config {
-        table1::Table1Config {
-            arrivals_per_day: 400.0,
-            pump_per_hour: 200.0,
-            ..table1::Table1Config::default()
-        }
-    }
-
-    /// Small Case A config.
-    pub fn case_a() -> case_a::CaseAConfig {
-        case_a::CaseAConfig {
-            arrivals_per_day: 150.0,
-            departure_day: 10,
-            ..case_a::CaseAConfig::default()
-        }
-    }
-
-    /// Small Case B config.
-    pub fn case_b() -> case_b::CaseBConfig {
-        case_b::CaseBConfig {
-            days: 4,
-            arrivals_per_day: 200.0,
-            ..case_b::CaseBConfig::default()
-        }
-    }
-
-    /// Small Case C config.
-    pub fn case_c() -> case_c::CaseCConfig {
-        case_c::CaseCConfig::default()
-    }
-
-    /// Small ablation config.
-    pub fn ablation() -> ablation::AblationConfig {
-        ablation::AblationConfig {
-            days: 3,
-            arrivals_per_day: 100.0,
-            ..ablation::AblationConfig::default()
-        }
-    }
-
-    /// Small honeypot config.
-    pub fn honeypot() -> honeypot_econ::HoneypotConfig {
-        honeypot_econ::HoneypotConfig {
-            days: 4,
-            arrivals_per_day: 120.0,
-            ..honeypot_econ::HoneypotConfig::default()
-        }
-    }
-
-    /// Small pricing config.
-    pub fn pricing() -> pricing::PricingConfig {
-        pricing::PricingConfig::default()
-    }
-
-    /// Small proxies config.
-    pub fn proxies() -> proxies::ProxiesConfig {
-        proxies::ProxiesConfig {
-            days: 3,
-            ..proxies::ProxiesConfig::default()
-        }
-    }
-
-    /// Small detectors config.
-    pub fn detectors() -> detectors::DetectorsConfig {
-        detectors::DetectorsConfig {
-            days: 2,
-            arrivals_per_day: 150.0,
-            ..detectors::DetectorsConfig::default()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn small_configs_are_consistent() {
-        assert!(super::small::fig1().arrivals_per_day > 0.0);
-        assert!(super::small::table1().pump_per_hour > 0.0);
-        assert!(super::small::ablation().days > 0);
-    }
-}

@@ -3,11 +3,8 @@
 //! comparator — the machinery behind `BENCH_baseline.json` and the CI
 //! `bench` gate.
 //!
-//! Three consumers share the case registry returned by [`cases`]:
+//! Two consumers share the case registry returned by [`cases`]:
 //!
-//! * `benches/hotpaths.rs` registers every case as a Criterion benchmark
-//!   (`cargo bench -p fg-bench --bench hotpaths`), one Criterion group per
-//!   [`PerfCase::group`];
 //! * the `fg-bench` binary measures every case with [`measure`] and emits a
 //!   [`Baseline`] as JSON (`--bench-json`), or re-measures and diffs against
 //!   a committed baseline (`--compare`);
@@ -37,7 +34,7 @@ pub const BASELINE_SCHEMA: u32 = 1;
 /// One benchmark case: a named closure performing a single hot-path
 /// operation per call over pre-built state.
 pub struct PerfCase {
-    /// Group label (a Criterion group and the metric-name prefix).
+    /// Group label (the metric-name prefix).
     pub group: &'static str,
     /// Case label within the group.
     pub name: &'static str,
@@ -94,7 +91,7 @@ impl PerfCase {
         format!("{}/{}", self.group, self.name)
     }
 
-    /// Runs the op once (smoke tests, Criterion registration).
+    /// Runs the op once (warm-up and smoke tests).
     pub fn run_once(&mut self) {
         (self.op)();
     }

@@ -123,42 +123,6 @@ impl SessionFeatures {
         }
     }
 
-    /// The *volume-family* feature vector: the signals classical
-    /// behaviour-based detectors rely on (§III-A). Used to show those
-    /// detectors fail on low-volume functional abuse.
-    pub fn volume_vector(&self) -> Vec<f64> {
-        vec![
-            self.volume,
-            self.gets,
-            self.posts,
-            self.mean_gap_secs,
-            self.distinct_endpoints,
-            self.mean_depth,
-            self.searches,
-            self.trap_hits,
-        ]
-    }
-
-    /// The *domain-family* feature vector: funnel and feature-abuse signals.
-    pub fn domain_vector(&self) -> Vec<f64> {
-        let hold_pay_gap = self.holds - self.pays;
-        vec![
-            hold_pay_gap,
-            self.holds,
-            self.pays,
-            self.sms_requests,
-            self.gap_cv,
-            self.error_rate,
-        ]
-    }
-
-    /// Both families concatenated.
-    pub fn full_vector(&self) -> Vec<f64> {
-        let mut v = self.volume_vector();
-        v.extend(self.domain_vector());
-        v
-    }
-
     /// The abandonment signature of DoI: holds that never convert to pays.
     pub fn hold_abandonment(&self) -> f64 {
         if self.holds == 0.0 {
@@ -266,15 +230,6 @@ mod tests {
             rec(2, Endpoint::BoardingPass, Method::Post, true),
         ]);
         assert_eq!(SessionFeatures::extract(&s).sms_requests, 3.0);
-    }
-
-    #[test]
-    fn vectors_have_fixed_arity() {
-        let s = single_session(vec![rec(0, Endpoint::Home, Method::Get, true)]);
-        let f = SessionFeatures::extract(&s);
-        assert_eq!(f.volume_vector().len(), 8);
-        assert_eq!(f.domain_vector().len(), 6);
-        assert_eq!(f.full_vector().len(), 14);
     }
 
     #[test]

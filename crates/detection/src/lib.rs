@@ -11,15 +11,17 @@
 //! * **Knowledge-based** (§III-B): browser fingerprinting. Fails against
 //!   rotation and mimicry.
 //!
-//! This crate implements both families *and* the domain-specific heuristics
-//! the case studies show actually work:
+//! This crate implements the behaviour-based pipeline up to the features
+//! (the experiments score them with unsupervised rules, not a trained
+//! classifier) *and* the domain-specific heuristics the case studies show
+//! actually work:
 //!
 //! * [`log`] / [`session`] — web-log records and gap-based sessionization.
 //! * [`features`] — per-session behavioural feature vectors (volume metrics
 //!   the literature uses, plus the domain metrics — hold/pay ratio, SMS per
 //!   booking — that functional abuse actually moves).
-//! * [`classify`] — from-scratch logistic regression, Gaussian naive Bayes,
-//!   and k-means, trained on session features.
+//! * [`confusion`] — the binary confusion matrix (precision, recall, F1,
+//!   false-positive rate) the detector experiments report.
 //! * [`anomaly`] — distribution drift tests (chi-square, KL divergence,
 //!   Poisson z-score) powering NiP-distribution and volume anomaly alarms.
 //! * [`names`] — passenger-name heuristics from §IV-B: gibberish detection,
@@ -27,8 +29,6 @@
 //!   misspelling clusters.
 //! * [`velocity`] — sliding-window velocity counters keyed by arbitrary
 //!   dimensions (IP, fingerprint, booking reference, path).
-//! * [`biometrics`] — the future-work direction §III-A/§V call for: mouse
-//!   trajectory synthesis and kinematic bot scoring (refs \[41\]–\[44\]).
 //! * [`engine`] — the combined [`DetectionEngine`] producing a scored
 //!   [`Verdict`] per request from every signal above.
 //!
@@ -46,8 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
-pub mod biometrics;
-pub mod classify;
+pub mod confusion;
 pub mod engine;
 pub mod features;
 pub mod log;

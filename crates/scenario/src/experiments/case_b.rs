@@ -21,7 +21,7 @@ use fg_core::ids::{ClientId, FlightId};
 use fg_core::rng::SeedFork;
 use fg_core::shard::ConcurrencyMode;
 use fg_core::time::SimTime;
-use fg_detection::classify::ConfusionMatrix;
+use fg_detection::confusion::ConfusionMatrix;
 use fg_detection::names::{gibberish_score, NameAbuseAnalyzer};
 use fg_inventory::flight::Flight;
 use fg_mitigation::policy::PolicyConfig;

@@ -22,7 +22,7 @@ use fg_core::ids::{ClientId, FlightId};
 use fg_core::rng::SeedFork;
 use fg_core::shard::ConcurrencyMode;
 use fg_core::time::{SimDuration, SimTime};
-use fg_detection::classify::ConfusionMatrix;
+use fg_detection::confusion::ConfusionMatrix;
 use fg_detection::features::SessionFeatures;
 use fg_detection::session::sessionize;
 use fg_fingerprint::rotation::{RotationSchedule, RotationStrategy};

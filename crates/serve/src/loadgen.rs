@@ -12,7 +12,7 @@
 //! sent, the latency block describes this run of this machine.
 
 use fg_scenario::workload::{generate, Workload, WorkloadConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -60,7 +60,7 @@ impl Default for LoadgenConfig {
 }
 
 /// The measured outcome, serialized as `BENCH_serve.json`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct LoadReport {
     /// Format version ([`SERVE_BENCH_SCHEMA`]).
     pub schema: u32,
@@ -92,7 +92,7 @@ pub struct LoadReport {
 
 /// One of the slowest exchanges of the run: how slow, what came back, and
 /// the decision trace id to look up in the server's `/debug/traces`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SlowRequest {
     /// Round-trip latency, milliseconds.
     pub latency_ms: f64,
@@ -104,7 +104,7 @@ pub struct SlowRequest {
 }
 
 /// Latency percentiles in milliseconds.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct LatencySummary {
     /// Median.
     pub p50: f64,
@@ -122,43 +122,6 @@ impl LoadReport {
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("load report serializes")
-    }
-
-    /// Parses a report, rejecting unknown schema versions. Schema-1
-    /// reports (no `statuses`/`slowest`) are migrated forward: statuses
-    /// are reconstructed from `ok` + `errors`, the slowest list is empty.
-    pub fn from_json(s: &str) -> Result<LoadReport, String> {
-        let mut value: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        let schema = value.get("schema").and_then(|v| v.as_u64());
-        match schema {
-            Some(1) => {
-                if let serde_json::Value::Object(fields) = &mut value {
-                    fields.push(("statuses".to_owned(), serde_json::Value::Object(Vec::new())));
-                    fields.push(("slowest".to_owned(), serde_json::Value::Array(Vec::new())));
-                    for (k, v) in fields.iter_mut() {
-                        if k == "schema" {
-                            *v = serde_json::Value::UInt(u64::from(SERVE_BENCH_SCHEMA));
-                        }
-                    }
-                }
-            }
-            Some(v) if v == u64::from(SERVE_BENCH_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "unsupported serve bench schema {other:?} (expected {SERVE_BENCH_SCHEMA})"
-                ));
-            }
-        }
-        let mut r: LoadReport = serde_json::from_value(value).map_err(|e| e.to_string())?;
-        if schema == Some(1) && r.statuses.is_empty() {
-            if r.ok > 0 {
-                r.statuses.insert(200, r.ok);
-            }
-            for (&status, &n) in &r.errors {
-                r.statuses.insert(status, n);
-            }
-        }
-        Ok(r)
     }
 }
 
@@ -479,66 +442,6 @@ mod tests {
         assert!((percentile(&ns, 0.50) - 500.0).abs() <= 1.0);
         assert!((percentile(&ns, 0.99) - 990.0).abs() <= 1.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    fn sample_report() -> LoadReport {
-        LoadReport {
-            schema: SERVE_BENCH_SCHEMA,
-            seed: 42,
-            connections: 2,
-            duration_secs: 1.0,
-            sent: 10,
-            ok: 9,
-            errors: BTreeMap::from([(429, 1)]),
-            transport_errors: 0,
-            decisions_per_sec: 9.0,
-            latency_ms: LatencySummary {
-                p50: 1.0,
-                p90: 2.0,
-                p99: 3.0,
-                p999: 4.0,
-                max: 5.0,
-            },
-            decisions: BTreeMap::from([("allow".to_owned(), 9)]),
-            statuses: BTreeMap::from([(200, 9), (429, 1)]),
-            slowest: vec![SlowRequest {
-                latency_ms: 5.0,
-                status: 200,
-                trace_id: Some("00000000000000aa".to_owned()),
-            }],
-        }
-    }
-
-    #[test]
-    fn report_json_round_trips_and_gates_schema() {
-        let report = sample_report();
-        let parsed = LoadReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed, report);
-        let mut wrong = report;
-        wrong.schema = 9;
-        assert!(LoadReport::from_json(&wrong.to_json()).is_err());
-    }
-
-    #[test]
-    fn schema_one_reports_migrate_forward() {
-        // A v1 report has neither `statuses` nor `slowest`; strip them and
-        // stamp schema 1 to reproduce what an old fg-loadgen wrote.
-        let mut v: serde_json::Value = serde_json::from_str(&sample_report().to_json()).unwrap();
-        if let serde_json::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "statuses" && k != "slowest");
-            for (k, val) in fields.iter_mut() {
-                if k == "schema" {
-                    *val = serde_json::Value::UInt(1);
-                }
-            }
-        }
-        let old = serde_json::to_string(&v).unwrap();
-        let parsed = LoadReport::from_json(&old).unwrap();
-        assert_eq!(parsed.schema, SERVE_BENCH_SCHEMA);
-        // Statuses are reconstructed from ok + errors; the slowest list
-        // cannot be recovered and stays empty.
-        assert_eq!(parsed.statuses, BTreeMap::from([(200, 9), (429, 1)]));
-        assert!(parsed.slowest.is_empty());
     }
 
     #[test]

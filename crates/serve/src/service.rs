@@ -108,7 +108,7 @@ impl DecisionService {
     pub fn decide_traced(&self, req: &WireRequest) -> (GateDecision, Option<RequestTrace>) {
         let mut app = self.app();
         let last = self.last_tick_ms.load(Ordering::Relaxed);
-        if req.now_ms >= last + TICK_EVERY_MS {
+        if req.now_ms >= last.saturating_add(TICK_EVERY_MS) {
             app.tick(SimTime::from_millis(req.now_ms));
             self.last_tick_ms.store(req.now_ms, Ordering::Relaxed);
         }
@@ -193,6 +193,41 @@ mod tests {
             })
             .unwrap();
         assert!(ack.ok);
+        assert_eq!(ack.reports, 1);
+    }
+
+    #[test]
+    fn far_future_clock_does_not_overflow_the_tick_check() {
+        // The session clock is attacker-controlled: after one request at
+        // `u64::MAX`, the next tick threshold must saturate rather than
+        // overflow, and later in-range requests still decide.
+        let cfg = WorkloadConfig {
+            seed: 17,
+            horizon_hours: 1,
+            arrivals_per_day: 60.0,
+            seat_spinner: false,
+            sms_pumper: false,
+        };
+        let workload = generate(&cfg);
+        let req = workload.requests.first().expect("non-empty workload");
+        let svc = service();
+        svc.decide(req);
+        let far = WireRequest {
+            now_ms: u64::MAX,
+            ..req.clone()
+        };
+        svc.decide(&far);
+        for r in workload.requests.iter().take(3) {
+            svc.decide(r);
+        }
+        assert_eq!(svc.decisions(), 5);
+        let ack = svc
+            .report(&OutcomeReport {
+                ip: req.ip,
+                score: 1.0,
+                now_ms: u64::MAX,
+            })
+            .unwrap();
         assert_eq!(ack.reports, 1);
     }
 
