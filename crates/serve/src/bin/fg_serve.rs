@@ -146,8 +146,7 @@ fn main() -> ExitCode {
     let report = server.drain(Duration::from_secs(args.drain_secs));
 
     if let Some(path) = &args.final_metrics {
-        let snapshot = telemetry.snapshot().to_prometheus();
-        if let Err(e) = std::fs::write(path, snapshot) {
+        if let Err(e) = std::fs::write(path, telemetry.to_prometheus()) {
             eprintln!("fg-serve: final metrics flush failed: {e}");
         }
     }

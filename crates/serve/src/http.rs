@@ -332,10 +332,13 @@ impl Response {
         self
     }
 
-    /// Serializes status line, headers, and body to `w`.
+    /// Serializes status line, headers, and body into one buffer and hands
+    /// it to `w` in a single `write_all`: an unbuffered `TcpStream` with
+    /// Nagle off would otherwise send one segment per formatted piece.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut wire = Vec::with_capacity(256 + self.body.len());
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             reason(self.status),
@@ -343,13 +346,14 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
         if self.close {
-            write!(w, "Connection: close\r\n")?;
+            wire.extend_from_slice(b"Connection: close\r\n");
         }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -477,5 +481,80 @@ mod tests {
         let (head, body) = s.split_once("\r\n\r\n").unwrap();
         assert!(head.contains("traceparent: 00-abc-def-01"), "{head}");
         assert_eq!(body, "{}");
+    }
+
+    /// A decision reply as the server sends it to a traced caller that
+    /// asked to close, and its exact wire form.
+    fn traced_closing_reply() -> Response {
+        Response::json(200, &b"{\"decision\":\"allow\"}"[..])
+            .with_header(
+                "traceparent",
+                "00-0af7651916cd43dd8448eb211c80319c-00000000000000ff-01".to_owned(),
+            )
+            .closing()
+    }
+
+    const TRACED_CLOSING_WIRE: &[u8] = b"HTTP/1.1 200 OK\r\n\
+        Content-Type: application/json\r\n\
+        Content-Length: 20\r\n\
+        traceparent: 00-0af7651916cd43dd8448eb211c80319c-00000000000000ff-01\r\n\
+        Connection: close\r\n\
+        \r\n\
+        {\"decision\":\"allow\"}";
+
+    /// A `Write` that counts its `write` calls and takes at most
+    /// `max_per_call` bytes from each, like a socket under pressure.
+    struct CallCounter {
+        calls: usize,
+        max_per_call: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl CallCounter {
+        fn new(max_per_call: usize) -> Self {
+            CallCounter {
+                calls: 0,
+                max_per_call,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for CallCounter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.max_per_call);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_is_one_write_call() {
+        let mut sink = CallCounter::new(usize::MAX);
+        traced_closing_reply().write_to(&mut sink).unwrap();
+        assert_eq!(sink.calls, 1);
+    }
+
+    #[test]
+    fn reply_bytes_are_the_wire_form() {
+        let mut sink = CallCounter::new(usize::MAX);
+        traced_closing_reply().write_to(&mut sink).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&sink.bytes),
+            String::from_utf8_lossy(TRACED_CLOSING_WIRE)
+        );
+    }
+
+    #[test]
+    fn short_writes_deliver_the_same_bytes() {
+        let mut sink = CallCounter::new(7);
+        traced_closing_reply().write_to(&mut sink).unwrap();
+        assert_eq!(sink.bytes, TRACED_CLOSING_WIRE);
+        assert_eq!(sink.calls, TRACED_CLOSING_WIRE.len().div_ceil(7));
     }
 }

@@ -22,7 +22,7 @@ use fg_telemetry::metrics::{Counter, Gauge, Latency};
 use fg_telemetry::trace::TraceConfig;
 use fg_telemetry::{HistSnapshot, RequestTrace, Telemetry};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -413,7 +413,7 @@ impl ServeState {
         let response = match (req.method.as_str(), path_of(&req.target)) {
             ("GET", "/healthz") => Response::json(200, &b"{\"ok\":true}"[..]),
             ("GET", "/readyz") => self.readyz(),
-            ("GET", "/metrics") => Response::text(200, self.telemetry.snapshot().to_prometheus()),
+            ("GET", "/metrics") => Response::text(200, self.telemetry.to_prometheus()),
             ("GET", "/debug/traces") => self.debug_traces(req),
             ("GET", "/debug/flightrecorder") => self.debug_flightrecorder(),
             ("GET", "/debug/alerts") => self.debug_alerts(),
@@ -721,7 +721,6 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers_n = config.workers.max(1);
         let queue_depth = config.queue_depth.max(1);
         let state = Arc::new(ServeState::new(config, telemetry));
@@ -801,8 +800,23 @@ impl Server {
 
     /// Flags the drain: accepting stops, keep-alive connections close
     /// after their in-flight exchange. Idempotent.
+    ///
+    /// The first call wakes the blocked accept thread by connecting once to
+    /// the bound address (loopback when bound to an unspecified IP); the
+    /// accept loop sees the flag on that connection and returns.
     pub fn begin_shutdown(&self) {
-        self.state.draining.store(true, Ordering::Relaxed);
+        if self.state.draining.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Waits up to `deadline` for the pool to finish, then reports. Call
@@ -810,7 +824,7 @@ impl Server {
     pub fn drain(mut self, deadline: Duration) -> DrainReport {
         self.begin_shutdown();
         if let Some(accept) = self.accept.take() {
-            let _ = accept.join(); // exits within one accept poll
+            let _ = accept.join(); // woken by begin_shutdown's connection
         }
         // Accept thread gone → its queue sender is dropped → workers see
         // the channel close once drained. Poll their exit count.
@@ -842,12 +856,18 @@ impl Server {
     }
 }
 
+/// Blocks in `accept` and hands each connection to the pool. Once the
+/// drain flag is up, whatever `accept` returns next — normally
+/// [`Server::begin_shutdown`]'s wake-up connection — ends the loop without
+/// being counted or served. The flag is stored before that connect, and
+/// the kernel's socket queue orders the store before `accept` returns.
 fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, state: &Arc<ServeState>) {
     loop {
+        let accepted = listener.accept();
         if state.draining() {
             return; // drops tx → workers drain the queue and exit
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 state.metrics.connections.inc();
                 match tx.try_send(stream) {
@@ -856,9 +876,7 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, state: &Arc<S
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Back off after an accept error (e.g. out of file descriptors).
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }

@@ -154,159 +154,166 @@ impl TelemetrySnapshot {
     /// format. Stage latencies appear as `summary` metrics in seconds under
     /// `fg_stage_latency_seconds`; the audit trail is JSON-only.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
+        render_prometheus(&self.metrics, &self.stages)
+    }
+}
 
-        let mut last_type_header = String::new();
-        let mut type_header = |out: &mut String, name: &str, kind: &str| {
-            if last_type_header != name {
-                if let Some(help) = self.metrics.help_for(name) {
-                    let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-                }
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-                last_type_header = name.to_owned();
-            }
-        };
+/// The Prometheus text renderer behind [`TelemetrySnapshot::to_prometheus`]
+/// and [`crate::Telemetry::to_prometheus`]: it reads only the metrics and
+/// the stages, so the live hub can render without copying its audit trail.
+pub(crate) fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> String {
+    let mut out = String::new();
 
-        for c in &self.metrics.counters {
-            let name = sanitize(&c.name.name);
-            type_header(&mut out, &name, "counter");
-            let _ = writeln!(out, "{}{} {}", name, render_labels(&c.name, &[]), c.value);
-        }
-        for g in &self.metrics.gauges {
-            let name = sanitize(&g.name.name);
-            type_header(&mut out, &name, "gauge");
-            let _ = writeln!(
-                out,
-                "{}{} {}",
-                name,
-                render_labels(&g.name, &[]),
-                render_f64(g.value)
-            );
-        }
-        for h in &self.metrics.histograms {
-            let name = sanitize(&h.name.name);
-            type_header(&mut out, &name, "histogram");
-            let mut cumulative = 0u64;
-            for (i, bucket) in h.buckets.iter().enumerate() {
-                cumulative += bucket;
-                let le = match h.bounds.get(i) {
-                    Some(b) => render_f64(*b),
-                    None => "+Inf".to_owned(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{} {}",
-                    name,
-                    render_labels(&h.name, &[("le", &le)]),
-                    cumulative
-                );
+    let mut last_type_header = String::new();
+    let mut type_header = |out: &mut String, name: &str, kind: &str| {
+        if last_type_header != name {
+            if let Some(help) = metrics.help_for(name) {
+                let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
             }
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                name,
-                render_labels(&h.name, &[]),
-                render_f64(h.sum)
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                name,
-                render_labels(&h.name, &[]),
-                h.count
-            );
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            last_type_header = name.to_owned();
         }
+    };
 
-        for l in &self.metrics.latencies {
-            let name = sanitize(&l.name.name);
-            type_header(&mut out, &name, "histogram");
-            // Exemplars keyed by the rendered bucket they fall in; when two
-            // land in one bucket the slower wins (they arrive sorted).
-            let mut exemplar_at: Vec<(usize, crate::hist::Exemplar)> = Vec::new();
-            for e in &l.exemplars {
-                let idx = crate::hist::bucket_index(e.nanos);
-                match exemplar_at.iter_mut().find(|(i, _)| *i == idx) {
-                    Some(slot) => slot.1 = *e,
-                    None => exemplar_at.push((idx, *e)),
-                }
-            }
-            let mut cumulative = 0u64;
-            for &(idx, bucket_count) in &l.hist.buckets {
-                cumulative += bucket_count;
-                let le = render_f64(crate::hist::bucket_high(idx as usize) as f64 * 1e-9);
-                let _ = write!(
-                    out,
-                    "{}_bucket{} {}",
-                    name,
-                    render_labels(&l.name, &[("le", &le)]),
-                    cumulative
-                );
-                if let Some((_, e)) = exemplar_at.iter().find(|(i, _)| *i == idx as usize) {
-                    // OpenMetrics exemplar: `# {trace_id="…"} value`.
-                    let _ = write!(
-                        out,
-                        " # {{trace_id=\"{:016x}\"}} {}",
-                        e.trace_id,
-                        render_f64(e.nanos as f64 * 1e-9)
-                    );
-                }
-                let _ = writeln!(out);
-            }
+    for c in &metrics.counters {
+        let name = sanitize(&c.name.name);
+        type_header(&mut out, &name, "counter");
+        let _ = writeln!(out, "{}{} {}", name, render_labels(&c.name, &[]), c.value);
+    }
+    for g in &metrics.gauges {
+        let name = sanitize(&g.name.name);
+        type_header(&mut out, &name, "gauge");
+        let _ = writeln!(
+            out,
+            "{}{} {}",
+            name,
+            render_labels(&g.name, &[]),
+            render_f64(g.value)
+        );
+    }
+    for h in &metrics.histograms {
+        let name = sanitize(&h.name.name);
+        type_header(&mut out, &name, "histogram");
+        let mut cumulative = 0u64;
+        for (i, bucket) in h.buckets.iter().enumerate() {
+            cumulative += bucket;
+            let le = match h.bounds.get(i) {
+                Some(b) => render_f64(*b),
+                None => "+Inf".to_owned(),
+            };
             let _ = writeln!(
                 out,
                 "{}_bucket{} {}",
                 name,
-                render_labels(&l.name, &[("le", "+Inf")]),
-                l.hist.count
-            );
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                name,
-                render_labels(&l.name, &[]),
-                render_f64(l.hist.sum as f64 * 1e-9)
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                name,
-                render_labels(&l.name, &[]),
-                l.hist.count
+                render_labels(&h.name, &[("le", &le)]),
+                cumulative
             );
         }
-
-        if !self.stages.is_empty() {
-            let name = "fg_stage_latency_seconds";
-            if let Some(help) = self.metrics.help_for(name) {
-                let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-            }
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for s in &self.stages {
-                for (q, v_us) in [("0.5", s.p50_us), ("0.95", s.p95_us), ("0.99", s.p99_us)] {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{stage=\"{}\",quantile=\"{q}\"}} {}",
-                        escape_label(&s.stage),
-                        render_f64(v_us * 1e-6)
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "{name}_sum{{stage=\"{}\"}} {}",
-                    escape_label(&s.stage),
-                    render_f64(s.total_ms * 1e-3)
-                );
-                let _ = writeln!(
-                    out,
-                    "{name}_count{{stage=\"{}\"}} {}",
-                    escape_label(&s.stage),
-                    s.count
-                );
-            }
-        }
-
-        out
+        let _ = writeln!(
+            out,
+            "{}_sum{} {}",
+            name,
+            render_labels(&h.name, &[]),
+            render_f64(h.sum)
+        );
+        let _ = writeln!(
+            out,
+            "{}_count{} {}",
+            name,
+            render_labels(&h.name, &[]),
+            h.count
+        );
     }
+
+    for l in &metrics.latencies {
+        let name = sanitize(&l.name.name);
+        type_header(&mut out, &name, "histogram");
+        // Exemplars keyed by the rendered bucket they fall in; when two
+        // land in one bucket the slower wins (they arrive sorted).
+        let mut exemplar_at: Vec<(usize, crate::hist::Exemplar)> = Vec::new();
+        for e in &l.exemplars {
+            let idx = crate::hist::bucket_index(e.nanos);
+            match exemplar_at.iter_mut().find(|(i, _)| *i == idx) {
+                Some(slot) => slot.1 = *e,
+                None => exemplar_at.push((idx, *e)),
+            }
+        }
+        let mut cumulative = 0u64;
+        for &(idx, bucket_count) in &l.hist.buckets {
+            cumulative += bucket_count;
+            let le = render_f64(crate::hist::bucket_high(idx as usize) as f64 * 1e-9);
+            let _ = write!(
+                out,
+                "{}_bucket{} {}",
+                name,
+                render_labels(&l.name, &[("le", &le)]),
+                cumulative
+            );
+            if let Some((_, e)) = exemplar_at.iter().find(|(i, _)| *i == idx as usize) {
+                // OpenMetrics exemplar: `# {trace_id="…"} value`.
+                let _ = write!(
+                    out,
+                    " # {{trace_id=\"{:016x}\"}} {}",
+                    e.trace_id,
+                    render_f64(e.nanos as f64 * 1e-9)
+                );
+            }
+            let _ = writeln!(out);
+        }
+        let _ = writeln!(
+            out,
+            "{}_bucket{} {}",
+            name,
+            render_labels(&l.name, &[("le", "+Inf")]),
+            l.hist.count
+        );
+        let _ = writeln!(
+            out,
+            "{}_sum{} {}",
+            name,
+            render_labels(&l.name, &[]),
+            render_f64(l.hist.sum as f64 * 1e-9)
+        );
+        let _ = writeln!(
+            out,
+            "{}_count{} {}",
+            name,
+            render_labels(&l.name, &[]),
+            l.hist.count
+        );
+    }
+
+    if !stages.is_empty() {
+        let name = "fg_stage_latency_seconds";
+        if let Some(help) = metrics.help_for(name) {
+            let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
+        }
+        let _ = writeln!(out, "# TYPE {name} summary");
+        for s in stages {
+            for (q, v_us) in [("0.5", s.p50_us), ("0.95", s.p95_us), ("0.99", s.p99_us)] {
+                let _ = writeln!(
+                    out,
+                    "{name}{{stage=\"{}\",quantile=\"{q}\"}} {}",
+                    escape_label(&s.stage),
+                    render_f64(v_us * 1e-6)
+                );
+            }
+            let _ = writeln!(
+                out,
+                "{name}_sum{{stage=\"{}\"}} {}",
+                escape_label(&s.stage),
+                render_f64(s.total_ms * 1e-3)
+            );
+            let _ = writeln!(
+                out,
+                "{name}_count{{stage=\"{}\"}} {}",
+                escape_label(&s.stage),
+                s.count
+            );
+        }
+    }
+
+    out
 }
 
 /// Folds `from` into `into` by metric identity: matching entries combine via

@@ -188,6 +188,13 @@ impl Telemetry {
             audit: self.audit().snapshot(),
         }
     }
+
+    /// The Prometheus exposition of the hub: byte-identical to
+    /// `self.snapshot().to_prometheus()`, but it never takes the audit
+    /// mutex or copies the audit records the exposition does not show.
+    pub fn to_prometheus(&self) -> String {
+        export::render_prometheus(&self.metrics.snapshot(), &self.profiler().snapshot())
+    }
 }
 
 /// RAII stage timer returned by [`Telemetry::time`]; records the elapsed
@@ -239,6 +246,47 @@ mod tests {
         assert_eq!(snap.stages[0].stage, "gate.total");
         assert_eq!(snap.audit.recorded, 1);
         assert_eq!(snap.audit.decision_total("allow"), 1);
+    }
+
+    #[test]
+    fn live_exposition_matches_the_snapshot_exposition() {
+        let t = Telemetry::with_audit_capacity(8);
+        t.metrics()
+            .set_help("fg_http_requests_total", "Responses \\ by status");
+        t.metrics()
+            .counter_with("fg_http_requests_total", &[("status", "200")])
+            .add(3);
+        t.metrics().gauge("fg_tracked_keys").set(41.5);
+        let latency = t.metrics().latency_with(
+            "fg_http_request_duration_seconds",
+            &[("endpoint", "decide")],
+        );
+        latency.record(Duration::from_micros(80));
+        latency.record_with_exemplar(Duration::from_millis(25), 0xDEAD_BEEF);
+        latency.record_with_exemplar(Duration::from_micros(900), 0xFEED);
+        t.record_stage("policy.decide", Duration::from_micros(12));
+        t.record_stage("detection.assess", Duration::from_micros(30));
+        for client in 0..3 {
+            t.record_audit(AuditRecord {
+                at: fg_core::time::SimTime::from_secs(client),
+                endpoint: "/v1/decide".to_owned(),
+                client,
+                fingerprint: 0xF00D,
+                ip: "10.1.2.3".to_owned(),
+                score: 0.9,
+                signals: Vec::new(),
+                decision: "block".to_owned(),
+                reasons: vec!["velocity".to_owned()],
+                trace_id: fg_core::hash::trace_id(client, 1),
+            });
+        }
+
+        let snapshot = t.snapshot();
+        assert_eq!(snapshot.audit.records.len(), 3);
+        let text = t.to_prometheus();
+        assert!(text.contains("# {trace_id=\"00000000deadbeef\"}"), "{text}");
+        assert!(text.contains("fg_stage_latency_seconds_count"), "{text}");
+        assert_eq!(text, snapshot.to_prometheus());
     }
 
     #[test]

@@ -417,3 +417,38 @@ fn drain_finishes_in_flight_work_and_stops_accepting() {
         "listener must be closed after drain"
     );
 }
+
+/// Boots on `listen`, sends nothing, and drains on a helper thread: the
+/// accept thread is blocked in `accept`, so only the drain's own wake-up
+/// lets it return. A lost wake fails on the channel timeout instead of
+/// hanging the test, and afterwards the port must refuse connections.
+fn idle_server_drains_promptly(listen: &str) {
+    let mut config = test_config();
+    config.listen = listen.to_owned();
+    let server = Server::start(config, Telemetry::shared(), None).expect("boot");
+    let port = server.addr().port();
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.drain(Duration::from_secs(10)));
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("drain of an idle server on {listen} took over 5 s"));
+    assert!(report.clean, "{report:?}");
+
+    let loopback = SocketAddr::from(([127, 0, 0, 1], port));
+    let err = TcpStream::connect_timeout(&loopback, Duration::from_millis(500))
+        .expect_err("listener must be closed after drain");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{err}");
+}
+
+#[test]
+fn drain_wakes_an_idle_loopback_listener() {
+    idle_server_drains_promptly("127.0.0.1:0");
+}
+
+#[test]
+fn drain_wakes_an_idle_wildcard_listener() {
+    idle_server_drains_promptly("0.0.0.0:0");
+}
