@@ -1,13 +1,18 @@
 //! Serve configuration: a JSON file split into boot-only topology and
 //! hot-reloadable posture.
 //!
-//! Boot-only fields (`listen`, `workers`, `queue_depth`, `shards`, `seed`)
-//! shape threads and store partitioning; changing them requires a restart
-//! and a hot-reload that touches them is rejected. Hot fields (`policy`,
-//! `limits`, `breaker`) swap atomically after validation: the policy must
-//! pass `fg_analyze::validate_serve_policy` (structural validity plus the
-//! semantic config lints at warn+), or the running service keeps its
-//! previous config — reject-and-keep-old, never reject-and-die.
+//! Boot-only fields (`listen`, `workers`, `queue_depth`, `shards`, `seed`,
+//! `observe`) shape threads, rings and store partitioning; changing them
+//! requires a restart and a hot-reload that touches them is rejected. Hot
+//! fields (`policy`, `breaker`) swap atomically after validation: the
+//! policy must pass `fg_analyze::validate_serve_policy` (structural
+//! validity plus the semantic config lints at warn+), or the running
+//! service keeps its previous config — reject-and-keep-old, never
+//! reject-and-die.
+//!
+//! Unknown keys are ignored, so a file with the per-endpoint `limits`
+//! block older versions wrote still parses; each worker serves one request
+//! at a time, so `workers` already bounds what is in flight.
 
 use crate::breaker::BreakerConfig;
 use fg_mitigation::policy::PolicyConfig;
@@ -15,29 +20,6 @@ use serde::{Deserialize, Serialize};
 
 /// Version stamp on the serialized config format.
 pub const SERVE_CONFIG_SCHEMA: u32 = 1;
-
-/// Per-endpoint concurrency ceilings. A request arriving while its
-/// endpoint is at its ceiling is shed with `429` rather than queued — under
-/// overload the service degrades by refusing crisply, not by stalling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EndpointLimits {
-    /// Concurrent `POST /v1/decide` handlers.
-    pub decide: usize,
-    /// Concurrent `POST /v1/report` handlers.
-    pub report: usize,
-    /// Concurrent observability reads (`/metrics`, health probes).
-    pub observe: usize,
-}
-
-impl Default for EndpointLimits {
-    fn default() -> Self {
-        EndpointLimits {
-            decide: 64,
-            report: 32,
-            observe: 8,
-        }
-    }
-}
 
 /// Live-observability tunables (boot-only: the tracer ring, flight
 /// recorder, and sentinel thread are shaped at start).
@@ -90,8 +72,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// The defensive posture (hot-reloadable, fg-analyze-gated).
     pub policy: PolicyConfig,
-    /// Per-endpoint concurrency ceilings (hot-reloadable).
-    pub limits: EndpointLimits,
     /// Circuit-breaker tunables (hot-reloadable).
     pub breaker: BreakerConfig,
     /// Live-observability tunables (boot-only).
@@ -109,7 +89,6 @@ impl ServeConfig {
             shards: 1,
             seed: 42,
             policy: PolicyConfig::recommended(),
-            limits: EndpointLimits::default(),
             breaker: BreakerConfig::default(),
             observe: ObserveConfig::default(),
         }
@@ -154,9 +133,6 @@ impl ServeConfig {
         }
         if self.shards == 0 {
             errors.push("shards must be >= 1".to_owned());
-        }
-        if self.limits.decide == 0 || self.limits.report == 0 || self.limits.observe == 0 {
-            errors.push("endpoint limits must be >= 1".to_owned());
         }
         if self.breaker.failure_threshold == 0 {
             errors.push("breaker.failure_threshold must be >= 1".to_owned());
@@ -269,6 +245,23 @@ mod tests {
     }
 
     #[test]
+    fn configs_with_the_retired_limits_block_still_parse() {
+        let c = ServeConfig::recommended();
+        let json = c.to_json();
+        assert!(!json.contains("limits"), "{json}");
+        let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        if let serde_json::Value::Object(fields) = &mut v {
+            let limits = r#"{"decide": 64, "report": 32, "observe": 8}"#;
+            fields.push(("limits".to_owned(), serde_json::from_str(limits).unwrap()));
+        }
+        let old = serde_json::to_string(&v).unwrap();
+        assert!(old.contains("\"limits\""), "{old}");
+        let parsed = ServeConfig::from_json(&old).unwrap();
+        assert!(parsed.validate().is_ok());
+        assert_eq!(parsed, c);
+    }
+
+    #[test]
     fn observe_bounds_are_validated() {
         let mut c = ServeConfig::recommended();
         c.observe.trace_capacity = 0;
@@ -290,7 +283,7 @@ mod tests {
     fn hot_compat_freezes_topology_fields() {
         let boot = ServeConfig::recommended();
         let mut next = boot.clone();
-        next.limits.decide = 16;
+        next.breaker.open_ms = 250;
         assert!(boot.hot_compatible(&next).is_ok());
         next.workers = 8;
         let err = boot.hot_compatible(&next).unwrap_err();

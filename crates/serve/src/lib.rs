@@ -6,14 +6,14 @@
 //! * [`http`] — hand-rolled HTTP/1.1 parsing and response writing over
 //!   `std` I/O (no async runtime; all deps vendored).
 //! * [`server`] — accept loop, fixed worker pool with a bounded hand-off
-//!   queue (full ⇒ shed with 429), per-endpoint concurrency gates, config
-//!   watcher, graceful drain.
+//!   queue (full ⇒ shed with 429), config watcher, graceful drain.
 //! * [`service`] — the decision core: one [`fg_scenario::DefendedApp`]
 //!   behind a mutex, serving `POST /v1/decide` from the *same* code path
 //!   the simulator runs, so wire and sim decisions agree byte-for-byte.
 //! * [`config`] — boot-only vs hot-reloadable config split; hot swaps are
 //!   gated by `fg_analyze::validate_serve_policy` (reject-and-keep-old).
-//! * [`breaker`] — a three-state circuit breaker around the decision path.
+//! * [`breaker`] — a three-state circuit breaker around the decision path
+//!   (open ⇒ 503); with the accept queue, fg-serve's only refusals.
 //! * [`observe`] — live observability plumbing: W3C `traceparent` parsing
 //!   and echo, the flight-recorder ring (frozen on breaker trips and
 //!   sheds), per-request summaries, and the serve SLO alert policy the
@@ -48,7 +48,7 @@ pub mod server;
 pub mod service;
 
 pub use breaker::{BreakerConfig, CircuitBreaker};
-pub use config::{EndpointLimits, ServeConfig, SERVE_CONFIG_SCHEMA};
+pub use config::{ServeConfig, SERVE_CONFIG_SCHEMA};
 pub use exit::Exit;
 pub use loadgen::{LoadReport, LoadgenConfig, SlowRequest, SERVE_BENCH_SCHEMA};
 pub use observe::{FlightRecorder, RequestSummary, TraceParent};

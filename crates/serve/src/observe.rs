@@ -35,9 +35,6 @@ pub struct TraceParent {
     /// The full 32-hex-digit trace id, exactly as received (the echo must
     /// preserve it byte-for-byte for the caller's collector to join spans).
     pub trace_id_hex: String,
-    /// Low 64 bits of the trace id — the numeric form recorded as a span
-    /// attribute.
-    pub trace_id_low: u64,
     /// The caller's span id.
     pub parent_id: u64,
 }
@@ -85,7 +82,6 @@ impl TraceParent {
         }
         Some(TraceParent {
             trace_id_hex: trace_id.to_owned(),
-            trace_id_low: low,
             parent_id: parent,
         })
     }
@@ -192,8 +188,8 @@ impl FlightRecorder {
         self.ring.push_back(summary);
     }
 
-    /// Freezes a copy of the ring. Idempotent: only the first freeze since
-    /// the last [`FlightRecorder::thaw`] is kept.
+    /// Freezes a copy of the ring. Idempotent: only the first freeze is
+    /// kept, until restart.
     pub fn freeze(&mut self, reason: &str, boot_ms: u64) {
         if self.frozen.is_none() {
             self.frozen = Some(FrozenFlight {
@@ -202,11 +198,6 @@ impl FlightRecorder {
                 entries: self.ring.iter().cloned().collect(),
             });
         }
-    }
-
-    /// Clears the frozen copy so the next incident can capture again.
-    pub fn thaw(&mut self) {
-        self.frozen = None;
     }
 
     /// Point-in-time view for `/debug/flightrecorder`.
@@ -292,7 +283,6 @@ mod tests {
         let tp =
             TraceParent::parse("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01").unwrap();
         assert_eq!(tp.trace_id_hex, "4bf92f3577b34da6a3ce929d0e0e4736");
-        assert_eq!(tp.trace_id_low, 0xa3ce929d0e0e4736);
         assert_eq!(tp.parent_id, 0x00f067aa0ba902b7);
         let echo = tp.echo(0xDEAD_BEEF);
         assert_eq!(
@@ -356,10 +346,6 @@ mod tests {
             vec![4, 5, 6],
             "live ring kept rolling past the freeze"
         );
-
-        fr.thaw();
-        fr.freeze("shed", 70);
-        assert_eq!(fr.snapshot().frozen.unwrap().reason, "shed");
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! The HTTP server: accept loop, fixed worker pool, bounded hand-off
-//! queue, per-endpoint load shedding, config watcher, and graceful drain.
+//! queue, config watcher, and graceful drain.
 //!
 //! Threading model: one accept thread pushes connections into a bounded
-//! `sync_channel`; `workers` threads pull and drive keep-alive sessions.
-//! A full queue sheds the connection with `429` instead of letting it
-//! queue invisibly. Workers poll the drain flag between requests (reads
-//! time out every 250 ms), so a `SIGTERM` finishes in-flight exchanges,
-//! answers nothing new, and exits once the pool is idle.
+//! `sync_channel`; `workers` threads block on it and drive keep-alive
+//! sessions, one request at a time each. fg-serve turns a well-formed
+//! request away in exactly two places: a full queue sheds the connection
+//! with `429` instead of letting it queue invisibly, and an open circuit
+//! breaker answers `POST /v1/decide` with `503`. Workers poll the drain flag
+//! between requests (reads time out every 250 ms); at drain the accept
+//! thread stops and drops the queue's sender, so workers finish what is
+//! queued and return once the channel reports it closed. A `SIGTERM`
+//! thus finishes in-flight and queued exchanges and answers nothing new.
 
 use crate::breaker::CircuitBreaker;
-use crate::config::{EndpointLimits, ObserveConfig, ServeConfig};
+use crate::config::{ObserveConfig, ServeConfig};
 use crate::http::{self, Limits, ParseError, Request, Response};
 use crate::observe::{
     path_of, query_param, serve_slo_policy, FlightRecorder, RequestSummary, TraceParent,
@@ -20,11 +24,11 @@ use fg_scenario::workload::WireRequest;
 use fg_sentinel::Sentinel;
 use fg_telemetry::metrics::{Counter, Gauge, Latency};
 use fg_telemetry::trace::TraceConfig;
-use fg_telemetry::{HistSnapshot, RequestTrace, Telemetry};
+use fg_telemetry::{RequestTrace, Telemetry};
 use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -37,7 +41,7 @@ const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(10);
 /// Config watcher poll cadence.
 const WATCH_POLL: Duration = Duration::from_millis(300);
 
-/// Endpoint classes for metrics and concurrency accounting.
+/// Endpoint classes for metrics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Class {
     Decide,
@@ -186,75 +190,12 @@ impl HttpMetrics {
     }
 }
 
-/// One endpoint's concurrency gate: an atomic in-flight count against a
-/// hot-reloadable ceiling.
-struct Gate {
-    in_flight: AtomicUsize,
-    limit: AtomicUsize,
-}
-
-impl Gate {
-    fn new(limit: usize) -> Self {
-        Gate {
-            in_flight: AtomicUsize::new(0),
-            limit: AtomicUsize::new(limit),
-        }
-    }
-
-    /// Acquires a slot or reports saturation. Release by decrementing.
-    fn try_acquire(&self) -> bool {
-        let limit = self.limit.load(Ordering::Relaxed);
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if prev >= limit {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return false;
-        }
-        true
-    }
-
-    fn release(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-struct Gates {
-    decide: Gate,
-    report: Gate,
-    observe: Gate,
-}
-
-impl Gates {
-    fn new(limits: EndpointLimits) -> Self {
-        Gates {
-            decide: Gate::new(limits.decide),
-            report: Gate::new(limits.report),
-            observe: Gate::new(limits.observe),
-        }
-    }
-
-    fn set(&self, limits: EndpointLimits) {
-        self.decide.limit.store(limits.decide, Ordering::Relaxed);
-        self.report.limit.store(limits.report, Ordering::Relaxed);
-        self.observe.limit.store(limits.observe, Ordering::Relaxed);
-    }
-
-    fn for_class(&self, class: Class) -> Option<&Gate> {
-        match class {
-            Class::Decide => Some(&self.decide),
-            Class::Report => Some(&self.report),
-            Class::Observe => Some(&self.observe),
-            Class::Other => None,
-        }
-    }
-}
-
 /// Everything the workers and watcher share.
 pub struct ServeState {
     service: DecisionService,
     telemetry: Arc<Telemetry>,
     metrics: HttpMetrics,
     breaker: CircuitBreaker,
-    gates: Gates,
     limits: Limits,
     observe: ObserveConfig,
     /// Wall-clock origin every `boot_ms` timestamp is relative to.
@@ -297,7 +238,6 @@ impl ServeState {
             sentinel: Mutex::new(sentinel),
             telemetry,
             breaker: CircuitBreaker::new(config.breaker),
-            gates: Gates::new(config.limits),
             limits: Limits::default(),
             observe: config.observe,
             boot: Instant::now(),
@@ -366,22 +306,14 @@ impl ServeState {
         active.hot_compatible(&candidate)?;
         // Point of no return: apply hot fields atomically under the lock.
         self.service.replace_policy(candidate.policy.clone());
-        self.gates.set(candidate.limits);
         self.breaker.reconfigure(candidate.breaker);
         active.policy = candidate.policy;
-        active.limits = candidate.limits;
         active.breaker = candidate.breaker;
         Ok(self.generation.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     fn route(&self, req: &Request) -> Response {
         let started = Instant::now();
-        let (class, response, meta) = self.route_inner(req);
-        self.metrics.on_response(class, response.status);
-        self.observe_response(class, req, response, started.elapsed(), meta)
-    }
-
-    fn route_inner(&self, req: &Request) -> (Class, Response, Option<DecideMeta>) {
         let class = match path_of(&req.target) {
             "/v1/decide" => Class::Decide,
             "/v1/report" => Class::Report,
@@ -393,23 +325,12 @@ impl ServeState {
             | "/debug/alerts" => Class::Observe,
             _ => Class::Other,
         };
-        if let Some(gate) = self.gates.for_class(class) {
-            if !gate.try_acquire() {
-                return (
-                    class,
-                    Response::error(429, "endpoint concurrency limit"),
-                    None,
-                );
-            }
-        }
-        let (response, meta) = self.dispatch(class, req);
-        if let Some(gate) = self.gates.for_class(class) {
-            gate.release();
-        }
-        (class, response, meta)
+        let (response, meta) = self.dispatch(req);
+        self.metrics.on_response(class, response.status);
+        self.observe_response(class, req, response, started.elapsed(), meta)
     }
 
-    fn dispatch(&self, class: Class, req: &Request) -> (Response, Option<DecideMeta>) {
+    fn dispatch(&self, req: &Request) -> (Response, Option<DecideMeta>) {
         let response = match (req.method.as_str(), path_of(&req.target)) {
             ("GET", "/healthz") => Response::json(200, &b"{\"ok\":true}"[..]),
             ("GET", "/readyz") => self.readyz(),
@@ -430,10 +351,7 @@ impl ServeState {
                 | "/debug/flightrecorder"
                 | "/debug/alerts",
             ) => Response::error(405, "method not allowed"),
-            _ => {
-                let _ = class;
-                Response::error(404, "no such endpoint")
-            }
+            _ => Response::error(404, "no such endpoint"),
         };
         (response, None)
     }
@@ -459,9 +377,14 @@ impl ServeState {
         let trace_id = meta.as_ref().map_or(0, |m| m.trace_id);
 
         if let Some(hist) = self.metrics.latency_for(class, status) {
-            if important {
-                // trace_id 0 (untraced request) is ignored by the recorder.
-                hist.record_with_exemplar(elapsed, trace_id);
+            if important && trace_id != 0 {
+                // Swap the exemplar slot and move the tracer's citation
+                // under one tracer lock, so concurrent workers never leave
+                // a trace cited that no slot holds, or a slot's trace
+                // uncited.
+                let mut tracer = self.telemetry.tracer();
+                let displaced = hist.record_with_exemplar(elapsed, trace_id);
+                tracer.cite(trace_id, displaced);
             } else {
                 hist.record(elapsed);
             }
@@ -635,10 +558,7 @@ impl ServeState {
             .map_err(|e| e.to_string())
             .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
         {
-            Ok(w) => {
-                self.breaker.record(true);
-                w
-            }
+            Ok(w) => w,
             Err(e) => {
                 // A bad request body is the client's failure, not the
                 // decision path's: record success so 400s never trip the
@@ -707,7 +627,6 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     watcher: Option<JoinHandle<()>>,
     sentinel: Option<JoinHandle<()>>,
-    finished_workers: Arc<AtomicUsize>,
 }
 
 impl Server {
@@ -727,20 +646,15 @@ impl Server {
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue_depth);
         let rx = Arc::new(Mutex::new(rx));
-        let finished_workers = Arc::new(AtomicUsize::new(0));
 
         let mut workers = Vec::with_capacity(workers_n);
         for i in 0..workers_n {
             let rx = rx.clone();
             let state = state.clone();
-            let finished = finished_workers.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("fg-serve-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(&rx, &state);
-                        finished.fetch_add(1, Ordering::Release);
-                    })
+                    .spawn(move || worker_loop(&rx, &state))
                     // fg-analyze: allow(panic-path): boot-only — worker threads spawn once in start(), before any request is accepted
                     .expect("spawn worker"),
             );
@@ -784,7 +698,6 @@ impl Server {
             workers,
             watcher,
             sentinel: Some(sentinel),
-            finished_workers,
         })
     }
 
@@ -827,20 +740,19 @@ impl Server {
             let _ = accept.join(); // woken by begin_shutdown's connection
         }
         // Accept thread gone → its queue sender is dropped → workers see
-        // the channel close once drained. Poll their exit count.
+        // the channel close once drained. Poll until they have all exited.
         let start = Instant::now();
-        let total = self.workers.len();
-        while self.finished_workers.load(Ordering::Acquire) < total && start.elapsed() < deadline {
+        while !self.workers.iter().all(JoinHandle::is_finished) && start.elapsed() < deadline {
             std::thread::sleep(Duration::from_millis(20));
         }
-        let finished = self.finished_workers.load(Ordering::Acquire);
+        let mut stragglers = 0;
         for w in self.workers.drain(..) {
-            if self.finished_workers.load(Ordering::Acquire) >= total {
+            if w.is_finished() {
                 let _ = w.join();
             } else {
                 // Straggler past deadline: abandon the join; the process
                 // is exiting anyway and the report says so.
-                drop(w);
+                stragglers += 1;
             }
         }
         if let Some(watch) = self.watcher.take() {
@@ -850,8 +762,8 @@ impl Server {
             let _ = sentinel.join(); // sentinel polls the drain flag too
         }
         DrainReport {
-            clean: finished >= total,
-            stragglers: total - finished.min(total),
+            clean: stragglers == 0,
+            stragglers,
         }
     }
 }
@@ -913,37 +825,18 @@ fn shed(stream: TcpStream, state: &Arc<ServeState>) {
         .write_to(&mut stream);
 }
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, state: &Arc<ServeState>) {
+/// Serves queued connections until the accept thread has stopped and the
+/// queue is empty: `recv` hands out every connection sent before the
+/// sender dropped, then reports the channel closed. Idle workers wait on
+/// the receiver's mutex; the one holding it waits in `recv`.
+fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &Arc<ServeState>) {
     loop {
-        // Hold the lock only for the dequeue itself. A blocking recv would
-        // pin the mutex while idle, so poll with a timeout: other workers
-        // get their turn and everyone notices channel close / drain.
-        let conn = {
-            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv_timeout(Duration::from_millis(100))
-        };
+        // The guard drops at the end of this statement, before the
+        // connection is served (a `while let` would hold it throughout).
+        let conn = rx.lock().unwrap_or_else(|e| e.into_inner()).recv();
         match conn {
             Ok(stream) => handle_connection(stream, state),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if state.draining() {
-                    // Queue may still hold work; only exit once empty.
-                    let empty = {
-                        let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-                        match rx.try_recv() {
-                            Ok(stream) => {
-                                drop(rx);
-                                handle_connection(stream, state);
-                                false
-                            }
-                            Err(_) => true,
-                        }
-                    };
-                    if empty {
-                        return;
-                    }
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
+            Err(_) => return,
         }
     }
 }
@@ -1027,24 +920,10 @@ fn sentinel_tick(state: &Arc<ServeState>) {
 
     let snap = state.telemetry.metrics().snapshot();
     for (endpoint, gauge) in &state.metrics.p99 {
-        let mut merged: Option<HistSnapshot> = None;
-        for sample in &snap.latencies {
-            if sample.name.name != "fg_http_request_duration_seconds" {
-                continue;
-            }
-            if !sample
-                .name
-                .labels
-                .iter()
-                .any(|(k, v)| k == "endpoint" && v == endpoint)
-            {
-                continue;
-            }
-            match &mut merged {
-                Some(m) => m.merge(&sample.hist),
-                None => merged = Some(sample.hist.clone()),
-            }
-        }
+        let merged = snap.latency_merged(
+            "fg_http_request_duration_seconds",
+            &[("endpoint", endpoint)],
+        );
         gauge.set(merged.map_or(0.0, |m| m.quantile_seconds(0.99)));
     }
 

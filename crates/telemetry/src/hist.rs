@@ -400,17 +400,23 @@ impl AtomicHist {
     }
 
     /// Records a sample *and* offers its trace id as an exemplar for the
-    /// latency band it fell in. Each of the eight octave bands keeps the
+    /// latency band it fell in. Each of the eight decade bands keeps the
     /// latest exemplar, so `/metrics` always links somewhere recent.
-    pub fn record_with_exemplar(&self, nanos: u64, trace_id: u64) {
+    ///
+    /// Returns the trace id the offer displaced from its band — 0 when the
+    /// band was empty or `trace_id` is 0 — so a caller that keeps cited
+    /// traces retrievable ([`crate::Tracer::cite`]) can release it.
+    pub fn record_with_exemplar(&self, nanos: u64, trace_id: u64) -> u64 {
         self.record(nanos);
         if trace_id == 0 {
-            return;
+            return 0;
         }
         let slot = exemplar_slot(nanos);
-        if let Ok(mut slots) = self.exemplars.lock() {
-            slots[slot] = Some(Exemplar { nanos, trace_id });
-        }
+        self.exemplars
+            .lock()
+            .ok()
+            .and_then(|mut slots| slots[slot].replace(Exemplar { nanos, trace_id }))
+            .map_or(0, |displaced| displaced.trace_id)
     }
 
     /// Samples recorded.
@@ -549,10 +555,10 @@ mod tests {
     #[test]
     fn exemplars_band_by_latency_and_keep_latest() {
         let h = AtomicHist::new();
-        h.record_with_exemplar(50_000, 0xA); // <100µs band
-        h.record_with_exemplar(60_000, 0xB); // same band: evicts 0xA
-        h.record_with_exemplar(20_000_000, 0xC); // 10–100ms band
-        h.record_with_exemplar(3_000, 0); // id 0 = no trace: ignored
+        assert_eq!(h.record_with_exemplar(50_000, 0xA), 0); // <100µs band
+        assert_eq!(h.record_with_exemplar(60_000, 0xB), 0xA); // same band: evicts 0xA
+        assert_eq!(h.record_with_exemplar(20_000_000, 0xC), 0); // 10–100ms band
+        assert_eq!(h.record_with_exemplar(3_000, 0), 0); // id 0 = no trace: ignored
         let (snap, exemplars) = h.snapshot();
         assert_eq!(snap.count, 4);
         assert_eq!(

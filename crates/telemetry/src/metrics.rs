@@ -200,11 +200,12 @@ impl Latency {
 
     /// Records a sample and offers `trace_id` as the exemplar for its
     /// latency band (ignored when `trace_id` is 0, the "no trace" value).
-    pub fn record_with_exemplar(&self, elapsed: Duration, trace_id: u64) {
+    /// Returns the trace id displaced from that band, or 0.
+    pub fn record_with_exemplar(&self, elapsed: Duration, trace_id: u64) -> u64 {
         self.0.record_with_exemplar(
             u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
             trace_id,
-        );
+        )
     }
 
     /// Samples recorded.
@@ -564,12 +565,18 @@ impl MetricsSnapshot {
         self.latencies.iter().find(|l| l.name == id)
     }
 
-    /// Merges every latency series sharing `name` (across label sets) into
-    /// one histogram — e.g. the all-endpoint request-latency view. `None`
-    /// when no series matches.
-    pub fn latency_merged(&self, name: &str) -> Option<HistSnapshot> {
+    /// Merges every latency series named `name` whose labels include all of
+    /// `labels` into one histogram — e.g. one endpoint's request latency
+    /// across every status. `None` when no series matches.
+    pub fn latency_merged(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistSnapshot> {
         let mut merged: Option<HistSnapshot> = None;
-        for l in self.latencies.iter().filter(|l| l.name.name == name) {
+        let matches = |l: &&LatencySample| {
+            l.name.name == name
+                && labels
+                    .iter()
+                    .all(|(k, v)| l.name.labels.iter().any(|(lk, lv)| lk == k && lv == v))
+        };
+        for l in self.latencies.iter().filter(matches) {
             match &mut merged {
                 Some(m) => m.merge(&l.hist),
                 None => merged = Some(l.hist.clone()),
@@ -636,6 +643,29 @@ mod tests {
                 .counter_value("fg_decisions_total", &[("decision", "block")]),
             Some(8)
         );
+    }
+
+    #[test]
+    fn latency_merged_sums_the_series_a_label_filter_selects() {
+        let registry = MetricsRegistry::new();
+        let name = "fg_http_request_duration_seconds";
+        for (endpoint, status, micros) in [
+            ("decide", "200", 10),
+            ("decide", "503", 20),
+            ("report", "200", 40),
+            ("report", "400", 80),
+        ] {
+            registry
+                .latency_with(name, &[("endpoint", endpoint), ("status", status)])
+                .record(Duration::from_micros(micros));
+        }
+        let snap = registry.snapshot();
+        let merged =
+            |labels: &[(&str, &str)]| snap.latency_merged(name, labels).map(|h| (h.count, h.sum));
+        assert_eq!(merged(&[("endpoint", "decide")]), Some((2, 30_000)));
+        assert_eq!(merged(&[("status", "200")]), Some((2, 50_000)));
+        assert_eq!(merged(&[]), Some((4, 150_000)));
+        assert_eq!(merged(&[("endpoint", "observe")]), None);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!
 //! Retention is bounded: when the trace budget fills, sampled `allow`
 //! traces evict first (oldest first); important traces (non-allow or
-//! pinned) only evict each other. Eviction counts are exported in the
+//! pinned) only evict each other. A trace a live exemplar cites
+//! ([`Tracer::cite`]) is held past the budget until its exemplar moves
+//! on, so every exemplar resolves. Eviction counts are exported in the
 //! [`TraceSnapshot`] so a truncated export never masquerades as complete.
 
 use fg_core::rng::splitmix64;
@@ -239,7 +241,8 @@ pub struct TraceSnapshot {
     pub kept: u64,
     /// `allow` traces dropped by the sampling coin.
     pub sampled_out: u64,
-    /// Kept traces later evicted by the retention budget.
+    /// Kept traces later evicted by the retention budget (a cited trace
+    /// counts once its exemplar has released it).
     pub evicted: u64,
     /// Auxiliary spans dropped by their retention budget.
     pub aux_dropped: u64,
@@ -339,6 +342,11 @@ pub struct Tracer {
     kept_sampled: VecDeque<RequestTrace>,
     /// Non-allow or pinned-session traces — evicted only among themselves.
     kept_important: VecDeque<RequestTrace>,
+    /// Trace ids an exemplar currently cites.
+    cited: BTreeSet<u64>,
+    /// Cited traces the retention budget has already evicted, kept until
+    /// [`Tracer::cite`] releases them.
+    held: BTreeMap<u64, RequestTrace>,
     aux: VecDeque<SpanRecord>,
     submitted: u64,
     sampled_out: u64,
@@ -398,10 +406,34 @@ impl Tracer {
         while self.kept_sampled.len() + self.kept_important.len() > config.capacity {
             // Sampled allows evict first; important traces only evict each
             // other once no sampled trace remains.
-            if self.kept_sampled.pop_front().is_none() {
-                self.kept_important.pop_front();
+            let oldest = self
+                .kept_sampled
+                .pop_front()
+                .or_else(|| self.kept_important.pop_front());
+            match oldest {
+                Some(trace) if self.cited.contains(&trace.trace_id) => {
+                    self.held.insert(trace.trace_id, trace);
+                }
+                _ => self.evicted += 1,
             }
+        }
+    }
+
+    /// Records that an exemplar slot now cites `trace_id` in place of
+    /// `displaced` (0 when the slot was empty). The retention budget holds
+    /// a cited trace back instead of evicting it; the displaced trace is
+    /// released, and if the budget had already reached it, it is dropped
+    /// now and counted in `evicted`.
+    pub fn cite(&mut self, trace_id: u64, displaced: u64) {
+        if displaced == trace_id {
+            return;
+        }
+        self.cited.remove(&displaced);
+        if self.held.remove(&displaced).is_some() {
             self.evicted += 1;
+        }
+        if trace_id != 0 {
+            self.cited.insert(trace_id);
         }
     }
 
@@ -418,13 +450,18 @@ impl Tracer {
         self.aux.push_back(span);
     }
 
-    /// Trace ids currently retained (what incident exemplars may cite).
-    pub fn retained_ids(&self) -> BTreeSet<u64> {
+    /// Every retained request trace: the budgeted rings plus held cited
+    /// traces.
+    fn retained(&self) -> impl Iterator<Item = &RequestTrace> {
         self.kept_important
             .iter()
             .chain(self.kept_sampled.iter())
-            .map(|t| t.trace_id)
-            .collect()
+            .chain(self.held.values())
+    }
+
+    /// Trace ids currently retained (what incident exemplars may cite).
+    pub fn retained_ids(&self) -> BTreeSet<u64> {
+        self.retained().map(|t| t.trace_id).collect()
     }
 
     /// Exports every retained span: per-session root spans bracketing each
@@ -435,7 +472,7 @@ impl Tracer {
         // Session roots: one per client with retained traces, spanning the
         // first request's start to the last request's end.
         let mut sessions: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for trace in self.kept_important.iter().chain(self.kept_sampled.iter()) {
+        for trace in self.retained() {
             let request_spans = trace.to_spans();
             let start = request_spans[0].start_us;
             let end = start + request_spans[0].dur_us;
@@ -465,7 +502,7 @@ impl Tracer {
         spans.sort_by(|a, b| {
             (a.start_us, a.trace_id, a.span_id).cmp(&(b.start_us, b.trace_id, b.span_id))
         });
-        let kept = (self.kept_important.len() + self.kept_sampled.len()) as u64 + self.evicted;
+        let kept = self.retained().count() as u64 + self.evicted;
         TraceSnapshot {
             submitted: self.submitted,
             kept,
@@ -607,6 +644,37 @@ mod tests {
             !ids.contains(&fg_core::hash::trace_id(1, 1)),
             "oldest allow evicted"
         );
+    }
+
+    #[test]
+    fn cited_traces_outlive_eviction_until_displaced() {
+        let mut tr = Tracer::new();
+        tr.enable(TraceConfig {
+            capacity: 2,
+            ..TraceConfig::default()
+        });
+        let cited = fg_core::hash::trace_id(1, 1);
+        tr.cite(cited, 0);
+        for seq in 1..=5 {
+            tr.submit(trace(1, seq, "block"));
+        }
+        // Held past 4 later submissions, and not counted as evicted yet.
+        let snap = tr.snapshot();
+        assert!(snap.request_trace_ids().contains(&cited));
+        let retained = snap.request_trace_ids().len();
+        assert_eq!((retained, snap.kept, snap.evicted), (3, 5, 2));
+
+        // Displaced: released, and counted as evicted exactly once.
+        let next = fg_core::hash::trace_id(1, 5);
+        tr.cite(next, cited);
+        tr.cite(0, cited);
+        for seq in 6..=7 {
+            tr.submit(trace(1, seq, "block"));
+        }
+        let snap = tr.snapshot();
+        assert!(!snap.request_trace_ids().contains(&cited));
+        assert!(snap.request_trace_ids().contains(&next), "held in turn");
+        assert_eq!((snap.kept, snap.evicted), (7, 4));
     }
 
     #[test]
