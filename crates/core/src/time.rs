@@ -287,8 +287,15 @@ impl SubAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    /// The signed span from `rhs` to `self`. Total: the exact difference
+    /// is taken in `i128` and clamped into [`SimDuration`]'s range, so
+    /// instants more than `i64::MAX` ms apart give the extreme duration of
+    /// the right sign instead of overflowing. Inlined across crates:
+    /// velocity eviction calls it once per event it inspects.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0 as i64 - rhs.0 as i64)
+        let exact = i128::from(self.0) - i128::from(rhs.0);
+        SimDuration(exact.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64)
     }
 }
 
@@ -331,6 +338,24 @@ mod tests {
         let d = SimDuration::from_mins(90);
         assert_eq!((a + d) - a, d);
         assert_eq!((a + d) - d, a);
+    }
+
+    #[test]
+    fn instant_difference_is_total_at_the_extremes() {
+        let far = SimTime::from_millis(1 << 63);
+        assert_eq!(
+            far - SimTime::from_millis(1_000),
+            SimDuration::from_millis(i64::MAX - 999)
+        );
+        assert!(far - SimTime::from_millis(1_000) > SimDuration::ZERO);
+        assert_eq!(
+            SimTime::ZERO - SimTime::from_millis(u64::MAX),
+            SimDuration::from_millis(i64::MIN)
+        );
+        assert_eq!(
+            SimTime::from_millis(u64::MAX) - SimTime::ZERO,
+            SimDuration::from_millis(i64::MAX)
+        );
     }
 
     #[test]

@@ -84,11 +84,11 @@ impl Endpoint {
             Endpoint::Hold | Endpoint::Pay | Endpoint::BoardingPass | Endpoint::SendOtp => 4,
         }
     }
-}
 
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The URL path this endpoint serves, e.g. `/booking/hold` (its
+    /// [`fmt::Display`] form, without allocating).
+    pub const fn as_str(self) -> &'static str {
+        match self {
             Endpoint::Home => "/",
             Endpoint::Search => "/search",
             Endpoint::Detail => "/flights/detail",
@@ -99,8 +99,13 @@ impl fmt::Display for Endpoint {
             Endpoint::SendOtp => "/auth/send-otp",
             Endpoint::Account => "/account/profile",
             Endpoint::TrapFile => "/static/.hidden",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -40,19 +40,24 @@ impl Decision {
     pub fn reaches_application(self) -> bool {
         matches!(self, Decision::Allow | Decision::Challenge)
     }
-}
 
-impl fmt::Display for Decision {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The decision's label, e.g. `rate-limited` (its [`fmt::Display`]
+    /// form, without allocating).
+    pub const fn as_str(self) -> &'static str {
+        match self {
             Decision::Allow => "allow",
             Decision::Challenge => "challenge",
             Decision::RateLimited => "rate-limited",
             Decision::TierDenied => "tier-denied",
             Decision::Honeypot => "honeypot",
             Decision::Block => "block",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Decision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -127,23 +127,32 @@ impl ReputationLedger {
     }
 
     /// Records `weight` units of abuse evidence against `ip` at `now`.
+    ///
+    /// Evidence never moves backwards in time: a report older than the
+    /// entry's last update adds its weight decayed by the lag — what it
+    /// would have contributed had it arrived in order — instead of
+    /// rewinding the entry and decaying its whole score over a gap that
+    /// never happened.
     pub fn report(&mut self, ip: IpAddress, weight: f64, now: SimTime) {
         let half_life = self.half_life.as_millis() as f64;
         let floor = self.score_floor;
+        // The decay factor from `from` to `to`; 1 when `to` is not later.
+        let decay = |from: SimTime, to: SimTime| {
+            0.5_f64.powf(to.saturating_since(from).as_millis() as f64 / half_life)
+        };
         let bump = |map: &mut EvidenceShard, key: IpAddress, quantize: bool| {
             let entry = map.entry(key).or_insert(Evidence {
                 score: 0.0,
                 updated: now,
             });
-            let elapsed = now.saturating_since(entry.updated).as_millis() as f64;
-            let mut prior = entry.score * 0.5_f64.powf(elapsed / half_life);
+            let mut prior = entry.score * decay(entry.updated, now);
             // Compound from the floored prior so a sub-floor residual
             // contributes exactly what a purged (absent) entry would: zero.
             if quantize && prior < floor {
                 prior = 0.0;
             }
-            entry.score = prior + weight.max(0.0);
-            entry.updated = now;
+            entry.score = prior + weight.max(0.0) * decay(now, entry.updated);
+            entry.updated = entry.updated.max(now);
         };
         bump(self.evidence.shard_mut(&ip), ip, true);
         let subnet = ip.subnet24();
@@ -269,6 +278,24 @@ mod tests {
         assert!(l.is_denied(probe, SimTime::ZERO));
         // A different /24 is unaffected.
         assert!(!l.is_subnet_blocked(IpAddress::from_octets(10, 2, 4, 1), SimTime::ZERO));
+    }
+
+    #[test]
+    fn backdated_report_keeps_the_reputation_it_finds() {
+        let mut l = ledger();
+        let ip = IpAddress::from_octets(10, 7, 7, 7);
+        let day30 = SimTime::from_days(30);
+        l.report(ip, 20.0, day30);
+        l.report(ip, 0.0, SimTime::ZERO);
+        assert_eq!(l.score(ip, day30), 20.0);
+        assert!(l.is_blocked(ip, day30));
+        assert!(l.is_subnet_blocked(ip, day30));
+
+        // A backdated weight counts decayed by its lag, as in order.
+        let late = IpAddress::from_octets(10, 7, 8, 1);
+        l.report(late, 4.0, SimTime::from_hours(12));
+        l.report(late, 4.0, SimTime::ZERO);
+        assert!((l.score(late, SimTime::from_hours(12)) - 6.0).abs() < 1e-9);
     }
 
     #[test]

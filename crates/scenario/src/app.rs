@@ -22,7 +22,7 @@ use fg_smsgw::gateway::Gateway;
 use fg_smsgw::message::{SmsKind, SmsMessage};
 use fg_telemetry::audit::{AuditRecord, SignalScore};
 use fg_telemetry::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use fg_telemetry::{RequestTrace, Telemetry};
+use fg_telemetry::{AttrValue, RequestTrace, Telemetry};
 use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -174,6 +174,26 @@ pub const TRACKED_MAPS: [&str; 5] = [
     "booking-sms-limiter",
     "client-hold-limiter",
 ];
+
+/// Span name of each detection signal's child span under `detect.assess`:
+/// `detect.<kind>`, in [`Signal::KINDS`] order.
+const SIGNAL_SPANS: [&str; Signal::KINDS.len()] = [
+    "detect.fingerprint-inconsistent",
+    "detect.ip-reputation",
+    "detect.ip-velocity",
+    "detect.fp-velocity",
+    "detect.booking-sms-velocity",
+    "detect.trap-hit",
+];
+
+/// The span name of a signal of `kind` (one of [`Signal::KINDS`]).
+fn signal_span(kind: &str) -> &'static str {
+    Signal::KINDS
+        .iter()
+        .zip(SIGNAL_SPANS)
+        .find(|(k, _)| **k == kind)
+        .map_or("detect.signal", |(_, span)| span)
+}
 
 impl AppMetrics {
     fn register(registry: &MetricsRegistry) -> Self {
@@ -577,7 +597,7 @@ impl DefendedApp {
         let mut span_trace = self
             .telemetry
             .tracing_enabled()
-            .then(|| RequestTrace::new(trace_id, req.client.as_u64(), &endpoint.to_string(), now));
+            .then(|| RequestTrace::new(trace_id, req.client.as_u64(), endpoint.as_str(), now));
 
         // Already-diverted clients stay in the decoy.
         let t = Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
@@ -589,20 +609,22 @@ impl DefendedApp {
             tr.attr(check, "diverted", diverted);
         }
         if diverted {
-            self.telemetry.record_audit(AuditRecord {
-                at: now,
-                endpoint: endpoint.to_string(),
-                client: req.client.as_u64(),
-                fingerprint: req.fingerprint.identity_hash(),
-                ip: req.ip.to_string(),
-                score: 0.0,
-                signals: Vec::new(),
-                decision: Decision::Honeypot.to_string(),
-                reasons: vec!["honeypot:session-diverted".to_owned()],
-                trace_id,
-            });
+            if self.telemetry.audit_enabled() {
+                self.telemetry.record_audit(AuditRecord {
+                    at: now,
+                    endpoint: endpoint.to_string(),
+                    client: req.client.as_u64(),
+                    fingerprint: req.fingerprint.identity_hash(),
+                    ip: req.ip.to_string(),
+                    score: 0.0,
+                    signals: Vec::new(),
+                    decision: Decision::Honeypot.to_string(),
+                    reasons: vec!["honeypot:session-diverted".to_owned()],
+                    trace_id,
+                });
+            }
             if let Some(mut tr) = span_trace.take() {
-                tr.finish(&Decision::Honeypot.to_string());
+                tr.finish(Decision::Honeypot.as_str());
                 self.telemetry.record_trace(tr);
             }
             return (
@@ -625,11 +647,11 @@ impl DefendedApp {
         self.metrics.detection_score.record(verdict.score);
         if let Some(tr) = span_trace.as_mut() {
             let assess = tr.stage("detect.assess");
-            tr.attr(assess, "score", format!("{:.3}", verdict.score));
+            tr.attr(assess, "score", AttrValue::Float3(verdict.score));
             for signal in &verdict.signals {
-                let child = tr.child(assess, &format!("detect.{}", signal.kind()));
+                let child = tr.child(assess, signal_span(signal.kind()));
                 tr.attr(child, "signal", signal.to_string());
-                tr.attr(child, "weight", format!("{:.3}", signal.weight()));
+                tr.attr(child, "weight", AttrValue::Float3(signal.weight()));
             }
         }
         for signal in &verdict.signals {
@@ -656,13 +678,14 @@ impl DefendedApp {
         });
         self.telemetry.record_stage("policy.decide", t.elapsed());
         let decision = trace.decision;
+        let reasons = trace.reason_strings();
         if let Some(tr) = span_trace.as_mut() {
             let decide = tr.stage("policy.decide");
-            tr.attr(decide, "decision", decision.to_string());
-            tr.attr(decide, "reasons", trace.reason_strings().join(" → "));
+            tr.attr(decide, "decision", decision.as_str());
+            tr.attr(decide, "reasons", reasons.join(" → "));
             tr.attr(decide, "client_key", req.client.as_u64());
             if let Some(booking) = booking {
-                tr.attr(decide, "limiter_booking", booking);
+                tr.attr(decide, "limiter_booking", booking.to_string());
             }
         }
         let signal_scores: Vec<SignalScore> = verdict
@@ -673,18 +696,20 @@ impl DefendedApp {
                 weight: s.weight(),
             })
             .collect();
-        self.telemetry.record_audit(AuditRecord {
-            at: now,
-            endpoint: endpoint.to_string(),
-            client: req.client.as_u64(),
-            fingerprint: req.fingerprint.identity_hash(),
-            ip: req.ip.to_string(),
-            score: verdict.score,
-            signals: signal_scores.clone(),
-            decision: decision.to_string(),
-            reasons: trace.reason_strings(),
-            trace_id,
-        });
+        if self.telemetry.audit_enabled() {
+            self.telemetry.record_audit(AuditRecord {
+                at: now,
+                endpoint: endpoint.to_string(),
+                client: req.client.as_u64(),
+                fingerprint: req.fingerprint.identity_hash(),
+                ip: req.ip.to_string(),
+                score: verdict.score,
+                signals: signal_scores.clone(),
+                decision: decision.to_string(),
+                reasons: reasons.clone(),
+                trace_id,
+            });
+        }
 
         // Honeypot diversion is part of the decision's effect on defence
         // state (the session turns sticky), so it is applied here — on the
@@ -702,7 +727,7 @@ impl DefendedApp {
             GateDecision {
                 trace_id,
                 decision,
-                reasons: trace.reason_strings(),
+                reasons,
                 score: verdict.score,
                 signals: signal_scores,
             },
@@ -743,7 +768,7 @@ impl DefendedApp {
     ) -> (GateDecision, Option<RequestTrace>) {
         let (gated, mut span_trace) = self.decide_inner(req, endpoint, booking, now);
         if let Some(tr) = span_trace.as_mut() {
-            tr.finish(&gated.decision.to_string());
+            tr.finish(gated.decision.as_str());
         }
         (gated, span_trace)
     }
@@ -812,7 +837,7 @@ impl DefendedApp {
             Decision::Block => Err(ApiOutcome::Blocked),
         };
         if let Some(mut tr) = span_trace.take() {
-            tr.finish(&decision.to_string());
+            tr.finish(decision.as_str());
             self.telemetry.record_trace(tr);
         }
         result
@@ -1155,6 +1180,14 @@ mod tests {
         a.search(&req, SimTime::ZERO).unwrap();
         let hash = req.fingerprint.identity_hash();
         assert_eq!(a.fingerprint_by_hash(hash), Some(&req.fingerprint));
+    }
+
+    #[test]
+    fn signal_spans_are_detect_dot_kind() {
+        for (kind, span) in Signal::KINDS.iter().zip(SIGNAL_SPANS) {
+            assert_eq!(span, format!("detect.{kind}"));
+            assert_eq!(signal_span(kind), span);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!
 //! ## Where determinism stops
 //!
-//! Everything below the socket — detection, policy, audit — is a pure
+//! Everything below the socket — detection, policy, tracing — is a pure
 //! function of (request stream, config, seed, shards): requests carry
 //! their own session clock (`now_ms`), so *what* is decided never depends
 //! on the wall. The serving shell around it is deliberately wall-clock:

@@ -24,7 +24,7 @@ use fg_scenario::workload::WireRequest;
 use fg_sentinel::Sentinel;
 use fg_telemetry::metrics::{Counter, Gauge, Latency};
 use fg_telemetry::trace::TraceConfig;
-use fg_telemetry::{RequestTrace, Telemetry};
+use fg_telemetry::{AttrValue, RequestTrace, Telemetry};
 use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -219,7 +219,7 @@ pub struct ServeState {
 /// plus the still-open request trace to append transport spans to.
 struct DecideMeta {
     trace_id: u64,
-    decision: String,
+    decision: &'static str,
     trace: Option<RequestTrace>,
 }
 
@@ -305,7 +305,11 @@ impl ServeState {
         let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
         active.hot_compatible(&candidate)?;
         // Point of no return: apply hot fields atomically under the lock.
-        self.service.replace_policy(candidate.policy.clone());
+        // An unchanged policy keeps its engine, and with it every limiter
+        // bucket and block rule: only a posture change starts them afresh.
+        if candidate.policy != active.policy {
+            self.service.replace_policy(candidate.policy.clone());
+        }
         self.breaker.reconfigure(candidate.breaker);
         active.policy = candidate.policy;
         active.breaker = candidate.breaker;
@@ -371,9 +375,8 @@ impl ServeState {
     ) -> Response {
         let status = response.status;
         let slow = elapsed >= Duration::from_millis(self.observe.slow_request_ms);
-        let decision_label = meta.as_ref().map(|m| m.decision.clone());
-        let important =
-            slow || status >= 500 || decision_label.as_deref().is_some_and(|d| d != "allow");
+        let decision_label = meta.as_ref().map(|m| m.decision);
+        let important = slow || status >= 500 || decision_label.is_some_and(|d| d != "allow");
         let trace_id = meta.as_ref().map_or(0, |m| m.trace_id);
 
         if let Some(hist) = self.metrics.latency_for(class, status) {
@@ -404,12 +407,12 @@ impl ServeState {
 
         if let Some(mut tr) = meta.and_then(|m| m.trace) {
             let span = tr.stage("serve.http");
-            tr.attr(span, "status", status);
-            tr.attr(span, "latency_us", elapsed.as_micros());
+            tr.attr(span, "status", u64::from(status));
+            tr.attr(span, "latency_us", elapsed.as_micros() as u64);
             tr.attr(span, "endpoint", class.label());
-            if let Some(w) = &wire {
-                tr.attr(span, "wire.trace_id", &w.trace_id_hex);
-                tr.attr(span, "wire.parent_id", format_args!("{:016x}", w.parent_id));
+            if let Some(w) = wire {
+                tr.attr(span, "wire.trace_id", w.trace_id_hex);
+                tr.attr(span, "wire.parent_id", AttrValue::Hex16(w.parent_id));
             }
             if slow || status >= 500 {
                 tr.pin();
@@ -424,7 +427,7 @@ impl ServeState {
             endpoint: class.label().to_owned(),
             request: format!("{} {}", req.method, path_of(&req.target)),
             status,
-            decision: decision_label,
+            decision: decision_label.map(str::to_owned),
             trace_id: (trace_id != 0).then(|| format!("{trace_id:016x}")),
             latency_us: elapsed.as_micros() as u64,
             slow,
@@ -575,7 +578,7 @@ impl ServeState {
                     self.breaker.record(true);
                     let meta = DecideMeta {
                         trace_id: decision.trace_id,
-                        decision: decision.decision.to_string(),
+                        decision: decision.decision.as_str(),
                         trace,
                     };
                     (Response::json(200, body.into_bytes()), Some(meta))

@@ -58,7 +58,17 @@ pub struct DecisionService {
 
 impl DecisionService {
     /// Builds the defended app from the serve config, wired to `telemetry`.
+    ///
+    /// Switches `telemetry`'s audit layer off: the service keeps no audit
+    /// trail. Nothing in a serving process reads one — `/metrics` skips
+    /// it, and each decision is explained by its trace (`/debug/traces`
+    /// keeps every non-allow decision with its reason chain) and its
+    /// flight-recorder entry — yet building the record and pushing it into
+    /// a 65,536-entry ring would take the decision lock longer than
+    /// detection and policy do. The simulator builds its own
+    /// `DefendedApp` and keeps the trail.
     pub fn new(config: &ServeConfig, telemetry: Arc<Telemetry>) -> Self {
+        telemetry.disable_audit();
         let concurrency = if config.shards <= 1 {
             fg_core::shard::ConcurrencyMode::Deterministic
         } else {
@@ -172,6 +182,7 @@ mod tests {
             assert_eq!(a.decide(req), b.decide(req));
         }
         assert_eq!(a.decisions(), workload.requests.len() as u64);
+        assert_eq!(a.telemetry().audit().recorded(), 0);
     }
 
     #[test]
@@ -200,7 +211,9 @@ mod tests {
     fn far_future_clock_does_not_overflow_the_tick_check() {
         // The session clock is attacker-controlled: after one request at
         // `u64::MAX`, the next tick threshold must saturate rather than
-        // overflow, and later in-range requests still decide.
+        // overflow, and later in-range requests still decide. At `2^63`
+        // the housekeeping tick's window arithmetic must not overflow
+        // either.
         let cfg = WorkloadConfig {
             seed: 17,
             horizon_hours: 1,
@@ -210,25 +223,27 @@ mod tests {
         };
         let workload = generate(&cfg);
         let req = workload.requests.first().expect("non-empty workload");
-        let svc = service();
-        svc.decide(req);
-        let far = WireRequest {
-            now_ms: u64::MAX,
-            ..req.clone()
-        };
-        svc.decide(&far);
-        for r in workload.requests.iter().take(3) {
-            svc.decide(r);
+        for far_ms in [u64::MAX, 1 << 63] {
+            let svc = service();
+            svc.decide(req);
+            let far = WireRequest {
+                now_ms: far_ms,
+                ..req.clone()
+            };
+            svc.decide(&far);
+            for r in workload.requests.iter().take(3) {
+                svc.decide(r);
+            }
+            assert_eq!(svc.decisions(), 5);
+            let ack = svc
+                .report(&OutcomeReport {
+                    ip: req.ip,
+                    score: 1.0,
+                    now_ms: far_ms,
+                })
+                .unwrap();
+            assert_eq!(ack.reports, 1);
         }
-        assert_eq!(svc.decisions(), 5);
-        let ack = svc
-            .report(&OutcomeReport {
-                ip: req.ip,
-                score: 1.0,
-                now_ms: u64::MAX,
-            })
-            .unwrap();
-        assert_eq!(ack.reports, 1);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!    every request through the defended app, the detection signals that
 //!    fired and the policy engine's machine-readable reason chain, so a
 //!    run can be queried after the fact ("show me every honeypot routing
-//!    and which signal triggered it").
+//!    and which signal triggered it"). On by default; a process that
+//!    never reads the trail switches it off with
+//!    [`Telemetry::disable_audit`], and decision paths then build no
+//!    record at all (fg-serve explains its decisions through traces).
 //! 3. **Profiling** ([`profile`]) — wall-clock timers around each
 //!    detection signal and mitigation stage, aggregated into exact
 //!    p50/p95/p99 via `fg_core::stats::Summary`.
@@ -58,7 +61,7 @@ pub use export::TelemetrySnapshot;
 pub use hist::{AtomicHist, Exemplar, Hist, HistSnapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricName, MetricsRegistry, MetricsSnapshot};
 pub use profile::{StageProfiler, StageSnapshot};
-pub use trace::{RequestTrace, SpanRecord, TraceConfig, TraceSnapshot, Tracer};
+pub use trace::{AttrValue, RequestTrace, SpanRecord, TraceConfig, TraceSnapshot, Tracer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -75,6 +78,9 @@ pub const DEFAULT_AUDIT_CAPACITY: usize = 65_536;
 pub struct Telemetry {
     metrics: MetricsRegistry,
     audit: Mutex<AuditTrail>,
+    /// Whether decision paths record into `audit`; on until
+    /// [`Telemetry::disable_audit`].
+    auditing: AtomicBool,
     profiler: Mutex<StageProfiler>,
     tracer: Mutex<Tracer>,
     /// Mirrors `tracer.is_enabled()` so the tracing-off hot path pays one
@@ -104,6 +110,7 @@ impl Telemetry {
         Telemetry {
             metrics,
             audit: Mutex::new(AuditTrail::new(capacity)),
+            auditing: AtomicBool::new(true),
             profiler: Mutex::new(StageProfiler::new()),
             tracer: Mutex::new(Tracer::new()),
             tracing: AtomicBool::new(false),
@@ -125,9 +132,26 @@ impl Telemetry {
         self.audit.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends one record to the audit trail.
+    /// Appends one record to the audit trail. A no-op once the audit
+    /// layer is off.
     pub fn record_audit(&self, record: AuditRecord) {
-        self.audit().push(record);
+        if self.audit_enabled() {
+            self.audit().push(record);
+        }
+    }
+
+    /// Switches the audit layer off for good: [`Telemetry::audit_enabled`]
+    /// turns false, so decision paths stop building records, and
+    /// [`Telemetry::record_audit`] drops any it is handed. For a process
+    /// that never reads the trail.
+    pub fn disable_audit(&self) {
+        self.auditing.store(false, Ordering::Relaxed);
+    }
+
+    /// Whether the audit layer is on (the default) — the cheap check
+    /// callers make before building an [`AuditRecord`].
+    pub fn audit_enabled(&self) -> bool {
+        self.auditing.load(Ordering::Relaxed)
     }
 
     /// Locks and returns the stage profiler.
@@ -287,6 +311,28 @@ mod tests {
         assert!(text.contains("# {trace_id=\"00000000deadbeef\"}"), "{text}");
         assert!(text.contains("fg_stage_latency_seconds_count"), "{text}");
         assert_eq!(text, snapshot.to_prometheus());
+    }
+
+    #[test]
+    fn a_disabled_audit_layer_records_nothing() {
+        let t = Telemetry::with_audit_capacity(4);
+        assert!(t.audit_enabled());
+        t.disable_audit();
+        assert!(!t.audit_enabled());
+        t.record_audit(AuditRecord {
+            at: fg_core::time::SimTime::from_secs(1),
+            endpoint: "/search".to_owned(),
+            client: 9,
+            fingerprint: 0xF00D,
+            ip: "10.1.2.3".to_owned(),
+            score: 0.0,
+            signals: Vec::new(),
+            decision: "allow".to_owned(),
+            reasons: vec!["clean".to_owned()],
+            trace_id: fg_core::hash::trace_id(9, 1),
+        });
+        assert_eq!(t.audit().recorded(), 0);
+        assert!(t.snapshot().audit.records.is_empty());
     }
 
     #[test]

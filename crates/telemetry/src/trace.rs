@@ -36,7 +36,9 @@ use fg_core::rng::splitmix64;
 use fg_core::time::SimTime;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 /// Default probability of keeping an `allow`-decision trace: 1/32. Exact in
 /// binary, so the keep/drop threshold arithmetic has no rounding surprises.
@@ -97,33 +99,93 @@ pub struct SpanRecord {
     pub attrs: Vec<(String, String)>,
 }
 
-/// Stage record inside a [`RequestTrace`]: `(parent, name, attrs)`.
-/// Parent `0` is the request root; parent `i > 0` is `stages[i - 1]`.
-type StageRecord = (usize, String, Vec<(String, String)>);
+/// One span attribute value, kept raw while the request runs and
+/// formatted only when a retained trace is exported — the sampler drops
+/// most `allow` traces, so their attributes are never formatted at all.
+#[derive(Clone, Debug, PartialEq)]
+pub enum AttrValue {
+    /// Text, exported as is.
+    Text(Cow<'static, str>),
+    /// An unsigned integer, exported in decimal.
+    Int(u64),
+    /// A flag, exported as `true` or `false`.
+    Bool(bool),
+    /// A real number, exported with 3 decimals (`0.420`).
+    Float3(f64),
+    /// An id, exported as 16 lower-case hex digits.
+    Hex16(u64),
+}
+
+/// The exported form of the value.
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::Text(text) => f.write_str(text),
+            AttrValue::Int(n) => write!(f, "{n}"),
+            AttrValue::Bool(flag) => write!(f, "{flag}"),
+            AttrValue::Float3(x) => write!(f, "{x:.3}"),
+            AttrValue::Hex16(id) => write!(f, "{id:016x}"),
+        }
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(text: &'static str) -> Self {
+        AttrValue::Text(Cow::Borrowed(text))
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(text: String) -> Self {
+        AttrValue::Text(Cow::Owned(text))
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> Self {
+        AttrValue::Int(n)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(flag: bool) -> Self {
+        AttrValue::Bool(flag)
+    }
+}
 
 /// One in-flight request trace, built inside `DefendedApp::gate` and handed
-/// to [`Tracer::submit`] with the final decision.
+/// to [`Tracer::submit`] with the final decision. Names, keys and labels
+/// are `&'static str` and values stay [`AttrValue`]s, so building a trace
+/// formats nothing; [`Tracer::snapshot`] formats the traces it exports.
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
     trace_id: u64,
     session: u64,
-    endpoint: String,
+    endpoint: &'static str,
     at: SimTime,
-    decision: String,
-    stages: Vec<StageRecord>,
+    decision: &'static str,
+    /// `(parent, name)` per stage. Parent `0` is the request root; parent
+    /// `i > 0` is `stages[i - 1]`.
+    stages: Vec<(usize, &'static str)>,
+    /// `(stage, key, value)` in record order; `stage` is the handle
+    /// [`RequestTrace::stage`] returned.
+    attrs: Vec<(usize, &'static str, AttrValue)>,
     pinned: bool,
 }
 
 impl RequestTrace {
     /// Opens a request trace rooted at `at` for the given session.
-    pub fn new(trace_id: u64, session: u64, endpoint: &str, at: SimTime) -> Self {
+    pub fn new(trace_id: u64, session: u64, endpoint: &'static str, at: SimTime) -> Self {
         RequestTrace {
             trace_id,
             session,
-            endpoint: endpoint.to_owned(),
+            endpoint,
             at,
-            decision: String::new(),
-            stages: Vec::new(),
+            decision: "",
+            // Sized for a full decision path (honeypot check, detection,
+            // policy, transport) so building the trace grows neither.
+            stages: Vec::with_capacity(8),
+            attrs: Vec::with_capacity(16),
             pinned: false,
         }
     }
@@ -143,30 +205,31 @@ impl RequestTrace {
     /// Appends a pipeline-stage span under the request root; returns a
     /// handle usable as a parent for [`RequestTrace::child`] and for
     /// [`RequestTrace::attr`].
-    pub fn stage(&mut self, name: &str) -> usize {
-        self.stages.push((0, name.to_owned(), Vec::new()));
+    pub fn stage(&mut self, name: &'static str) -> usize {
+        self.stages.push((0, name));
         self.stages.len()
     }
 
     /// Appends a span nested under the stage `parent` (as returned by
     /// [`RequestTrace::stage`]).
-    pub fn child(&mut self, parent: usize, name: &str) -> usize {
+    pub fn child(&mut self, parent: usize, name: &'static str) -> usize {
         debug_assert!(parent >= 1 && parent <= self.stages.len());
-        self.stages.push((parent, name.to_owned(), Vec::new()));
+        self.stages.push((parent, name));
         self.stages.len()
     }
 
-    /// Attaches one attribute to a stage handle.
-    pub fn attr(&mut self, stage: usize, key: &str, value: impl ToString) {
-        if let Some(s) = self.stages.get_mut(stage.wrapping_sub(1)) {
-            s.2.push((key.to_owned(), value.to_string()));
+    /// Attaches one attribute to a stage handle; the value is formatted
+    /// only if the trace is exported.
+    pub fn attr(&mut self, stage: usize, key: &'static str, value: impl Into<AttrValue>) {
+        if (1..=self.stages.len()).contains(&stage) {
+            self.attrs.push((stage, key, value.into()));
         }
     }
 
     /// Stamps the final decision label (`allow`, `challenge`, …). The
     /// sampler's head+tail rule keys off this.
-    pub fn finish(&mut self, decision: &str) {
-        self.decision = decision.to_owned();
+    pub fn finish(&mut self, decision: &'static str) {
+        self.decision = decision;
     }
 
     /// Flattens into exportable spans: the request root spanning its
@@ -189,27 +252,33 @@ impl RequestTrace {
             start_us: t0,
             dur_us: n + 2,
             attrs: vec![
-                ("endpoint".to_owned(), self.endpoint.clone()),
-                ("decision".to_owned(), self.decision.clone()),
+                ("endpoint".to_owned(), self.endpoint.to_owned()),
+                ("decision".to_owned(), self.decision.to_owned()),
             ],
         });
-        for (i, (parent, name, attrs)) in self.stages.iter().enumerate() {
+        for (i, &(parent, name)) in self.stages.iter().enumerate() {
+            let handle = i + 1;
             out.push(SpanRecord {
                 trace_id: self.trace_id,
-                span_id: span_id(i as u64 + 1),
-                parent_id: if *parent == 0 {
+                span_id: span_id(handle as u64),
+                parent_id: if parent == 0 {
                     root_id
                 } else {
-                    span_id(*parent as u64)
+                    span_id(parent as u64)
                 },
-                name: name.clone(),
+                name: name.to_owned(),
                 session: self.session,
                 // Child stages sit inside their parent stage's slot: the
                 // layout is one slot per stage in record order, nested
                 // stages borrowing the tail of the parent's microsecond.
-                start_us: t0 + 1 + i as u64,
+                start_us: t0 + handle as u64,
                 dur_us: 1,
-                attrs: attrs.clone(),
+                attrs: self
+                    .attrs
+                    .iter()
+                    .filter(|(stage, _, _)| *stage == handle)
+                    .map(|(_, key, value)| ((*key).to_owned(), value.to_string()))
+                    .collect(),
             });
         }
         // Widen parent stages over their children so Chrome-trace viewers
@@ -217,7 +286,7 @@ impl RequestTrace {
         // record order, so extend each parent's duration to cover the last
         // descendant slot.
         for i in (0..self.stages.len()).rev() {
-            let (parent, _, _) = self.stages[i];
+            let (parent, _) = self.stages[i];
             if parent > 0 {
                 let child_end = out[i + 1].start_us + out[i + 1].dur_us;
                 let p = &mut out[parent];
@@ -518,7 +587,7 @@ impl Tracer {
 mod tests {
     use super::*;
 
-    fn trace(session: u64, seq: u64, decision: &str) -> RequestTrace {
+    fn trace(session: u64, seq: u64, decision: &'static str) -> RequestTrace {
         let mut t = RequestTrace::new(
             fg_core::hash::trace_id(session, seq),
             session,
@@ -696,6 +765,53 @@ mod tests {
             .unwrap();
         assert_eq!(signal.parent_id, assess.span_id);
         assert!(signal.start_us + signal.dur_us <= assess.start_us + assess.dur_us);
+    }
+
+    #[test]
+    fn raw_attributes_are_formatted_at_export() {
+        let mut t = RequestTrace::new(
+            fg_core::hash::trace_id(6, 1),
+            6,
+            "/booking/hold",
+            SimTime::from_secs(1),
+        );
+        let span = t.stage("serve.http");
+        t.attr(span, "endpoint", "decide");
+        t.attr(span, "wire.trace_id", String::from("4bf92f3577b34da6"));
+        t.attr(span, "status", 200u64);
+        t.attr(span, "slow", false);
+        t.attr(span, "score", AttrValue::Float3(1.0 / 3.0));
+        t.attr(
+            span,
+            "wire.parent_id",
+            AttrValue::Hex16(0x00f0_67aa_0ba9_02b7),
+        );
+        t.attr(span + 1, "dropped", "no such stage");
+        t.finish("rate-limited");
+        let spans = t.to_spans();
+        let owned = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+            pairs
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+                .collect()
+        };
+        assert_eq!(spans[0].name, "request /booking/hold");
+        assert_eq!(
+            spans[0].attrs,
+            owned(&[("endpoint", "/booking/hold"), ("decision", "rate-limited")])
+        );
+        assert_eq!(spans[1].name, "serve.http");
+        assert_eq!(
+            spans[1].attrs,
+            owned(&[
+                ("endpoint", "decide"),
+                ("wire.trace_id", "4bf92f3577b34da6"),
+                ("status", "200"),
+                ("slow", "false"),
+                ("score", "0.333"),
+                ("wire.parent_id", "00f067aa0ba902b7"),
+            ])
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 const DECISIONS: [&str; 4] = ["allow", "block", "challenge", "honeypot"];
 
-fn build(session: u64, seq: u64, decision: &str) -> RequestTrace {
+fn build(session: u64, seq: u64, decision: &'static str) -> RequestTrace {
     let id = fg_core::hash::trace_id(session, seq);
     let mut t = RequestTrace::new(id, session, "/booking/hold", SimTime::from_millis(seq));
     let stage = t.stage("policy.decide");

@@ -149,6 +149,32 @@ print(f"serve-smoke: traces submitted {traces['submitted']} kept {traces['kept']
       f"evicted {traces['evicted']}; {len(exemplars)} exemplars, {len(dangling)} dangling")
 assert not dangling, f"exemplars not resolvable via /debug/traces: {sorted(dangling)}"
 
+# Attribute formats: the tracer keeps each attribute value raw and
+# formats it only when a kept trace is exported, so check the formats of
+# every span the ring served (the replay keeps every non-allow trace).
+def attrs(span):
+    return dict(span["attrs"])
+labels = {"allow", "challenge", "rate-limited", "tier-denied", "honeypot", "block"}
+checked = {"detect.assess": 0, "serve.http": 0, "wire": 0, "request": 0}
+for span in traces["spans"]:
+    name, a = span["name"], attrs(span)
+    if name == "detect.assess":
+        assert re.fullmatch(r"\d+\.\d{3}", a["score"]), (name, a)
+        checked[name] += 1
+    elif name == "serve.http":
+        assert re.fullmatch(r"\d{3}", a["status"]), (name, a)
+        assert re.fullmatch(r"\d+", a["latency_us"]), (name, a)
+        checked[name] += 1
+        if "wire.trace_id" in a or "wire.parent_id" in a:
+            assert re.fullmatch(r"[0-9a-f]{32}", a["wire.trace_id"]), (name, a)
+            assert re.fullmatch(r"[0-9a-f]{16}", a["wire.parent_id"]), (name, a)
+            checked["wire"] += 1
+    elif name.startswith("request "):
+        assert a["decision"] in labels, (name, a)
+        checked["request"] += 1
+print(f"serve-smoke: span attribute formats OK {checked}")
+assert checked["detect.assess"] and checked["serve.http"] and checked["request"], checked
+
 # The flight recorder saw the replay and still holds a live tail.
 assert flight["recorded"] > 0 and flight["live"], flight
 

@@ -3,10 +3,13 @@
 //! graceful drain, queued work included — all over real sockets on an
 //! ephemeral port.
 
-use fg_scenario::workload::{generate, WorkloadConfig};
+use fg_detection::log::Endpoint;
+use fg_mitigation::policy::Decision;
+use fg_scenario::app::GateDecision;
+use fg_scenario::workload::{generate, WireRequest, WorkloadConfig};
 use fg_serve::loadgen::read_response;
 use fg_serve::{ServeConfig, Server};
-use fg_telemetry::Telemetry;
+use fg_telemetry::{SpanRecord, Telemetry};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -164,6 +167,24 @@ fn await_connections(telemetry: &Telemetry, n: u64) {
     );
 }
 
+/// The first boarding-pass request with a booking in a seeded stream:
+/// replayed a few times a millisecond apart, its booking's SMS limiter runs
+/// dry.
+fn limited_booking_request() -> WireRequest {
+    let workload = generate(&WorkloadConfig {
+        seed: 42,
+        horizon_hours: 24,
+        arrivals_per_day: 600.0,
+        seat_spinner: false,
+        sms_pumper: true,
+    });
+    workload
+        .requests
+        .into_iter()
+        .find(|r| r.endpoint == Endpoint::BoardingPass && r.booking.is_some())
+        .expect("stream has a boarding-pass request with a booking")
+}
+
 fn sample_decide_body() -> String {
     let workload = generate(&WorkloadConfig {
         seed: 5,
@@ -255,6 +276,7 @@ fn observability_plane_links_metrics_traces_and_the_flight_recorder() {
     });
     let wire_trace = "4bf92f3577b34da6a3ce929d0e0e4736";
     let mut non_allow_id: Option<u64> = None;
+    let mut non_allow_exchange: Option<(&WireRequest, GateDecision)> = None;
     let mut served = 0u64;
     for req in workload.requests.iter().take(400) {
         let body = serde_json::to_string(req).expect("request serializes");
@@ -289,6 +311,8 @@ fn observability_plane_links_metrics_traces_and_the_flight_recorder() {
             .expect("decision label");
         if decision != "Allow" && non_allow_id.is_none() {
             non_allow_id = Some(trace_id);
+            let reply: GateDecision = serde_json::from_str(&body).expect("decision body");
+            non_allow_exchange = Some((req, reply));
         }
     }
     let pinned = non_allow_id.expect("abusive workload produced a non-allow decision");
@@ -304,6 +328,49 @@ fn observability_plane_links_metrics_traces_and_the_flight_recorder() {
     assert!(body.contains(&format!("{pinned:016x}")), "{body}");
     assert!(body.contains("\"spans\""), "{body}");
     assert!(body.contains("serve.http"), "{body}");
+
+    // Its spans carry the attribute strings the tracer formats at export,
+    // each matching the reply and the request it explains.
+    let (req, reply) = non_allow_exchange.expect("non-allow exchange kept");
+    let traces: serde_json::Value = serde_json::from_str(&body).expect("traces json");
+    let spans: Vec<SpanRecord> =
+        serde_json::from_value(traces.get("spans").cloned().expect("spans present"))
+            .expect("span records");
+    let attr = |name: &str, key: &str| -> String {
+        let span = spans
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no {name} span in {body}"));
+        span.attrs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("{name} carries no {key}: {:?}", span.attrs))
+    };
+    let root = format!("request {}", req.endpoint);
+    let label = reply.decision.to_string();
+    assert_eq!(attr(&root, "endpoint"), req.endpoint.to_string());
+    assert_eq!(attr(&root, "decision"), label);
+    assert_eq!(
+        attr("detect.assess", "score"),
+        format!("{:.3}", reply.score)
+    );
+    assert_eq!(attr("policy.decide", "decision"), label);
+    assert_eq!(attr("policy.decide", "reasons"), reply.reasons.join(" → "));
+    assert_eq!(
+        attr("policy.decide", "client_key"),
+        req.client.as_u64().to_string()
+    );
+    assert_eq!(attr("serve.http", "status"), "200");
+    assert_eq!(attr("serve.http", "endpoint"), "decide");
+    assert_eq!(attr("serve.http", "wire.trace_id"), wire_trace);
+    assert_eq!(attr("serve.http", "wire.parent_id"), "00f067aa0ba902b7");
+    let latency = attr("serve.http", "latency_us");
+    assert!(
+        !latency.is_empty() && latency.bytes().all(|b| b.is_ascii_digit()),
+        "latency_us {latency:?}"
+    );
+
     let (status, _) = request(addr, "GET", "/debug/traces?trace_id=zzz", b"");
     assert_eq!(status, 400);
 
@@ -421,7 +488,23 @@ fn hot_reload_rejects_bad_configs_and_applies_good_ones() {
     assert_eq!(state.generation(), 1);
 
     // 3. A valid hot change (a shorter breaker cool-down) applies and
-    //    bumps the generation, visible through /readyz.
+    //    bumps the generation, visible through /readyz. It leaves the
+    //    policy alone, so a booking rate-limited before the reload stays
+    //    rate-limited after it: limiter buckets survive.
+    let mut limited = limited_booking_request();
+    let mut decide_limited = || {
+        limited.now_ms += 1;
+        let body = serde_json::to_string(&limited).expect("request serializes");
+        let (status, reply) = request(addr, "POST", "/v1/decide", body.as_bytes());
+        assert_eq!(status, 200, "{reply}");
+        serde_json::from_str::<GateDecision>(&reply)
+            .expect("decision body")
+            .decision
+    };
+    assert!(
+        (0..12).any(|_| decide_limited() == Decision::RateLimited),
+        "replaying one booking never exhausted its limiter"
+    );
     let mut good = config.clone();
     good.breaker.open_ms = 250;
     std::fs::write(&path, good.to_json()).expect("write good config");
@@ -433,6 +516,11 @@ fn hot_reload_rejects_bad_configs_and_applies_good_ones() {
     let (status, body) = request(addr, "GET", "/readyz", b"");
     assert_eq!(status, 200);
     assert!(body.contains("\"config_generation\":2"), "{body}");
+    assert_eq!(
+        decide_limited(),
+        Decision::RateLimited,
+        "a breaker-only reload reset the booking's limiter"
+    );
 
     let report = server.drain(Duration::from_secs(10));
     assert!(report.clean, "{report:?}");
