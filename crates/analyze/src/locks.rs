@@ -60,9 +60,6 @@ pub const RELAXED_COUNTERS: &[&str] = &[
     // Flight-recorder sequence numbers: display ordering only, nothing is
     // published through them.
     "request_seq",
-    // Breaker-trip high-water latch: the freeze decision it feeds is made
-    // under the flight-recorder mutex, the atomic only dedups the edge.
-    "seen_trips",
 ];
 
 /// Runs all four discipline checks.

@@ -41,14 +41,15 @@ pub mod lints {
 
 /// Crate-qualified suffixes of the fg-serve request-path entry points.
 /// `accept_loop`/`worker_loop`/`shed` are covered transitively through
-/// `handle_connection`; `try_reload` is the hot-reload apply path driven by
-/// both SIGHUP and the config watcher.
+/// `handle_connection`; `background_loop` is the background thread (config
+/// watcher and embedded-sentinel tick); `try_reload` is the hot-reload
+/// apply path it drives.
 pub const ENTRY_POINTS: &[&str] = &[
     "serve::handle_connection",
     "serve::accept_loop",
     "serve::worker_loop",
     "serve::shed",
-    "serve::watch_loop",
+    "serve::background_loop",
     "serve::ServeState::decide",
     "serve::ServeState::report",
     "serve::ServeState::try_reload",
@@ -275,7 +276,7 @@ mod tests {
              fn accept_loop() {{}}\n\
              fn worker_loop() {{}}\n\
              fn shed() {{}}\n\
-             fn watch_loop() {{}}\n\
+             fn background_loop() {{}}\n\
              {body}\n"
         );
         let ws =

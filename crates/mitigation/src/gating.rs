@@ -48,7 +48,6 @@ impl fmt::Display for TrustTier {
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FeatureGate {
     requirements: FxHashMap<Endpoint, TrustTier>,
-    denials: u64,
 }
 
 impl FeatureGate {
@@ -82,21 +81,6 @@ impl FeatureGate {
         self.requirements
             .get(&endpoint)
             .is_none_or(|&min| tier >= min)
-    }
-
-    /// Checks and counts: like [`FeatureGate::allows`], but records denials
-    /// for reporting.
-    pub fn check(&mut self, endpoint: Endpoint, tier: TrustTier) -> bool {
-        let ok = self.allows(endpoint, tier);
-        if !ok {
-            self.denials += 1;
-        }
-        ok
-    }
-
-    /// Total denials recorded through [`FeatureGate::check`].
-    pub fn denials(&self) -> u64 {
-        self.denials
     }
 
     /// The minimum tier for `endpoint`, if restricted.
@@ -133,15 +117,6 @@ mod tests {
         assert!(g.allows(Endpoint::Search, TrustTier::Anonymous));
         assert_eq!(g.requirement(Endpoint::Hold), Some(TrustTier::Verified));
         assert_eq!(g.requirement(Endpoint::Search), None);
-    }
-
-    #[test]
-    fn check_counts_denials() {
-        let mut g = FeatureGate::recommended();
-        assert!(!g.check(Endpoint::Hold, TrustTier::Anonymous));
-        assert!(!g.check(Endpoint::SendOtp, TrustTier::Anonymous));
-        assert!(g.check(Endpoint::Hold, TrustTier::Loyalty));
-        assert_eq!(g.denials(), 2);
     }
 
     #[test]

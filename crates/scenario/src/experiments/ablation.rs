@@ -180,22 +180,10 @@ pub fn spec() -> crate::harness::ExperimentSpec {
         default_seed: AblationConfig::default().seed,
         telemetry_capable: false,
         run: |p| {
-            let mut config = if p.smoke {
-                smoke_config()
-            } else {
-                AblationConfig::default()
-            };
+            let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            if p.traces {
-                let (report, alerts, traces) = run_traced(config);
-                crate::harness::CellOutput::of(&report)
-                    .with_alerts(p.alerts.then_some(alerts))
-                    .with_traces(Some(traces))
-            } else {
-                let (report, alerts) = run_instrumented(config);
-                crate::harness::CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts))
-            }
+            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -400,28 +388,16 @@ fn run_cell(
 
 /// Runs the full grid.
 pub fn run(config: AblationConfig) -> AblationReport {
-    run_instrumented(config).0
+    run_observed(config, false).0
 }
 
 /// Runs the full grid, also returning the sentinel outcome for the
 /// unprotected SMS-pumping cell — the configuration with no defence at all,
 /// where the online alert is the only thing that notices the attack.
-pub fn run_instrumented(config: AblationConfig) -> (AblationReport, SentinelReport) {
-    let (report, alerts, _) = run_inner(config, false);
-    (report, alerts)
-}
-
-/// Like [`run_instrumented`], with span tracing enabled on the designated
-/// (unprotected × SMS-pumping) cell, additionally returning that cell's
-/// trace export. Tracing is read-only, so the grid is unchanged.
-pub fn run_traced(
-    config: AblationConfig,
-) -> (AblationReport, SentinelReport, fg_telemetry::TraceSnapshot) {
-    let (report, alerts, traces) = run_inner(config, true);
-    (report, alerts, traces.expect("tracing was enabled"))
-}
-
-fn run_inner(
+///
+/// With `traces`, span tracing is enabled on that cell and its trace export
+/// is returned too. Tracing is read-only, so the report is unchanged.
+pub fn run_observed(
     config: AblationConfig,
     traces: bool,
 ) -> (

@@ -103,27 +103,10 @@ pub fn spec() -> crate::harness::ExperimentSpec {
         default_seed: CaseBConfig::default().seed,
         telemetry_capable: true,
         run: |p| {
-            let mut config = if p.smoke {
-                smoke_config()
-            } else {
-                CaseBConfig::default()
-            };
+            let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            let (report, telemetry, alerts) = if p.traces {
-                run_traced(config)
-            } else {
-                run_full(config)
-            };
-            let mut out =
-                crate::harness::CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts));
-            if p.telemetry {
-                out = out.with_telemetry(telemetry.snapshot());
-            }
-            if p.traces {
-                out = out.with_traces(Some(telemetry.trace_snapshot()));
-            }
-            out
+            crate::harness::telemetry_cell(p, run_observed(config, p.traces))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -173,31 +156,18 @@ impl fmt::Display for CaseBReport {
 
 /// Runs the Case B scenario.
 pub fn run(config: CaseBConfig) -> CaseBReport {
-    run_with_telemetry(config).0
+    run_observed(config, false).0
 }
 
-/// Runs the Case B scenario against a fresh [`Telemetry`] sink and returns
-/// it alongside the report, for metric/audit/latency export.
-pub fn run_with_telemetry(config: CaseBConfig) -> (CaseBReport, Arc<Telemetry>) {
-    let (report, telemetry, _) = run_full(config);
-    (report, telemetry)
-}
-
-/// Runs the Case B scenario with both the telemetry sink and the sentinel
-/// attached. Sentinel observation is read-only, so the report is identical
-/// to [`run`]'s.
-pub fn run_full(config: CaseBConfig) -> (CaseBReport, Arc<Telemetry>, SentinelReport) {
-    run_inner(config, false)
-}
-
-/// Like [`run_full`], with span tracing enabled on the telemetry sink; read
-/// the export via [`Telemetry::trace_snapshot`]. Tracing is read-only, so
-/// the report is still identical to [`run`]'s.
-pub fn run_traced(config: CaseBConfig) -> (CaseBReport, Arc<Telemetry>, SentinelReport) {
-    run_inner(config, true)
-}
-
-fn run_inner(config: CaseBConfig, traces: bool) -> (CaseBReport, Arc<Telemetry>, SentinelReport) {
+/// Runs the Case B scenario with both a fresh [`Telemetry`] sink and the
+/// sentinel attached, for metric/audit/latency export. With `traces`, span
+/// tracing is enabled on the sink; read the export via
+/// [`Telemetry::trace_snapshot`]. Observation is read-only, so the report
+/// is identical to [`run`]'s.
+pub fn run_observed(
+    config: CaseBConfig,
+    traces: bool,
+) -> (CaseBReport, Arc<Telemetry>, SentinelReport) {
     let telemetry = Telemetry::shared();
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();

@@ -149,22 +149,10 @@ pub fn spec() -> crate::harness::ExperimentSpec {
         default_seed: CaseCConfig::default().seed,
         telemetry_capable: false,
         run: |p| {
-            let mut config = if p.smoke {
-                smoke_config()
-            } else {
-                CaseCConfig::default()
-            };
+            let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            if p.traces {
-                let (report, alerts, traces) = run_traced(config);
-                crate::harness::CellOutput::of(&report)
-                    .with_alerts(p.alerts.then_some(alerts))
-                    .with_traces(Some(traces))
-            } else {
-                let (report, alerts) = run_instrumented(config);
-                crate::harness::CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts))
-            }
+            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -364,28 +352,17 @@ fn run_posture(
 /// Runs all three postures. The no-limits run doubles as the traffic
 /// measurement from which the other postures' path limit is calibrated.
 pub fn run(config: CaseCConfig) -> CaseCReport {
-    run_instrumented(config).0
+    run_observed(config, false).0
 }
 
 /// Runs all three postures, also returning the sentinel outcome for the
 /// no-limits posture — the configuration whose era defences never detect
 /// the pump, making it the cell where online spend alerting matters.
-pub fn run_instrumented(config: CaseCConfig) -> (CaseCReport, SentinelReport) {
-    let (report, alerts, _) = run_inner(config, false);
-    (report, alerts)
-}
-
-/// Like [`run_instrumented`], with span tracing enabled on the no-limits
-/// posture, additionally returning that run's trace export. Tracing is
-/// read-only, so the report is unchanged.
-pub fn run_traced(
-    config: CaseCConfig,
-) -> (CaseCReport, SentinelReport, fg_telemetry::TraceSnapshot) {
-    let (report, alerts, traces) = run_inner(config, true);
-    (report, alerts, traces.expect("tracing was enabled"))
-}
-
-fn run_inner(
+///
+/// With `traces`, span tracing is enabled on that posture and its trace
+/// export is returned too. Tracing is read-only, so the report is
+/// unchanged.
+pub fn run_observed(
     config: CaseCConfig,
     traces: bool,
 ) -> (

@@ -111,22 +111,10 @@ pub fn spec() -> crate::harness::ExperimentSpec {
         default_seed: DetectorsConfig::default().seed,
         telemetry_capable: false,
         run: |p| {
-            let mut config = if p.smoke {
-                smoke_config()
-            } else {
-                DetectorsConfig::default()
-            };
+            let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            if p.traces {
-                let (report, alerts, traces) = run_traced(config);
-                crate::harness::CellOutput::of(&report)
-                    .with_alerts(p.alerts.then_some(alerts))
-                    .with_traces(Some(traces))
-            } else {
-                let (report, alerts) = run_instrumented(config);
-                crate::harness::CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts))
-            }
+            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -184,27 +172,16 @@ impl fmt::Display for DetectorsReport {
 
 /// Runs the detector comparison.
 pub fn run(config: DetectorsConfig) -> DetectorsReport {
-    run_instrumented(config).0
+    run_observed(config, false).0
 }
 
 /// Runs the detector comparison with the sentinel attached. The expected
 /// outcome is *no* detection — the volume blind spot under test.
-pub fn run_instrumented(config: DetectorsConfig) -> (DetectorsReport, SentinelReport) {
-    let (report, alerts, _) = run_inner(config, false);
-    (report, alerts)
-}
-
-/// Like [`run_instrumented`], with span tracing enabled on the defended
-/// app, additionally returning the trace export. Tracing is read-only, so
-/// the report is still identical to [`run`]'s.
-pub fn run_traced(
-    config: DetectorsConfig,
-) -> (DetectorsReport, SentinelReport, fg_telemetry::TraceSnapshot) {
-    let (report, alerts, traces) = run_inner(config, true);
-    (report, alerts, traces.expect("tracing was enabled"))
-}
-
-fn run_inner(
+///
+/// With `traces`, span tracing is enabled on the defended app and its trace
+/// export is returned too. Tracing is read-only, so the report is
+/// unchanged.
+pub fn run_observed(
     config: DetectorsConfig,
     traces: bool,
 ) -> (

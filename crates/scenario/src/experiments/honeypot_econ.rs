@@ -114,22 +114,10 @@ pub fn spec() -> crate::harness::ExperimentSpec {
         default_seed: HoneypotConfig::default().seed,
         telemetry_capable: false,
         run: |p| {
-            let mut config = if p.smoke {
-                smoke_config()
-            } else {
-                HoneypotConfig::default()
-            };
+            let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            if p.traces {
-                let (report, alerts, traces) = run_traced(config);
-                crate::harness::CellOutput::of(&report)
-                    .with_alerts(p.alerts.then_some(alerts))
-                    .with_traces(Some(traces))
-            } else {
-                let (report, alerts) = run_instrumented(config);
-                crate::harness::CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts))
-            }
+            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -288,28 +276,16 @@ fn run_arm(
 
 /// Runs both arms.
 pub fn run(config: HoneypotConfig) -> HoneypotReport {
-    run_instrumented(config).0
+    run_observed(config, false).0
 }
 
 /// Runs both arms, also returning the sentinel outcome for the honeypot
 /// arm — the cell where mitigation engagement (diversion) is itself the
 /// alertable event.
-pub fn run_instrumented(config: HoneypotConfig) -> (HoneypotReport, SentinelReport) {
-    let (report, alerts, _) = run_inner(config, false);
-    (report, alerts)
-}
-
-/// Like [`run_instrumented`], with span tracing enabled on the honeypot
-/// arm, additionally returning that arm's trace export. Tracing is
-/// read-only, so the report is unchanged.
-pub fn run_traced(
-    config: HoneypotConfig,
-) -> (HoneypotReport, SentinelReport, fg_telemetry::TraceSnapshot) {
-    let (report, alerts, traces) = run_inner(config, true);
-    (report, alerts, traces.expect("tracing was enabled"))
-}
-
-fn run_inner(
+///
+/// With `traces`, span tracing is enabled on that arm and its trace export
+/// is returned too. Tracing is read-only, so the report is unchanged.
+pub fn run_observed(
     config: HoneypotConfig,
     traces: bool,
 ) -> (

@@ -108,22 +108,10 @@ pub fn spec() -> crate::harness::ExperimentSpec {
         default_seed: Table1Config::default().seed,
         telemetry_capable: false,
         run: |p| {
-            let mut config = if p.smoke {
-                smoke_config()
-            } else {
-                Table1Config::default()
-            };
+            let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            if p.traces {
-                let (report, alerts, traces) = run_traced(config);
-                crate::harness::CellOutput::of(&report)
-                    .with_alerts(p.alerts.then_some(alerts))
-                    .with_traces(Some(traces))
-            } else {
-                let (report, alerts) = run_instrumented(config);
-                crate::harness::CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts))
-            }
+            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -190,28 +178,14 @@ impl fmt::Display for Table1Report {
 
 /// Runs the Table I scenario.
 pub fn run(config: Table1Config) -> Table1Report {
-    run_instrumented(config).0
+    run_observed(config, false).0
 }
 
 /// Runs the Table I scenario with the sentinel attached, returning the
-/// report plus the online alerting outcome. Observation is read-only, so
-/// the report is identical to [`run`]'s.
-pub fn run_instrumented(config: Table1Config) -> (Table1Report, SentinelReport) {
-    let (report, alerts, _) = run_inner(config, false);
-    (report, alerts)
-}
-
-/// Like [`run_instrumented`], with span tracing enabled on the defended
-/// app, additionally returning the trace export. Tracing is read-only, so
-/// the report is still identical to [`run`]'s.
-pub fn run_traced(
-    config: Table1Config,
-) -> (Table1Report, SentinelReport, fg_telemetry::TraceSnapshot) {
-    let (report, alerts, traces) = run_inner(config, true);
-    (report, alerts, traces.expect("tracing was enabled"))
-}
-
-fn run_inner(
+/// report plus the online alerting outcome, and with `traces`, span tracing
+/// enabled on the defended app and its trace export. Observation is
+/// read-only, so the report is identical to [`run`]'s.
+pub fn run_observed(
     config: Table1Config,
     traces: bool,
 ) -> (

@@ -6,7 +6,10 @@
 //! * [`ExperimentSpec`] — a registry entry per experiment: name, default
 //!   seed, and a plain-`fn` run hook (trivially `Send`, so cells can run on
 //!   any worker thread; the `Rc`-based [`crate::engine::Simulation`] is
-//!   constructed *inside* the cell, never crossing threads).
+//!   constructed *inside* the cell, never crossing threads). Each hook
+//!   picks its config with [`ExperimentParams::base_config`], calls the
+//!   experiment's `run_observed(config, traces)` and packages what it
+//!   returns with [`sentinel_cell`] or [`telemetry_cell`].
 //! * [`run_matrix`] — a work-stealing-lite executor over
 //!   [`std::thread::scope`]: every (experiment × seed) cell goes into one
 //!   shared queue drained by `jobs` workers via an atomic cursor, so a slow
@@ -28,12 +31,12 @@ use crate::report::{render_aggregate_table, AggregateRow};
 use fg_core::rng::SeedFork;
 use fg_core::stats::Summary;
 use fg_sentinel::{AlertPolicy, SentinelReport};
-use fg_telemetry::{TelemetrySnapshot, TraceSnapshot};
+use fg_telemetry::{Telemetry, TelemetrySnapshot, TraceSnapshot};
 use serde::Serialize;
 use serde_json::Value;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Per-cell inputs handed to an experiment's run hook.
 #[derive(Clone, Copy, Debug)]
@@ -64,6 +67,47 @@ impl ExperimentParams {
     pub fn concurrency(&self) -> fg_core::shard::ConcurrencyMode {
         fg_core::shard::ConcurrencyMode::from_shards(self.shards)
     }
+
+    /// The experiment config this cell starts from: `smoke()` when
+    /// [`ExperimentParams::smoke`] is set, the default config otherwise.
+    /// The run hook then sets the cell's seed and concurrency on it.
+    pub fn base_config<C: Default>(&self, smoke: fn() -> C) -> C {
+        if self.smoke {
+            smoke()
+        } else {
+            C::default()
+        }
+    }
+}
+
+/// Packages the result of an experiment's `run_observed(config, traces)`
+/// that returns its designated cell's sentinel report and, when traced,
+/// that cell's trace snapshot.
+pub fn sentinel_cell<R: Display + Serialize>(
+    p: &ExperimentParams,
+    (report, alerts, traces): (R, SentinelReport, Option<TraceSnapshot>),
+) -> CellOutput {
+    CellOutput::of(&report)
+        .with_alerts(p.alerts.then_some(alerts))
+        .with_traces(traces)
+}
+
+/// Packages the result of an experiment's `run_observed(config, traces)`
+/// that returns its whole telemetry hub: the snapshot when
+/// [`ExperimentParams::telemetry`] asks for it, and the hub's spans when
+/// the run was traced.
+pub fn telemetry_cell<R: Display + Serialize>(
+    p: &ExperimentParams,
+    (report, telemetry, alerts): (R, Arc<Telemetry>, SentinelReport),
+) -> CellOutput {
+    let mut out = CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts));
+    if p.telemetry {
+        out = out.with_telemetry(telemetry.snapshot());
+    }
+    if p.traces {
+        out = out.with_traces(Some(telemetry.trace_snapshot()));
+    }
+    out
 }
 
 /// What one experiment run hands back to the harness.

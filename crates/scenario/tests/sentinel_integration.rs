@@ -16,7 +16,7 @@ use fg_sentinel::engine::AlertTransition;
 /// a time-to-detection of exactly 2 765 sim-minutes.
 #[test]
 fn case_a_smoke_ttd_and_timeline_are_pinned() {
-    let (_, _, alerts) = case_a::run_full(case_a::smoke_config());
+    let (_, _, alerts) = case_a::run_observed(case_a::smoke_config(), false);
 
     assert_eq!(alerts.time_to_detection, Some(SimDuration::from_mins(2765)));
     assert_eq!(alerts.first_firing, Some(SimTime::from_mins(2765)));
@@ -73,7 +73,7 @@ fn case_a_smoke_ttd_and_timeline_are_pinned() {
 /// month later; the sentinel surfaces it within sim-minutes.
 #[test]
 fn table1_smoke_surge_fires_within_minutes_of_campaign_start() {
-    let (_, alerts) = table1::run_instrumented(table1::smoke_config());
+    let (_, alerts, _) = table1::run_observed(table1::smoke_config(), false);
 
     let campaign = SimTime::from_weeks(1);
     let ttd = alerts.time_to_detection.expect("pumping must be detected");

@@ -105,8 +105,9 @@ fn trace_artifacts_are_deterministic_valid_and_exemplars_resolve() {
 fn run_traced_reports_match_plain_runs() {
     // The tentpole's behavioural invariant at module level: enabling the
     // tracer does not change a single reported number.
-    let (plain, _) = fig1::run_instrumented(fig1::smoke_config());
-    let (traced, _, snapshot) = fig1::run_traced(fig1::smoke_config());
+    let (plain, _, _) = fig1::run_observed(fig1::smoke_config(), false);
+    let (traced, _, snapshot) = fig1::run_observed(fig1::smoke_config(), true);
+    let snapshot = snapshot.expect("tracing was enabled");
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&traced).unwrap()

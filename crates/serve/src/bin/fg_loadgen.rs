@@ -1,15 +1,15 @@
 //! `fg-loadgen` — deterministic wire-replay load generator for `fg-serve`.
 //!
 //! ```text
-//! fg-loadgen --addr HOST:PORT [--connections N] [--rate R]
-//!            [--duration SECS[s]] [--seed N] [--out PATH]
+//! fg-loadgen --addr HOST:PORT [--connections N] [--duration SECS[s]]
+//!            [--seed N] [--out PATH]
 //!            [--assert-min-rate X] [--assert-max-p99-ms Y]
 //! ```
 //!
 //! Replays the fg-behavior workload derived from `--seed` over keep-alive
-//! HTTP/1.1 connections and writes a schema-versioned report (default
-//! `BENCH_serve.json`) with p50/p90/p99/p999 latency and sustained
-//! decisions/sec. The `--assert-*` flags turn the run into a gate: a
+//! HTTP/1.1 connections, each a closed loop, and writes a schema-versioned
+//! report (default `BENCH_serve.json`) with p50/p90/p99/p999 latency and
+//! sustained decisions/sec. The `--assert-*` flags turn the run into a gate: a
 //! violated bound (or zero successful decisions) exits with code 4. Exit
 //! codes: see [`fg_serve::Exit`].
 
@@ -65,11 +65,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--connections: {e}"))?;
             }
-            "--rate" => {
-                args.config.rate = value("--rate")?
-                    .parse()
-                    .map_err(|e| format!("--rate: {e}"))?;
-            }
             "--duration" => args.config.duration = parse_duration(&value("--duration")?)?,
             "--seed" => {
                 args.config.seed = value("--seed")?
@@ -106,7 +101,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
 fn usage() {
     eprintln!(
-        "usage: fg-loadgen --addr HOST:PORT [--connections N] [--rate R] \
+        "usage: fg-loadgen --addr HOST:PORT [--connections N] \
          [--duration SECS[s]] [--seed N] [--out PATH] \
          [--assert-min-rate X] [--assert-max-p99-ms Y]"
     );

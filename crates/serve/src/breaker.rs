@@ -39,7 +39,6 @@ enum State {
 struct Inner {
     config: BreakerConfig,
     state: State,
-    trips: u64,
 }
 
 /// The breaker. Cheap to share behind an `Arc`; all transitions take one
@@ -57,7 +56,6 @@ impl CircuitBreaker {
                 state: State::Closed {
                     consecutive_failures: 0,
                 },
-                trips: 0,
             }),
         }
     }
@@ -94,17 +92,22 @@ impl CircuitBreaker {
         self.try_acquire_at(Instant::now())
     }
 
-    /// Records the outcome of an admitted request at `now`.
-    pub fn record_at(&self, ok: bool, now: Instant) {
+    /// Records the outcome of an admitted request at `now`. Returns `true`
+    /// when this call opened the breaker: the failure that reached the
+    /// threshold, or a failed half-open probe.
+    pub fn record_at(&self, ok: bool, now: Instant) -> bool {
         let mut inner = self.lock();
         let open_for = Duration::from_millis(inner.config.open_ms);
-        match (&mut inner.state, ok) {
+        let opens = match (&mut inner.state, ok) {
             (
                 State::Closed {
                     consecutive_failures,
                 },
                 true,
-            ) => *consecutive_failures = 0,
+            ) => {
+                *consecutive_failures = 0;
+                false
+            }
             (
                 State::Closed {
                     consecutive_failures,
@@ -112,32 +115,29 @@ impl CircuitBreaker {
                 false,
             ) => {
                 *consecutive_failures += 1;
-                if *consecutive_failures >= inner.config.failure_threshold {
-                    inner.state = State::Open {
-                        until: now + open_for,
-                    };
-                    inner.trips += 1;
-                }
+                *consecutive_failures >= inner.config.failure_threshold
             }
             (State::HalfOpen, true) => {
                 inner.state = State::Closed {
                     consecutive_failures: 0,
-                }
-            }
-            (State::HalfOpen, false) => {
-                inner.state = State::Open {
-                    until: now + open_for,
                 };
-                inner.trips += 1;
+                false
             }
+            (State::HalfOpen, false) => true,
             // A late result while already open: ignore.
-            (State::Open { .. }, _) => {}
+            (State::Open { .. }, _) => false,
+        };
+        if opens {
+            inner.state = State::Open {
+                until: now + open_for,
+            };
         }
+        opens
     }
 
     /// [`CircuitBreaker::record_at`] at the current instant.
-    pub fn record(&self, ok: bool) {
-        self.record_at(ok, Instant::now());
+    pub fn record(&self, ok: bool) -> bool {
+        self.record_at(ok, Instant::now())
     }
 
     /// `"closed"`, `"open"`, or `"half-open"` — for `/readyz`.
@@ -147,11 +147,6 @@ impl CircuitBreaker {
             State::Open { .. } => "open",
             State::HalfOpen => "half-open",
         }
-    }
-
-    /// Times the breaker has tripped open since boot.
-    pub fn trips(&self) -> u64 {
-        self.lock().trips
     }
 }
 
@@ -172,12 +167,12 @@ mod tests {
         let t0 = Instant::now();
         for _ in 0..2 {
             assert!(b.try_acquire_at(t0));
-            b.record_at(false, t0);
+            assert!(!b.record_at(false, t0), "below the threshold");
         }
         assert_eq!(b.state_name(), "closed");
-        b.record_at(false, t0);
+        assert!(b.record_at(false, t0), "the threshold failure opens it");
         assert_eq!(b.state_name(), "open");
-        assert_eq!(b.trips(), 1);
+        assert!(!b.record_at(false, t0), "a late failure while open");
         // Still cooling down: refused.
         assert!(!b.try_acquire_at(t0 + Duration::from_millis(50)));
         // Cool-down over: exactly one probe admitted.
@@ -185,7 +180,7 @@ mod tests {
         assert!(b.try_acquire_at(t1));
         assert_eq!(b.state_name(), "half-open");
         assert!(!b.try_acquire_at(t1), "second probe must wait");
-        b.record_at(true, t1);
+        assert!(!b.record_at(true, t1), "a successful probe closes it");
         assert_eq!(b.state_name(), "closed");
         assert!(b.try_acquire_at(t1));
     }
@@ -194,13 +189,12 @@ mod tests {
     fn failed_probe_reopens() {
         let b = breaker(1, 100);
         let t0 = Instant::now();
-        b.record_at(false, t0);
+        assert!(b.record_at(false, t0));
         assert_eq!(b.state_name(), "open");
         let t1 = t0 + Duration::from_millis(101);
         assert!(b.try_acquire_at(t1));
-        b.record_at(false, t1);
+        assert!(b.record_at(false, t1), "a failed probe reopens it");
         assert_eq!(b.state_name(), "open");
-        assert_eq!(b.trips(), 2);
         assert!(!b.try_acquire_at(t1 + Duration::from_millis(50)));
     }
 
@@ -208,11 +202,9 @@ mod tests {
     fn success_resets_the_failure_streak() {
         let b = breaker(3, 100);
         let t = Instant::now();
-        b.record_at(false, t);
-        b.record_at(false, t);
-        b.record_at(true, t);
-        b.record_at(false, t);
-        b.record_at(false, t);
+        for ok in [false, false, true, false, false] {
+            assert!(!b.record_at(ok, t), "no call reaches the threshold");
+        }
         assert_eq!(b.state_name(), "closed", "streak was reset by the success");
     }
 }

@@ -10,9 +10,13 @@
 //! service keeps its previous config — reject-and-keep-old, never
 //! reject-and-die.
 //!
-//! Unknown keys are ignored, so a file with the per-endpoint `limits`
-//! block older versions wrote still parses; each worker serves one request
-//! at a time, so `workers` already bounds what is in flight.
+//! Unknown keys are ignored, so files older versions wrote still parse:
+//! the per-endpoint `limits` block (each worker serves one request at a
+//! time, so `workers` already bounds what is in flight), the tier gate's
+//! `denials` counter, and `observe.slow_request_ms`,
+//! `observe.flight_recorder_entries` and `observe.sentinel_poll_ms`, which
+//! the server fixes (the SLO is the slow threshold, the flight recorder
+//! keeps 256 requests, the background thread polls every 500 ms).
 
 use crate::breaker::BreakerConfig;
 use fg_mitigation::policy::PolicyConfig;
@@ -21,34 +25,25 @@ use serde::{Deserialize, Serialize};
 /// Version stamp on the serialized config format.
 pub const SERVE_CONFIG_SCHEMA: u32 = 1;
 
-/// Live-observability tunables (boot-only: the tracer ring, flight
-/// recorder, and sentinel thread are shaped at start).
+/// Live-observability tunables (boot-only: the tracer ring and the SLO
+/// are fixed at start).
 ///
 /// A config file without an `observe` block parses with these defaults, so
 /// pre-observability config files keep working unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObserveConfig {
-    /// Requests at or above this wall-clock latency are pinned into the
-    /// trace ring and flagged `slow` in the flight recorder.
-    pub slow_request_ms: u64,
-    /// Flight-recorder ring size (last N request summaries).
-    pub flight_recorder_entries: usize,
     /// Request-trace retention budget for the live tracer ring.
     pub trace_capacity: usize,
-    /// How often the embedded sentinel evaluates the SLO policy and the
-    /// p99 gauges refresh, milliseconds.
-    pub sentinel_poll_ms: u64,
     /// The served-p99 SLO the `serve-p99-slo` alert enforces, milliseconds.
+    /// A request at or above it counts as slow: it is pinned into the trace
+    /// ring and flagged `slow` in the flight recorder.
     pub p99_slo_ms: u64,
 }
 
 impl Default for ObserveConfig {
     fn default() -> Self {
         ObserveConfig {
-            slow_request_ms: 250,
-            flight_recorder_entries: 256,
             trace_capacity: 4096,
-            sentinel_poll_ms: 500,
             p99_slo_ms: 250,
         }
     }
@@ -137,14 +132,11 @@ impl ServeConfig {
         if self.breaker.failure_threshold == 0 {
             errors.push("breaker.failure_threshold must be >= 1".to_owned());
         }
-        if self.observe.flight_recorder_entries == 0 || self.observe.trace_capacity == 0 {
-            errors.push("observe ring sizes must be >= 1".to_owned());
+        if self.observe.trace_capacity == 0 {
+            errors.push("observe.trace_capacity must be >= 1".to_owned());
         }
-        if self.observe.sentinel_poll_ms < 50 {
-            errors.push("observe.sentinel_poll_ms must be >= 50".to_owned());
-        }
-        if self.observe.slow_request_ms == 0 || self.observe.p99_slo_ms == 0 {
-            errors.push("observe latency thresholds must be >= 1 ms".to_owned());
+        if self.observe.p99_slo_ms == 0 {
+            errors.push("observe.p99_slo_ms must be >= 1".to_owned());
         }
         if let Err(diags) = fg_analyze::validate_serve_policy(&self.policy) {
             errors.extend(
@@ -262,10 +254,38 @@ mod tests {
     }
 
     #[test]
+    fn configs_with_retired_settings_still_parse() {
+        let c = ServeConfig::recommended();
+        let json = c.to_json();
+        let retired = [
+            "slow_request_ms",
+            "flight_recorder_entries",
+            "sentinel_poll_ms",
+            "denials",
+        ];
+        for key in retired {
+            assert!(!json.contains(key), "{key} in {json}");
+        }
+        let old = json
+            .replace(
+                "\"trace_capacity\"",
+                "\"slow_request_ms\": 100, \"flight_recorder_entries\": 64, \
+                 \"sentinel_poll_ms\": 1000, \"trace_capacity\"",
+            )
+            .replace("\"requirements\"", "\"denials\": 7, \"requirements\"");
+        for key in retired {
+            assert!(old.contains(key), "{key} missing from {old}");
+        }
+        let parsed = ServeConfig::from_json(&old).unwrap();
+        assert!(parsed.validate().is_ok());
+        assert_eq!(parsed, c);
+    }
+
+    #[test]
     fn observe_bounds_are_validated() {
         let mut c = ServeConfig::recommended();
         c.observe.trace_capacity = 0;
-        c.observe.sentinel_poll_ms = 0;
+        c.observe.p99_slo_ms = 0;
         let errors = c.validate().unwrap_err();
         assert_eq!(errors.len(), 2, "{errors:?}");
     }
@@ -274,7 +294,7 @@ mod tests {
     fn hot_compat_freezes_observe() {
         let boot = ServeConfig::recommended();
         let mut next = boot.clone();
-        next.observe.slow_request_ms = 10;
+        next.observe.p99_slo_ms = 10;
         let err = boot.hot_compatible(&next).unwrap_err();
         assert!(err.contains("observe"), "{err}");
     }

@@ -6,7 +6,8 @@
 //! * [`http`] — hand-rolled HTTP/1.1 parsing and response writing over
 //!   `std` I/O (no async runtime; all deps vendored).
 //! * [`server`] — accept loop, fixed worker pool with a bounded hand-off
-//!   queue (full ⇒ shed with 429), config watcher, graceful drain.
+//!   queue (full ⇒ shed with 429), one background thread (config watcher
+//!   and embedded sentinel), graceful drain.
 //! * [`service`] — the decision core: one [`fg_scenario::DefendedApp`]
 //!   behind a mutex, serving `POST /v1/decide` from the *same* code path
 //!   the simulator runs, so wire and sim decisions agree byte-for-byte.

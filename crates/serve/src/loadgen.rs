@@ -3,15 +3,17 @@
 //! Generates a deterministic fg-behavior workload from a seed (see
 //! [`fg_scenario::workload::generate`]), then replays it over HTTP/1.1
 //! keep-alive connections against a running `fg-serve` — configurable
-//! connection count, target rate, and duration — and reports sustained
-//! decisions/sec with p50/p90/p99/p999 latency as a schema-versioned
-//! `BENCH_serve.json`.
+//! connection count and duration, each connection a closed loop — and
+//! reports sustained decisions/sec with p50/p90/p99/p999 latency as a
+//! schema-versioned `BENCH_serve.json`. A run longer than the stream replays
+//! it in laps, each moved forward in session time.
 //!
 //! Request *content* is deterministic per seed; measured latency is
 //! wall-clock by nature. The report separates the two: `seed` pins what was
 //! sent, the latency block describes this run of this machine.
 
-use fg_scenario::workload::{generate, Workload, WorkloadConfig};
+use fg_core::rng::splitmix64;
+use fg_scenario::workload::{generate, WireRequest, WorkloadConfig};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -38,9 +40,6 @@ pub struct LoadgenConfig {
     pub addr: String,
     /// Concurrent keep-alive connections.
     pub connections: usize,
-    /// Aggregate target request rate (requests/sec); `0` = as fast as
-    /// possible.
-    pub rate: f64,
     /// How long to drive load.
     pub duration: Duration,
     /// Workload seed (what gets sent is a pure function of this).
@@ -52,7 +51,6 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             addr: "127.0.0.1:8080".to_owned(),
             connections: 4,
-            rate: 0.0,
             duration: Duration::from_secs(10),
             seed: 42,
         }
@@ -133,12 +131,29 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)] as f64 / 1_000_000.0
 }
 
-/// SplitMix64 mixing step — the deterministic trace-id derivation.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// The distance between laps of a replayed stream: its session-clock
+/// range plus 1 ms, so each lap starts after the previous one ends.
+fn lap_span(requests: &[WireRequest]) -> u64 {
+    let clocks = requests.iter().map(|r| r.now_ms);
+    match (clocks.clone().min(), clocks.max()) {
+        (Some(first), Some(last)) => (last - first).saturating_add(1),
+        _ => 1,
+    }
+}
+
+/// Request `n` of a replay that laps `requests` endlessly:
+/// `requests[n % len]` with its session clock moved forward by
+/// `(n / len) × span`, saturating at `u64::MAX` (`span` from
+/// [`lap_span`]). Replayed unchanged, every lap after the first would
+/// send each clock back by the stream's span. `None` for an empty stream.
+fn lapped_request(requests: &[WireRequest], span: u64, n: u64) -> Option<WireRequest> {
+    let len = requests.len() as u64;
+    let index = usize::try_from(n.checked_rem(len)?).ok()?;
+    let mut request = requests.get(index)?.clone();
+    request.now_ms = request
+        .now_ms
+        .saturating_add((n / len).saturating_mul(span));
+    Some(request)
 }
 
 /// The W3C `traceparent` injected with the `n`-th request of `seed`'s
@@ -187,32 +202,21 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
     if workload.requests.is_empty() {
         return Err("generated workload is empty".to_owned());
     }
-    let workload = Arc::new(workload);
+    let span = lap_span(&workload.requests);
+    let requests = Arc::new(workload.requests);
     let connections = config.connections.max(1);
     let next_index = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
     let deadline = start + config.duration;
-    let per_conn_interval = if config.rate > 0.0 {
-        Some(Duration::from_secs_f64(connections as f64 / config.rate))
-    } else {
-        None
-    };
 
     let mut handles = Vec::with_capacity(connections);
     for _ in 0..connections {
         let addr = config.addr.clone();
-        let workload = workload.clone();
+        let requests = requests.clone();
         let next_index = next_index.clone();
         let seed = config.seed;
         handles.push(std::thread::spawn(move || {
-            drive_connection(
-                &addr,
-                &workload,
-                &next_index,
-                seed,
-                deadline,
-                per_conn_interval,
-            )
+            drive_connection(&addr, &requests, span, &next_index, seed, deadline)
         }));
     }
 
@@ -270,11 +274,11 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
 
 fn drive_connection(
     addr: &str,
-    workload: &Workload,
+    requests: &[WireRequest],
+    span: u64,
     next_index: &AtomicU64,
     seed: u64,
     deadline: Instant,
-    interval: Option<Duration>,
 ) -> WorkerOutcome {
     let mut outcome = WorkerOutcome {
         sent: 0,
@@ -287,15 +291,7 @@ fn drive_connection(
         slowest: Vec::new(),
     };
     let mut conn: Option<(BufReader<TcpStream>, TcpStream)> = None;
-    let mut next_send = Instant::now();
     while Instant::now() < deadline {
-        if let Some(iv) = interval {
-            let now = Instant::now();
-            if now < next_send {
-                std::thread::sleep(next_send - now);
-            }
-            next_send += iv;
-        }
         if conn.is_none() {
             match TcpStream::connect(addr) {
                 Ok(s) => {
@@ -318,8 +314,8 @@ fn drive_connection(
             }
         }
         let n = next_index.fetch_add(1, Ordering::Relaxed);
-        let idx = n as usize % workload.requests.len();
-        let body = serde_json::to_string(&workload.requests[idx])
+        let request = lapped_request(requests, span, n).expect("run() rejects an empty stream");
+        let body = serde_json::to_string(&request)
             .expect("request serializes")
             .into_bytes();
         let traceparent = traceparent_for(seed, n);
@@ -445,8 +441,49 @@ mod tests {
     }
 
     #[test]
+    fn laps_move_the_clock_forward_by_the_span() {
+        let requests = generate(&WorkloadConfig {
+            seed: 5,
+            horizon_hours: 1,
+            arrivals_per_day: 200.0,
+            seat_spinner: false,
+            sms_pumper: false,
+        })
+        .requests;
+        let len = requests.len() as u64;
+        assert!(len > 1, "{len}");
+        let span = lap_span(&requests);
+        let clock = |n: u64| lapped_request(&requests, span, n).unwrap().now_ms;
+        for n in 0..len {
+            // Lap 0 is the stream unchanged.
+            assert_eq!(
+                lapped_request(&requests, span, n).as_ref(),
+                requests.get(n as usize)
+            );
+            for k in 1..4 {
+                assert_eq!(clock(n + k * len), clock(n) + k * span, "n {n} lap {k}");
+            }
+        }
+        let earliest = (0..len).map(clock).min().unwrap();
+        for k in 1..4 {
+            let first = (k * len..(k + 1) * len).map(clock).min().unwrap();
+            let last_before = ((k - 1) * len..k * len).map(clock).max().unwrap();
+            assert!(
+                first > last_before,
+                "lap {k} starts at {first}, lap {} ends at {last_before}",
+                k - 1
+            );
+            assert_eq!(first, earliest + k * span);
+        }
+        assert_eq!(clock(len * (u64::MAX / span + 1)), u64::MAX, "saturates");
+        assert_eq!(clock(u64::MAX), u64::MAX, "saturates");
+        assert_eq!(lapped_request(&[], span, 3), None);
+    }
+
+    #[test]
     fn traceparent_is_deterministic_and_well_formed() {
         let a = traceparent_for(42, 7);
+        assert_eq!(a, "00-6eab8625df268fbcb8b7dd271e557387-e0e932cb807cfc05-01");
         assert_eq!(a, traceparent_for(42, 7));
         assert_ne!(a, traceparent_for(42, 8));
         assert_ne!(a, traceparent_for(43, 7));

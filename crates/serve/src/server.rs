@@ -1,19 +1,23 @@
 //! The HTTP server: accept loop, fixed worker pool, bounded hand-off
-//! queue, config watcher, and graceful drain.
+//! queue, background thread, and graceful drain.
 //!
 //! Threading model: one accept thread pushes connections into a bounded
 //! `sync_channel`; `workers` threads block on it and drive keep-alive
-//! sessions, one request at a time each. fg-serve turns a well-formed
-//! request away in exactly two places: a full queue sheds the connection
-//! with `429` instead of letting it queue invisibly, and an open circuit
-//! breaker answers `POST /v1/decide` with `503`. Workers poll the drain flag
-//! between requests (reads time out every 250 ms); at drain the accept
-//! thread stops and drops the queue's sender, so workers finish what is
-//! queued and return once the channel reports it closed. A `SIGTERM`
-//! thus finishes in-flight and queued exchanges and answers nothing new.
+//! sessions, one request at a time each. One background thread wakes every
+//! 500 ms: it re-reads the watched config file, when there is one, and
+//! hot-applies a change, then runs one embedded-sentinel pass. fg-serve
+//! turns a well-formed request away in exactly two places: a full queue
+//! sheds the connection with `429` instead of letting it queue invisibly,
+//! and an open circuit breaker answers `POST /v1/decide` with `503`.
+//! Workers poll the drain flag between requests (reads time out every
+//! 250 ms); at drain the accept thread stops and drops the queue's sender,
+//! so workers finish what is queued and return once the channel reports it
+//! closed, and the background thread returns within one 25 ms nap. A
+//! `SIGTERM` thus finishes in-flight and queued exchanges and answers
+//! nothing new.
 
 use crate::breaker::CircuitBreaker;
-use crate::config::{ObserveConfig, ServeConfig};
+use crate::config::ServeConfig;
 use crate::http::{self, Limits, ParseError, Request, Response};
 use crate::observe::{
     path_of, query_param, serve_slo_policy, FlightRecorder, RequestSummary, TraceParent,
@@ -27,7 +31,7 @@ use fg_telemetry::trace::TraceConfig;
 use fg_telemetry::{AttrValue, RequestTrace, Telemetry};
 use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -38,10 +42,13 @@ use std::time::{Duration, Instant};
 const READ_POLL: Duration = Duration::from_millis(250);
 /// Idle keep-alive connections are closed after this long without a byte.
 const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(10);
-/// Config watcher poll cadence.
-const WATCH_POLL: Duration = Duration::from_millis(300);
+/// How often the background thread re-reads the watched config and runs
+/// the embedded sentinel.
+const BACKGROUND_POLL: Duration = Duration::from_millis(500);
+/// Flight-recorder ring size (the last N request summaries).
+const FLIGHT_RECORDER_ENTRIES: usize = 256;
 
-/// Endpoint classes for metrics.
+/// Endpoint classes for metrics, in metric-cell order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Class {
     Decide,
@@ -51,6 +58,8 @@ enum Class {
 }
 
 impl Class {
+    const ALL: [Class; 4] = [Class::Decide, Class::Report, Class::Observe, Class::Other];
+
     fn label(self) -> &'static str {
         match self {
             Class::Decide => "decide",
@@ -64,19 +73,18 @@ impl Class {
 /// Pre-registered per-endpoint/status counters plus the shed/reload
 /// tallies — the serving layer's additions to the Prometheus export.
 struct HttpMetrics {
-    /// `fg_http_requests_total{endpoint, status}`; see `counter()` for the
-    /// registered status buckets.
-    requests: Vec<((&'static str, u16), Counter)>,
-    /// `fg_http_request_duration_seconds{endpoint, status}` — log-linear
-    /// latency histograms, same (class, status) grid as the counters.
-    latency: Vec<((&'static str, u16), Latency)>,
+    /// One cell per (class, status) pair, class-major in [`Class::ALL`] and
+    /// [`STATUS_BUCKETS`] order: `fg_http_requests_total{endpoint, status}`
+    /// and `fg_http_request_duration_seconds{endpoint, status}`, a
+    /// log-linear latency histogram.
+    cells: Vec<(Counter, Latency)>,
     /// `fg_http_request_p99_seconds{endpoint}` — refreshed by the sentinel
     /// tick from the merged per-endpoint histograms.
     p99: Vec<(&'static str, Gauge)>,
     /// Aggregate 5xx counter the `serve-5xx-burn` alert watches.
     errors_5xx: Counter,
-    /// Breaker trips mirrored as a counter for the sentinel (the breaker
-    /// itself only exposes a load-time value).
+    /// Breaker trips, counted on the exchange whose failure opened the
+    /// breaker; the `serve-breaker-trips` rule differentiates it.
     breaker_trips: Counter,
     /// Alerts currently firing in the embedded sentinel.
     active_alerts: Gauge,
@@ -86,7 +94,8 @@ struct HttpMetrics {
     reload_rejected: Counter,
 }
 
-const STATUS_BUCKETS: &[u16] = &[200, 400, 404, 405, 408, 413, 429, 431, 500, 503];
+/// Every status fg-serve answers with, ascending.
+const STATUS_BUCKETS: [u16; 10] = [200, 400, 404, 405, 408, 413, 429, 431, 500, 503];
 
 impl HttpMetrics {
     fn register(telemetry: &Telemetry) -> Self {
@@ -121,25 +130,15 @@ impl HttpMetrics {
             "fg_serve_active_alerts",
             "Serve-SLO alerts currently firing in the embedded sentinel",
         );
-        let mut requests = Vec::new();
-        let mut latency = Vec::new();
+        let mut cells = Vec::new();
         let mut p99 = Vec::new();
-        for class in [Class::Decide, Class::Report, Class::Observe, Class::Other] {
-            for &status in STATUS_BUCKETS {
-                let status_str = status.to_string();
-                requests.push((
-                    (class.label(), status),
-                    registry.counter_with(
-                        "fg_http_requests_total",
-                        &[("endpoint", class.label()), ("status", status_str.as_str())],
-                    ),
-                ));
-                latency.push((
-                    (class.label(), status),
-                    registry.latency_with(
-                        "fg_http_request_duration_seconds",
-                        &[("endpoint", class.label()), ("status", status_str.as_str())],
-                    ),
+        for class in Class::ALL {
+            for status in STATUS_BUCKETS {
+                let status = status.to_string();
+                let labels = [("endpoint", class.label()), ("status", status.as_str())];
+                cells.push((
+                    registry.counter_with("fg_http_requests_total", &labels),
+                    registry.latency_with("fg_http_request_duration_seconds", &labels),
                 ));
             }
             p99.push((
@@ -151,8 +150,7 @@ impl HttpMetrics {
             ));
         }
         HttpMetrics {
-            requests,
-            latency,
+            cells,
             p99,
             errors_5xx: registry.counter("fg_http_5xx_total"),
             breaker_trips: registry.counter("fg_serve_breaker_trips_total"),
@@ -166,27 +164,23 @@ impl HttpMetrics {
         }
     }
 
-    fn on_response(&self, class: Class, status: u16) {
-        // Unlisted codes fold into the nearest registered bucket's class
-        // row via exact match only — every code the server emits is listed.
-        if let Some((_, c)) = self
-            .requests
-            .iter()
-            .find(|((l, s), _)| *l == class.label() && *s == status)
-        {
-            c.inc();
-        }
+    /// The (class, status) cell, found by index; `None` for a status
+    /// outside [`STATUS_BUCKETS`].
+    fn slot(&self, class: Class, status: u16) -> Option<&(Counter, Latency)> {
+        let column = STATUS_BUCKETS.binary_search(&status).ok()?;
+        self.cells
+            .get(class as usize * STATUS_BUCKETS.len() + column)
+    }
+
+    /// Counts one response, and returns its cell's latency histogram for
+    /// the caller to record into.
+    fn on_response(&self, class: Class, status: u16) -> Option<&Latency> {
         if status >= 500 {
             self.errors_5xx.inc();
         }
-    }
-
-    /// The latency histogram for this (class, status) cell, when registered.
-    fn latency_for(&self, class: Class, status: u16) -> Option<&Latency> {
-        self.latency
-            .iter()
-            .find(|((l, s), _)| *l == class.label() && *s == status)
-            .map(|(_, h)| h)
+        let (count, latency) = self.slot(class, status)?;
+        count.inc();
+        Some(latency)
     }
 }
 
@@ -197,13 +191,12 @@ pub struct ServeState {
     metrics: HttpMetrics,
     breaker: CircuitBreaker,
     limits: Limits,
-    observe: ObserveConfig,
+    /// Requests at or above this latency count as slow (the p99 SLO).
+    slow: Duration,
     /// Wall-clock origin every `boot_ms` timestamp is relative to.
     boot: Instant,
     /// Monotone per-boot request sequence (flight-recorder ordering).
     request_seq: AtomicU64,
-    /// Breaker trip count at the last request, for freeze-on-trip edges.
-    seen_trips: AtomicU64,
     flight: Mutex<FlightRecorder>,
     sentinel: Mutex<Sentinel>,
     draining: AtomicBool,
@@ -215,12 +208,18 @@ pub struct ServeState {
     active: Mutex<ServeConfig>,
 }
 
-/// What `decide()` hands to the response observer: the decision identity
-/// plus the still-open request trace to append transport spans to.
+/// What `decide()` hands to the response observer besides the reply;
+/// every other endpoint hands over the empty default.
+#[derive(Default)]
 struct DecideMeta {
+    /// The decision's trace id (0 when nothing was decided).
     trace_id: u64,
-    decision: &'static str,
+    /// The decision label, when a decision was made.
+    decision: Option<&'static str>,
+    /// The still-open request trace to append transport spans to.
     trace: Option<RequestTrace>,
+    /// This exchange's handler failure opened the breaker.
+    tripped: bool,
 }
 
 impl ServeState {
@@ -239,11 +238,10 @@ impl ServeState {
             telemetry,
             breaker: CircuitBreaker::new(config.breaker),
             limits: Limits::default(),
-            observe: config.observe,
+            slow: Duration::from_millis(config.observe.p99_slo_ms),
             boot: Instant::now(),
             request_seq: AtomicU64::new(0),
-            seen_trips: AtomicU64::new(0),
-            flight: Mutex::new(FlightRecorder::new(config.observe.flight_recorder_entries)),
+            flight: Mutex::new(FlightRecorder::new(FLIGHT_RECORDER_ENTRIES)),
             draining: AtomicBool::new(false),
             generation: AtomicU64::new(1),
             last_reload: Mutex::new("boot".to_owned()),
@@ -330,15 +328,14 @@ impl ServeState {
             _ => Class::Other,
         };
         let (response, meta) = self.dispatch(req);
-        self.metrics.on_response(class, response.status);
         self.observe_response(class, req, response, started.elapsed(), meta)
     }
 
-    fn dispatch(&self, req: &Request) -> (Response, Option<DecideMeta>) {
+    fn dispatch(&self, req: &Request) -> (Response, DecideMeta) {
         let response = match (req.method.as_str(), path_of(&req.target)) {
             ("GET", "/healthz") => Response::json(200, &b"{\"ok\":true}"[..]),
             ("GET", "/readyz") => self.readyz(),
-            ("GET", "/metrics") => Response::text(200, self.telemetry.to_prometheus()),
+            ("GET", "/metrics") => Response::text(200, self.telemetry.snapshot().to_prometheus()),
             ("GET", "/debug/traces") => self.debug_traces(req),
             ("GET", "/debug/flightrecorder") => self.debug_flightrecorder(),
             ("GET", "/debug/alerts") => self.debug_alerts(),
@@ -357,29 +354,29 @@ impl ServeState {
             ) => Response::error(405, "method not allowed"),
             _ => Response::error(404, "no such endpoint"),
         };
-        (response, None)
+        (response, DecideMeta::default())
     }
 
     /// Everything observability learns from one finished exchange: the
-    /// latency histogram cell (with an exemplar when the request is worth
-    /// retrieving), the flight-recorder ring, breaker-trip freezes, the
-    /// trace submission with its transport span, and the `traceparent`
-    /// echo.
+    /// (class, status) counter and latency histogram cell (with an exemplar
+    /// when the request is worth retrieving), the flight-recorder ring and
+    /// its freeze when this exchange tripped the breaker, the trace
+    /// submission with its transport span, and the `traceparent` echo.
     fn observe_response(
         &self,
         class: Class,
         req: &Request,
         mut response: Response,
         elapsed: Duration,
-        meta: Option<DecideMeta>,
+        meta: DecideMeta,
     ) -> Response {
         let status = response.status;
-        let slow = elapsed >= Duration::from_millis(self.observe.slow_request_ms);
-        let decision_label = meta.as_ref().map(|m| m.decision);
+        let slow = elapsed >= self.slow;
+        let decision_label = meta.decision;
         let important = slow || status >= 500 || decision_label.is_some_and(|d| d != "allow");
-        let trace_id = meta.as_ref().map_or(0, |m| m.trace_id);
+        let trace_id = meta.trace_id;
 
-        if let Some(hist) = self.metrics.latency_for(class, status) {
+        if let Some(hist) = self.metrics.on_response(class, status) {
             if important && trace_id != 0 {
                 // Swap the exemplar slot and move the tracer's citation
                 // under one tracer lock, so concurrent workers never leave
@@ -405,7 +402,7 @@ impl ServeState {
             response = response.with_header("traceparent", w.echo(span));
         }
 
-        if let Some(mut tr) = meta.and_then(|m| m.trace) {
+        if let Some(mut tr) = meta.trace {
             let span = tr.stage("serve.http");
             tr.attr(span, "status", u64::from(status));
             tr.attr(span, "latency_us", elapsed.as_micros() as u64);
@@ -435,11 +432,9 @@ impl ServeState {
         {
             let mut flight = self.flight.lock().unwrap_or_else(|e| e.into_inner());
             flight.record(summary);
-            // Freeze on the breaker-open edge, so the requests that tripped
-            // it stay retrievable.
-            let trips = self.breaker.trips();
-            let seen = self.seen_trips.swap(trips, Ordering::Relaxed);
-            if trips > seen {
+            // Freeze on the exchange that opened the breaker, so the
+            // requests that tripped it, this one included, stay retrievable.
+            if meta.tripped {
                 flight.freeze("breaker-open", self.boot_ms());
             }
         }
@@ -553,9 +548,12 @@ impl ServeState {
         )
     }
 
-    fn decide(&self, req: &Request) -> (Response, Option<DecideMeta>) {
+    fn decide(&self, req: &Request) -> (Response, DecideMeta) {
         if !self.breaker.try_acquire() {
-            return (Response::error(503, "decision path circuit open"), None);
+            return (
+                Response::error(503, "decision path circuit open"),
+                DecideMeta::default(),
+            );
         }
         let wire: WireRequest = match std::str::from_utf8(&req.body)
             .map_err(|e| e.to_string())
@@ -567,7 +565,10 @@ impl ServeState {
                 // decision path's: record success so 400s never trip the
                 // breaker.
                 self.breaker.record(true);
-                return (Response::error(400, &format!("bad decide body: {e}")), None);
+                return (
+                    Response::error(400, &format!("bad decide body: {e}")),
+                    DecideMeta::default(),
+                );
             }
         };
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -578,20 +579,35 @@ impl ServeState {
                     self.breaker.record(true);
                     let meta = DecideMeta {
                         trace_id: decision.trace_id,
-                        decision: decision.decision.as_str(),
+                        decision: Some(decision.decision.as_str()),
                         trace,
+                        tripped: false,
                     };
-                    (Response::json(200, body.into_bytes()), Some(meta))
+                    (Response::json(200, body.into_bytes()), meta)
                 }
-                Err(e) => {
-                    self.breaker.record(false);
-                    (Response::error(500, &format!("serialize: {e}")), None)
-                }
+                Err(e) => (
+                    Response::error(500, &format!("serialize: {e}")),
+                    self.handler_failed(),
+                ),
             },
-            Err(_) => {
-                self.breaker.record(false);
-                (Response::error(500, "decision handler panicked"), None)
-            }
+            Err(_) => (
+                Response::error(500, "decision handler panicked"),
+                self.handler_failed(),
+            ),
+        }
+    }
+
+    /// Records a decision-handler failure with the breaker. When it opens
+    /// the breaker, the trip is counted here and flagged on the exchange,
+    /// whose flight-recorder entry then freezes the ring.
+    fn handler_failed(&self) -> DecideMeta {
+        let tripped = self.breaker.record(false);
+        if tripped {
+            self.metrics.breaker_trips.inc();
+        }
+        DecideMeta {
+            tripped,
+            ..DecideMeta::default()
         }
     }
 
@@ -622,14 +638,13 @@ pub struct DrainReport {
     pub stragglers: usize,
 }
 
-/// A running server: accept thread + worker pool (+ optional watcher).
+/// A running server: accept thread, worker pool and background thread.
 pub struct Server {
     state: Arc<ServeState>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    watcher: Option<JoinHandle<()>>,
-    sentinel: Option<JoinHandle<()>>,
+    background: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -672,35 +687,25 @@ impl Server {
                 .expect("spawn accept loop")
         };
 
-        let sentinel = {
+        let background = {
             let state = state.clone();
+            // Read the watched file's baseline *before* returning from
+            // start(): anything written to it after boot is then reliably a
+            // change, even if the background thread is scheduled late.
+            let baseline = watch.as_ref().and_then(|p| std::fs::read_to_string(p).ok());
             std::thread::Builder::new()
-                .name("fg-serve-sentinel".to_owned())
-                .spawn(move || sentinel_loop(&state))
-                // fg-analyze: allow(panic-path): boot-only — the SLO sentinel spawns once in start()
-                .expect("spawn sentinel")
+                .name("fg-serve-background".to_owned())
+                .spawn(move || background_loop(&state, watch.as_deref(), baseline))
+                // fg-analyze: allow(panic-path): boot-only — the background thread spawns once in start()
+                .expect("spawn background thread")
         };
-
-        let watcher = watch.map(|path| {
-            let state = state.clone();
-            // Read the baseline *before* returning from start(): anything
-            // written to the file after boot is then reliably a change,
-            // even if the watcher thread is scheduled late.
-            let baseline = std::fs::read_to_string(&path).ok();
-            std::thread::Builder::new()
-                .name("fg-serve-watch".to_owned())
-                .spawn(move || watch_loop(&path, baseline, &state))
-                // fg-analyze: allow(panic-path): boot-only — the config watcher spawns once in start()
-                .expect("spawn config watcher")
-        });
 
         Ok(Server {
             state,
             addr,
             accept: Some(accept),
             workers,
-            watcher,
-            sentinel: Some(sentinel),
+            background: Some(background),
         })
     }
 
@@ -758,11 +763,8 @@ impl Server {
                 stragglers += 1;
             }
         }
-        if let Some(watch) = self.watcher.take() {
-            let _ = watch.join(); // watcher polls the drain flag too
-        }
-        if let Some(sentinel) = self.sentinel.take() {
-            let _ = sentinel.join(); // sentinel polls the drain flag too
+        if let Some(background) = self.background.take() {
+            let _ = background.join(); // it polls the drain flag too
         }
         DrainReport {
             clean: stragglers == 0,
@@ -888,18 +890,27 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServeState>) {
     }
 }
 
-/// The embedded SLO sentinel thread: naps in short slices so the drain
-/// flag is noticed promptly, then runs one evaluation pass per poll.
-fn sentinel_loop(state: &Arc<ServeState>) {
+/// The background thread. Every [`BACKGROUND_POLL`] it re-reads the
+/// watched config file, when there is one, and hot-applies a change
+/// ([`ServeState::try_reload`]); then it runs one [`sentinel_tick`]. It naps
+/// in short slices so the drain flag is noticed promptly.
+fn background_loop(state: &Arc<ServeState>, watch: Option<&Path>, mut last_seen: Option<String>) {
     const NAP: Duration = Duration::from_millis(25);
-    while !state.draining() {
-        let mut slept = 0u64;
-        while slept < state.observe.sentinel_poll_ms && !state.draining() {
+    loop {
+        let started = Instant::now();
+        while started.elapsed() < BACKGROUND_POLL {
+            if state.draining() {
+                return;
+            }
             std::thread::sleep(NAP);
-            slept += NAP.as_millis() as u64;
         }
-        if state.draining() {
-            return;
+        // An unreadable file is transient (an editor mid-swap, the file
+        // momentarily gone): the next poll reads it again.
+        if let Some(current) = watch.and_then(|path| std::fs::read_to_string(path).ok()) {
+            if last_seen.as_deref() != Some(current.as_str()) {
+                let _ = state.try_reload(&current);
+                last_seen = Some(current);
+            }
         }
         sentinel_tick(state);
     }
@@ -908,19 +919,11 @@ fn sentinel_loop(state: &Arc<ServeState>) {
 /// One sentinel evaluation pass, split out so tests can drive it without
 /// waiting on the poll cadence:
 ///
-/// 1. mirror the breaker's trip count into `fg_serve_breaker_trips_total`
-///    (the counter the `serve-breaker-trips` rule differentiates),
-/// 2. refresh `fg_http_request_p99_seconds{endpoint}` by exactly merging
+/// 1. refresh `fg_http_request_p99_seconds{endpoint}` by exactly merging
 ///    each endpoint's per-status histogram cells and reading q0.99,
-/// 3. evaluate the SLO policy on sim-time = milliseconds since boot, and
-/// 4. publish the firing count as `fg_serve_active_alerts`.
+/// 2. evaluate the SLO policy on sim-time = milliseconds since boot, and
+/// 3. publish the firing count as `fg_serve_active_alerts`.
 fn sentinel_tick(state: &Arc<ServeState>) {
-    let trips = state.breaker.trips();
-    let mirrored = state.metrics.breaker_trips.get();
-    if trips > mirrored {
-        state.metrics.breaker_trips.add(trips - mirrored);
-    }
-
     let snap = state.telemetry.metrics().snapshot();
     for (endpoint, gauge) in &state.metrics.p99 {
         let merged = snap.latency_merged(
@@ -939,19 +942,4 @@ fn sentinel_tick(state: &Arc<ServeState>) {
         sentinel.active_alerts()
     };
     state.metrics.active_alerts.set(active as f64);
-}
-
-fn watch_loop(path: &std::path::Path, baseline: Option<String>, state: &Arc<ServeState>) {
-    let mut last_seen = baseline;
-    while !state.draining() {
-        std::thread::sleep(WATCH_POLL);
-        let Ok(current) = std::fs::read_to_string(path) else {
-            continue; // transient: editor mid-swap, file momentarily gone
-        };
-        if last_seen.as_deref() == Some(current.as_str()) {
-            continue;
-        }
-        last_seen = Some(current.clone());
-        let _ = state.try_reload(&current);
-    }
 }

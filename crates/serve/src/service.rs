@@ -60,8 +60,8 @@ impl DecisionService {
     /// Builds the defended app from the serve config, wired to `telemetry`.
     ///
     /// Switches `telemetry`'s audit layer off: the service keeps no audit
-    /// trail. Nothing in a serving process reads one — `/metrics` skips
-    /// it, and each decision is explained by its trace (`/debug/traces`
+    /// trail. Nothing in a serving process reads one — `/metrics` shows
+    /// none, and each decision is explained by its trace (`/debug/traces`
     /// keeps every non-allow decision with its reason chain) and its
     /// flight-recorder entry — yet building the record and pushing it into
     /// a 65,536-entry ring would take the decision lock longer than
@@ -69,13 +69,7 @@ impl DecisionService {
     /// `DefendedApp` and keeps the trail.
     pub fn new(config: &ServeConfig, telemetry: Arc<Telemetry>) -> Self {
         telemetry.disable_audit();
-        let concurrency = if config.shards <= 1 {
-            fg_core::shard::ConcurrencyMode::Deterministic
-        } else {
-            fg_core::shard::ConcurrencyMode::Sharded {
-                shards: config.shards,
-            }
-        };
+        let concurrency = fg_core::shard::ConcurrencyMode::from_shards(config.shards);
         let app = DefendedApp::with_telemetry(
             AppConfig::airline(config.policy.clone()).with_concurrency(concurrency),
             config.seed,

@@ -158,10 +158,9 @@ impl TelemetrySnapshot {
     }
 }
 
-/// The Prometheus text renderer behind [`TelemetrySnapshot::to_prometheus`]
-/// and [`crate::Telemetry::to_prometheus`]: it reads only the metrics and
-/// the stages, so the live hub can render without copying its audit trail.
-pub(crate) fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> String {
+/// The Prometheus text renderer behind [`TelemetrySnapshot::to_prometheus`]:
+/// it reads only the metrics and the stages.
+fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> String {
     let mut out = String::new();
 
     let mut last_type_header = String::new();
@@ -322,16 +321,19 @@ pub(crate) fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapsh
 fn merge_samples<T: Clone>(
     into: &mut Vec<T>,
     from: &[T],
-    key: impl Fn(&T) -> MetricName,
+    identity: impl Fn(&T) -> MetricName,
     combine: impl Fn(&mut T, &T),
 ) {
     for sample in from {
-        match into.iter_mut().find(|mine| key(mine) == key(sample)) {
+        match into
+            .iter_mut()
+            .find(|mine| identity(mine) == identity(sample))
+        {
             Some(mine) => combine(mine, sample),
             None => into.push(sample.clone()),
         }
     }
-    into.sort_by_key(&key);
+    into.sort_by_key(&identity);
 }
 
 /// Restricts a metric name to Prometheus' `[a-zA-Z0-9_:]` alphabet.

@@ -5,7 +5,7 @@
 //! explainability*: the airline's security team reasons about which signal
 //! caught which identity, and the defender's economics depend on knowing
 //! where requests were stopped. This crate gives the simulated defence the
-//! same observability a production stack would have, in three layers:
+//! same observability a production stack would have, in four layers:
 //!
 //! 1. **Metrics** ([`metrics`]) — pre-registered counters, gauges and
 //!    fixed-bucket histograms whose hot-path cost is a single relaxed
@@ -19,16 +19,18 @@
 //!    [`Telemetry::disable_audit`], and decision paths then build no
 //!    record at all (fg-serve explains its decisions through traces).
 //! 3. **Profiling** ([`profile`]) — wall-clock timers around each
-//!    detection signal and mitigation stage, aggregated into exact
-//!    p50/p95/p99 via `fg_core::stats::Summary`.
+//!    detection signal and mitigation stage, aggregated into bounded
+//!    log-linear histograms ([`hist::Hist`]) whose p50/p95/p99 are within
+//!    1/64 of the exact values.
 //! 4. **Tracing** ([`trace`]) — deterministic, sim-time causal spans over
 //!    the decision path (fg-trace), with head+tail sampling and Chrome
 //!    trace-event / JSONL exporters. Off by default; when off, the only
 //!    hot-path cost is one relaxed atomic load.
 //!
-//! [`export::TelemetrySnapshot`] serialises all three as a JSON artifact or
-//! Prometheus text exposition; `fg_scenario::report` renders the ASCII
-//! tables.
+//! [`export::TelemetrySnapshot`] serialises the first three as a JSON
+//! artifact, and metrics and stage latencies as Prometheus text
+//! exposition; [`trace::TraceSnapshot`] exports the spans.
+//! `fg_scenario::report` renders the ASCII tables.
 //!
 //! # Example
 //!
@@ -212,13 +214,6 @@ impl Telemetry {
             audit: self.audit().snapshot(),
         }
     }
-
-    /// The Prometheus exposition of the hub: byte-identical to
-    /// `self.snapshot().to_prometheus()`, but it never takes the audit
-    /// mutex or copies the audit records the exposition does not show.
-    pub fn to_prometheus(&self) -> String {
-        export::render_prometheus(&self.metrics.snapshot(), &self.profiler().snapshot())
-    }
 }
 
 /// RAII stage timer returned by [`Telemetry::time`]; records the elapsed
@@ -270,47 +265,6 @@ mod tests {
         assert_eq!(snap.stages[0].stage, "gate.total");
         assert_eq!(snap.audit.recorded, 1);
         assert_eq!(snap.audit.decision_total("allow"), 1);
-    }
-
-    #[test]
-    fn live_exposition_matches_the_snapshot_exposition() {
-        let t = Telemetry::with_audit_capacity(8);
-        t.metrics()
-            .set_help("fg_http_requests_total", "Responses \\ by status");
-        t.metrics()
-            .counter_with("fg_http_requests_total", &[("status", "200")])
-            .add(3);
-        t.metrics().gauge("fg_tracked_keys").set(41.5);
-        let latency = t.metrics().latency_with(
-            "fg_http_request_duration_seconds",
-            &[("endpoint", "decide")],
-        );
-        latency.record(Duration::from_micros(80));
-        latency.record_with_exemplar(Duration::from_millis(25), 0xDEAD_BEEF);
-        latency.record_with_exemplar(Duration::from_micros(900), 0xFEED);
-        t.record_stage("policy.decide", Duration::from_micros(12));
-        t.record_stage("detection.assess", Duration::from_micros(30));
-        for client in 0..3 {
-            t.record_audit(AuditRecord {
-                at: fg_core::time::SimTime::from_secs(client),
-                endpoint: "/v1/decide".to_owned(),
-                client,
-                fingerprint: 0xF00D,
-                ip: "10.1.2.3".to_owned(),
-                score: 0.9,
-                signals: Vec::new(),
-                decision: "block".to_owned(),
-                reasons: vec!["velocity".to_owned()],
-                trace_id: fg_core::hash::trace_id(client, 1),
-            });
-        }
-
-        let snapshot = t.snapshot();
-        assert_eq!(snapshot.audit.records.len(), 3);
-        let text = t.to_prometheus();
-        assert!(text.contains("# {trace_id=\"00000000deadbeef\"}"), "{text}");
-        assert!(text.contains("fg_stage_latency_seconds_count"), "{text}");
-        assert_eq!(text, snapshot.to_prometheus());
     }
 
     #[test]

@@ -48,6 +48,10 @@ python3 - "$CONFIG" "$ADDR" <<'EOF'
 import json, sys
 path, addr = sys.argv[1], sys.argv[2]
 c = json.load(open(path))
+# The two observe settings a deployment sets; the rest are fixed, and the
+# tier gate carries no counter.
+assert sorted(c["observe"]) == ["p99_slo_ms", "trace_capacity"], c["observe"]
+assert "denials" not in c["policy"]["gate"], c["policy"]["gate"]
 c["listen"] = addr
 # A sustained replay pins many non-allow traces; a deep ring keeps more of
 # them retrievable (exemplar-cited traces are kept whatever the depth).
@@ -56,6 +60,17 @@ json.dump(c, open(path, "w"), indent=2)
 EOF
 "$BIN/fg-serve" --check --config "$CONFIG"
 cp "$CONFIG" serve-config.good.json
+
+# A deployment file written before those settings were retired still boots:
+# the retired keys are ignored.
+python3 - "$CONFIG" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))
+c["observe"].update(slow_request_ms=250, flight_recorder_entries=256, sentinel_poll_ms=500)
+c["policy"]["gate"]["denials"] = 0
+json.dump(c, open("serve-config.retired.json", "w"), indent=2)
+EOF
+expect_exit 0 "$BIN/fg-serve" --check --config serve-config.retired.json
 
 # A structurally valid config the fg-analyze gate must reject: challenging
 # at the block threshold makes every challenge unreachable.
@@ -108,6 +123,10 @@ assert r["slowest"], "slowest exchanges missing"
 assert all(s["latency_ms"] > 0 for s in r["slowest"]), r["slowest"]
 lat = [s["latency_ms"] for s in r["slowest"]]
 assert lat == sorted(lat, reverse=True), "slowest not worst-first"
+# The decision mix, for the record (no bound: it is what the policy decides).
+total = sum(r["decisions"].values()) or 1
+mix = ", ".join(f"{k} {v} ({100.0 * v / total:.1f}%)" for k, v in sorted(r["decisions"].items()))
+print(f"serve-smoke: decision mix over {total} decisions: {mix}")
 EOF
 echo "serve-smoke: load OK -> $OUT"
 

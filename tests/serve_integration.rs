@@ -662,3 +662,81 @@ fn drain_serves_a_request_still_in_the_accept_queue() {
     assert!(report.clean, "{report:?}");
     drop(pinned);
 }
+
+/// Writes `raw` on a fresh connection in one write and reads the status.
+fn raw_status(addr: SocketAddr, raw: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(raw).expect("write request");
+    read_response(&mut BufReader::new(stream)).expect("reply").0
+}
+
+#[test]
+fn every_answered_status_lands_in_its_own_metric_cell() {
+    let telemetry = Telemetry::shared();
+    let server = Server::start(test_config(), telemetry.clone(), None).expect("boot");
+    let addr = server.addr();
+
+    let report = serde_json::to_string(&fg_serve::OutcomeReport {
+        ip: fg_netsim::ip::IpAddress::from_octets(10, 1, 2, 3),
+        score: 0.5,
+        now_ms: 1_000,
+    })
+    .expect("report serializes");
+    let decide = sample_decide_body();
+    let routed: [(&str, &str, &[u8], &str, u16); 10] = [
+        ("POST", "/v1/decide", decide.as_bytes(), "decide", 200),
+        ("POST", "/v1/decide", b"{not json", "decide", 400),
+        ("GET", "/v1/decide", b"", "decide", 405),
+        ("POST", "/v1/report", report.as_bytes(), "report", 200),
+        ("POST", "/v1/report", b"{not json", "report", 400),
+        ("GET", "/v1/report", b"", "report", 405),
+        ("GET", "/healthz", b"", "observe", 200),
+        ("GET", "/debug/traces?trace_id=not-hex", b"", "observe", 400),
+        ("POST", "/healthz", b"", "observe", 405),
+        ("GET", "/no/such/path", b"", "other", 404),
+    ];
+    for (method, target, body, _, status) in routed {
+        let (got, reply) = request(addr, method, target, body);
+        assert_eq!(got, status, "{method} {target}: {reply}");
+    }
+    // Refused while parsing, before any route is timed.
+    let oversized_body =
+        b"POST /v1/decide HTTP/1.1\r\nHost: test\r\nContent-Length: 2000000\r\n\r\n";
+    assert_eq!(raw_status(addr, oversized_body), 413);
+    let long_line = format!("GET /{} HTTP/1.1\r\nHost: test\r\n\r\n", "a".repeat(9_000));
+    assert_eq!(raw_status(addr, long_line.as_bytes()), 431);
+
+    let snap = telemetry.metrics().snapshot();
+    let cell = |endpoint: &str, status: u16| {
+        let status = status.to_string();
+        let labels = [("endpoint", endpoint), ("status", status.as_str())];
+        (
+            snap.counter_value("fg_http_requests_total", &labels),
+            snap.latency_sample("fg_http_request_duration_seconds", &labels)
+                .map(|l| l.hist.count),
+        )
+    };
+    for (method, target, _, endpoint, status) in routed {
+        assert_eq!(
+            cell(endpoint, status),
+            (Some(1), Some(1)),
+            "{method} {target} -> {endpoint} {status}"
+        );
+    }
+    for status in [413, 431] {
+        assert_eq!(cell("other", status), (Some(1), Some(0)), "other {status}");
+    }
+    let answered: u64 = snap
+        .counters
+        .iter()
+        .filter(|c| c.name.name == "fg_http_requests_total")
+        .map(|c| c.value)
+        .sum();
+    assert_eq!(answered, 12, "no exchange was counted twice or elsewhere");
+
+    let drained = server.drain(Duration::from_secs(10));
+    assert!(drained.clean, "{drained:?}");
+}
