@@ -567,6 +567,9 @@ mod tests {
         );
         drive(&mut bot, &mut app, SimTime::from_days(1), 11);
         assert!(bot.ledger().proxy_spend > Money::ZERO);
-        assert!(bot.ledger().unviable(), "pure DoI has no direct revenue");
+        assert!(
+            bot.ledger().profit().is_negative(),
+            "pure DoI has no direct revenue"
+        );
     }
 }

@@ -520,7 +520,7 @@ mod tests {
         let mut ledger = bot.ledger();
         ledger.sms_revenue = app.gw.attacker_revenue();
         assert!(
-            !ledger.unviable(),
+            !ledger.profit().is_negative(),
             "undefended pumping is profitable: {ledger}"
         );
     }

@@ -5,7 +5,6 @@
 //! paper's attacks rotate or randomize (booking references, phone numbers)
 //! carry just enough structure to support the corresponding heuristics.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -92,11 +91,6 @@ impl BookingRef {
             idx /= 32;
         }
         BookingRef(buf)
-    }
-
-    /// Draws a uniformly random booking reference.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        BookingRef::from_index(rng.gen_range(0..32u64.pow(6)))
     }
 
     /// The reference as a string slice.
@@ -200,11 +194,6 @@ impl PhoneNumber {
     pub fn country(&self) -> CountryCode {
         self.country
     }
-
-    /// The national significant number.
-    pub fn national(&self) -> u64 {
-        self.national
-    }
 }
 
 impl fmt::Display for PhoneNumber {
@@ -216,8 +205,6 @@ impl fmt::Display for PhoneNumber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn numeric_ids_display_with_prefix() {
@@ -236,13 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn booking_ref_random_is_deterministic_per_seed() {
-        let mut r1 = StdRng::seed_from_u64(9);
-        let mut r2 = StdRng::seed_from_u64(9);
-        assert_eq!(BookingRef::random(&mut r1), BookingRef::random(&mut r2));
-    }
-
-    #[test]
     fn country_code_normalizes_case() {
         assert_eq!(CountryCode::new("uz"), CountryCode::new("UZ"));
         assert!(CountryCode::try_new("USA").is_none());
@@ -253,7 +233,6 @@ mod tests {
     fn phone_number_accessors() {
         let n = PhoneNumber::new(CountryCode::new("IR"), 9_123_456);
         assert_eq!(n.country().as_str(), "IR");
-        assert_eq!(n.national(), 9_123_456);
         assert_eq!(n.to_string(), "+IR-9123456");
     }
 }

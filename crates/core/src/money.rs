@@ -27,7 +27,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// ```
 /// use fg_core::money::Money;
 ///
-/// let sms_cost = Money::from_f64(0.25);
+/// let sms_cost = Money::from_cents(25);
 /// let total = sms_cost * 1_000i64;
 /// assert_eq!(total, Money::from_units(250));
 /// assert_eq!(total.to_string(), "$250.00");
@@ -59,11 +59,6 @@ impl Money {
     /// Creates an amount from raw micro-units.
     pub const fn from_micros(micros: i64) -> Self {
         Money(micros)
-    }
-
-    /// Creates an amount from a float, rounding to the nearest micro.
-    pub fn from_f64(units: f64) -> Self {
-        Money((units * MICROS as f64).round() as i64)
     }
 
     /// Raw micro-units.
@@ -171,7 +166,6 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(Money::from_units(3), Money::from_cents(300));
-        assert_eq!(Money::from_cents(25), Money::from_f64(0.25));
         assert_eq!(Money::from_micros(MICROS), Money::from_units(1));
     }
 

@@ -38,11 +38,6 @@ impl SeedFork {
         SeedFork { master }
     }
 
-    /// The master seed this fork was created with.
-    pub const fn master(self) -> u64 {
-        self.master
-    }
-
     /// Derives the child seed for `label`.
     pub fn seed(self, label: &str) -> u64 {
         let mut h = self.master ^ 0x9E37_79B9_7F4A_7C15;

@@ -113,24 +113,6 @@ impl<T> Categorical<T> {
     pub fn items(&self) -> &[T] {
         &self.items
     }
-
-    /// The probability assigned to the item at `index`.
-    pub fn probability(&self, index: usize) -> Option<f64> {
-        let hi = *self.cumulative.get(index)?;
-        let lo = if index == 0 {
-            0.0
-        } else {
-            self.cumulative[index - 1]
-        };
-        Some((hi - lo) / self.total)
-    }
-}
-
-impl<T: Clone> Categorical<T> {
-    /// Draws one item by value.
-    pub fn sample_owned<R: Rng + ?Sized>(&self, rng: &mut R) -> T {
-        self.sample(rng).clone()
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +139,6 @@ mod tests {
             Categorical::new(vec![(1, 0.0), (2, 0.0)]).unwrap_err(),
             CategoricalError::ZeroTotal
         );
-    }
-
-    #[test]
-    fn probability_matches_weights() {
-        let d = Categorical::new(vec![("a", 1.0), ("b", 3.0)]).unwrap();
-        assert!((d.probability(0).unwrap() - 0.25).abs() < 1e-12);
-        assert!((d.probability(1).unwrap() - 0.75).abs() < 1e-12);
-        assert_eq!(d.probability(2), None);
     }
 
     #[test]
@@ -202,6 +176,5 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert!(!d.is_empty());
         assert_eq!(d.items(), &[7]);
-        assert_eq!(d.sample_owned(&mut StdRng::seed_from_u64(0)), 7);
     }
 }

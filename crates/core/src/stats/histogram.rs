@@ -6,7 +6,7 @@ use std::fmt;
 /// A histogram over the integer domain `0..=max_value`.
 ///
 /// Values above `max_value` are clamped into the last bucket (and counted in
-/// [`Histogram::clamped`]), which is the right behaviour for bounded
+/// the serialized `clamped` field), which is the right behaviour for bounded
 /// quantities like Number-in-Party where the application enforces a maximum.
 ///
 /// # Example
@@ -70,17 +70,6 @@ impl Histogram {
         self.total
     }
 
-    /// Observations clamped into the last bucket because they exceeded the
-    /// histogram's domain.
-    pub fn clamped(&self) -> u64 {
-        self.clamped
-    }
-
-    /// The inclusive maximum value of the domain.
-    pub fn max_value(&self) -> usize {
-        self.buckets.len() - 1
-    }
-
     /// Fraction of observations that fell in bucket `value` (0.0 when empty).
     pub fn share(&self, value: usize) -> f64 {
         if self.total == 0 {
@@ -112,19 +101,6 @@ impl Histogram {
             .map(|(v, &c)| v as u64 * c)
             .sum();
         Some(weighted as f64 / self.total as f64)
-    }
-
-    /// The bucket with the highest count (ties broken toward the smaller
-    /// value; None when empty).
-    pub fn mode(&self) -> Option<usize> {
-        if self.total == 0 {
-            return None;
-        }
-        self.buckets
-            .iter()
-            .enumerate()
-            .max_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then(ib.cmp(ia)))
-            .map(|(v, _)| v)
     }
 
     /// Merges another histogram into this one.
@@ -180,7 +156,7 @@ mod tests {
         assert_eq!(h.count(0), 2);
         assert_eq!(h.total(), 4);
         assert!((h.share(0) - 0.5).abs() < 1e-12);
-        assert_eq!(h.clamped(), 0);
+        assert_eq!(h.clamped, 0);
     }
 
     #[test]
@@ -188,7 +164,7 @@ mod tests {
         let mut h = Histogram::new(2);
         h.record(99);
         assert_eq!(h.count(2), 1);
-        assert_eq!(h.clamped(), 1);
+        assert_eq!(h.clamped, 1);
     }
 
     #[test]
@@ -197,17 +173,7 @@ mod tests {
         h.record_n(1, 3);
         h.record_n(2, 1);
         assert!((h.mean().unwrap() - 1.25).abs() < 1e-12);
-        assert_eq!(h.mode(), Some(1));
         assert_eq!(Histogram::new(3).mean(), None);
-        assert_eq!(Histogram::new(3).mode(), None);
-    }
-
-    #[test]
-    fn mode_tie_breaks_low() {
-        let mut h = Histogram::new(5);
-        h.record_n(2, 4);
-        h.record_n(4, 4);
-        assert_eq!(h.mode(), Some(2));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! plain `u64`/`i64`-backed `Copy` types so they can be used freely as map
 //! keys and event timestamps.
 //!
-//! Calendar helpers treat the epoch as midnight on a Monday, which makes
-//! "week 0 / week 1 / week 2" experiment phrasing (as in the paper's Fig. 1)
-//! line up with [`SimTime::week_index`].
+//! Calendar helpers treat the epoch as midnight, so [`SimTime::as_days`]
+//! counts whole days and [`SimTime::hour_of_day`] reads the wall-clock hour.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -35,8 +34,7 @@ pub const MILLIS_PER_WEEK: u64 = 7 * MILLIS_PER_DAY;
 /// use fg_core::time::{SimTime, SimDuration};
 ///
 /// let t = SimTime::from_days(9) + SimDuration::from_hours(3);
-/// assert_eq!(t.week_index(), 1);
-/// assert_eq!(t.day_of_week(), 2); // epoch is a Monday, day 9 is a Wednesday
+/// assert_eq!(t.as_days(), 9);
 /// assert_eq!(t.hour_of_day(), 3);
 /// ```
 #[derive(
@@ -90,24 +88,9 @@ impl SimTime {
         self.0 / MILLIS_PER_SEC
     }
 
-    /// Whole hours since the epoch.
-    pub const fn as_hours(self) -> u64 {
-        self.0 / MILLIS_PER_HOUR
-    }
-
     /// Whole days since the epoch.
     pub const fn as_days(self) -> u64 {
         self.0 / MILLIS_PER_DAY
-    }
-
-    /// Zero-based index of the calendar week containing this instant.
-    pub const fn week_index(self) -> u64 {
-        self.0 / MILLIS_PER_WEEK
-    }
-
-    /// Zero-based day of week (0 = Monday … 6 = Sunday).
-    pub const fn day_of_week(self) -> u64 {
-        (self.0 / MILLIS_PER_DAY) % 7
     }
 
     /// Hour of day, `0..24`.
@@ -116,9 +99,11 @@ impl SimTime {
     }
 
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is actually later than `self`.
+    /// is actually later than `self`, and to the largest duration when the
+    /// gap exceeds `i64::MAX` ms (the clamp of `SimTime - SimTime`).
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration::from_millis(self.0.saturating_sub(earlier.0) as i64)
+        (self - earlier).max(SimDuration::ZERO)
     }
 
     /// Adds `d`, saturating at [`SimTime::MAX`]. Negative durations saturate
@@ -231,11 +216,6 @@ impl SimDuration {
         self.0 as f64 / MILLIS_PER_DAY as f64
     }
 
-    /// `true` if this duration is strictly negative.
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-
     /// Absolute value.
     pub const fn abs(self) -> SimDuration {
         SimDuration(self.0.abs())
@@ -326,8 +306,6 @@ mod tests {
     #[test]
     fn calendar_helpers() {
         let t = SimTime::from_weeks(2) + SimDuration::from_days(3) + SimDuration::from_hours(14);
-        assert_eq!(t.week_index(), 2);
-        assert_eq!(t.day_of_week(), 3);
         assert_eq!(t.hour_of_day(), 14);
         assert_eq!(t.as_days(), 17);
     }
@@ -356,6 +334,14 @@ mod tests {
             SimTime::from_millis(u64::MAX) - SimTime::ZERO,
             SimDuration::from_millis(i64::MAX)
         );
+        for gap in [1 << 63, u64::MAX] {
+            let later = SimTime::from_millis(gap);
+            assert_eq!(
+                later.saturating_since(SimTime::ZERO),
+                SimDuration::from_millis(i64::MAX)
+            );
+            assert_eq!(SimTime::ZERO.saturating_since(later), SimDuration::ZERO);
+        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! §IV-A's attack was visible as a distortion of the *Number in Party*
 //! distribution (Fig. 1): a spike at NiP 6 against a baseline dominated by
 //! 1–2 passenger bookings. This module provides the drift statistics that
-//! turn such distortions into alarms: Pearson chi-square against a baseline,
-//! KL divergence, Poisson surge z-scores, and a ready-made
-//! [`NipDistributionMonitor`].
+//! turn such distortions into alarms: Pearson chi-square against a baseline
+//! and a ready-made [`NipDistributionMonitor`].
 
 use fg_core::stats::Histogram;
 use serde::{Deserialize, Serialize};
@@ -40,40 +39,6 @@ pub fn chi_square(observed: &[u64], expected_shares: &[f64]) -> f64 {
         .sum()
 }
 
-/// KL divergence `D(observed ‖ baseline)` between two share vectors, in nats.
-/// Zero-probability buckets are smoothed with `eps`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn kl_divergence(observed_shares: &[f64], baseline_shares: &[f64], eps: f64) -> f64 {
-    assert_eq!(
-        observed_shares.len(),
-        baseline_shares.len(),
-        "share vectors must align"
-    );
-    observed_shares
-        .iter()
-        .zip(baseline_shares)
-        .map(|(&p, &q)| {
-            let p = p.max(eps);
-            let q = q.max(eps);
-            p * (p / q).ln()
-        })
-        .sum()
-}
-
-/// Poisson surge z-score: how many standard deviations `observed` sits above
-/// a Poisson with mean `baseline`. Zero baseline with zero observation is 0;
-/// zero baseline with any observation is `+inf`-like (returned as a large
-/// finite value so downstream arithmetic stays clean).
-pub fn poisson_z(observed: u64, baseline: f64) -> f64 {
-    if baseline <= 0.0 {
-        return if observed == 0 { 0.0 } else { 1e9 };
-    }
-    (observed as f64 - baseline) / baseline.sqrt()
-}
-
 /// A drift monitor for the NiP distribution.
 ///
 /// Fit on a baseline window (the "average week"), then score observation
@@ -98,7 +63,7 @@ pub fn poisson_z(observed: u64, baseline: f64) -> f64 {
 /// for _ in 0..60 { attack.record(1); }
 /// for _ in 0..30 { attack.record(2); }
 /// for _ in 0..50 { attack.record(6); }
-/// assert!(monitor.is_anomalous(&attack));
+/// assert!(monitor.score(&attack) > 2.0);
 /// assert_eq!(monitor.most_inflated_bucket(&attack), Some(6));
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -110,9 +75,9 @@ pub struct NipDistributionMonitor {
 impl NipDistributionMonitor {
     /// Fits the monitor on a baseline histogram.
     ///
-    /// `threshold_per_sample` is the chi-square-per-booking level above which
-    /// [`NipDistributionMonitor::is_anomalous`] fires; 2.0 is a robust
-    /// default for weekly windows.
+    /// `threshold_per_sample` is the chi-square-per-booking alarm level kept
+    /// with the baseline: a [`NipDistributionMonitor::score`] above it is an
+    /// alarm; 2.0 is a robust default for weekly windows.
     ///
     /// # Panics
     ///
@@ -138,11 +103,6 @@ impl NipDistributionMonitor {
         chi_square(observed.buckets(), &self.baseline_shares) / total as f64
     }
 
-    /// `true` when the observation drifts beyond the threshold.
-    pub fn is_anomalous(&self, observed: &Histogram) -> bool {
-        self.score(observed) > self.threshold_per_sample
-    }
-
     /// The bucket with the greatest share lift over baseline — where the
     /// attacker concentrated. `None` for empty observations.
     pub fn most_inflated_bucket(&self, observed: &Histogram) -> Option<usize> {
@@ -156,11 +116,6 @@ impl NipDistributionMonitor {
             .enumerate()
             .max_by(|(_, (sa, ba)), (_, (sb, bb))| (*sa - *ba).total_cmp(&(*sb - *bb)))
             .map(|(i, _)| i)
-    }
-
-    /// The baseline share vector.
-    pub fn baseline_shares(&self) -> &[f64] {
-        &self.baseline_shares
     }
 }
 
@@ -199,22 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn kl_zero_for_identical_and_positive_otherwise() {
-        let p = [0.5, 0.3, 0.2];
-        assert!(kl_divergence(&p, &p, 1e-9).abs() < 1e-12);
-        let q = [0.2, 0.3, 0.5];
-        assert!(kl_divergence(&p, &q, 1e-9) > 0.0);
-    }
-
-    #[test]
-    fn poisson_z_cases() {
-        assert_eq!(poisson_z(0, 0.0), 0.0);
-        assert!(poisson_z(5, 0.0) > 1e8);
-        assert!((poisson_z(200, 100.0) - 10.0).abs() < 1e-9);
-        assert!(poisson_z(90, 100.0) < 0.0);
-    }
-
-    #[test]
     fn monitor_fires_on_attack_not_on_baseline_noise() {
         let monitor = NipDistributionMonitor::fit(&baseline_hist(), 2.0);
         // A fresh sample from the same distribution: not anomalous.
@@ -224,7 +163,7 @@ mod tests {
         normal.record_n(3, 9);
         normal.record_n(4, 6);
         assert!(
-            !monitor.is_anomalous(&normal),
+            monitor.score(&normal) <= 2.0,
             "score {}",
             monitor.score(&normal)
         );
@@ -232,7 +171,7 @@ mod tests {
         // Attack week: NiP-6 spike.
         let mut attack = normal.clone();
         attack.record_n(6, 60);
-        assert!(monitor.is_anomalous(&attack));
+        assert!(monitor.score(&attack) > 2.0);
         assert_eq!(monitor.most_inflated_bucket(&attack), Some(6));
     }
 
@@ -241,7 +180,6 @@ mod tests {
         let monitor = NipDistributionMonitor::fit(&baseline_hist(), 2.0);
         let empty = Histogram::new(9);
         assert_eq!(monitor.score(&empty), 0.0);
-        assert!(!monitor.is_anomalous(&empty));
         assert_eq!(monitor.most_inflated_bucket(&empty), None);
     }
 
@@ -257,15 +195,6 @@ mod tests {
         fn prop_chi_square_nonnegative(obs in proptest::collection::vec(0u64..500, 10)) {
             let base = baseline_hist();
             prop_assert!(chi_square(&obs, &base.shares()) >= 0.0);
-        }
-
-        /// KL divergence is non-negative (Gibbs' inequality, up to smoothing).
-        #[test]
-        fn prop_kl_nonnegative(raw in proptest::collection::vec(1u32..100, 5)) {
-            let total: u32 = raw.iter().sum();
-            let p: Vec<f64> = raw.iter().map(|&x| f64::from(x) / f64::from(total)).collect();
-            let q = vec![0.2; 5];
-            prop_assert!(kl_divergence(&p, &q, 1e-12) >= -1e-9);
         }
     }
 }

@@ -45,20 +45,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Builds a matrix from parallel truth/prediction slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn from_pairs(truths: &[bool], predictions: &[bool]) -> Self {
-        assert_eq!(truths.len(), predictions.len(), "slices must align");
-        let mut cm = ConfusionMatrix::new();
-        for (&t, &p) in truths.iter().zip(predictions) {
-            cm.record(t, p);
-        }
-        cm
-    }
-
     /// Total outcomes recorded.
     pub fn total(&self) -> u64 {
         self.tp + self.fp + self.tn + self.fn_
@@ -93,26 +79,6 @@ impl ConfusionMatrix {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Accuracy over all outcomes (1.0 on an empty matrix).
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            1.0
-        } else {
-            (self.tp + self.tn) as f64 / total as f64
-        }
-    }
-
-    /// False-positive rate: FP / (FP + TN) — the "legitimate customers
-    /// blocked" rate, which §V's usability/security balance is about.
-    pub fn false_positive_rate(&self) -> f64 {
-        if self.fp + self.tn == 0 {
-            0.0
-        } else {
-            self.fp as f64 / (self.fp + self.tn) as f64
-        }
-    }
 }
 
 impl fmt::Display for ConfusionMatrix {
@@ -136,33 +102,38 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Records each `(truth, predicted)` pair into a fresh matrix.
+    fn recorded(pairs: &[(bool, bool)]) -> ConfusionMatrix {
+        let mut cm = ConfusionMatrix::new();
+        for &(truth, predicted) in pairs {
+            cm.record(truth, predicted);
+        }
+        cm
+    }
+
     #[test]
     fn perfect_classifier() {
-        let cm = ConfusionMatrix::from_pairs(&[true, false, true], &[true, false, true]);
+        let cm = recorded(&[(true, true), (false, false), (true, true)]);
         assert_eq!(cm.precision(), 1.0);
         assert_eq!(cm.recall(), 1.0);
         assert_eq!(cm.f1(), 1.0);
-        assert_eq!(cm.accuracy(), 1.0);
-        assert_eq!(cm.false_positive_rate(), 0.0);
     }
 
     #[test]
     fn always_positive_classifier() {
-        let cm = ConfusionMatrix::from_pairs(&[true, false, false, false], &[true; 4]);
+        let cm = recorded(&[(true, true), (false, true), (false, true), (false, true)]);
         assert_eq!(cm.recall(), 1.0);
         assert_eq!(cm.precision(), 0.25);
-        assert_eq!(cm.false_positive_rate(), 1.0);
     }
 
     #[test]
     fn degenerate_cases() {
         let empty = ConfusionMatrix::new();
-        assert_eq!(empty.accuracy(), 1.0);
         assert_eq!(empty.precision(), 1.0);
         assert_eq!(empty.recall(), 1.0);
         assert_eq!(empty.f1(), 1.0);
 
-        let never_fires = ConfusionMatrix::from_pairs(&[true, true], &[false, false]);
+        let never_fires = recorded(&[(true, false), (true, false)]);
         assert_eq!(never_fires.precision(), 1.0, "vacuous precision");
         assert_eq!(never_fires.recall(), 0.0);
         assert_eq!(never_fires.f1(), 0.0);
@@ -170,7 +141,7 @@ mod tests {
 
     #[test]
     fn display_contains_metrics() {
-        let cm = ConfusionMatrix::from_pairs(&[true, false], &[true, true]);
+        let cm = recorded(&[(true, true), (false, true)]);
         let s = cm.to_string();
         assert!(s.contains("tp=1"));
         assert!(s.contains("fp=1"));
@@ -180,11 +151,9 @@ mod tests {
         /// All metrics stay within [0, 1] and totals add up.
         #[test]
         fn prop_metrics_bounded(pairs in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..200)) {
-            let truths: Vec<bool> = pairs.iter().map(|p| p.0).collect();
-            let preds: Vec<bool> = pairs.iter().map(|p| p.1).collect();
-            let cm = ConfusionMatrix::from_pairs(&truths, &preds);
+            let cm = recorded(&pairs);
             prop_assert_eq!(cm.total() as usize, pairs.len());
-            for m in [cm.precision(), cm.recall(), cm.f1(), cm.accuracy(), cm.false_positive_rate()] {
+            for m in [cm.precision(), cm.recall(), cm.f1()] {
                 prop_assert!((0.0..=1.0).contains(&m));
             }
         }

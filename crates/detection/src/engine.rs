@@ -118,11 +118,6 @@ impl Verdict {
             signals: Vec::new(),
         }
     }
-
-    /// `true` when score reaches `threshold`.
-    pub fn is_suspicious(&self, threshold: f64) -> bool {
-        self.score >= threshold
-    }
 }
 
 /// Tunable thresholds for the velocity signals.
@@ -368,7 +363,6 @@ mod tests {
         let mut e = DetectionEngine::with_defaults();
         let v = e.assess(SimTime::ZERO, ip(1), &human_fp(1), Endpoint::Search, None);
         assert_eq!(v, Verdict::clean());
-        assert!(!v.is_suspicious(0.5));
     }
 
     #[test]

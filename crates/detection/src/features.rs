@@ -3,7 +3,7 @@
 //! The literature features (§III-A refs \[29\]–\[34\]): request volume, method
 //! mix, inter-request timing, URL depth, trap-file hits. Plus the
 //! domain-specific features that *do* move under functional abuse: the
-//! hold/pay funnel ratio and SMS-request concentration. The experiments use
+//! hold and pay funnel counts and SMS-request concentration. The experiments use
 //! both sets to demonstrate why the first family fails on low-volume abuse.
 
 use crate::log::{Endpoint, Method};
@@ -122,15 +122,6 @@ impl SessionFeatures {
             error_rate: f64::from(errors) / n,
         }
     }
-
-    /// The abandonment signature of DoI: holds that never convert to pays.
-    pub fn hold_abandonment(&self) -> f64 {
-        if self.holds == 0.0 {
-            0.0
-        } else {
-            (self.holds - self.pays).max(0.0) / self.holds
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,24 +193,6 @@ mod tests {
         );
         let f = SessionFeatures::extract(&s);
         assert!(f.gap_cv > 0.5, "bursty gaps → high cv, got {}", f.gap_cv);
-    }
-
-    #[test]
-    fn hold_abandonment_signature() {
-        let doi = single_session(vec![
-            rec(0, Endpoint::Hold, Method::Post, true),
-            rec(10, Endpoint::Hold, Method::Post, true),
-        ]);
-        assert_eq!(SessionFeatures::extract(&doi).hold_abandonment(), 1.0);
-
-        let legit = single_session(vec![
-            rec(0, Endpoint::Hold, Method::Post, true),
-            rec(10, Endpoint::Pay, Method::Post, true),
-        ]);
-        assert_eq!(SessionFeatures::extract(&legit).hold_abandonment(), 0.0);
-
-        let browser = single_session(vec![rec(0, Endpoint::Search, Method::Get, true)]);
-        assert_eq!(SessionFeatures::extract(&browser).hold_abandonment(), 0.0);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //!
 //! * [`log`] / [`session`] — web-log records and gap-based sessionization.
 //! * [`features`] — per-session behavioural feature vectors (volume metrics
-//!   the literature uses, plus the domain metrics — hold/pay ratio, SMS per
+//!   the literature uses, plus the domain metrics — holds and pays, SMS per
 //!   booking — that functional abuse actually moves).
-//! * [`confusion`] — the binary confusion matrix (precision, recall, F1,
-//!   false-positive rate) the detector experiments report.
-//! * [`anomaly`] — distribution drift tests (chi-square, KL divergence,
-//!   Poisson z-score) powering NiP-distribution and volume anomaly alarms.
+//! * [`confusion`] — the binary confusion matrix (precision, recall, F1)
+//!   the detector experiments report.
+//! * [`anomaly`] — the chi-square distribution drift test powering the
+//!   NiP-distribution anomaly alarm.
 //! * [`names`] — passenger-name heuristics from §IV-B: gibberish detection,
 //!   cross-booking repetition, birthdate rotation, fixed-set permutations,
 //!   misspelling clusters.

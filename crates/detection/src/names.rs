@@ -254,18 +254,6 @@ impl RepetitionTracker {
     pub fn max_repetition(&self) -> u32 {
         self.counts.values().copied().max().unwrap_or(0)
     }
-
-    /// Keys repeated at least `threshold` times, sorted.
-    pub fn repeated_keys(&self, threshold: u32) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .counts
-            .iter()
-            .filter(|(_, &c)| c >= threshold)
-            .map(|(k, _)| k.clone())
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
 }
 
 /// Detects the Airline B signature: a fixed name with many distinct
@@ -291,11 +279,6 @@ impl BirthdateRotationDetector {
                     .insert(d.to_string());
             }
         }
-    }
-
-    /// Distinct birthdates seen for `key`.
-    pub fn distinct_birthdates(&self, key: &str) -> usize {
-        self.birthdates.get(key).map_or(0, FxHashSet::len)
     }
 
     /// Keys whose distinct-birthdate count reaches `threshold`, sorted.
@@ -508,8 +491,6 @@ mod tests {
         t.record(&[Passenger::simple("Jane", "Roe")]);
         assert_eq!(t.count("JOHN DOE"), 5);
         assert_eq!(t.max_repetition(), 5);
-        assert_eq!(t.repeated_keys(5), vec!["JOHN DOE".to_owned()]);
-        assert!(t.repeated_keys(6).is_empty());
     }
 
     #[test]
@@ -533,8 +514,9 @@ mod tests {
                 "a@b.c",
             )]);
         }
-        assert_eq!(d.distinct_birthdates("LEAD PAX"), 6);
         assert_eq!(d.rotating_keys(3), vec!["LEAD PAX".to_owned()]);
+        assert_eq!(d.rotating_keys(6), vec!["LEAD PAX".to_owned()]);
+        assert!(d.rotating_keys(7).is_empty());
     }
 
     #[test]

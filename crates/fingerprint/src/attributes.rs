@@ -196,20 +196,6 @@ impl Fingerprint {
         h = splitmix64(h ^ (u64::from(self.touch_support) << 1 | u64::from(self.webdriver)));
         splitmix64(h ^ u64::from(self.color_depth))
     }
-
-    /// The user-agent string a genuine browser with these attributes emits.
-    pub fn user_agent(&self) -> String {
-        match self.browser {
-            BrowserFamily::HeadlessChrome => format!(
-                "Mozilla/5.0 ({}) HeadlessChrome/{}.0.0.0",
-                self.os, self.browser_version
-            ),
-            b => format!(
-                "Mozilla/5.0 ({}; {}) {}/{}.0",
-                self.os, self.platform, b, self.browser_version
-            ),
-        }
-    }
 }
 
 impl fmt::Display for Fingerprint {
@@ -283,21 +269,6 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), OsFamily::ALL.len());
-    }
-
-    #[test]
-    fn user_agent_mentions_browser_and_os() {
-        let fp = sample();
-        let ua = fp.user_agent();
-        assert!(ua.contains("Chrome"));
-        assert!(ua.contains("Windows"));
-    }
-
-    #[test]
-    fn headless_user_agent_is_marked() {
-        let mut fp = sample();
-        fp.browser = BrowserFamily::HeadlessChrome;
-        assert!(fp.user_agent().contains("HeadlessChrome"));
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl ConsistencyReport {
         self.findings.is_empty()
     }
 
-    /// The individual findings.
-    pub fn findings(&self) -> &[Inconsistency] {
-        &self.findings
-    }
-
     /// A suspicion score in `0.0..=1.0`: 0 for clean, saturating with the
     /// number of findings. Hard artifacts (webdriver / headless UA) alone
     /// push the score to 1.0.
@@ -95,14 +90,14 @@ impl ConsistencyReport {
 ///
 /// ```
 /// use fg_fingerprint::population::PopulationModel;
-/// use fg_fingerprint::inconsistency::{consistency_report, Inconsistency};
+/// use fg_fingerprint::inconsistency::consistency_report;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let mut fp = PopulationModel::default_web().sample_human(&mut rng);
 /// fp.webdriver = true;
 /// let report = consistency_report(&fp);
-/// assert!(report.findings().contains(&Inconsistency::WebdriverFlag));
+/// assert!(!report.is_clean());
 /// assert_eq!(report.suspicion(), 1.0);
 /// ```
 pub fn consistency_report(fp: &Fingerprint) -> ConsistencyReport {
@@ -167,37 +162,37 @@ mod tests {
         let mut fp = human();
         fp.webdriver = true;
         assert!(consistency_report(&fp)
-            .findings()
+            .findings
             .contains(&Inconsistency::WebdriverFlag));
 
         let mut fp = human();
         fp.platform = "Atari".into();
         assert!(consistency_report(&fp)
-            .findings()
+            .findings
             .contains(&Inconsistency::PlatformOsMismatch));
 
         let mut fp = human();
         fp.touch_support = !fp.touch_support;
         assert!(consistency_report(&fp)
-            .findings()
+            .findings
             .contains(&Inconsistency::TouchMismatch));
 
         let mut fp = human();
         fp.canvas_hash = 12345;
         assert!(consistency_report(&fp)
-            .findings()
+            .findings
             .contains(&Inconsistency::ImplausibleCanvas));
 
         let mut fp = human();
         fp.webgl_hash = 999;
         assert!(consistency_report(&fp)
-            .findings()
+            .findings
             .contains(&Inconsistency::ImplausibleWebgl));
 
         let mut fp = human();
         fp.hardware_concurrency = 0;
         assert!(consistency_report(&fp)
-            .findings()
+            .findings
             .contains(&Inconsistency::ZeroConcurrency));
     }
 
@@ -206,7 +201,7 @@ mod tests {
         let mut fp = human();
         fp.browser = BrowserFamily::HeadlessChrome;
         let r = consistency_report(&fp);
-        assert!(r.findings().contains(&Inconsistency::HeadlessUserAgent));
+        assert!(r.findings.contains(&Inconsistency::HeadlessUserAgent));
         assert_eq!(r.suspicion(), 1.0);
     }
 
@@ -217,7 +212,7 @@ mod tests {
         fp.os = OsFamily::Windows;
         fp.platform = OsFamily::Windows.platform_string().into();
         let r = consistency_report(&fp);
-        assert!(r.findings().contains(&Inconsistency::SafariOffApple));
+        assert!(r.findings.contains(&Inconsistency::SafariOffApple));
     }
 
     #[test]
@@ -229,7 +224,7 @@ mod tests {
         fp.webgl_hash = 1;
         fp.hardware_concurrency = 0;
         let r = consistency_report(&fp);
-        assert!(r.findings().len() >= 4);
+        assert!(r.findings.len() >= 4);
         assert_eq!(r.suspicion(), 1.0);
     }
 
@@ -238,7 +233,7 @@ mod tests {
         let mut fp = human();
         fp.hardware_concurrency = 0;
         let r = consistency_report(&fp);
-        assert_eq!(r.findings().len(), 1);
+        assert_eq!(r.findings.len(), 1);
         assert!(r.suspicion() > 0.3 && r.suspicion() < 0.4);
     }
 }

@@ -21,13 +21,6 @@ pub enum DeliveryChannel {
     InApp,
 }
 
-impl DeliveryChannel {
-    /// `true` when the channel incurs per-message carrier cost.
-    pub fn is_sms(&self) -> bool {
-        matches!(self, DeliveryChannel::Sms(_))
-    }
-}
-
 impl fmt::Display for DeliveryChannel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -73,11 +66,6 @@ impl BoardingPass {
         self.channel
     }
 
-    /// When the pass was issued.
-    pub fn issued_at(&self) -> SimTime {
-        self.issued_at
-    }
-
     /// 1-based issuance counter within the booking.
     pub fn sequence(&self) -> u32 {
         self.sequence
@@ -98,14 +86,6 @@ impl fmt::Display for BoardingPass {
 mod tests {
     use super::*;
     use fg_core::ids::CountryCode;
-
-    #[test]
-    fn sms_channel_detected() {
-        let n = PhoneNumber::new(CountryCode::new("UZ"), 995_550_001);
-        assert!(DeliveryChannel::Sms(n).is_sms());
-        assert!(!DeliveryChannel::Email.is_sms());
-        assert!(!DeliveryChannel::InApp.is_sms());
-    }
 
     #[test]
     fn accessors_and_display() {

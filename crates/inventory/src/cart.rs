@@ -82,7 +82,6 @@ pub struct CartStore {
     lines: Vec<CartLine>,
     expiry: EventQueue<usize>,
     ttl: SimDuration,
-    revenue: Money,
 }
 
 impl CartStore {
@@ -100,7 +99,6 @@ impl CartStore {
             lines: Vec::new(),
             expiry: EventQueue::new(),
             ttl,
-            revenue: Money::ZERO,
         }
     }
 
@@ -123,17 +121,12 @@ impl CartStore {
     }
 
     /// Units of `product` currently sitting in live carts.
-    pub fn in_carts(&self, product: ProductId) -> u32 {
+    fn in_carts(&self, product: ProductId) -> u32 {
         self.lines
             .iter()
             .filter(|l| l.live && l.product == product)
             .map(|l| l.quantity)
             .sum()
-    }
-
-    /// Total revenue from checkouts.
-    pub fn revenue(&self) -> Money {
-        self.revenue
     }
 
     /// Adds `quantity` units of `product` to `client`'s cart at `now`.
@@ -193,7 +186,6 @@ impl CartStore {
                 total += price * u64::from(line.quantity);
             }
         }
-        self.revenue += total;
         total
     }
 
@@ -251,7 +243,6 @@ mod tests {
         let charged = s.checkout(ClientId(1), SimTime::from_mins(5));
         assert_eq!(charged, Money::from_units(150));
         assert_eq!(s.sold(ProductId(1)), Some(3));
-        assert_eq!(s.revenue(), Money::from_units(150));
         assert!(s.conservation_holds());
     }
 

@@ -79,16 +79,6 @@ impl Availability {
         self.available + self.held + self.sold
     }
 
-    /// Load factor: the fraction of capacity sold.
-    pub fn load_factor(&self) -> f64 {
-        let cap = self.capacity();
-        if cap == 0 {
-            0.0
-        } else {
-            f64::from(self.sold) / f64::from(cap)
-        }
-    }
-
     /// The fraction of capacity currently *denied* to genuine buyers by
     /// holds — the direct harm metric of a Denial-of-Inventory attack.
     pub fn hold_ratio(&self) -> f64 {
@@ -138,7 +128,6 @@ mod tests {
             sold: 20,
         };
         assert_eq!(a.capacity(), 100);
-        assert!((a.load_factor() - 0.2).abs() < 1e-12);
         assert!((a.hold_ratio() - 0.3).abs() < 1e-12);
     }
 
@@ -146,7 +135,6 @@ mod tests {
     fn empty_availability_is_safe() {
         let a = Availability::default();
         assert_eq!(a.capacity(), 0);
-        assert_eq!(a.load_factor(), 0.0);
         assert_eq!(a.hold_ratio(), 0.0);
     }
 }

@@ -47,21 +47,6 @@ impl Date {
         }
     }
 
-    /// The year component.
-    pub fn year(&self) -> u16 {
-        self.year
-    }
-
-    /// The month component (1–12).
-    pub fn month(&self) -> u8 {
-        self.month
-    }
-
-    /// The day component (1–31).
-    pub fn day(&self) -> u8 {
-        self.day
-    }
-
     /// The date `days` days later (approximate month arithmetic: walks day
     /// by day, adequate for birthdate-rotation modelling).
     pub fn plus_days(mut self, days: u32) -> Date {

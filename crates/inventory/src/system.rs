@@ -97,14 +97,6 @@ impl ReservationSystem {
         self.hold_ttl
     }
 
-    /// Changes the hold TTL for *future* holds (existing holds keep their
-    /// original expiry — changing it retroactively would punish legitimate
-    /// customers mid-checkout).
-    pub fn set_hold_ttl(&mut self, ttl: SimDuration) {
-        assert!(ttl.as_millis() > 0, "hold TTL must be positive");
-        self.hold_ttl = ttl;
-    }
-
     /// The current maximum Number in Party.
     pub fn max_nip(&self) -> u32 {
         self.max_nip
@@ -229,44 +221,6 @@ impl ReservationSystem {
         }
         booking.set_status(BookingStatus::Ticketed);
         Ok(())
-    }
-
-    /// Cancels a booking, returning its seats to inventory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InventoryError::UnknownBooking`] if it does not exist, or
-    /// [`InventoryError::WrongState`] if already expired or cancelled.
-    pub fn cancel(&mut self, reference: BookingRef, now: SimTime) -> Result<(), InventoryError> {
-        self.expire_due(now);
-        let booking = self
-            .bookings
-            .get_mut(&reference)
-            .ok_or(InventoryError::UnknownBooking(reference))?;
-        let nip = booking.nip();
-        let flight = booking.flight();
-        let prior = booking.status();
-        match prior {
-            BookingStatus::Held | BookingStatus::Paid | BookingStatus::Ticketed => {
-                booking.set_status(BookingStatus::Cancelled);
-                let ledger = self
-                    .ledgers
-                    .get_mut(&flight)
-                    .expect("ledger exists per flight");
-                if prior == BookingStatus::Held {
-                    ledger.held -= nip;
-                } else {
-                    ledger.sold -= nip;
-                }
-                ledger.available += nip;
-                Ok(())
-            }
-            BookingStatus::Expired | BookingStatus::Cancelled => Err(InventoryError::WrongState {
-                booking: reference,
-                expected: "held, paid, or ticketed",
-                actual: prior.label(),
-            }),
-        }
     }
 
     /// Processes all holds whose TTL elapsed by `now`. Returns the booking
@@ -522,25 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_returns_seats_from_any_live_state() {
-        let mut sys = system_with_flight(10);
-        let held = sys.hold(FlightId(1), pax(2), SimTime::ZERO).unwrap();
-        sys.cancel(held, SimTime::from_mins(1)).unwrap();
-        assert_eq!(sys.availability(FlightId(1)).unwrap().available, 10);
-
-        let paid = sys
-            .hold(FlightId(1), pax(3), SimTime::from_mins(2))
-            .unwrap();
-        sys.pay(paid, SimTime::from_mins(3)).unwrap();
-        sys.cancel(paid, SimTime::from_mins(4)).unwrap();
-        assert_eq!(sys.availability(FlightId(1)).unwrap().available, 10);
-        assert!(conservation_ok(&sys, FlightId(1), 10));
-
-        // Double-cancel is an error.
-        assert!(sys.cancel(paid, SimTime::from_mins(5)).is_err());
-    }
-
-    #[test]
     fn boarding_pass_requires_ticketed_state() {
         let mut sys = system_with_flight(10);
         let r = sys.hold(FlightId(1), pax(1), SimTime::ZERO).unwrap();
@@ -579,16 +514,14 @@ mod tests {
                 .hold(FlightId(1), pax(1), SimTime::from_mins(i))
                 .unwrap();
             assert!(seen.insert(r));
-            sys.cancel(r, SimTime::from_mins(i)).unwrap();
         }
     }
 
     proptest! {
-        /// Conservation invariant: under any interleaving of holds, payments,
-        /// cancellations, and time advances, available + held + sold equals
-        /// capacity.
+        /// Conservation invariant: under any interleaving of holds, payments
+        /// and time advances, available + held + sold equals capacity.
         #[test]
-        fn prop_seat_conservation(ops in proptest::collection::vec((0u8..4, 1usize..6, 0u64..120), 1..80)) {
+        fn prop_seat_conservation(ops in proptest::collection::vec((0u8..3, 1usize..6, 0u64..120), 1..80)) {
             let capacity = 40;
             let mut sys = system_with_flight(capacity);
             let mut refs: Vec<BookingRef> = Vec::new();
@@ -604,11 +537,6 @@ mod tests {
                     1 => {
                         if let Some(&r) = refs.get(n % refs.len().max(1)) {
                             let _ = sys.pay(r, now);
-                        }
-                    }
-                    2 => {
-                        if let Some(&r) = refs.get(n % refs.len().max(1)) {
-                            let _ = sys.cancel(r, now);
                         }
                     }
                     _ => {

@@ -47,21 +47,6 @@ impl AttackerLedger {
     pub fn profit(&self) -> Money {
         self.total_revenue() - self.total_cost()
     }
-
-    /// Return on investment: profit / cost. `None` with zero cost.
-    pub fn roi(&self) -> Option<f64> {
-        let cost = self.total_cost().as_f64();
-        if cost <= 0.0 {
-            None
-        } else {
-            Some(self.profit().as_f64() / cost)
-        }
-    }
-
-    /// `true` when the campaign lost money — the §V success criterion.
-    pub fn unviable(&self) -> bool {
-        self.profit().is_negative()
-    }
 }
 
 impl fmt::Display for AttackerLedger {
@@ -135,25 +120,6 @@ mod tests {
         l.sms_revenue = Money::from_units(200);
         assert_eq!(l.total_cost(), Money::from_units(60));
         assert_eq!(l.profit(), Money::from_units(140));
-        assert!((l.roi().unwrap() - 140.0 / 60.0).abs() < 1e-9);
-        assert!(!l.unviable());
-    }
-
-    #[test]
-    fn attacker_unviable_when_losing() {
-        let mut l = AttackerLedger::new();
-        l.purchase_spend = Money::from_units(500); // bought tickets
-        l.sms_revenue = Money::from_units(100);
-        assert!(l.unviable());
-        assert!(l.roi().unwrap() < 0.0);
-    }
-
-    #[test]
-    fn zero_cost_roi_is_none() {
-        let mut l = AttackerLedger::new();
-        l.sms_revenue = Money::from_units(10);
-        assert_eq!(l.roi(), None);
-        assert!(!l.unviable(), "free profit is (sadly) viable");
     }
 
     #[test]
@@ -177,8 +143,10 @@ mod tests {
         a.proxy_spend = rail;
         a.solver_spend = rail;
         assert_eq!(a.total_cost(), rail);
-        assert!(a.unviable(), "pegged cost with no revenue is a loss");
-        assert!(a.roi().unwrap() < 0.0);
+        assert!(
+            a.profit().is_negative(),
+            "pegged cost with no revenue is a loss"
+        );
 
         let mut d = DefenderLedger::new();
         d.sms_cost = rail;

@@ -13,7 +13,6 @@
 
 use fg_core::hash::FxHashMap;
 use fg_core::ids::{BookingRef, ClientId};
-use fg_core::money::Money;
 use fg_core::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +58,6 @@ pub struct Honeypot {
     diverted: FxHashMap<ClientId, SimTime>,
     stats: HoneypotStats,
     fake_ref_counter: u64,
-    attacker_cost_absorbed: Money,
 }
 
 impl Honeypot {
@@ -96,17 +94,6 @@ impl Honeypot {
     pub fn absorb_sms(&mut self, client: ClientId, now: SimTime) {
         self.divert(client, now);
         self.stats.sms_absorbed += 1;
-    }
-
-    /// Records attacker spend wasted inside the decoy (proxy leases, solver
-    /// fees spent to interact with fake inventory).
-    pub fn absorb_attacker_cost(&mut self, cost: Money) {
-        self.attacker_cost_absorbed += cost;
-    }
-
-    /// Attacker money the decoy has burned.
-    pub fn attacker_cost_absorbed(&self) -> Money {
-        self.attacker_cost_absorbed
     }
 
     /// Absorption statistics.
@@ -153,14 +140,6 @@ mod tests {
             pot.absorb_sms(ClientId(5), SimTime::ZERO);
         }
         assert_eq!(pot.stats().sms_absorbed, 100);
-    }
-
-    #[test]
-    fn attacker_cost_ledger() {
-        let mut pot = Honeypot::new();
-        pot.absorb_attacker_cost(Money::from_cents(60));
-        pot.absorb_attacker_cost(Money::from_cents(40));
-        assert_eq!(pot.attacker_cost_absorbed(), Money::from_units(1));
     }
 
     #[test]

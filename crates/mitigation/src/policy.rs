@@ -36,11 +36,6 @@ pub enum Decision {
 }
 
 impl Decision {
-    /// `true` when the request reaches the real application.
-    pub fn reaches_application(self) -> bool {
-        matches!(self, Decision::Allow | Decision::Challenge)
-    }
-
     /// The decision's label, e.g. `rate-limited` (its [`fmt::Display`]
     /// form, without allocating).
     pub const fn as_str(self) -> &'static str {
@@ -996,20 +991,6 @@ mod tests {
             )),
             Decision::RateLimited
         );
-    }
-
-    #[test]
-    fn decision_reaches_application() {
-        assert!(Decision::Allow.reaches_application());
-        assert!(Decision::Challenge.reaches_application());
-        for d in [
-            Decision::Block,
-            Decision::Honeypot,
-            Decision::RateLimited,
-            Decision::TierDenied,
-        ] {
-            assert!(!d.reaches_application());
-        }
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl IpAddress {
     pub const fn subnet24(self) -> IpAddress {
         IpAddress(self.0 & 0xFFFF_FF00)
     }
-
-    /// The containing /16 subnet's network address.
-    pub const fn subnet16(self) -> IpAddress {
-        IpAddress(self.0 & 0xFFFF_0000)
-    }
 }
 
 impl From<u32> for IpAddress {
@@ -160,7 +155,6 @@ mod tests {
     fn subnet_masks() {
         let ip = IpAddress::from_octets(203, 0, 113, 77);
         assert_eq!(ip.subnet24(), IpAddress::from_octets(203, 0, 113, 0));
-        assert_eq!(ip.subnet16(), IpAddress::from_octets(203, 0, 0, 0));
     }
 
     #[test]

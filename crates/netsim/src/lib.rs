@@ -14,8 +14,8 @@
 //!   (residential / datacenter / mobile) and range arithmetic.
 //! * [`geo`] — deterministic address-block → country allocation and lookup.
 //! * [`proxy`] — per-country residential proxy pools with finite exits,
-//!   churn, rotation, and per-request pricing (the attacker's cost driver in
-//!   the §V economics argument).
+//!   rotation, and per-request pricing (the attacker's cost driver in the §V
+//!   economics argument).
 //! * [`reputation`] — the defender's IP reputation ledger with score decay,
 //!   block thresholds, and /24-style subnet aggregation.
 //!

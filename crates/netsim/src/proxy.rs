@@ -6,9 +6,8 @@
 //! destination country — and (2) rotation. For the defender they are painful
 //! because blocking a residential /24 risks blocking real customers.
 //!
-//! [`ProxyPool`] models a finite per-country inventory of exits with churn
-//! (exits leave, new ones join) and per-request pricing, feeding the §V
-//! economics model.
+//! [`ProxyPool`] models a finite per-country inventory of exits with
+//! per-request pricing, feeding the §V economics model.
 
 use crate::geo::GeoDatabase;
 use crate::ip::{IpAddress, IpClass};
@@ -36,11 +35,6 @@ impl ProxyLease {
     /// The exit country.
     pub fn country(&self) -> CountryCode {
         self.country
-    }
-
-    /// When the lease started.
-    pub fn rented_at(&self) -> SimTime {
-        self.rented_at
     }
 
     /// What the lease cost the attacker.
@@ -71,7 +65,6 @@ pub struct ProxyPool {
     class: IpClass,
     price_per_lease: Money,
     total_spend: Money,
-    leases_granted: u64,
 }
 
 impl ProxyPool {
@@ -130,7 +123,6 @@ impl ProxyPool {
             class,
             price_per_lease,
             total_spend: Money::ZERO,
-            leases_granted: 0,
         }
     }
 
@@ -153,7 +145,6 @@ impl ProxyPool {
         }
         let ip = ips[rng.gen_range(0..ips.len())];
         self.total_spend += self.price_per_lease;
-        self.leases_granted += 1;
         Some(ProxyLease {
             ip,
             country,
@@ -180,41 +171,9 @@ impl ProxyPool {
         self.rent(country, now, rng)
     }
 
-    /// Simulates churn: a fraction of each country's exits is replaced by
-    /// fresh addresses drawn from the same blocks. Models consumer devices
-    /// going offline — and silently invalidates defender IP block-lists.
-    pub fn churn<R: Rng + ?Sized>(&mut self, geo: &GeoDatabase, fraction: f64, rng: &mut R) {
-        let fraction = fraction.clamp(0.0, 1.0);
-        let mut countries: Vec<CountryCode> = self.exits.keys().copied().collect();
-        countries.sort_unstable();
-        for country in countries {
-            let ips = self.exits.get_mut(&country).expect("key from same map");
-            let replace = ((ips.len() as f64) * fraction).round() as usize;
-            for _ in 0..replace {
-                if ips.is_empty() {
-                    break;
-                }
-                let victim = rng.gen_range(0..ips.len());
-                if let Some(fresh) = geo.sample_ip(country, self.class, rng) {
-                    ips[victim] = fresh;
-                }
-            }
-        }
-    }
-
-    /// Exits currently available in `country`.
-    pub fn inventory(&self, country: CountryCode) -> usize {
-        self.exits.get(&country).map_or(0, Vec::len)
-    }
-
     /// Total money spent on leases so far.
     pub fn total_spend(&self) -> Money {
         self.total_spend
-    }
-
-    /// Total leases granted so far.
-    pub fn leases_granted(&self) -> u64 {
-        self.leases_granted
     }
 }
 
@@ -249,7 +208,6 @@ mod tests {
         for _ in 0..10 {
             pool.rent(c, SimTime::ZERO, &mut rng).unwrap();
         }
-        assert_eq!(pool.leases_granted(), 10);
         assert_eq!(pool.total_spend(), Money::from_cents(600));
     }
 
@@ -259,7 +217,6 @@ mod tests {
         assert!(pool
             .rent(CountryCode::new("ZZ"), SimTime::ZERO, &mut rng)
             .is_none());
-        assert_eq!(pool.inventory(CountryCode::new("ZZ")), 0);
     }
 
     #[test]
@@ -271,20 +228,6 @@ mod tests {
             pool.rent_any(SimTime::ZERO, &mut rng).unwrap()
         };
         assert_eq!(lease_with_seed(7), lease_with_seed(7));
-    }
-
-    #[test]
-    fn churn_replaces_exits_within_country() {
-        let (geo, mut pool, mut rng) = setup();
-        let c = CountryCode::new("CN");
-        let before: Vec<IpAddress> = pool.exits[&c].clone();
-        pool.churn(&geo, 1.0, &mut rng);
-        let after = &pool.exits[&c];
-        assert_eq!(after.len(), before.len(), "churn preserves pool size");
-        assert_ne!(*after, before, "full churn changes the inventory");
-        for &ip in after {
-            assert_eq!(geo.country_of(ip), Some(c), "churned exits stay in-country");
-        }
     }
 
     #[test]

@@ -299,6 +299,37 @@ mod tests {
     }
 
     #[test]
+    fn a_far_future_report_neither_denies_forever_nor_reads_nan() {
+        let far = SimTime::from_millis(1 << 63);
+        let ip = IpAddress::from_octets(10, 9, 9, 9);
+        let neighbour = IpAddress::from_octets(10, 9, 9, 200);
+
+        // Abuse at the epoch, cleared at 2^63: the decay across the gap
+        // reaches zero instead of `inf`, so neither the IP nor its /24
+        // stays denied.
+        let mut l = ledger();
+        l.report(ip, 1.0, SimTime::ZERO);
+        l.report(ip, 0.0, far);
+        for now in [SimTime::from_hours(1), far + SimDuration::from_hours(1)] {
+            assert!(l.score(ip, now).is_finite());
+            assert!(l.subnet_score(neighbour, now).is_finite());
+            assert!(!l.is_denied(ip, now));
+            assert!(!l.is_denied(neighbour, now));
+        }
+
+        // A score-0 entry reported again at 2^63 stays a number, so later
+        // abuse still blocks it.
+        let mut l = ledger();
+        l.report(ip, 0.0, SimTime::ZERO);
+        l.report(ip, 0.0, far);
+        assert_eq!(l.score(ip, far), 0.0);
+        for _ in 0..10 {
+            l.report(ip, 1.0, far);
+        }
+        assert!(l.is_blocked(ip, far));
+    }
+
+    #[test]
     fn negative_weights_ignored() {
         let mut l = ledger();
         let ip = IpAddress::from_octets(10, 9, 9, 9);

@@ -135,17 +135,6 @@ impl Simulation {
         &self.app
     }
 
-    /// Mutable access to the app mid-setup.
-    pub fn app_mut(&mut self) -> &mut DefendedApp {
-        &mut self.app
-    }
-
-    /// The security team, if installed (e.g. to read review counts after a
-    /// run — take it before calling [`Simulation::run`]).
-    pub fn team(&self) -> Option<&SecurityTeam> {
-        self.team.as_ref().map(|(t, _)| t)
-    }
-
     /// Runs until `until` (inclusive of events at that instant), returning
     /// the finished app for inspection.
     pub fn run(mut self, until: SimTime) -> DefendedApp {

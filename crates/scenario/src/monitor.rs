@@ -79,14 +79,6 @@ impl HoldMonitor {
             window.iter().sum::<f64>() / window.len() as f64
         }
     }
-
-    /// The highest hold ratio observed.
-    pub fn peak_hold_ratio(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|(_, a)| a.hold_ratio())
-            .fold(0.0, f64::max)
-    }
 }
 
 impl Agent for HoldMonitor {
@@ -135,7 +127,6 @@ mod tests {
             ),
         ];
         assert!((m.mean_hold_ratio() - 0.25).abs() < 1e-12);
-        assert!((m.peak_hold_ratio() - 0.5).abs() < 1e-12);
         assert!(
             (m.mean_hold_ratio_between(SimTime::from_hours(2), SimTime::from_hours(3)) - 0.0).abs()
                 < 1e-12
@@ -151,6 +142,5 @@ mod tests {
             SimTime::from_days(1),
         );
         assert_eq!(m.mean_hold_ratio(), 0.0);
-        assert_eq!(m.peak_hold_ratio(), 0.0);
     }
 }

@@ -291,9 +291,8 @@ mod tests {
         use std::time::Duration;
 
         let mut p = StageProfiler::new();
-        let id = p.stage("detect.assess");
         for us in [10, 20, 30] {
-            p.record(id, Duration::from_micros(us));
+            p.record_named("detect.assess", Duration::from_micros(us));
         }
         let s = render_stage_table(&p.snapshot());
         assert!(s.contains("detect.assess"), "{s}");

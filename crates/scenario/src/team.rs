@@ -61,7 +61,6 @@ pub struct ReviewOutcome {
 pub struct SecurityTeam {
     config: TeamConfig,
     already_blocked: std::collections::HashSet<u64>,
-    reviews: u64,
 }
 
 impl SecurityTeam {
@@ -70,18 +69,11 @@ impl SecurityTeam {
         SecurityTeam {
             config,
             already_blocked: std::collections::HashSet::new(),
-            reviews: 0,
         }
-    }
-
-    /// Number of review passes run.
-    pub fn reviews(&self) -> u64 {
-        self.reviews
     }
 
     /// Runs one review pass over `app` at `now`.
     pub fn review(&mut self, app: &mut DefendedApp, now: SimTime) -> ReviewOutcome {
-        self.reviews += 1;
         let from = now - self.config.window;
         let mut outcome = ReviewOutcome::default();
 
@@ -252,7 +244,6 @@ mod tests {
                 .fingerprints_blocked,
             0
         );
-        assert_eq!(team.reviews(), 2);
     }
 
     #[test]

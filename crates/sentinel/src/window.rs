@@ -89,11 +89,6 @@ impl RateWindow {
         self.buckets.front().map(|&(start, _)| start)
     }
 
-    /// Start time of the newest retained bucket.
-    pub fn newest(&self) -> Option<SimTime> {
-        self.buckets.back().map(|&(start, _)| start)
-    }
-
     /// Number of retained buckets.
     pub fn len(&self) -> usize {
         self.buckets.len()

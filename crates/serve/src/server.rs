@@ -445,42 +445,21 @@ impl ServeState {
     /// sampling accounting, retained trace ids, and the spans themselves
     /// (optionally restricted to one trace).
     fn debug_traces(&self, req: &Request) -> Response {
-        use serde_json::Value;
-        let snapshot = self.telemetry.trace_snapshot();
-        let filter = query_param(&req.target, "trace_id")
-            .map(|raw| u64::from_str_radix(raw, 16).map_err(|_| raw));
-        let wanted = match filter {
+        let only = match query_param(&req.target, "trace_id") {
             None => None,
-            Some(Ok(id)) => Some(id),
-            Some(Err(raw)) => {
-                return Response::error(400, &format!("trace_id must be hex, got {raw:?}"))
-            }
+            Some(raw) => match u64::from_str_radix(raw, 16) {
+                Ok(id) => Some(id),
+                Err(_) => {
+                    return Response::error(400, &format!("trace_id must be hex, got {raw:?}"))
+                }
+            },
         };
-        let retained: Vec<Value> = snapshot
-            .request_trace_ids()
-            .iter()
-            .map(|id| Value::String(format!("{id:016x}")))
-            .collect();
-        let spans: Vec<&fg_telemetry::SpanRecord> = snapshot
-            .spans
-            .iter()
-            .filter(|s| wanted.is_none_or(|id| s.trace_id == id))
-            .collect();
-        let body = Value::Object(vec![
-            ("submitted".to_owned(), Value::UInt(snapshot.submitted)),
-            ("kept".to_owned(), Value::UInt(snapshot.kept)),
-            ("sampled_out".to_owned(), Value::UInt(snapshot.sampled_out)),
-            ("evicted".to_owned(), Value::UInt(snapshot.evicted)),
-            ("retained".to_owned(), Value::Array(retained)),
-            (
-                "spans".to_owned(),
-                serde_json::to_value(&spans).unwrap_or(Value::Null),
-            ),
-        ]);
-        match serde_json::to_string(&body) {
-            Ok(json) => Response::json(200, json.into_bytes()),
-            Err(e) => Response::error(500, &format!("serialize: {e}")),
-        }
+        // Written straight from the tracer, one span at a time: a copied
+        // snapshot and its JSON trees take about twelve times the body,
+        // which the allocator then keeps for whichever worker served it.
+        let mut body = String::new();
+        self.telemetry.tracer().write_json(only, &mut body);
+        Response::json(200, body.into_bytes())
     }
 
     /// `GET /debug/flightrecorder`: the rolling last-N request ring plus

@@ -237,6 +237,29 @@ mod tests {
                 })
                 .unwrap();
             assert_eq!(ack.reports, 1);
+
+            // Abuse reported at the epoch, then cleared at the far clock:
+            // the reputation decay across the gap must not read `inf`,
+            // which would deny the reported IP's whole /24 from then on.
+            let svc = service();
+            for (score, now_ms) in [(1.0, 0), (0.0, far_ms)] {
+                svc.report(&OutcomeReport {
+                    ip: req.ip,
+                    score,
+                    now_ms,
+                })
+                .unwrap();
+            }
+            let neighbour = WireRequest {
+                ip: IpAddress::from(req.ip.as_u32() ^ 1),
+                ..req.clone()
+            };
+            let decision = svc.decide(&neighbour);
+            assert!(
+                decision.signals.iter().all(|s| s.signal != "ip-reputation"),
+                "far_ms {far_ms}: {:?}",
+                decision.signals
+            );
         }
     }
 

@@ -138,11 +138,6 @@ impl Gateway {
         self.quota_window = window;
     }
 
-    /// Removes any quota.
-    pub fn clear_quota(&mut self) {
-        self.quota_per_window = None;
-    }
-
     /// Mutable access to the operator network (for §V carrier mitigations).
     pub fn network_mut(&mut self) -> &mut OperatorNetwork {
         &mut self.network

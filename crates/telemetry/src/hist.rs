@@ -142,28 +142,6 @@ impl Hist {
         self.count
     }
 
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Total of all recorded nanoseconds.
-    pub fn sum_nanos(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest recorded sample, exact (not bucketed).
-    pub fn max_nanos(&self) -> u64 {
-        self.max
-    }
-
-    /// Nearest-rank quantile in nanoseconds, reported at the bucket
-    /// midpoint — within [`RELATIVE_ERROR`] of the exact sample. `q` is in
-    /// `[0, 1]`; returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_dense(&*self.counts, self.count, self.max, q)
-    }
-
     /// Folds `other` in bucket-wise; exact (the result is as if `self` had
     /// recorded every sample of both).
     pub fn merge(&mut self, other: &Hist) {
@@ -191,24 +169,6 @@ impl Hist {
             max: self.max,
         }
     }
-}
-
-/// Nearest-rank walk over a dense bucket table.
-fn quantile_dense(counts: &[u64], count: u64, max: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = nearest_rank(count, q);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            // The top bucket's midpoint can overshoot the true maximum;
-            // clamp so quantiles never exceed the (exact) max.
-            return bucket_mid(i).min(max);
-        }
-    }
-    max
 }
 
 /// 1-based nearest rank for quantile `q` of `count` samples.
@@ -504,18 +464,20 @@ mod tests {
         for v in [0u64, 1, 5, 31] {
             h.record(v);
         }
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(1.0), 31);
+        let snap = h.snapshot();
+        assert_eq!(snap.quantile(0.0), 0);
+        assert_eq!(snap.quantile(1.0), 31);
         assert_eq!(h.count(), 4);
-        assert_eq!(h.sum_nanos(), 37);
+        assert_eq!(snap.sum, 37);
     }
 
     #[test]
     fn quantiles_clamp_to_exact_max() {
         let mut h = Hist::new();
         h.record(1_000_003);
-        assert_eq!(h.quantile(0.5), 1_000_003);
-        assert_eq!(h.quantile(1.0), 1_000_003);
+        let snap = h.snapshot();
+        assert_eq!(snap.quantile(0.5), 1_000_003);
+        assert_eq!(snap.quantile(1.0), 1_000_003);
     }
 
     #[test]
@@ -588,11 +550,12 @@ mod tests {
             for &s in &samples {
                 h.record(s);
             }
+            let snap = h.snapshot();
             let mut sorted = samples.clone();
             sorted.sort_unstable();
             for q in qs {
                 let exact = exact_nearest_rank(&sorted, q);
-                let reported = h.quantile(q);
+                let reported = snap.quantile(q);
                 let bound = (exact as f64 * RELATIVE_ERROR).max(0.5);
                 let err = (reported as f64 - exact as f64).abs();
                 prop_assert!(

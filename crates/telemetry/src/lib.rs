@@ -23,9 +23,9 @@
 //!    log-linear histograms ([`hist::Hist`]) whose p50/p95/p99 are within
 //!    1/64 of the exact values.
 //! 4. **Tracing** ([`trace`]) — deterministic, sim-time causal spans over
-//!    the decision path (fg-trace), with head+tail sampling and Chrome
-//!    trace-event / JSONL exporters. Off by default; when off, the only
-//!    hot-path cost is one relaxed atomic load.
+//!    the decision path (fg-trace), with head+tail sampling and a Chrome
+//!    trace-event exporter. Off by default; when off, the only hot-path
+//!    cost is one relaxed atomic load.
 //!
 //! [`export::TelemetrySnapshot`] serialises the first three as a JSON
 //! artifact, and metrics and stage latencies as Prometheus text
@@ -67,7 +67,7 @@ pub use trace::{AttrValue, RequestTrace, SpanRecord, TraceConfig, TraceSnapshot,
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default audit-trail capacity: generous enough that a two-week case-study
 /// run keeps every decision, bounded so memory stays predictable.
@@ -85,8 +85,9 @@ pub struct Telemetry {
     auditing: AtomicBool,
     profiler: Mutex<StageProfiler>,
     tracer: Mutex<Tracer>,
-    /// Mirrors `tracer.is_enabled()` so the tracing-off hot path pays one
-    /// relaxed load instead of a mutex acquisition.
+    /// Set by [`Telemetry::enable_tracing`] together with the tracer's
+    /// config, so the tracing-off hot path pays one relaxed load instead
+    /// of a mutex acquisition.
     tracing: AtomicBool,
 }
 
@@ -197,15 +198,6 @@ impl Telemetry {
         self.tracer().snapshot()
     }
 
-    /// Starts a timer that records into `stage` when dropped.
-    pub fn time(&self, stage: &'static str) -> StageTimer<'_> {
-        StageTimer {
-            telemetry: self,
-            stage,
-            start: Instant::now(),
-        }
-    }
-
     /// Captures metrics, stage latencies, and the audit trail at once.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -213,22 +205,6 @@ impl Telemetry {
             stages: self.profiler().snapshot(),
             audit: self.audit().snapshot(),
         }
-    }
-}
-
-/// RAII stage timer returned by [`Telemetry::time`]; records the elapsed
-/// wall-clock time into the profiler on drop.
-#[derive(Debug)]
-pub struct StageTimer<'a> {
-    telemetry: &'a Telemetry,
-    stage: &'static str,
-    start: Instant,
-}
-
-impl Drop for StageTimer<'_> {
-    fn drop(&mut self) {
-        self.telemetry
-            .record_stage(self.stage, self.start.elapsed());
     }
 }
 
@@ -240,9 +216,7 @@ mod tests {
     fn facade_wires_all_three_layers() {
         let t = Telemetry::with_audit_capacity(4);
         t.metrics().counter("fg_requests_total").inc();
-        {
-            let _timer = t.time("gate.total");
-        }
+        t.record_stage("gate.total", Duration::from_micros(5));
         t.record_audit(AuditRecord {
             at: fg_core::time::SimTime::from_secs(1),
             endpoint: "/search".to_owned(),

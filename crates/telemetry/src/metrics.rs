@@ -193,11 +193,6 @@ impl Latency {
         self.0.record_duration(elapsed);
     }
 
-    /// Records one latency sample given directly in nanoseconds.
-    pub fn record_nanos(&self, nanos: u64) {
-        self.0.record(nanos);
-    }
-
     /// Records a sample and offers `trace_id` as the exemplar for its
     /// latency band (ignored when `trace_id` is 0, the "no trace" value).
     /// Returns the trace id displaced from that band, or 0.

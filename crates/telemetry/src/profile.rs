@@ -12,10 +12,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Handle to a registered stage; indexes the profiler's stage table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StageId(usize);
-
 #[derive(Clone, Debug)]
 struct StageStats {
     name: String,
@@ -35,47 +31,29 @@ impl StageProfiler {
         StageProfiler::default()
     }
 
-    /// Registers (or fetches) a stage by name.
-    pub fn stage(&mut self, name: &str) -> StageId {
-        if let Some(&i) = self.index.get(name) {
-            return StageId(i);
-        }
-        let i = self.stages.len();
-        self.stages.push(StageStats {
-            name: name.to_owned(),
-            nanos: Hist::new(),
-        });
-        self.index.insert(name.to_owned(), i);
-        StageId(i)
-    }
-
-    /// Records one latency sample for a pre-registered stage.
-    pub fn record(&mut self, id: StageId, elapsed: Duration) {
-        self.stages[id.0].nanos.record_duration(elapsed);
-    }
-
-    /// Records one latency sample, registering the stage if needed.
+    /// Records one latency sample, registering `name` as a stage on its
+    /// first sample.
     pub fn record_named(&mut self, name: &str, elapsed: Duration) {
-        let id = self.stage(name);
-        self.record(id, elapsed);
+        let stage = match self.index.get(name) {
+            Some(&i) => self.stages.get_mut(i),
+            None => {
+                self.index.insert(name.to_owned(), self.stages.len());
+                self.stages.push(StageStats {
+                    name: name.to_owned(),
+                    nanos: Hist::new(),
+                });
+                self.stages.last_mut()
+            }
+        };
+        if let Some(stage) = stage {
+            stage.nanos.record_duration(elapsed);
+        }
     }
 
-    /// Number of registered stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// `true` if no stage is registered.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
-    /// Per-stage latency statistics, in registration order. Stages that
-    /// never recorded a sample are skipped.
+    /// Per-stage latency statistics, in registration order.
     pub fn snapshot(&self) -> Vec<StageSnapshot> {
         self.stages
             .iter()
-            .filter(|s| !s.nanos.is_empty())
             .map(|s| StageSnapshot::from_hist(s.name.clone(), s.nanos.snapshot()))
             .collect()
     }
@@ -152,18 +130,18 @@ mod tests {
     #[test]
     fn stages_register_idempotently() {
         let mut p = StageProfiler::new();
-        let a = p.stage("detect.assess");
-        let b = p.stage("detect.assess");
-        assert_eq!(a, b);
-        assert_eq!(p.len(), 1);
+        p.record_named("detect.assess", Duration::from_micros(3));
+        p.record_named("detect.assess", Duration::from_micros(4));
+        let snap = p.snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap[0].count, 2);
     }
 
     #[test]
     fn percentiles_come_from_recorded_samples() {
         let mut p = StageProfiler::new();
-        let id = p.stage("policy.decide");
         for us in 1..=100u64 {
-            p.record(id, Duration::from_micros(us));
+            p.record_named("policy.decide", Duration::from_micros(us));
         }
         let snap = p.snapshot();
         assert_eq!(snap.len(), 1);
@@ -186,9 +164,8 @@ mod tests {
     fn memory_is_bounded_regardless_of_sample_count() {
         // The old Summary retained every sample; the histogram must not.
         let mut p = StageProfiler::new();
-        let id = p.stage("detect.assess");
         for i in 0..200_000u64 {
-            p.record(id, Duration::from_nanos(100 + i % 1000));
+            p.record_named("detect.assess", Duration::from_nanos(100 + i % 1000));
         }
         let snap = p.snapshot();
         assert_eq!(snap[0].count, 200_000);
@@ -196,15 +173,5 @@ mod tests {
             snap[0].hist.buckets.len() <= crate::hist::BUCKET_COUNT,
             "sparse form bounded by the fixed table"
         );
-    }
-
-    #[test]
-    fn empty_stages_are_omitted_from_snapshots() {
-        let mut p = StageProfiler::new();
-        let _never_recorded = p.stage("gate.captcha");
-        p.record_named("detect.assess", Duration::from_micros(3));
-        let snap = p.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].stage, "detect.assess");
     }
 }

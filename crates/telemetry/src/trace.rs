@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Default probability of keeping an `allow`-decision trace: 1/32. Exact in
 /// binary, so the keep/drop threshold arithmetic has no rounding surprises.
@@ -156,7 +156,8 @@ impl From<bool> for AttrValue {
 /// One in-flight request trace, built inside `DefendedApp::gate` and handed
 /// to [`Tracer::submit`] with the final decision. Names, keys and labels
 /// are `&'static str` and values stay [`AttrValue`]s, so building a trace
-/// formats nothing; [`Tracer::snapshot`] formats the traces it exports.
+/// formats nothing; [`Tracer::snapshot`] and [`Tracer::write_json`] format
+/// the traces they export.
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
     trace_id: u64,
@@ -232,71 +233,224 @@ impl RequestTrace {
         self.decision = decision;
     }
 
-    /// Flattens into exportable spans: the request root spanning its
-    /// children, each stage at a deterministic 1 µs logical offset.
-    fn to_spans(&self) -> Vec<SpanRecord> {
-        let t0 = self.at.as_millis() * 1_000;
-        let n = self.stages.len() as u64;
-        let span_id = |idx: u64| match splitmix64(self.trace_id ^ (idx + 1)) {
+    /// The id of span `handle` (0 is the request root); never 0, which
+    /// marks "no parent".
+    fn span_id(&self, handle: usize) -> u64 {
+        match splitmix64(self.trace_id ^ (handle as u64 + 1)) {
             0 => 1,
             id => id,
-        };
-        let root_id = span_id(0);
-        let mut out = Vec::with_capacity(self.stages.len() + 1);
-        out.push(SpanRecord {
-            trace_id: self.trace_id,
-            span_id: root_id,
-            parent_id: 0,
-            name: format!("request {}", self.endpoint),
-            session: self.session,
-            start_us: t0,
-            dur_us: n + 2,
-            attrs: vec![
-                ("endpoint".to_owned(), self.endpoint.to_owned()),
-                ("decision".to_owned(), self.decision.to_owned()),
-            ],
-        });
-        for (i, &(parent, name)) in self.stages.iter().enumerate() {
-            let handle = i + 1;
-            out.push(SpanRecord {
-                trace_id: self.trace_id,
-                span_id: span_id(handle as u64),
-                parent_id: if parent == 0 {
-                    root_id
-                } else {
-                    span_id(parent as u64)
-                },
-                name: name.to_owned(),
-                session: self.session,
-                // Child stages sit inside their parent stage's slot: the
-                // layout is one slot per stage in record order, nested
-                // stages borrowing the tail of the parent's microsecond.
-                start_us: t0 + handle as u64,
-                dur_us: 1,
-                attrs: self
-                    .attrs
-                    .iter()
-                    .filter(|(stage, _, _)| *stage == handle)
-                    .map(|(_, key, value)| ((*key).to_owned(), value.to_string()))
-                    .collect(),
-            });
         }
-        // Widen parent stages over their children so Chrome-trace viewers
-        // nest by containment. Children immediately follow their parent in
-        // record order, so extend each parent's duration to cover the last
-        // descendant slot.
-        for i in (0..self.stages.len()).rev() {
-            let (parent, _) = self.stages[i];
-            if parent > 0 {
-                let child_end = out[i + 1].start_us + out[i + 1].dur_us;
-                let p = &mut out[parent];
-                let p_end = p.start_us + p.dur_us;
-                if child_end > p_end {
-                    p.dur_us = child_end - p.start_us;
+    }
+
+    /// The numeric fields of span `handle`, 0 being the request root. Each
+    /// stage takes one deterministic 1 µs slot in record order and widens
+    /// over the slots of the stages nested under it, so Chrome-trace
+    /// viewers nest by containment; the root spans every slot.
+    fn span_head(&self, handle: usize) -> SpanHead {
+        let (parent_id, dur_us) = match handle.checked_sub(1).and_then(|i| self.stages.get(i)) {
+            None => (0, self.stages.len() as u64 + 2),
+            Some(&(parent, _)) => {
+                let last = (handle + 1..=self.stages.len())
+                    .rfind(|&d| self.nests_under(d, handle))
+                    .unwrap_or(handle);
+                (self.span_id(parent), (last - handle) as u64 + 1)
+            }
+        };
+        SpanHead {
+            trace_id: self.trace_id,
+            span_id: self.span_id(handle),
+            parent_id,
+            session: self.session,
+            // Saturating: `at` is the caller's clock, which may be any u64.
+            start_us: self
+                .at
+                .as_millis()
+                .saturating_mul(1_000)
+                .saturating_add(handle as u64),
+            dur_us,
+        }
+    }
+
+    /// Whether stage `handle` is nested, at any depth, under stage
+    /// `ancestor`.
+    fn nests_under(&self, mut handle: usize, ancestor: usize) -> bool {
+        while handle > ancestor {
+            match self.stages.get(handle - 1) {
+                // A parent always precedes its child; checking it keeps a
+                // malformed parent from looping.
+                Some(&(parent, _)) if parent < handle => handle = parent,
+                _ => return false,
+            }
+        }
+        handle == ancestor
+    }
+}
+
+/// An exported span's numeric fields.
+#[derive(Clone, Copy, Debug)]
+struct SpanHead {
+    trace_id: u64,
+    span_id: u64,
+    parent_id: u64,
+    session: u64,
+    start_us: u64,
+    dur_us: u64,
+}
+
+/// Where an exported span comes from. The tracer sorts sources and formats
+/// a span's name and attributes only as it writes that span, so an export
+/// never holds every span formatted at once.
+#[derive(Clone, Copy, Debug)]
+enum SpanSource<'a> {
+    /// Span `handle` of a retained request trace; handle 0 is the request
+    /// root.
+    Request(&'a RequestTrace, usize),
+    /// The root span of one session's retained requests, over
+    /// `[start, end)` µs.
+    Session { session: u64, start: u64, end: u64 },
+    /// A span from the auxiliary ring.
+    Aux(&'a SpanRecord),
+}
+
+impl<'a> SpanSource<'a> {
+    fn head(&self) -> SpanHead {
+        match *self {
+            SpanSource::Request(trace, handle) => trace.span_head(handle),
+            SpanSource::Session {
+                session,
+                start,
+                end,
+            } => {
+                let id = fg_core::hash::trace_id(session, 0);
+                SpanHead {
+                    trace_id: id,
+                    span_id: id,
+                    parent_id: 0,
+                    session,
+                    start_us: start,
+                    dur_us: end - start,
+                }
+            }
+            SpanSource::Aux(span) => SpanHead {
+                trace_id: span.trace_id,
+                span_id: span.span_id,
+                parent_id: span.parent_id,
+                session: span.session,
+                start_us: span.start_us,
+                dur_us: span.dur_us,
+            },
+        }
+    }
+
+    fn name(&self) -> Cow<'a, str> {
+        match *self {
+            SpanSource::Request(trace, 0) => Cow::Owned(format!("request {}", trace.endpoint)),
+            SpanSource::Request(trace, handle) => {
+                Cow::Borrowed(trace.stages.get(handle - 1).map_or("", |&(_, name)| name))
+            }
+            SpanSource::Session { session, .. } => Cow::Owned(format!("session c{session}")),
+            SpanSource::Aux(span) => Cow::Borrowed(&span.name),
+        }
+    }
+
+    /// Calls `f` on each attribute, in export order.
+    fn attrs(&self, mut f: impl FnMut(&str, &dyn fmt::Display)) {
+        match *self {
+            SpanSource::Request(trace, 0) => {
+                f("endpoint", &trace.endpoint);
+                f("decision", &trace.decision);
+            }
+            SpanSource::Request(trace, handle) => {
+                for (_, key, value) in trace.attrs.iter().filter(|(stage, _, _)| *stage == handle) {
+                    f(key, value);
+                }
+            }
+            SpanSource::Session { session, .. } => f("client", &format!("c{session}")),
+            SpanSource::Aux(span) => {
+                for (key, value) in &span.attrs {
+                    f(key, value);
                 }
             }
         }
-        out
+    }
+
+    /// The span with its name and attributes formatted.
+    fn record(&self, head: &SpanHead) -> SpanRecord {
+        let mut attrs = Vec::new();
+        self.attrs(|key, value| attrs.push((key.to_owned(), value.to_string())));
+        SpanRecord {
+            trace_id: head.trace_id,
+            span_id: head.span_id,
+            parent_id: head.parent_id,
+            name: self.name().into_owned(),
+            session: head.session,
+            start_us: head.start_us,
+            dur_us: head.dur_us,
+            attrs,
+        }
+    }
+
+    /// Appends the span to `out` as the JSON `serde_json` writes for its
+    /// [`SpanRecord`], without building the record.
+    fn write_json(&self, head: &SpanHead, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"trace_id\":{},\"span_id\":{},\"parent_id\":{},\"name\":",
+            head.trace_id, head.span_id, head.parent_id
+        );
+        push_json_string(out, self.name());
+        let _ = write!(
+            out,
+            ",\"session\":{},\"start_us\":{},\"dur_us\":{},\"attrs\":[",
+            head.session, head.start_us, head.dur_us
+        );
+        let mut first = true;
+        self.attrs(|key, value| {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            out.push('[');
+            push_json_string(out, key);
+            out.push(',');
+            push_json_string(out, value);
+            out.push(']');
+        });
+        out.push_str("]}");
+    }
+}
+
+/// Appends `text` to `out` as a JSON string, escaped as `serde_json`
+/// escapes strings.
+fn push_json_string(out: &mut String, text: impl fmt::Display) {
+    out.push('"');
+    let _ = write!(JsonEscape(out), "{text}");
+    out.push('"');
+}
+
+/// Escapes what is written through it into the wrapped string.
+struct JsonEscape<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscape<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            self.0.push_str(s);
+            return Ok(());
+        }
+        for c in s.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                '\n' => self.0.push_str("\\n"),
+                '\t' => self.0.push_str("\\t"),
+                '\r' => self.0.push_str("\\r"),
+                '\u{8}' => self.0.push_str("\\b"),
+                '\u{c}' => self.0.push_str("\\f"),
+                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.push(c),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -388,17 +542,6 @@ impl TraceSnapshot {
             ("otherData".to_owned(), Value::Object(other)),
         ])
     }
-
-    /// Renders the export as compact JSONL: one span object per line, in
-    /// export order — the streaming-friendly form for external tooling.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            out.push_str(&serde_json::to_string(span).expect("spans serialize cleanly"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// The deterministic span tracer: head+tail sampling over submitted request
@@ -433,11 +576,6 @@ impl Tracer {
     /// Turns tracing on with the given config.
     pub fn enable(&mut self, config: TraceConfig) {
         self.config = Some(config);
-    }
-
-    /// Whether tracing is on.
-    pub fn is_enabled(&self) -> bool {
-        self.config.is_some()
     }
 
     /// Marks a session as sentinel-correlated: its traces bypass the
@@ -533,18 +671,21 @@ impl Tracer {
         self.retained().map(|t| t.trace_id).collect()
     }
 
-    /// Exports every retained span: per-session root spans bracketing each
-    /// session's retained requests, the request/stage spans, and the
-    /// auxiliary ring — sorted by `(start_us, trace_id, span_id)`.
-    pub fn snapshot(&self) -> TraceSnapshot {
-        let mut spans: Vec<SpanRecord> = Vec::new();
-        // Session roots: one per client with retained traces, spanning the
-        // first request's start to the last request's end.
+    /// Traces the sampler kept: those retained plus those evicted since.
+    fn kept(&self) -> u64 {
+        self.retained().count() as u64 + self.evicted
+    }
+
+    /// Every retained span, unformatted: the request and stage spans, one
+    /// root per session bracketing its retained requests from the first
+    /// one's start to the last one's end, and the auxiliary ring — sorted
+    /// by `(start_us, trace_id, span_id)`.
+    fn export(&self) -> Vec<(SpanHead, SpanSource<'_>)> {
         let mut sessions: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let mut request_spans = 0;
         for trace in self.retained() {
-            let request_spans = trace.to_spans();
-            let start = request_spans[0].start_us;
-            let end = start + request_spans[0].dur_us;
+            let root = trace.span_head(0);
+            let (start, end) = (root.start_us, root.start_us.saturating_add(root.dur_us));
             sessions
                 .entry(trace.session)
                 .and_modify(|(s, e)| {
@@ -552,34 +693,79 @@ impl Tracer {
                     *e = (*e).max(end);
                 })
                 .or_insert((start, end));
-            spans.extend(request_spans);
+            request_spans += trace.stages.len() + 1;
         }
-        for (&session, &(start, end)) in &sessions {
-            let root_trace = fg_core::hash::trace_id(session, 0);
-            spans.push(SpanRecord {
-                trace_id: root_trace,
-                span_id: root_trace,
-                parent_id: 0,
-                name: format!("session c{session}"),
-                session,
-                start_us: start,
-                dur_us: end - start,
-                attrs: vec![("client".to_owned(), format!("c{session}"))],
-            });
-        }
-        spans.extend(self.aux.iter().cloned());
-        spans.sort_by(|a, b| {
-            (a.start_us, a.trace_id, a.span_id).cmp(&(b.start_us, b.trace_id, b.span_id))
-        });
-        let kept = self.retained().count() as u64 + self.evicted;
+        let mut spans = Vec::with_capacity(request_spans + sessions.len() + self.aux.len());
+        let sources = self
+            .retained()
+            .flat_map(|trace| {
+                (0..=trace.stages.len()).map(move |handle| SpanSource::Request(trace, handle))
+            })
+            .chain(
+                sessions
+                    .into_iter()
+                    .map(|(session, (start, end))| SpanSource::Session {
+                        session,
+                        start,
+                        end,
+                    }),
+            )
+            .chain(self.aux.iter().map(SpanSource::Aux));
+        spans.extend(sources.map(|source| (source.head(), source)));
+        spans.sort_by_key(|(head, _)| (head.start_us, head.trace_id, head.span_id));
+        spans
+    }
+
+    /// Exports every retained span, sorted by `(start_us, trace_id,
+    /// span_id)`, with the sampling and retention accounting.
+    pub fn snapshot(&self) -> TraceSnapshot {
         TraceSnapshot {
             submitted: self.submitted,
-            kept,
+            kept: self.kept(),
             sampled_out: self.sampled_out,
             evicted: self.evicted,
             aux_dropped: self.aux_dropped,
-            spans,
+            spans: self
+                .export()
+                .iter()
+                .map(|(head, source)| source.record(head))
+                .collect(),
         }
+    }
+
+    /// Appends the export to `out` as one JSON object: `submitted`, `kept`,
+    /// `sampled_out` and `evicted` as in [`Tracer::snapshot`], `retained`
+    /// (the retained request trace ids as 16 hex digits, ascending) and
+    /// `spans`, every one or only those of trace `only`, each serialised
+    /// as its [`SpanRecord`]. Spans are formatted straight into `out`, one
+    /// at a time, so the export needs little memory beyond `out` itself.
+    pub fn write_json(&self, only: Option<u64>, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"submitted\":{},\"kept\":{},\"sampled_out\":{},\"evicted\":{},\"retained\":[",
+            self.submitted,
+            self.kept(),
+            self.sampled_out,
+            self.evicted
+        );
+        for (i, id) in self.retained_ids().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{id:016x}\"");
+        }
+        out.push_str("],\"spans\":[");
+        let mut first = true;
+        for (head, source) in &self.export() {
+            if only.is_none_or(|id| head.trace_id == id) {
+                if !first {
+                    out.push(',');
+                }
+                first = false;
+                source.write_json(head, out);
+            }
+        }
+        out.push_str("]}");
     }
 }
 
@@ -608,6 +794,16 @@ mod tests {
         let mut tr = Tracer::new();
         tr.enable(TraceConfig::default());
         tr
+    }
+
+    /// One request trace's spans, root first, as the export formats them.
+    fn spans_of(t: &RequestTrace) -> Vec<SpanRecord> {
+        (0..=t.stages.len())
+            .map(|handle| {
+                let source = SpanSource::Request(t, handle);
+                source.record(&source.head())
+            })
+            .collect()
     }
 
     #[test]
@@ -748,7 +944,7 @@ mod tests {
 
     #[test]
     fn spans_nest_inside_the_request_root() {
-        let spans = trace(9, 1, "challenge").to_spans();
+        let spans = spans_of(&trace(9, 1, "challenge"));
         assert_eq!(spans.len(), 4, "root + assess + signal + policy");
         let root = &spans[0];
         assert!(root.name.starts_with("request "));
@@ -788,7 +984,7 @@ mod tests {
         );
         t.attr(span + 1, "dropped", "no such stage");
         t.finish("rate-limited");
-        let spans = t.to_spans();
+        let spans = spans_of(&t);
         let owned = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
             pairs
                 .iter()
@@ -835,6 +1031,144 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(sorted, expected, "spans sorted by start time");
         assert_eq!(tr.snapshot(), snap, "snapshot is a pure read");
+    }
+
+    #[test]
+    fn far_future_request_clocks_export_without_overflow() {
+        let mut tr = enabled();
+        let mut t = RequestTrace::new(5, 1, "/search", SimTime::from_millis(u64::MAX));
+        t.stage("detect.assess");
+        t.finish("block");
+        tr.submit(t);
+        let snap = tr.snapshot();
+        assert_eq!(snap.spans.len(), 3, "request, stage and session root");
+        assert!(snap.spans.iter().all(|s| s.start_us == u64::MAX));
+        let mut written = String::new();
+        tr.write_json(None, &mut written);
+        assert!(written.contains(&format!("\"start_us\":{}", u64::MAX)));
+    }
+
+    #[test]
+    fn stages_widen_over_every_nested_stage() {
+        // Stage trees with deep nesting, a parent that regains a child
+        // after a sibling stage, and flat stages.
+        let shapes: [&[usize]; 5] = [
+            &[],
+            &[0, 0, 0],
+            &[0, 1, 2, 0, 4],
+            &[0, 1, 0, 1, 3, 2],
+            &[0, 1, 1, 3, 0, 5, 1],
+        ];
+        for parents in shapes {
+            let mut t = RequestTrace::new(7, 7, "/search", SimTime::from_secs(2));
+            for &parent in parents {
+                if parent == 0 {
+                    t.stage("s");
+                } else {
+                    t.child(parent, "c");
+                }
+            }
+            // Reference: one reverse pass, each child extending its
+            // parent's end to its own (already widened) end.
+            let mut end: Vec<u64> = (0..=parents.len() as u64).map(|h| h + 1).collect();
+            end[0] = parents.len() as u64 + 2;
+            for (i, &parent) in parents.iter().enumerate().rev() {
+                if parent > 0 {
+                    end[parent] = end[parent].max(end[i + 1]);
+                }
+            }
+            let t0 = SimTime::from_secs(2).as_millis() * 1_000;
+            for (handle, span) in spans_of(&t).iter().enumerate() {
+                assert_eq!(
+                    span.start_us,
+                    t0 + handle as u64,
+                    "{parents:?} start {handle}"
+                );
+                assert_eq!(
+                    span.start_us + span.dur_us,
+                    t0 + end[handle],
+                    "{parents:?} end {handle}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn written_json_equals_the_serialised_snapshot() {
+        let mut tr = Tracer::new();
+        tr.enable(TraceConfig {
+            allow_sample_rate: 1.0,
+            capacity: 3,
+            aux_capacity: 4,
+        });
+        let cited = fg_core::hash::trace_id(4, 1);
+        tr.cite(cited, 0);
+        tr.pin_session(5);
+        for (session, seq, decision) in [(4, 1, "block"), (2, 1, "allow"), (5, 3, "allow")] {
+            tr.submit(trace(session, seq, decision));
+        }
+        // Same millisecond as session 2's request, so their spans
+        // interleave; attribute text that needs escaping.
+        let mut odd = RequestTrace::new(
+            fg_core::hash::trace_id(3, 1),
+            3,
+            "/booking/hold",
+            SimTime::from_secs(1),
+        );
+        let stage = odd.stage("serve.http");
+        odd.attr(
+            stage,
+            "quote",
+            String::from("a \"b\" \\ c\n\t\r\u{8}\u{c}\u{1} é ✓"),
+        );
+        odd.attr(stage, "score", AttrValue::Float3(0.5));
+        odd.finish("challenge");
+        tr.submit(odd);
+        tr.submit(trace(6, 2, "block"));
+        tr.record_aux(SpanRecord {
+            trace_id: fg_core::hash::trace_id(u64::MAX, 1),
+            span_id: 1,
+            parent_id: 0,
+            name: "sentinel.evaluate".to_owned(),
+            session: 0,
+            start_us: 1_000_000,
+            dur_us: 1,
+            attrs: vec![("k\"".to_owned(), "v\u{7f}".to_owned())],
+        });
+
+        let snap = tr.snapshot();
+        assert_eq!(snap.evicted, 1, "one trace evicted, the cited one held");
+        let serialised = |only: Option<u64>| {
+            let retained = snap
+                .request_trace_ids()
+                .iter()
+                .map(|id| Value::String(format!("{id:016x}")))
+                .collect();
+            let spans: Vec<&SpanRecord> = snap
+                .spans
+                .iter()
+                .filter(|s| only.is_none_or(|id| s.trace_id == id))
+                .collect();
+            serde_json::to_string(&Value::Object(vec![
+                ("submitted".to_owned(), Value::UInt(snap.submitted)),
+                ("kept".to_owned(), Value::UInt(snap.kept)),
+                ("sampled_out".to_owned(), Value::UInt(snap.sampled_out)),
+                ("evicted".to_owned(), Value::UInt(snap.evicted)),
+                ("retained".to_owned(), Value::Array(retained)),
+                ("spans".to_owned(), serde_json::to_value(&spans).unwrap()),
+            ]))
+            .unwrap()
+        };
+        for only in [
+            None,
+            Some(cited),
+            Some(fg_core::hash::trace_id(3, 1)),
+            Some(1),
+        ] {
+            let mut written = String::new();
+            tr.write_json(only, &mut written);
+            assert_eq!(written, serialised(only), "only {only:?}");
+        }
     }
 
     #[test]
@@ -892,18 +1226,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn jsonl_round_trips_spans() {
-        let mut tr = enabled();
-        tr.submit(trace(4, 1, "challenge"));
-        let snap = tr.snapshot();
-        let jsonl = snap.to_jsonl();
-        let back: Vec<SpanRecord> = jsonl
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert_eq!(back, snap.spans);
     }
 }
