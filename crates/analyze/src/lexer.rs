@@ -20,8 +20,6 @@
 //!   distinguished; operator gluing is not (multi-char operators come out
 //!   as adjacent `Punct` tokens, which the consumers re-associate).
 
-use std::ops::Range;
-
 /// What a token is. Coarse on purpose: the passes match identifier text and
 /// structure, not expression grammar.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,11 +59,6 @@ impl Token {
     /// The token's text within `src` (the same string passed to [`lex`]).
     pub fn text<'s>(&self, src: &'s str) -> &'s str {
         &src[self.start..self.end]
-    }
-
-    /// The byte span as a range.
-    pub fn span(&self) -> Range<usize> {
-        self.start..self.end
     }
 }
 

@@ -47,6 +47,14 @@ pub mod lints {
 }
 
 /// Crates whose behaviour must be a pure function of the seed.
+///
+/// The other workspace crates are exempt from the determinism and hashing
+/// lints: telemetry and benchmarking measure wall-clock by design, the
+/// analyzer itself names the forbidden patterns, and the serving layer
+/// (`serve`) is where determinism deliberately stops — request latency,
+/// socket timeouts, and drain deadlines are wall-clock phenomena, while
+/// every decision it returns still comes from the deterministic core
+/// underneath. (`#![forbid(unsafe_code)]` still applies to all of them.)
 pub const DETERMINISM_CRITICAL: &[&str] = &[
     "behavior",
     "core",
@@ -61,15 +69,6 @@ pub const DETERMINISM_CRITICAL: &[&str] = &[
 
 /// Crates where `fg_core::hash` is mandated for map-heavy request paths.
 pub const HOT_PATH: &[&str] = &["detection", "mitigation"];
-
-/// Workspace crates exempt from the determinism and hashing lints: telemetry
-/// and benchmarking measure wall-clock by design, the analyzer itself names
-/// the forbidden patterns, and the serving layer (`serve`) is where
-/// determinism deliberately stops — request latency, socket timeouts, and
-/// drain deadlines are wall-clock phenomena, while every decision it returns
-/// still comes from the deterministic core underneath.
-/// (`#![forbid(unsafe_code)]` still applies to all of them.)
-pub const EXEMPT: &[&str] = &["analyze", "bench", "serve", "telemetry"];
 
 /// The per-lint pattern classes shared with the taint pass ([`crate::taint`]),
 /// which uses them both to seed direct taint and to verify that inline allow

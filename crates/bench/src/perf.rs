@@ -391,11 +391,6 @@ impl ComparisonReport {
         self.rows.iter().any(|r| r.status.is_failure())
     }
 
-    /// Rows that fail the gate.
-    pub fn failures(&self) -> Vec<&MetricComparison> {
-        self.rows.iter().filter(|r| r.status.is_failure()).collect()
-    }
-
     /// Renders a fixed-width text table plus a verdict line.
     pub fn render(&self) -> String {
         let mut out = String::new();

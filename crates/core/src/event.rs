@@ -73,14 +73,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-        }
-    }
-
     /// Schedules `payload` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
@@ -106,21 +98,6 @@ impl<E> EventQueue<E> {
         } else {
             None
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -165,7 +142,7 @@ mod tests {
             Some("early")
         );
         assert_eq!(q.pop_before(SimTime::from_secs(5)), None);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
     }
 
     #[test]
@@ -173,16 +150,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(4), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(4), ())));
     }
 
     proptest! {

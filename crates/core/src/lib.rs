@@ -26,7 +26,6 @@
 //!   per-event keyed maps on the request path.
 //! * [`shard`] — shard-per-core partitioning ([`ShardedStore`]) for those
 //!   keyed maps, plus the [`ConcurrencyMode`] selecting it.
-//! * [`error`] — the shared error type hierarchy.
 //!
 //! # Example
 //!
@@ -46,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod event;
 pub mod hash;
 pub mod ids;
@@ -56,7 +54,6 @@ pub mod shard;
 pub mod stats;
 pub mod time;
 
-pub use error::CoreError;
 pub use event::EventQueue;
 pub use ids::{BookingRef, ClientId, CountryCode, FlightId, PhoneNumber, SessionId};
 pub use money::Money;

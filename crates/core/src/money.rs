@@ -61,11 +61,6 @@ impl Money {
         Money(micros)
     }
 
-    /// Raw micro-units.
-    pub const fn as_micros(self) -> i64 {
-        self.0
-    }
-
     /// Value as fractional currency units.
     pub fn as_f64(self) -> f64 {
         self.0 as f64 / MICROS as f64
@@ -84,11 +79,6 @@ impl Money {
     /// Multiplies by a float factor, rounding to the nearest micro.
     pub fn mul_f64(self, k: f64) -> Money {
         Money((self.0 as f64 * k).round() as i64)
-    }
-
-    /// Saturating addition (ledgers must never wrap).
-    pub fn saturating_add(self, rhs: Money) -> Money {
-        Money(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -201,17 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn saturating_add_does_not_wrap() {
-        let max = Money::from_micros(i64::MAX);
-        assert_eq!(max.saturating_add(Money::from_units(1)), max);
-    }
-
-    #[test]
     fn all_arithmetic_saturates_at_the_rails() {
         let max = Money::from_micros(i64::MAX);
         let min = Money::from_micros(i64::MIN);
         let one = Money::from_units(1);
-        // Operators, not just the named saturating_add.
+        // Every operator saturates, so ledgers never wrap.
         assert_eq!(max + one, max);
         assert_eq!(min - one, min);
         assert_eq!(max * 2i64, max);

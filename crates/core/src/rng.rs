@@ -63,11 +63,6 @@ impl SeedFork {
     pub fn rng_indexed(self, label: &str, index: u64) -> StdRng {
         StdRng::seed_from_u64(self.seed_indexed(label, index))
     }
-
-    /// A sub-fork rooted at `label`, for hierarchical seed derivation.
-    pub fn fork(self, label: &str) -> SeedFork {
-        SeedFork::new(self.seed(label))
-    }
 }
 
 /// SplitMix64 finalizer. Public within the crate family because the
@@ -110,13 +105,6 @@ mod tests {
         let a: u64 = f.rng("stream").gen();
         let b: u64 = f.rng("stream").gen();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fork_is_hierarchical() {
-        let f = SeedFork::new(5);
-        assert_eq!(f.fork("child").seed("leaf"), f.fork("child").seed("leaf"));
-        assert_ne!(f.fork("child").seed("leaf"), f.seed("leaf"));
     }
 
     #[test]

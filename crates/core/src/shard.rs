@@ -12,7 +12,7 @@
 //! Two properties make the partitioning safe for the reproduction harness:
 //!
 //! * **Shard-count independence of aggregates.** Summing per-shard counters
-//!   (grants, rejections, tracked keys) in shard-index order is
+//!   (tracked keys, evidence entries) in shard-index order is
 //!   order-insensitive for the integer totals the telemetry layer exports,
 //!   so a 4-shard store replayed single-threaded reports byte-identical
 //!   results to a 1-shard store (guarded by
@@ -31,11 +31,11 @@
 //! use fg_core::shard::ShardedStore;
 //!
 //! let mut store: ShardedStore<u64, Vec<u64>> = ShardedStore::new(4, |_| Vec::new());
-//! assert_eq!(store.shard_count(), 4);
+//! assert_eq!(store.shards_mut().len(), 4);
 //! for key in 0..100u64 {
 //!     store.shard_mut(&key).push(key);
 //! }
-//! let total: usize = store.shards().iter().map(Vec::len).sum();
+//! let total = store.fold(0, |n, shard| n + shard.len());
 //! assert_eq!(total, 100);
 //! // A key's shard is stable: re-lookup finds what was stored.
 //! assert!(store.shard(&7).contains(&7));
@@ -110,11 +110,6 @@ impl<K: Hash, V> ShardedStore<K, V> {
         }
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard index owning `key` — a pure function of the key and the
     /// shard count, identical across runs and processes.
     #[inline]
@@ -135,11 +130,6 @@ impl<K: Hash, V> ShardedStore<K, V> {
     pub fn shard_mut(&mut self, key: &K) -> &mut V {
         let idx = self.shard_index(key);
         &mut self.shards[idx]
-    }
-
-    /// All shards in index order (aggregate reads sum over this).
-    pub fn shards(&self) -> &[V] {
-        &self.shards
     }
 
     /// All shards, mutably — striped housekeeping iterates this, and
@@ -163,7 +153,7 @@ mod tests {
     fn shard_counts_round_to_powers_of_two() {
         for (requested, effective) in [(0, 1), (1, 1), (2, 2), (3, 4), (5, 8), (8, 8), (9, 16)] {
             let s: ShardedStore<u64, ()> = ShardedStore::new(requested, |_| ());
-            assert_eq!(s.shard_count(), effective, "requested {requested}");
+            assert_eq!(s.shards.len(), effective, "requested {requested}");
         }
     }
 
@@ -214,7 +204,7 @@ mod tests {
     #[test]
     fn mk_sees_shard_indices_in_order() {
         let s: ShardedStore<u64, usize> = ShardedStore::new(4, |i| i);
-        assert_eq!(s.shards(), &[0, 1, 2, 3]);
+        assert_eq!(s.shards, [0, 1, 2, 3]);
     }
 
     #[test]

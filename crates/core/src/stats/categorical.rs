@@ -97,22 +97,6 @@ impl<T> Categorical<T> {
         // x < total == last cumulative entry, so idx is always in range.
         &self.items[idx.min(self.items.len() - 1)]
     }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` if there are no categories (never true for a constructed value,
-    /// but required for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The items in insertion order.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
 }
 
 #[cfg(test)]
@@ -168,13 +152,5 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(*d.sample(&mut rng), "always");
         }
-    }
-
-    #[test]
-    fn accessors() {
-        let d = Categorical::new(vec![(7, 2.0)]).unwrap();
-        assert_eq!(d.len(), 1);
-        assert!(!d.is_empty());
-        assert_eq!(d.items(), &[7]);
     }
 }

@@ -88,45 +88,6 @@ impl Histogram {
     pub fn shares(&self) -> Vec<f64> {
         (0..self.buckets.len()).map(|v| self.share(v)).collect()
     }
-
-    /// Mean of the observations (None when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let weighted: u64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(v, &c)| v as u64 * c)
-            .sum();
-        Some(weighted as f64 / self.total as f64)
-    }
-
-    /// Merges another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domains differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "cannot merge histograms with different domains"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.clamped += other.clamped;
-    }
-
-    /// Resets all buckets to zero.
-    pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.total = 0;
-        self.clamped = 0;
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -165,44 +126,6 @@ mod tests {
         h.record(99);
         assert_eq!(h.count(2), 1);
         assert_eq!(h.clamped, 1);
-    }
-
-    #[test]
-    fn mean_and_mode() {
-        let mut h = Histogram::new(9);
-        h.record_n(1, 3);
-        h.record_n(2, 1);
-        assert!((h.mean().unwrap() - 1.25).abs() < 1e-12);
-        assert_eq!(Histogram::new(3).mean(), None);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(3);
-        a.record(1);
-        let mut b = Histogram::new(3);
-        b.record(1);
-        b.record(2);
-        a.merge(&b);
-        assert_eq!(a.count(1), 2);
-        assert_eq!(a.count(2), 1);
-        assert_eq!(a.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different domains")]
-    fn merge_rejects_mismatched_domains() {
-        let mut a = Histogram::new(2);
-        a.merge(&Histogram::new(3));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut h = Histogram::new(3);
-        h.record(1);
-        h.clear();
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.count(1), 0);
     }
 
     #[test]

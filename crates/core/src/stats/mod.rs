@@ -4,9 +4,8 @@
 //!   the paper's Fig. 1 is exactly such a histogram).
 //! * [`Categorical`] — a weighted categorical distribution supporting
 //!   deterministic sampling (used for NiP choices, country targeting, …).
-//! * [`Summary`] — a running min/max/mean/variance accumulator with exact
-//!   percentiles over retained samples (used e.g. for the ~5.3 h fingerprint
-//!   rotation statistic of §IV-A).
+//! * [`Summary`] — a running count/min/max/mean/variance accumulator (used
+//!   e.g. for the ~5.3 h fingerprint rotation statistic of §IV-A).
 //! * [`TimeSeries`] — fixed-width time-bucketed counters (SMS per day,
 //!   requests per hour, …).
 

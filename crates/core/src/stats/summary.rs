@@ -1,10 +1,9 @@
-//! Running summary statistics with exact percentiles.
+//! Running summary statistics.
 
 use serde::{Deserialize, Serialize};
 
-/// A streaming accumulator tracking count, min, max, mean, variance
-/// (Welford's algorithm) and — because our experiment scales are modest —
-/// retaining all samples for exact percentile queries.
+/// A streaming accumulator tracking count, min, max, mean and variance
+/// (Welford's algorithm) in constant space.
 ///
 /// # Example
 ///
@@ -18,9 +17,9 @@ use serde::{Deserialize, Serialize};
 /// assert!((rotation_hours.mean() - 5.32).abs() < 1e-9);
 /// assert_eq!(rotation_hours.count(), 5);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
-    samples: Vec<f64>,
+    count: usize,
     mean: f64,
     m2: f64,
     min: f64,
@@ -31,7 +30,7 @@ impl Summary {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Summary {
-            samples: Vec::new(),
+            count: 0,
             mean: 0.0,
             m2: 0.0,
             min: f64::INFINITY,
@@ -46,8 +45,8 @@ impl Summary {
         if !x.is_finite() {
             return;
         }
-        self.samples.push(x);
-        let n = self.samples.len() as f64;
+        self.count += 1;
+        let n = self.count as f64;
         let delta = x - self.mean;
         self.mean += delta / n;
         self.m2 += delta * (x - self.mean);
@@ -57,17 +56,12 @@ impl Summary {
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count
     }
 
     /// Arithmetic mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
             self.mean
@@ -76,10 +70,10 @@ impl Summary {
 
     /// Population variance (0.0 with fewer than two samples).
     pub fn variance(&self) -> f64 {
-        if self.samples.len() < 2 {
+        if self.count < 2 {
             0.0
         } else {
-            self.m2 / self.samples.len() as f64
+            self.m2 / self.count as f64
         }
     }
 
@@ -90,7 +84,7 @@ impl Summary {
 
     /// Smallest sample (None when empty).
     pub fn min(&self) -> Option<f64> {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             None
         } else {
             Some(self.min)
@@ -99,46 +93,19 @@ impl Summary {
 
     /// Largest sample (None when empty).
     pub fn max(&self) -> Option<f64> {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             None
         } else {
             Some(self.max)
         }
     }
+}
 
-    /// Exact percentile by nearest-rank (`p` in `0.0..=100.0`; None when
-    /// empty).
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
-    }
-
-    /// Median (50th percentile).
-    pub fn median(&self) -> Option<f64> {
-        self.percentile(50.0)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// The raw samples, in recording order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        for &x in &other.samples {
-            self.record(x);
-        }
+impl Default for Summary {
+    /// Same as [`Summary::new`]: min and max start at the infinities, so
+    /// the first sample sets both.
+    fn default() -> Self {
+        Summary::new()
     }
 }
 
@@ -166,11 +133,18 @@ mod tests {
     #[test]
     fn empty_summary() {
         let s = Summary::new();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.median(), None);
+    }
+
+    #[test]
+    fn default_is_empty_like_new() {
+        let mut s = Summary::default();
+        assert_eq!(s, Summary::new());
+        s.record(5.0);
+        assert_eq!((s.min(), s.max()), (Some(5.0), Some(5.0)));
     }
 
     #[test]
@@ -186,15 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_nearest_rank() {
-        let s: Summary = (1..=100).map(f64::from).collect();
-        assert_eq!(s.percentile(50.0), Some(50.0));
-        assert_eq!(s.percentile(95.0), Some(95.0));
-        assert_eq!(s.percentile(100.0), Some(100.0));
-        assert_eq!(s.percentile(0.0), Some(1.0));
-    }
-
-    #[test]
     fn ignores_non_finite() {
         let mut s = Summary::new();
         s.record(f64::NAN);
@@ -202,16 +167,6 @@ mod tests {
         s.record(1.0);
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 1.0);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let mut a: Summary = [1.0, 2.0].into_iter().collect();
-        let b: Summary = [3.0, 4.0].into_iter().collect();
-        a.merge(&b);
-        let c: Summary = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-        assert!((a.mean() - c.mean()).abs() < 1e-12);
-        assert_eq!(a.count(), c.count());
     }
 
     proptest! {
@@ -229,18 +184,6 @@ mod tests {
         fn prop_variance_nonnegative(xs in proptest::collection::vec(-1e6f64..1e6, 0..200)) {
             let s: Summary = xs.iter().copied().collect();
             prop_assert!(s.variance() >= -1e-9);
-        }
-
-        /// Percentile is monotone in p.
-        #[test]
-        fn prop_percentile_monotone(
-            xs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-            p1 in 0.0f64..100.0,
-            p2 in 0.0f64..100.0,
-        ) {
-            let s: Summary = xs.iter().copied().collect();
-            let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(s.percentile(lo).unwrap() <= s.percentile(hi).unwrap());
         }
     }
 }

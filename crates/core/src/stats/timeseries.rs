@@ -69,21 +69,6 @@ impl TimeSeries {
         self.buckets.get(idx).copied().unwrap_or(0)
     }
 
-    /// Number of materialized buckets.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// All bucket counts, index-ordered.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
     /// Sum over every bucket.
     pub fn total(&self) -> u64 {
         self.buckets.iter().sum()
@@ -116,16 +101,6 @@ impl TimeSeries {
         let cur = self.total_between(window.0, window.1);
         Some((cur as f64 - base as f64) / base as f64 * 100.0)
     }
-
-    /// The bucket width.
-    pub fn width(&self) -> SimDuration {
-        self.width
-    }
-
-    /// The series origin.
-    pub fn origin(&self) -> SimTime {
-        self.origin
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +118,8 @@ mod tests {
         ts.record(SimTime::from_hours(1), 1);
         ts.record(SimTime::from_hours(25), 2);
         ts.record(SimTime::from_hours(49), 3);
-        assert_eq!(ts.buckets(), &[1, 2, 3]);
+        let days: Vec<u64> = (0..4).map(|d| ts.bucket(d)).collect();
+        assert_eq!(days, [1, 2, 3, 0]);
         assert_eq!(ts.total(), 6);
     }
 

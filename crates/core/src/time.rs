@@ -115,24 +115,6 @@ impl SimTime {
             SimTime(self.0.saturating_sub(d.0.unsigned_abs()))
         }
     }
-
-    /// The later of `self` and `other`.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of `self` and `other`.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl fmt::Display for SimTime {
@@ -214,11 +196,6 @@ impl SimDuration {
     /// This duration expressed in fractional days.
     pub fn as_days_f64(self) -> f64 {
         self.0 as f64 / MILLIS_PER_DAY as f64
-    }
-
-    /// Absolute value.
-    pub const fn abs(self) -> SimDuration {
-        SimDuration(self.0.abs())
     }
 
     /// Multiplies the duration by a scalar, rounding to the nearest ms.

@@ -45,11 +45,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Total outcomes recorded.
-    pub fn total(&self) -> u64 {
-        self.tp + self.fp + self.tn + self.fn_
-    }
-
     /// Precision: TP / (TP + FP); 1.0 when nothing was predicted positive
     /// (vacuously precise).
     pub fn precision(&self) -> f64 {
@@ -152,7 +147,7 @@ mod tests {
         #[test]
         fn prop_metrics_bounded(pairs in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..200)) {
             let cm = recorded(&pairs);
-            prop_assert_eq!(cm.total() as usize, pairs.len());
+            prop_assert_eq!((cm.tp + cm.fp + cm.tn + cm.fn_) as usize, pairs.len());
             for m in [cm.precision(), cm.recall(), cm.f1()] {
                 prop_assert!((0.0..=1.0).contains(&m));
             }

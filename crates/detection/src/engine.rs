@@ -264,11 +264,6 @@ impl DetectionEngine {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
     /// The defender's IP reputation ledger (for feeding confirmed abuse back).
     pub fn reputation_mut(&mut self) -> &mut ReputationLedger {
         &mut self.reputation

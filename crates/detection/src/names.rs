@@ -233,21 +233,11 @@ pub struct RepetitionTracker {
 }
 
 impl RepetitionTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        RepetitionTracker::default()
-    }
-
     /// Records every passenger of one booking.
     pub fn record(&mut self, passengers: &[Passenger]) {
         for p in passengers {
             *self.counts.entry(p.name_key()).or_insert(0) += 1;
         }
-    }
-
-    /// How often `key` has been seen.
-    pub fn count(&self, key: &str) -> u32 {
-        self.counts.get(key).copied().unwrap_or(0)
     }
 
     /// The highest repetition count of any key (0 when empty).
@@ -264,11 +254,6 @@ pub struct BirthdateRotationDetector {
 }
 
 impl BirthdateRotationDetector {
-    /// Creates an empty detector.
-    pub fn new() -> Self {
-        BirthdateRotationDetector::default()
-    }
-
     /// Records every passenger of one booking.
     pub fn record(&mut self, passengers: &[Passenger]) {
         for p in passengers {
@@ -304,11 +289,6 @@ pub struct PermutationSetDetector {
 }
 
 impl PermutationSetDetector {
-    /// Creates an empty detector.
-    pub fn new() -> Self {
-        PermutationSetDetector::default()
-    }
-
     /// Records one booking's passenger list.
     pub fn record(&mut self, passengers: &[Passenger]) {
         if passengers.len() < 2 {
@@ -484,18 +464,17 @@ mod tests {
 
     #[test]
     fn repetition_tracker_counts() {
-        let mut t = RepetitionTracker::new();
+        let mut t = RepetitionTracker::default();
         for _ in 0..5 {
             t.record(&[Passenger::simple("John", "Doe")]);
         }
         t.record(&[Passenger::simple("Jane", "Roe")]);
-        assert_eq!(t.count("JOHN DOE"), 5);
         assert_eq!(t.max_repetition(), 5);
     }
 
     #[test]
     fn birthdate_rotation_flags_airline_b_pattern() {
-        let mut d = BirthdateRotationDetector::new();
+        let mut d = BirthdateRotationDetector::default();
         // Same lead passenger, rotating birthdate — the Airline B automation.
         for day in 1..=6u8 {
             d.record(&[Passenger::full(
@@ -521,7 +500,7 @@ mod tests {
 
     #[test]
     fn permutation_detector_flags_airline_c_pattern() {
-        let mut det = PermutationSetDetector::new();
+        let mut det = PermutationSetDetector::default();
         let a = Passenger::simple("ANNA", "ONE");
         let b = Passenger::simple("BEN", "TWO");
         let c = Passenger::simple("CARA", "THREE");
@@ -533,7 +512,7 @@ mod tests {
         assert!(sets[0].contains("ANNA ONE"));
         // A family booking the same trip twice in the same order is NOT
         // flagged (one ordering only).
-        let mut family = PermutationSetDetector::new();
+        let mut family = PermutationSetDetector::default();
         for _ in 0..3 {
             family.record(&[a.clone(), b.clone()]);
         }

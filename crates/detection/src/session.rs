@@ -6,22 +6,15 @@
 
 use crate::log::LogRecord;
 use fg_core::hash::FxHashMap;
-use fg_core::ids::SessionId;
 use fg_core::time::{SimDuration, SimTime};
 
 /// A reconstructed user session.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Session {
-    id: SessionId,
     records: Vec<LogRecord>,
 }
 
 impl Session {
-    /// The session identifier (assigned in discovery order).
-    pub fn id(&self) -> SessionId {
-        self.id
-    }
-
     /// The session's records, time-ordered.
     pub fn records(&self) -> &[LogRecord] {
         &self.records
@@ -40,22 +33,6 @@ impl Session {
     /// Wall-clock span of the session.
     pub fn duration(&self) -> SimDuration {
         self.ended_at() - self.started_at()
-    }
-
-    /// Number of requests.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Sessions are non-empty by construction; provided for API symmetry.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The `(ip, fingerprint)` key the session was built on.
-    pub fn key(&self) -> (fg_netsim::ip::IpAddress, u64) {
-        let first = self.records.first().expect("sessions are non-empty");
-        (first.ip, first.fingerprint)
     }
 }
 
@@ -86,7 +63,7 @@ impl Session {
 /// // Two bursts separated by two hours become two sessions.
 /// let sessions = sessionize(vec![rec(0), rec(30), rec(7200)], SimDuration::from_mins(30));
 /// assert_eq!(sessions.len(), 2);
-/// assert_eq!(sessions[0].len(), 2);
+/// assert_eq!(sessions[0].records().len(), 2);
 /// ```
 pub fn sessionize(mut records: Vec<LogRecord>, gap: SimDuration) -> Vec<Session> {
     records.sort_by_key(|r| r.at);
@@ -117,11 +94,7 @@ pub fn sessionize(mut records: Vec<LogRecord>, gap: SimDuration) -> Vec<Session>
     });
     closed
         .into_iter()
-        .enumerate()
-        .map(|(i, records)| Session {
-            id: SessionId(i as u64),
-            records,
-        })
+        .map(|records| Session { records })
         .collect()
 }
 
@@ -152,8 +125,8 @@ mod tests {
             SimDuration::from_mins(30),
         );
         assert_eq!(sessions.len(), 2);
-        assert_eq!(sessions[0].len(), 2);
-        assert_eq!(sessions[1].len(), 1);
+        assert_eq!(sessions[0].records().len(), 2);
+        assert_eq!(sessions[1].records().len(), 1);
     }
 
     #[test]
@@ -190,8 +163,11 @@ mod tests {
         assert_eq!(s.started_at(), SimTime::from_secs(10));
         assert_eq!(s.ended_at(), SimTime::from_secs(70));
         assert_eq!(s.duration(), SimDuration::from_secs(60));
-        assert_eq!(s.key(), (IpAddress::from_octets(10, 0, 0, 1), 1));
-        assert!(!s.is_empty());
+        let first = &s.records()[0];
+        assert_eq!(
+            (first.ip, first.fingerprint),
+            (IpAddress::from_octets(10, 0, 0, 1), 1)
+        );
     }
 
     #[test]
@@ -220,11 +196,11 @@ mod tests {
         ) {
             let records: Vec<LogRecord> = raw.iter().map(|&(t, ip, fp)| rec(t, ip, fp)).collect();
             let sessions = sessionize(records.clone(), SimDuration::from_secs(gap_secs));
-            let total: usize = sessions.iter().map(Session::len).sum();
+            let total: usize = sessions.iter().map(|s| s.records().len()).sum();
             prop_assert_eq!(total, records.len());
             // Within each session: single key and non-decreasing times.
             for s in &sessions {
-                let key = s.key();
+                let key = (s.records()[0].ip, s.records()[0].fingerprint);
                 let mut last = SimTime::ZERO;
                 for r in s.records() {
                     prop_assert_eq!((r.ip, r.fingerprint), key);

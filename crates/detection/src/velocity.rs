@@ -62,17 +62,6 @@ impl<K: Eq + Hash + Clone> VelocityShard<K> {
         q.len() as u64
     }
 
-    /// Events for `key` inside the window ending at `now`.
-    pub fn count(&mut self, key: &K, now: SimTime) -> u64 {
-        match self.events.get_mut(key) {
-            Some(q) => {
-                Self::evict(q, now, self.window);
-                q.len() as u64
-            }
-            None => 0,
-        }
-    }
-
     /// Drops every key in this shard whose events all expired by `now`.
     pub fn compact(&mut self, now: SimTime) {
         let window = self.window;
@@ -101,11 +90,10 @@ impl<K: Eq + Hash + Clone> VelocityShard<K> {
 /// use fg_core::time::{SimDuration, SimTime};
 ///
 /// let mut v: VelocityCounter<&str> = VelocityCounter::new(SimDuration::from_mins(10));
-/// v.record("booking-X", SimTime::from_mins(0));
-/// v.record("booking-X", SimTime::from_mins(5));
-/// assert_eq!(v.count(&"booking-X", SimTime::from_mins(5)), 2);
+/// assert_eq!(v.record_and_count("booking-X", SimTime::from_mins(0)), 1);
+/// assert_eq!(v.record_and_count("booking-X", SimTime::from_mins(5)), 2);
 /// // The first event falls out of the window.
-/// assert_eq!(v.count(&"booking-X", SimTime::from_mins(11)), 1);
+/// assert_eq!(v.record_and_count("booking-X", SimTime::from_mins(11)), 2);
 /// ```
 #[derive(Clone, Debug)]
 pub struct VelocityCounter<K> {
@@ -135,16 +123,6 @@ impl<K: Eq + Hash + Clone> VelocityCounter<K> {
         }
     }
 
-    /// Records one event for `key` at `now`.
-    pub fn record(&mut self, key: K, now: SimTime) {
-        self.shards.shard_mut(&key).record(key, now);
-    }
-
-    /// Events for `key` inside the window ending at `now`.
-    pub fn count(&mut self, key: &K, now: SimTime) -> u64 {
-        self.shards.shard_mut(key).count(key, now)
-    }
-
     /// Records and returns the new in-window count in one step — a single
     /// map lookup, no key clone.
     pub fn record_and_count(&mut self, key: K, now: SimTime) -> u64 {
@@ -165,17 +143,6 @@ impl<K: Eq + Hash + Clone> VelocityCounter<K> {
         for shard in self.shards.shards_mut() {
             shard.compact(now);
         }
-    }
-
-    /// The configured window.
-    pub fn window(&self) -> SimDuration {
-        self.shards.shards()[0].window
-    }
-
-    /// Number of shards (1 unless built via
-    /// [`VelocityCounter::with_shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.shards.shard_count()
     }
 
     /// The shard index owning `key` — parallel workers partition their key
@@ -201,35 +168,41 @@ mod tests {
     #[test]
     fn counts_within_window_only() {
         let mut v = VelocityCounter::new(SimDuration::from_secs(60));
-        for s in [0u64, 10, 20, 30] {
-            v.record("k", SimTime::from_secs(s));
-        }
-        assert_eq!(v.count(&"k", SimTime::from_secs(30)), 4);
-        assert_eq!(v.count(&"k", SimTime::from_secs(70)), 3, "t=0 evicted");
-        assert_eq!(v.count(&"k", SimTime::from_secs(300)), 0);
+        let counts: Vec<u64> = [0u64, 10, 20, 30]
+            .into_iter()
+            .map(|s| v.record_and_count("k", SimTime::from_secs(s)))
+            .collect();
+        assert_eq!(counts, [1, 2, 3, 4]);
+        assert_eq!(
+            v.record_and_count("k", SimTime::from_secs(70)),
+            4,
+            "t=0 evicted"
+        );
+        assert_eq!(v.record_and_count("k", SimTime::from_secs(300)), 1);
     }
 
     #[test]
     fn keys_are_independent() {
         let mut v = VelocityCounter::new(SimDuration::from_secs(60));
-        v.record("a", SimTime::ZERO);
-        v.record("b", SimTime::ZERO);
-        v.record("b", SimTime::from_secs(1));
-        assert_eq!(v.count(&"a", SimTime::from_secs(1)), 1);
-        assert_eq!(v.count(&"b", SimTime::from_secs(1)), 2);
-        assert_eq!(v.count(&"c", SimTime::from_secs(1)), 0);
+        assert_eq!(v.record_and_count("a", SimTime::ZERO), 1);
+        assert_eq!(v.record_and_count("b", SimTime::ZERO), 1);
+        assert_eq!(v.record_and_count("b", SimTime::from_secs(1)), 2);
+        assert_eq!(v.record_and_count("a", SimTime::from_secs(1)), 2);
+        assert_eq!(v.record_and_count("c", SimTime::from_secs(1)), 1);
     }
 
     #[test]
     fn window_boundary_inclusive() {
         let mut v = VelocityCounter::new(SimDuration::from_secs(10));
-        v.record("k", SimTime::ZERO);
+        v.record_and_count("k", SimTime::ZERO);
         assert_eq!(
-            v.count(&"k", SimTime::from_secs(10)),
-            1,
+            v.record_and_count("k", SimTime::from_secs(10)),
+            2,
             "exactly window old stays"
         );
-        assert_eq!(v.count(&"k", SimTime::from_millis(10_001)), 0);
+        let mut w = VelocityCounter::new(SimDuration::from_secs(10));
+        w.record_and_count("k", SimTime::ZERO);
+        assert_eq!(w.record_and_count("k", SimTime::from_millis(10_001)), 1);
     }
 
     #[test]
@@ -242,11 +215,11 @@ mod tests {
     #[test]
     fn compact_drops_stale_keys() {
         let mut v = VelocityCounter::new(SimDuration::from_secs(10));
-        v.record("old", SimTime::ZERO);
-        v.record("new", SimTime::from_secs(100));
+        v.record_and_count("old", SimTime::ZERO);
+        v.record_and_count("new", SimTime::from_secs(100));
         v.compact(SimTime::from_secs(100));
         assert_eq!(v.tracked_keys(), 1);
-        assert_eq!(v.count(&"new", SimTime::from_secs(100)), 1);
+        assert_eq!(v.record_and_count("new", SimTime::from_secs(100)), 2);
     }
 
     #[test]
@@ -254,7 +227,6 @@ mod tests {
         let mut sharded: VelocityCounter<u32> =
             VelocityCounter::with_shards(SimDuration::from_secs(60), 4);
         let mut flat: VelocityCounter<u32> = VelocityCounter::new(SimDuration::from_secs(60));
-        assert_eq!(sharded.shard_count(), 4);
         for step in 0..300u32 {
             let now = SimTime::from_secs(u64::from(step) * 3);
             let key = step % 13;
@@ -311,7 +283,7 @@ mod tests {
             // callers do.
             times.sort_unstable();
             for &t in &times {
-                v.record("k", SimTime::from_secs(t));
+                v.record_and_count("k", SimTime::from_secs(t));
             }
             let probe = probe.max(times.iter().copied().max().unwrap_or(0));
             let now = SimTime::from_secs(probe);
@@ -319,7 +291,8 @@ mod tests {
                 .iter()
                 .filter(|&&t| now - SimTime::from_secs(t) <= window)
                 .count() as u64;
-            prop_assert_eq!(v.count(&"k", now), expected);
+            // The probe is itself an event inside the window.
+            prop_assert_eq!(v.record_and_count("k", now), expected + 1);
         }
     }
 }

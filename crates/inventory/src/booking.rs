@@ -71,11 +71,6 @@ impl Booking {
         }
     }
 
-    /// The record locator.
-    pub fn reference(&self) -> BookingRef {
-        self.reference
-    }
-
     /// The flight this booking holds seats on.
     pub fn flight(&self) -> FlightId {
         self.flight

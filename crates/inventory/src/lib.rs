@@ -15,7 +15,8 @@
 //!   betray automated vs. manual Seat Spinning — and move through
 //!   held → paid → ticketed states.
 //! * **Boarding-pass issuance** (§IV-C): ticketed bookings can request
-//!   boarding-pass delivery via SMS any number of times — the feature that,
+//!   boarding-pass delivery via SMS any number of times
+//!   ([`ReservationSystem::issue_boarding_pass`]) — the feature that,
 //!   without per-booking rate limits, enabled the Airline D SMS-pumping
 //!   attack.
 //! * **Generic carts** ([`cart`]): OWASP's canonical DoI formulation —
@@ -43,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boarding;
 pub mod booking;
 pub mod cart;
 pub mod error;
@@ -52,7 +52,6 @@ pub mod passenger;
 pub mod pricing;
 pub mod system;
 
-pub use boarding::{BoardingPass, DeliveryChannel};
 pub use booking::{Booking, BookingStatus};
 pub use cart::{CartStore, Product, ProductId};
 pub use error::InventoryError;

@@ -92,11 +92,6 @@ impl ReservationSystem {
         ids
     }
 
-    /// The current hold TTL.
-    pub fn hold_ttl(&self) -> SimDuration {
-        self.hold_ttl
-    }
-
     /// The current maximum Number in Party.
     pub fn max_nip(&self) -> u32 {
         self.max_nip

@@ -71,25 +71,18 @@ impl TokenBucket {
         self.refill(now);
         self.tokens
     }
-
-    /// The bucket's capacity.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
 }
 
-/// One hash partition of a [`KeyedLimiter`]: a flat bucket map plus its own
-/// grant/reject tallies. Self-contained (it carries the bucket parameters)
-/// so scoped threads can each own one shard and acquire/evict without any
-/// cross-shard coordination.
+/// One hash partition of a [`KeyedLimiter`]: a flat bucket map.
+/// Self-contained (it carries the bucket parameters) so scoped threads can
+/// each own one shard and acquire/evict without any cross-shard
+/// coordination.
 #[derive(Clone, Debug)]
 pub struct LimiterShard<K> {
     capacity: f64,
     rate_per_sec: f64,
     // Fx-hashed: keyed by integer client/booking keys on the request path.
     buckets: FxHashMap<K, TokenBucket>,
-    rejections: u64,
-    grants: u64,
 }
 
 impl<K: Eq + Hash> LimiterShard<K> {
@@ -98,8 +91,6 @@ impl<K: Eq + Hash> LimiterShard<K> {
             capacity,
             rate_per_sec,
             buckets: FxHashMap::default(),
-            rejections: 0,
-            grants: 0,
         }
     }
 
@@ -116,34 +107,13 @@ impl<K: Eq + Hash> LimiterShard<K> {
             b.updated = now;
             b
         });
-        let granted = bucket.try_acquire(now);
-        if granted {
-            self.grants += 1;
-        } else {
-            self.rejections += 1;
-        }
-        granted
+        bucket.try_acquire(now)
     }
 
     /// Drops every bucket in this shard that has refilled to capacity.
     pub fn evict_idle(&mut self, now: SimTime) {
         let capacity = self.capacity;
         self.buckets.retain(|_, b| b.available(now) < capacity);
-    }
-
-    /// Granted acquisitions routed to this shard.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Rejected acquisitions routed to this shard.
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Keys with a materialized bucket in this shard.
-    pub fn tracked_keys(&self) -> usize {
-        self.buckets.len()
     }
 }
 
@@ -205,24 +175,9 @@ impl<K: Eq + Hash> KeyedLimiter<K> {
         }
     }
 
-    /// Total granted acquisitions across all shards.
-    pub fn grants(&self) -> u64 {
-        self.shards.fold(0, |acc, s| acc + s.grants)
-    }
-
-    /// Total rejected acquisitions across all shards.
-    pub fn rejections(&self) -> u64 {
-        self.shards.fold(0, |acc, s| acc + s.rejections)
-    }
-
     /// Number of keys with a materialized bucket, summed over shards.
     pub fn tracked_keys(&self) -> usize {
         self.shards.fold(0, |acc, s| acc + s.buckets.len())
-    }
-
-    /// Number of shards (1 unless built via [`KeyedLimiter::with_shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.shards.shard_count()
     }
 
     /// The shard index owning `key` — parallel workers partition their key
@@ -287,8 +242,6 @@ mod tests {
         assert!(l.try_acquire("a", SimTime::ZERO));
         assert!(!l.try_acquire("a", SimTime::ZERO));
         assert!(l.try_acquire("b", SimTime::ZERO), "other keys unaffected");
-        assert_eq!(l.grants(), 2);
-        assert_eq!(l.rejections(), 1);
         assert_eq!(l.tracked_keys(), 2);
     }
 
@@ -342,8 +295,6 @@ mod tests {
                 evicting.evict_idle(now);
             }
         }
-        assert_eq!(evicting.grants(), reference.grants());
-        assert_eq!(evicting.rejections(), reference.rejections());
         assert!(evicting.tracked_keys() <= reference.tracked_keys());
     }
 
@@ -354,8 +305,6 @@ mod tests {
         // shard count is a layout choice, not a semantics choice.
         let mut sharded: KeyedLimiter<u32> = KeyedLimiter::with_shards(2.0, 0.25, 4);
         let mut flat: KeyedLimiter<u32> = KeyedLimiter::new(2.0, 0.25);
-        assert_eq!(sharded.shard_count(), 4);
-        assert_eq!(flat.shard_count(), 1);
         let mut now = SimTime::ZERO;
         for step in 0..500u32 {
             now += SimDuration::from_secs(i64::from(step % 5));
@@ -370,8 +319,6 @@ mod tests {
                 flat.evict_idle(now);
             }
         }
-        assert_eq!(sharded.grants(), flat.grants());
-        assert_eq!(sharded.rejections(), flat.rejections());
         assert_eq!(sharded.tracked_keys(), flat.tracked_keys());
     }
 
@@ -383,16 +330,14 @@ mod tests {
         let keys: Vec<u64> = (0..64).collect();
         let idx: Vec<usize> = keys.iter().map(|k| l.shard_index(k)).collect();
         for (k, &i) in keys.iter().zip(&idx) {
-            assert!(i < l.shard_count());
-            l.shards_mut()[i].try_acquire(*k, SimTime::ZERO);
+            let shard = l.shards_mut().get_mut(i).expect("shard index in range");
+            assert!(shard.try_acquire(*k, SimTime::ZERO));
         }
         // Each key took its shard's single token; the routed path now
         // rejects every one of them.
         for k in &keys {
             assert!(!l.try_acquire(*k, SimTime::ZERO));
         }
-        assert_eq!(l.grants(), 64);
-        assert_eq!(l.rejections(), 64);
     }
 
     #[test]
@@ -449,8 +394,6 @@ mod tests {
                     reference.try_acquire(key, now)
                 );
             }
-            prop_assert_eq!(evicting.grants(), reference.grants());
-            prop_assert_eq!(evicting.rejections(), reference.rejections());
         }
 
         /// Shard count never changes any grant/deny outcome or aggregate,
@@ -476,8 +419,6 @@ mod tests {
                     flat.try_acquire(key, now)
                 );
             }
-            prop_assert_eq!(sharded.grants(), flat.grants());
-            prop_assert_eq!(sharded.rejections(), flat.rejections());
             prop_assert_eq!(sharded.tracked_keys(), flat.tracked_keys());
         }
 

@@ -31,16 +31,6 @@ impl ProxyLease {
     pub fn ip(&self) -> IpAddress {
         self.ip
     }
-
-    /// The exit country.
-    pub fn country(&self) -> CountryCode {
-        self.country
-    }
-
-    /// What the lease cost the attacker.
-    pub fn price(&self) -> Money {
-        self.price
-    }
 }
 
 /// A finite pool of proxy exits, organized per country.
@@ -50,6 +40,7 @@ impl ProxyLease {
 /// ```
 /// use fg_netsim::{GeoDatabase, proxy::ProxyPool};
 /// use fg_core::ids::CountryCode;
+/// use fg_core::money::Money;
 /// use fg_core::time::SimTime;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
@@ -57,12 +48,12 @@ impl ProxyLease {
 /// let mut pool = ProxyPool::residential(&geo, 32);
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let lease = pool.rent(CountryCode::new("NG"), SimTime::ZERO, &mut rng).unwrap();
-/// assert!(pool.total_spend() >= lease.price());
+/// assert_eq!(geo.country_of(lease.ip()), Some(CountryCode::new("NG")));
+/// assert_eq!(pool.total_spend(), Money::from_cents(60));
 /// ```
 #[derive(Clone, Debug)]
 pub struct ProxyPool {
     exits: HashMap<CountryCode, Vec<IpAddress>>,
-    class: IpClass,
     price_per_lease: Money,
     total_spend: Money,
 }
@@ -120,15 +111,9 @@ impl ProxyPool {
         }
         ProxyPool {
             exits,
-            class,
             price_per_lease,
             total_spend: Money::ZERO,
         }
-    }
-
-    /// The egress class this pool provides.
-    pub fn class(&self) -> IpClass {
-        self.class
     }
 
     /// Rents a random exit in `country`. Returns `None` if the pool has no
@@ -197,7 +182,6 @@ mod tests {
             let lease = pool.rent(c, SimTime::ZERO, &mut rng).unwrap();
             assert_eq!(geo.country_of(lease.ip()), Some(c));
             assert_eq!(geo.class_of(lease.ip()), Some(IpClass::Residential));
-            assert_eq!(lease.country(), c);
         }
     }
 
@@ -239,7 +223,7 @@ mod tests {
             .rent(CountryCode::new("US"), SimTime::ZERO, &mut rng)
             .unwrap();
         assert_eq!(geo.class_of(lease.ip()), Some(IpClass::Datacenter));
-        assert!(lease.price() < Money::from_cents(60));
+        assert!(dc.total_spend() < Money::from_cents(60));
     }
 
     #[test]

@@ -200,12 +200,6 @@ impl ReputationLedger {
         self.evidence.fold(0, |acc, s| acc + s.len())
     }
 
-    /// Number of shards (1 unless built via
-    /// [`ReputationLedger::with_shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.evidence.shard_count()
-    }
-
     /// Removes per-IP entries whose decayed score at `now` fell below
     /// `floor` (subnet aggregates are kept — they remain exact), striping
     /// the scan shard by shard. Returns how many were purged.
@@ -372,7 +366,6 @@ mod tests {
     fn sharded_ledger_matches_single_shard() {
         let mut sharded = ReputationLedger::with_shards(SimDuration::from_hours(12), 3.0, 10.0, 4);
         let mut flat = ledger();
-        assert_eq!(sharded.shard_count(), 4);
         for step in 0..200u64 {
             let now = SimTime::from_mins(step * 7);
             let ip =

@@ -373,11 +373,6 @@ impl DefendedApp {
         self.sentinel = Some(Sentinel::new(policy, self.telemetry.metrics()));
     }
 
-    /// The attached sentinel, if any.
-    pub fn sentinel(&self) -> Option<&Sentinel> {
-        self.sentinel.as_ref()
-    }
-
     /// Final sentinel report (alert events, time-to-detection, incident
     /// timeline correlated with the decision audit trail) as of `end`.
     pub fn sentinel_report(&self, end: SimTime) -> Option<SentinelReport> {
@@ -559,8 +554,8 @@ impl DefendedApp {
     /// layer: honeypot stickiness → detection → reputation feedback →
     /// policy → audit record, plus honeypot diversion when that is the
     /// decision. Returns the wire-visible [`GateDecision`] and the
-    /// still-open span trace (`None` when tracing is off or the sticky
-    /// honeypot path already finished it). CAPTCHA resolution is *not* part
+    /// still-open span trace (`None` when tracing is off) on every path,
+    /// the sticky honeypot included. CAPTCHA resolution is *not* part
     /// of this: it consumes randomness and belongs to the simulator's
     /// behaviour model, not the decision — which is why the audit record is
     /// written here, before any challenge is resolved.
@@ -611,10 +606,6 @@ impl DefendedApp {
                     trace_id,
                 });
             }
-            if let Some(mut tr) = span_trace.take() {
-                tr.finish(Decision::Honeypot.as_str());
-                self.telemetry.record_trace(tr);
-            }
             return (
                 GateDecision {
                     trace_id,
@@ -623,7 +614,7 @@ impl DefendedApp {
                     score: 0.0,
                     signals: Vec::new(),
                 },
-                None,
+                span_trace,
             );
         }
 

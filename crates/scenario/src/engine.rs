@@ -130,11 +130,6 @@ impl Simulation {
         self.queue.schedule(at, Tick::Intervention(idx));
     }
 
-    /// Read access to the app mid-setup.
-    pub fn app(&self) -> &DefendedApp {
-        &self.app
-    }
-
     /// Runs until `until` (inclusive of events at that instant), returning
     /// the finished app for inspection.
     pub fn run(mut self, until: SimTime) -> DefendedApp {

@@ -48,11 +48,6 @@ impl HoldMonitor {
         }
     }
 
-    /// All samples taken, time-ordered.
-    pub fn samples(&self) -> &[(SimTime, Availability)] {
-        &self.samples
-    }
-
     /// Mean fraction of capacity locked in holds across all samples.
     pub fn mean_hold_ratio(&self) -> f64 {
         if self.samples.is_empty() {
@@ -131,7 +126,7 @@ mod tests {
             (m.mean_hold_ratio_between(SimTime::from_hours(2), SimTime::from_hours(3)) - 0.0).abs()
                 < 1e-12
         );
-        assert_eq!(m.samples().len(), 2);
+        assert_eq!(m.samples.len(), 2);
     }
 
     #[test]

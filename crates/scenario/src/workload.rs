@@ -1,7 +1,7 @@
 //! Recorded wire workloads: the bridge between the deterministic simulator
 //! and the online decision service.
 //!
-//! A [`Workload`] is a schema-versioned, replayable stream of
+//! A [`Workload`] is an in-memory, replayable stream of
 //! [`WireRequest`]s — exactly the requests the simulator's agents pushed
 //! through [`DefendedApp`]'s gate, in order. `fg-loadgen` replays them over
 //! HTTP against `fg-serve`, and the decision-parity test replays them both
@@ -25,9 +25,6 @@ use fg_mitigation::gating::TrustTier;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use serde::{Deserialize, Serialize};
-
-/// Version stamp on the serialized workload format.
-pub const WORKLOAD_SCHEMA: u32 = 1;
 
 /// One gated request, flattened to its wire-visible parts. This is also the
 /// request body of the decision service's `POST /v1/decide`.
@@ -89,33 +86,12 @@ impl WireRequest {
 }
 
 /// A replayable request stream plus the seed that produced it.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Workload {
-    /// Serialization format version ([`WORKLOAD_SCHEMA`]).
-    pub schema: u32,
     /// Master seed the generating simulation ran under.
     pub seed: u64,
     /// The requests, in gate order.
     pub requests: Vec<WireRequest>,
-}
-
-impl Workload {
-    /// Serializes to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("workload serializes")
-    }
-
-    /// Parses a serialized workload, rejecting unknown schema versions.
-    pub fn from_json(s: &str) -> Result<Workload, String> {
-        let w: Workload = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        if w.schema != WORKLOAD_SCHEMA {
-            return Err(format!(
-                "unsupported workload schema {} (expected {WORKLOAD_SCHEMA})",
-                w.schema
-            ));
-        }
-        Ok(w)
-    }
 }
 
 /// Parameters for [`generate`].
@@ -199,7 +175,6 @@ pub fn generate(config: &WorkloadConfig) -> Workload {
 
     let mut app = sim.run(end);
     Workload {
-        schema: WORKLOAD_SCHEMA,
         seed: config.seed,
         requests: app.take_workload(),
     }
@@ -225,29 +200,6 @@ mod tests {
         let b = generate(&small());
         assert_eq!(a, b);
         assert!(!a.requests.is_empty(), "workload captured no requests");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let w = generate(&WorkloadConfig {
-            horizon_hours: 1,
-            ..small()
-        });
-        let parsed = Workload::from_json(&w.to_json()).expect("parses");
-        assert_eq!(parsed, w);
-    }
-
-    #[test]
-    fn unknown_schema_is_rejected() {
-        let mut w = generate(&WorkloadConfig {
-            horizon_hours: 1,
-            sms_pumper: false,
-            seat_spinner: false,
-            ..small()
-        });
-        w.schema = 99;
-        let err = Workload::from_json(&w.to_json()).unwrap_err();
-        assert!(err.contains("schema"), "unexpected error: {err}");
     }
 
     #[test]

@@ -242,14 +242,9 @@ impl Sentinel {
     }
 
     /// Finalises the run: time-to-detection plus the correlated incident
-    /// timeline.
-    pub fn report(&self, end: SimTime, audit: &AuditSnapshot) -> SentinelReport {
-        self.report_with_traces(end, audit, None)
-    }
-
-    /// Like [`Sentinel::report`], but restricts the incident's exemplar
-    /// trace ids to `retained_traces` (what the tracer actually kept) so
-    /// every cited id resolves in the exported trace file.
+    /// timeline. `retained_traces` (what the tracer actually kept), when
+    /// given, restricts the incident's exemplar trace ids so every cited id
+    /// resolves in the exported trace file.
     pub fn report_with_traces(
         &self,
         end: SimTime,
@@ -950,7 +945,7 @@ mod tests {
             SimTime::from_hours(1) + SimDuration::from_mins(5),
             &registry.snapshot(),
         );
-        let report = s.report(SimTime::from_hours(2), &empty_audit());
+        let report = s.report_with_traces(SimTime::from_hours(2), &empty_audit(), None);
         assert_eq!(
             report.time_to_detection,
             Some(SimDuration::from_mins(5)),

@@ -255,11 +255,6 @@ impl ServeState {
         self.boot.elapsed().as_millis() as u64
     }
 
-    /// The decision core (for in-process tests and benches).
-    pub fn service(&self) -> &DecisionService {
-        &self.service
-    }
-
     /// Applied-config generation (1 at boot).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)

@@ -150,6 +150,7 @@ impl DecisionService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fg_mitigation::policy::Decision;
     use fg_scenario::workload::{generate, WorkloadConfig};
 
     fn service() -> DecisionService {
@@ -261,6 +262,47 @@ mod tests {
                 decision.signals
             );
         }
+    }
+
+    #[test]
+    fn sticky_honeypot_decisions_hand_their_trace_back() {
+        // A webdriver fingerprint scores 1.0, which the recommended policy
+        // diverts to the honeypot; the session's next request rides the
+        // sticky diversion. Both must return their trace, so the HTTP layer
+        // can add its transport span to each.
+        let telemetry = Telemetry::shared();
+        telemetry.enable_tracing(fg_telemetry::TraceConfig::default());
+        let svc = DecisionService::new(&ServeConfig::recommended(), telemetry.clone());
+        let workload = generate(&WorkloadConfig {
+            seed: 3,
+            horizon_hours: 1,
+            arrivals_per_day: 60.0,
+            seat_spinner: false,
+            sms_pumper: false,
+        });
+        let mut req = workload.requests[0].clone();
+        req.fingerprint.webdriver = true;
+        let (first, trace) = svc.decide_traced(&req);
+        assert_eq!(first.decision, Decision::Honeypot, "{first:?}");
+        assert!(trace.is_some());
+        req.now_ms += 60_000;
+        let (sticky, trace) = svc.decide_traced(&req);
+        assert_eq!(sticky.reasons, ["honeypot:session-diverted"]);
+        let trace = trace.expect("the sticky decision hands its trace back");
+        assert_eq!(trace.trace_id(), sticky.trace_id);
+        telemetry.record_trace(trace);
+        let snap = telemetry.tracer().snapshot();
+        let root = snap
+            .spans
+            .iter()
+            .find(|s| s.trace_id == sticky.trace_id && s.parent_id == 0)
+            .expect("the sticky trace was submitted");
+        assert!(
+            root.attrs
+                .contains(&("decision".to_owned(), "honeypot".to_owned())),
+            "{:?}",
+            root.attrs
+        );
     }
 
     #[test]

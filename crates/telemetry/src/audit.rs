@@ -101,34 +101,14 @@ impl AuditTrail {
         self.ring.push_back(record);
     }
 
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
     /// `true` if nothing is retained.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
 
-    /// Maximum records retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total records ever pushed (evicted ones included).
     pub fn recorded(&self) -> u64 {
         self.recorded
-    }
-
-    /// Records dropped to honour the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.ring.iter()
     }
 
     /// Retained records with the given decision label, oldest first — e.g.
@@ -229,10 +209,11 @@ mod tests {
         for t in 0..5 {
             trail.push(record(t, "block"));
         }
-        assert_eq!(trail.len(), 3);
-        assert_eq!(trail.evicted(), 2);
+        let snap = trail.snapshot();
+        assert_eq!(snap.records.len(), 3);
+        assert_eq!(snap.evicted, 2);
         assert_eq!(trail.recorded(), 5);
-        let times: Vec<u64> = trail.records().map(|r| r.at.as_millis()).collect();
+        let times: Vec<u64> = snap.records.iter().map(|r| r.at.as_millis()).collect();
         assert_eq!(times, vec![2, 3, 4], "oldest evicted, order preserved");
     }
 

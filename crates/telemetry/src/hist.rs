@@ -7,13 +7,13 @@
 //! [`RELATIVE_ERROR`] (= 1/64 ≈ 1.6%) of the exact nearest-rank sample.
 //! Memory is a fixed [`BUCKET_COUNT`]-slot table (~15 KiB of `u64`s) no
 //! matter how many samples are recorded — unlike the retained-sample
-//! `Summary` the stage profiler used before, which grew without bound in a
+//! summary the stage profiler used before, which grew without bound in a
 //! long-running server.
 //!
 //! Three faces of the same layout:
 //!
 //! - [`Hist`] — plain dense counts, for single-writer contexts (the stage
-//!   profiler behind its mutex). `Clone`, cheap to merge.
+//!   profiler behind its mutex).
 //! - [`AtomicHist`] — lock-free recording for the serve hot path: one
 //!   relaxed fetch-add per sample, plus bounded per-octave *exemplar* slots
 //!   pairing a bucket with the trace id of a request that landed in it.
@@ -137,22 +137,6 @@ impl Hist {
         self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Folds `other` in bucket-wise; exact (the result is as if `self` had
-    /// recorded every sample of both).
-    pub fn merge(&mut self, other: &Hist) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// The compact, mergeable serde form.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
@@ -213,11 +197,6 @@ impl HistSnapshot {
             sum: 0,
             max: 0,
         }
-    }
-
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Nearest-rank quantile in nanoseconds (bucket midpoint, clamped to
@@ -379,11 +358,6 @@ impl AtomicHist {
             .map_or(0, |displaced| displaced.trace_id)
     }
 
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Point-in-time compact form plus the current exemplar set (ascending
     /// by latency).
     pub fn snapshot(&self) -> (HistSnapshot, Vec<Exemplar>) {
@@ -467,7 +441,7 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.quantile(0.0), 0);
         assert_eq!(snap.quantile(1.0), 31);
-        assert_eq!(h.count(), 4);
+        assert_eq!(snap.count, 4);
         assert_eq!(snap.sum, 37);
     }
 
@@ -565,7 +539,7 @@ mod tests {
             }
         }
 
-        /// merge(a, b) is indistinguishable from recording the union.
+        /// Merging snapshots is indistinguishable from recording the union.
         #[test]
         fn merge_equals_recording_the_union(
             xs in proptest::collection::vec(0u64..10_000_000_000, 0..200),
@@ -582,11 +556,7 @@ mod tests {
                 b.record(y);
                 union.record(y);
             }
-            a.merge(&b);
-            prop_assert_eq!(a.snapshot(), union.snapshot());
-            let mut sa = Hist::new();
-            for &x in &xs { sa.record(x); }
-            let mut snap = sa.snapshot();
+            let mut snap = a.snapshot();
             snap.merge(&b.snapshot());
             prop_assert_eq!(snap, union.snapshot());
         }

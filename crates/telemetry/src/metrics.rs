@@ -203,11 +203,6 @@ impl Latency {
         )
     }
 
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.0.count()
-    }
-
     /// Point-in-time compact histogram plus current exemplars.
     pub fn snapshot(&self) -> (HistSnapshot, Vec<Exemplar>) {
         self.0.snapshot()

@@ -193,6 +193,9 @@ for span in traces["spans"]:
         checked["request"] += 1
 print(f"serve-smoke: span attribute formats OK {checked}")
 assert checked["detect.assess"] and checked["serve.http"] and checked["request"], checked
+# Every retained request trace went through the HTTP layer, so each must
+# carry its transport span (status, latency, wire correlation).
+assert checked["serve.http"] == checked["request"], checked
 
 # The flight recorder saw the replay and still holds a live tail.
 assert flight["recorded"] > 0 and flight["live"], flight

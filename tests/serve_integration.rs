@@ -419,6 +419,64 @@ fn observability_plane_links_metrics_traces_and_the_flight_recorder() {
     assert!(report.clean, "{report:?}");
 }
 
+#[test]
+fn sticky_honeypot_decisions_keep_their_transport_span() {
+    let server = Server::start(test_config(), Telemetry::shared(), None).expect("boot");
+    let addr = server.addr();
+    // A webdriver fingerprint is diverted to the honeypot, and the
+    // session's next request rides the sticky diversion.
+    let mut req: WireRequest = serde_json::from_str(&sample_decide_body()).expect("request parses");
+    req.fingerprint.webdriver = true;
+    let wire_trace = "0af7651916cd43dd8448eb211c80319c";
+    let traceparent = format!("00-{wire_trace}-b7ad6b7169203331-01");
+    let mut replies = Vec::new();
+    for now_ms in [req.now_ms, req.now_ms + 60_000] {
+        let body = serde_json::to_string(&WireRequest {
+            now_ms,
+            ..req.clone()
+        })
+        .expect("request serializes");
+        let (status, _, body) = request_full(
+            addr,
+            "POST",
+            "/v1/decide",
+            &[("Traceparent", &traceparent)],
+            body.as_bytes(),
+        );
+        assert_eq!(status, 200, "{body}");
+        let reply: GateDecision = serde_json::from_str(&body).expect("decision body");
+        assert_eq!(reply.decision, Decision::Honeypot, "{body}");
+        replies.push(reply);
+    }
+    let sticky = &replies[1];
+    assert_eq!(sticky.reasons, ["honeypot:session-diverted"]);
+
+    let (status, body) = request(
+        addr,
+        "GET",
+        &format!("/debug/traces?trace_id={:016x}", sticky.trace_id),
+        b"",
+    );
+    assert_eq!(status, 200, "{body}");
+    let traces: serde_json::Value = serde_json::from_str(&body).expect("traces json");
+    let spans: Vec<SpanRecord> =
+        serde_json::from_value(traces.get("spans").cloned().expect("spans present"))
+            .expect("span records");
+    let http = spans
+        .iter()
+        .find(|s| s.name == "serve.http")
+        .unwrap_or_else(|| panic!("no serve.http span in {body}"));
+    assert!(
+        http.attrs
+            .contains(&("wire.trace_id".to_owned(), wire_trace.to_owned())),
+        "{:?}",
+        http.attrs
+    );
+
+    let report = server.drain(Duration::from_secs(10));
+    assert!(report.clean, "{report:?}");
+}
+
 /// A unique temp path for this test process (no wall-clock naming needed).
 fn temp_config_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("fg-serve-test-{}-{tag}.json", std::process::id()))
