@@ -110,11 +110,11 @@ impl FareManipulator {
             rng,
         );
         let mut proxies = ProxyPool::residential(&geo, 64);
-        let lease = proxies
-            .rent(CountryCode::new("US"), SimTime::ZERO, rng)
+        let current_ip = proxies
+            .rent(CountryCode::new("US"), rng)
             .expect("US residential exits exist");
         FareManipulator {
-            current_ip: lease.ip(),
+            current_ip,
             config,
             client,
             rotator,
@@ -198,8 +198,8 @@ impl FareManipulator {
                 o if o.defence_refused() => {
                     self.stats.defence_refusals += 1;
                     self.rotator.notify_blocked(now, rng);
-                    if let Some(lease) = self.proxies.rent(CountryCode::new("US"), now, rng) {
-                        self.current_ip = lease.ip();
+                    if let Some(ip) = self.proxies.rent(CountryCode::new("US"), rng) {
+                        self.current_ip = ip;
                     }
                     break;
                 }

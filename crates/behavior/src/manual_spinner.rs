@@ -109,14 +109,13 @@ impl ManualSpinner {
         self.stats
     }
 
-    fn request(&mut self, now: SimTime, rng: &mut StdRng) -> ClientRequest {
+    fn request(&mut self, rng: &mut StdRng) -> ClientRequest {
         // A broad range of IPs — but the same browser every time.
         let country =
             self.config.proxy_countries[rng.gen_range(0..self.config.proxy_countries.len())];
         let ip = self
             .proxies
-            .rent(country, now, rng)
-            .map(|l| l.ip())
+            .rent(country, rng)
             .expect("proxy countries exist in the geo database");
         ClientRequest {
             client: self.client,
@@ -134,7 +133,7 @@ impl Agent for ManualSpinner {
             return None;
         }
         self.stats.sessions += 1;
-        let req = self.request(now, rng);
+        let req = self.request(rng);
 
         // A human session: browse a little, then hold the usual party.
         let _ = app.search(&req, now);
@@ -275,8 +274,8 @@ mod tests {
             GeoDatabase::default_world(),
             &mut rng,
         );
-        let a = bot.request(SimTime::ZERO, &mut rng);
-        let b = bot.request(SimTime::from_hours(5), &mut rng);
+        let a = bot.request(&mut rng);
+        let b = bot.request(&mut rng);
         assert_eq!(
             a.fingerprint.identity_hash(),
             b.fingerprint.identity_hash(),

@@ -111,8 +111,7 @@ impl Agent for Scraper {
         // Cheap datacenter exits, one per burst.
         let ip = self
             .proxies
-            .rent(CountryCode::new("US"), now, rng)
-            .map(|l| l.ip())
+            .rent(CountryCode::new("US"), rng)
             .expect("US datacenter exits exist");
         let req = ClientRequest {
             client: self.client,

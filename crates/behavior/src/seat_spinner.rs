@@ -176,12 +176,12 @@ impl SeatSpinner {
             ProxyPool::residential(&geo, config.proxy_exits_per_country)
         };
         let country = config.proxy_countries[rng.gen_range(0..config.proxy_countries.len())];
-        let lease = proxies
-            .rent(country, SimTime::ZERO, rng)
+        let current_ip = proxies
+            .rent(country, rng)
             .expect("proxy countries exist in the geo database");
         let names = RotatingBirthdateGenerator::new(rng, 6);
         SeatSpinner {
-            current_ip: lease.ip(),
+            current_ip,
             config,
             client,
             rotator,
@@ -248,8 +248,8 @@ impl SeatSpinner {
         // Rotate the exit too: rent a fresh lease.
         let country =
             self.config.proxy_countries[rng.gen_range(0..self.config.proxy_countries.len())];
-        if let Some(lease) = self.proxies.rent(country, now, rng) {
-            self.current_ip = lease.ip();
+        if let Some(ip) = self.proxies.rent(country, rng) {
+            self.current_ip = ip;
         }
     }
 

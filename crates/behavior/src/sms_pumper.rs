@@ -184,12 +184,7 @@ impl SmsPumper {
         s
     }
 
-    fn request_via(
-        &mut self,
-        country: CountryCode,
-        now: SimTime,
-        rng: &mut StdRng,
-    ) -> ClientRequest {
+    fn request_via(&mut self, country: CountryCode, rng: &mut StdRng) -> ClientRequest {
         // A new fingerprint identity must not keep old exits (linkable);
         // flush the lease cache on rotation.
         let rotations = self.rotator.rotation_times().len();
@@ -215,9 +210,8 @@ impl SmsPumper {
             None => {
                 let fresh = self
                     .proxies
-                    .rent(country, now, rng)
-                    .or_else(|| self.proxies.rent_any(now, rng))
-                    .map(|l| l.ip())
+                    .rent(country, rng)
+                    .or_else(|| self.proxies.rent_any(rng))
                     .unwrap_or_else(|| {
                         self.geo
                             .sample_ip(CountryCode::new("US"), IpClass::Datacenter, rng)
@@ -238,7 +232,7 @@ impl SmsPumper {
 
     fn provision(&mut self, app: &mut dyn App, now: SimTime, rng: &mut StdRng) {
         let country = *self.country_weights.sample(rng);
-        let req = self.request_via(country, now, rng);
+        let req = self.request_via(country, rng);
         let party = gibberish_party(rng, 1);
         match app.hold(&req, self.config.target_flight, party, now) {
             ApiOutcome::Ok(reference) => {
@@ -276,7 +270,7 @@ impl SmsPumper {
     fn pump_one(&mut self, app: &mut dyn App, now: SimTime, rng: &mut StdRng) {
         let country = *self.country_weights.sample(rng);
         let phone = PhoneNumber::new(country, 900_000_000 + rng.gen_range(0..1_000_000));
-        let req = self.request_via(country, now, rng);
+        let req = self.request_via(country, rng);
 
         let outcome = if self.config.otp_variant {
             app.send_otp(&req, phone, now)
@@ -505,7 +499,7 @@ mod tests {
             &mut rng,
         );
         let uz = CountryCode::new("UZ");
-        let req = bot.request_via(uz, SimTime::ZERO, &mut rng);
+        let req = bot.request_via(uz, &mut rng);
         assert_eq!(
             geo.country_of(req.ip),
             Some(uz),

@@ -8,6 +8,7 @@
 //! cargo run --release -p fg-bench --bin experiments case_a --telemetry
 //! cargo run --release -p fg-bench --bin experiments --smoke --seeds 2 --jobs 2  # CI
 //! cargo run --release -p fg-bench --bin experiments --shards 4   # sharded stores
+//! cargo run --release -p fg-bench --bin experiments case_a --traces
 //! ```
 //!
 //! `--shards S` partitions every keyed defence store into S shards
@@ -28,11 +29,12 @@
 //! * `<name>.telemetry.json` / `<name>.prom` — with `--telemetry`, the
 //!   replicate-merged telemetry snapshot for experiments that expose a sink
 //!   (`case_a`, `case_b`).
-//! * `<name>.alerts.json` — with `--alerts`, the sentinel outcome: per-seed
-//!   time-to-detection, the aggregate TTD summary, and the replicate-0
-//!   alert/incident timeline. The process exits non-zero if any experiment
-//!   whose policy expects detection reports none (the CI alerting gate).
-//! * `<name>.traces.json` — with `--traces`, the replicate-0 causal span
+//! * `<name>.alerts.json` — on every run, the sentinel outcome: per-seed
+//!   time-to-detection, the aggregate TTD summary, and the first cell's
+//!   (replicate 0 unless `--seed-offset`) alert/incident timeline. The
+//!   process exits non-zero if any experiment whose policy expects
+//!   detection reports none (the detection gate).
+//! * `<name>.traces.json` — with `--traces`, the first cell's causal span
 //!   trace in Chrome trace-event form (load it in Perfetto or
 //!   `chrome://tracing`). The process exits non-zero if any incident's
 //!   exemplar trace ids fail to resolve in the export (the CI tracing gate).
@@ -53,7 +55,7 @@ enum Exit {
     Success = 0,
     /// Bad command line: unknown flag, unknown experiment, malformed value.
     Usage = 2,
-    /// The `--alerts` gate failed: an experiment whose policy expects
+    /// The detection gate failed: an experiment whose policy expects
     /// detection reported no alert.
     DetectionMissing = 3,
     /// The `--traces` gate failed: an incident carries an exemplar trace id
@@ -74,8 +76,8 @@ fn write_file(path: &Path, contents: String) {
     }
 }
 
-/// Writes every artifact for one experiment's sweep.
-fn write_artifacts(run: &ExperimentRun, telemetry: bool, alerts: bool, traces: bool) {
+/// Writes every artifact one experiment's sweep captured.
+fn write_artifacts(run: &ExperimentRun) {
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_err() {
         eprintln!("[artifact] cannot create {}", dir.display());
@@ -96,27 +98,21 @@ fn write_artifacts(run: &ExperimentRun, telemetry: bool, alerts: bool, traces: b
             run.aggregate_json(),
         );
     }
-    if telemetry {
-        if let Some(snapshot) = &run.merged_telemetry {
-            write_file(
-                &dir.join(format!("{}.telemetry.json", run.name)),
-                snapshot.to_json(),
-            );
-            write_file(
-                &dir.join(format!("{}.prom", run.name)),
-                snapshot.to_prometheus(),
-            );
-        }
+    if let Some(snapshot) = &run.merged_telemetry {
+        write_file(
+            &dir.join(format!("{}.telemetry.json", run.name)),
+            snapshot.to_json(),
+        );
+        write_file(
+            &dir.join(format!("{}.prom", run.name)),
+            snapshot.to_prometheus(),
+        );
     }
-    if alerts {
-        if let Some(json) = run.alerts_json() {
-            write_file(&dir.join(format!("{}.alerts.json", run.name)), json);
-        }
+    if let Some(json) = run.alerts_json() {
+        write_file(&dir.join(format!("{}.alerts.json", run.name)), json);
     }
-    if traces {
-        if let Some(json) = run.traces_json() {
-            write_file(&dir.join(format!("{}.traces.json", run.name)), json);
-        }
+    if let Some(json) = run.traces_json() {
+        write_file(&dir.join(format!("{}.traces.json", run.name)), json);
     }
 }
 
@@ -144,15 +140,10 @@ fn print_run(run: &ExperimentRun) {
             snapshot.audit.recorded, snapshot.audit.evicted, snapshot.audit.decision_totals
         );
     }
-    // Replicate 0's sentinel outcome (TTD + incident timeline); every seed's
-    // TTD is in the `.alerts.json` artifact.
-    if let Some(report) = run
-        .cells
-        .iter()
-        .find(|c| c.replicate == 0)
-        .and_then(|c| c.alerts.as_ref())
-    {
-        println!("{}", render_sentinel_report(report));
+    // The first cell's sentinel outcome (TTD + incident timeline); every
+    // seed's TTD is in the `.alerts.json` artifact.
+    if let Some(cell) = run.cells.first() {
+        println!("{}", render_sentinel_report(&cell.alerts));
     }
 }
 
@@ -199,7 +190,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--smoke" => cli.config.smoke = true,
             "--telemetry" => cli.config.telemetry = true,
-            "--alerts" => cli.config.alerts = true,
             "--traces" => cli.config.traces = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             name => cli.names.push(name.to_owned()),
@@ -231,7 +221,7 @@ fn main() -> ExitCode {
     let available: Vec<&str> = all_specs().iter().map(|s| s.name).collect();
     let usage = format!(
         "available experiments: {available:?}\n\
-         flags: --seeds N  --jobs J  --seed-offset K  --shards S  --smoke  --telemetry  --alerts  --traces"
+         flags: --seeds N  --jobs J  --seed-offset K  --shards S  --smoke  --telemetry  --traces"
     );
     let cli = match parse_args(&args) {
         Ok(cli) => cli,
@@ -266,20 +256,15 @@ fn main() -> ExitCode {
     let mut exemplars_unresolved = false;
     for run in &runs {
         print_run(run);
-        write_artifacts(
-            run,
-            cli.config.telemetry,
-            cli.config.alerts,
-            cli.config.traces,
-        );
-        if cli.config.alerts && run.detection_missing() {
+        write_artifacts(run);
+        if run.detection_missing() {
             eprintln!(
                 "[alerts] {}: policy expected detection but no alert fired",
                 run.name
             );
             detection_missing = true;
         }
-        if cli.config.traces && run.exemplars_unresolved() {
+        if run.exemplars_unresolved() {
             eprintln!(
                 "[traces] {}: an incident exemplar trace id does not resolve in the trace export",
                 run.name

@@ -1140,7 +1140,8 @@ pub fn cases() -> Vec<PerfCase> {
     // Count the requests one run serves so the metric reads as application
     // events/sec, not runs/sec (the scaling cases below reuse the count).
     let case_a_requests: u64 = {
-        let (_, telemetry) = case_a::run_with_telemetry(case_a_config.clone());
+        let telemetry = fg_telemetry::Telemetry::shared();
+        case_a::run_observed(case_a_config.clone(), telemetry.clone());
         telemetry
             .snapshot()
             .metrics
@@ -1257,7 +1258,8 @@ pub fn cases() -> Vec<PerfCase> {
                             .map(|_| {
                                 let config = config.clone();
                                 s.spawn(move || {
-                                    let (_, telemetry) = case_a::run_with_telemetry(config);
+                                    let telemetry = fg_telemetry::Telemetry::shared();
+                                    case_a::run_observed(config, telemetry.clone());
                                     telemetry.snapshot()
                                 })
                             })

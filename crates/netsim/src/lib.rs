@@ -25,15 +25,14 @@
 //! use fg_netsim::geo::GeoDatabase;
 //! use fg_netsim::proxy::ProxyPool;
 //! use fg_core::ids::CountryCode;
-//! use fg_core::time::SimTime;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let geo = GeoDatabase::default_world();
 //! let mut pool = ProxyPool::residential(&geo, 64);
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let uz = CountryCode::new("UZ");
-//! let exit = pool.rent(uz, SimTime::ZERO, &mut rng).expect("UZ has exits");
-//! assert_eq!(geo.country_of(exit.ip()), Some(uz));
+//! let exit = pool.rent(uz, &mut rng).expect("UZ has exits");
+//! assert_eq!(geo.country_of(exit), Some(uz));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,5 +45,5 @@ pub mod reputation;
 
 pub use geo::GeoDatabase;
 pub use ip::{IpAddress, IpClass, IpRange};
-pub use proxy::{ProxyLease, ProxyPool};
+pub use proxy::ProxyPool;
 pub use reputation::ReputationLedger;

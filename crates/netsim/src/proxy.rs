@@ -13,25 +13,8 @@ use crate::geo::GeoDatabase;
 use crate::ip::{IpAddress, IpClass};
 use fg_core::ids::CountryCode;
 use fg_core::money::Money;
-use fg_core::time::SimTime;
 use rand::Rng;
 use std::collections::HashMap;
-
-/// A rented proxy exit: the address plus rental metadata.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProxyLease {
-    ip: IpAddress,
-    country: CountryCode,
-    rented_at: SimTime,
-    price: Money,
-}
-
-impl ProxyLease {
-    /// The exit address.
-    pub fn ip(&self) -> IpAddress {
-        self.ip
-    }
-}
 
 /// A finite pool of proxy exits, organized per country.
 ///
@@ -41,14 +24,13 @@ impl ProxyLease {
 /// use fg_netsim::{GeoDatabase, proxy::ProxyPool};
 /// use fg_core::ids::CountryCode;
 /// use fg_core::money::Money;
-/// use fg_core::time::SimTime;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let geo = GeoDatabase::default_world();
 /// let mut pool = ProxyPool::residential(&geo, 32);
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let lease = pool.rent(CountryCode::new("NG"), SimTime::ZERO, &mut rng).unwrap();
-/// assert_eq!(geo.country_of(lease.ip()), Some(CountryCode::new("NG")));
+/// let exit = pool.rent(CountryCode::new("NG"), &mut rng).unwrap();
+/// assert_eq!(geo.country_of(exit), Some(CountryCode::new("NG")));
 /// assert_eq!(pool.total_spend(), Money::from_cents(60));
 /// ```
 #[derive(Clone, Debug)]
@@ -116,30 +98,24 @@ impl ProxyPool {
         }
     }
 
-    /// Rents a random exit in `country`. Returns `None` if the pool has no
-    /// inventory there.
+    /// Rents a random exit in `country` and returns its address. Returns
+    /// `None` if the pool has no inventory there.
     pub fn rent<R: Rng + ?Sized>(
         &mut self,
         country: CountryCode,
-        now: SimTime,
         rng: &mut R,
-    ) -> Option<ProxyLease> {
+    ) -> Option<IpAddress> {
         let ips = self.exits.get(&country)?;
         if ips.is_empty() {
             return None;
         }
         let ip = ips[rng.gen_range(0..ips.len())];
         self.total_spend += self.price_per_lease;
-        Some(ProxyLease {
-            ip,
-            country,
-            rented_at: now,
-            price: self.price_per_lease,
-        })
+        Some(ip)
     }
 
     /// Rents an exit in any country (uniform over countries with inventory).
-    pub fn rent_any<R: Rng + ?Sized>(&mut self, now: SimTime, rng: &mut R) -> Option<ProxyLease> {
+    pub fn rent_any<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<IpAddress> {
         let countries: Vec<CountryCode> = self
             .exits
             .iter()
@@ -153,7 +129,7 @@ impl ProxyPool {
         let mut countries = countries;
         countries.sort_unstable();
         let country = countries[rng.gen_range(0..countries.len())];
-        self.rent(country, now, rng)
+        self.rent(country, rng)
     }
 
     /// Total money spent on leases so far.
@@ -179,9 +155,9 @@ mod tests {
         let (geo, mut pool, mut rng) = setup();
         for code in ["UZ", "IR", "TH"] {
             let c = CountryCode::new(code);
-            let lease = pool.rent(c, SimTime::ZERO, &mut rng).unwrap();
-            assert_eq!(geo.country_of(lease.ip()), Some(c));
-            assert_eq!(geo.class_of(lease.ip()), Some(IpClass::Residential));
+            let exit = pool.rent(c, &mut rng).unwrap();
+            assert_eq!(geo.country_of(exit), Some(c));
+            assert_eq!(geo.class_of(exit), Some(IpClass::Residential));
         }
     }
 
@@ -190,7 +166,7 @@ mod tests {
         let (_, mut pool, mut rng) = setup();
         let c = CountryCode::new("GB");
         for _ in 0..10 {
-            pool.rent(c, SimTime::ZERO, &mut rng).unwrap();
+            pool.rent(c, &mut rng).unwrap();
         }
         assert_eq!(pool.total_spend(), Money::from_cents(600));
     }
@@ -198,9 +174,7 @@ mod tests {
     #[test]
     fn unknown_country_has_no_inventory() {
         let (_, mut pool, mut rng) = setup();
-        assert!(pool
-            .rent(CountryCode::new("ZZ"), SimTime::ZERO, &mut rng)
-            .is_none());
+        assert!(pool.rent(CountryCode::new("ZZ"), &mut rng).is_none());
     }
 
     #[test]
@@ -209,7 +183,7 @@ mod tests {
         let lease_with_seed = |seed| {
             let mut pool = ProxyPool::residential(&geo, 8);
             let mut rng = StdRng::seed_from_u64(seed);
-            pool.rent_any(SimTime::ZERO, &mut rng).unwrap()
+            pool.rent_any(&mut rng).unwrap()
         };
         assert_eq!(lease_with_seed(7), lease_with_seed(7));
     }
@@ -219,10 +193,8 @@ mod tests {
         let geo = GeoDatabase::default_world();
         let mut dc = ProxyPool::datacenter(&geo, 8);
         let mut rng = StdRng::seed_from_u64(5);
-        let lease = dc
-            .rent(CountryCode::new("US"), SimTime::ZERO, &mut rng)
-            .unwrap();
-        assert_eq!(geo.class_of(lease.ip()), Some(IpClass::Datacenter));
+        let exit = dc.rent(CountryCode::new("US"), &mut rng).unwrap();
+        assert_eq!(geo.class_of(exit), Some(IpClass::Datacenter));
         assert!(dc.total_spend() < Money::from_cents(60));
     }
 
@@ -230,9 +202,8 @@ mod tests {
     fn rotation_draws_many_distinct_ips() {
         let (_, mut pool, mut rng) = setup();
         let c = CountryCode::new("JO");
-        let distinct: std::collections::HashSet<IpAddress> = (0..200)
-            .filter_map(|_| pool.rent(c, SimTime::ZERO, &mut rng).map(|l| l.ip()))
-            .collect();
+        let distinct: std::collections::HashSet<IpAddress> =
+            (0..200).filter_map(|_| pool.rent(c, &mut rng)).collect();
         assert!(
             distinct.len() >= 10,
             "got {} distinct exits",

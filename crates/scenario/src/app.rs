@@ -1126,6 +1126,18 @@ mod tests {
             let _ = a.search(&req, SimTime::from_secs(i));
         }
         assert!(a.solver_spend(req.client) > Money::ZERO);
+        // The fee is charged per attempt, failed solves included.
+        let metrics = a.telemetry().snapshot().metrics;
+        let challenges = |outcome| {
+            metrics
+                .counter_value("fg_challenges_total", &[("outcome", outcome)])
+                .expect("registered at construction")
+        };
+        assert!(challenges("failed") > 0, "the seed sees a failed solve");
+        assert_eq!(
+            a.solver_spend(req.client),
+            a.config.captcha.solver_price * (challenges("solved") + challenges("failed"))
+        );
     }
 
     #[test]

@@ -22,8 +22,10 @@ use fg_inventory::flight::Flight;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{AlertPolicy, AlertRule, MetricSelector, SentinelReport};
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// The defensive postures compared.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -183,7 +185,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -266,21 +268,18 @@ fn run_cell(
     config: &AblationConfig,
     posture: Posture,
     attack: AttackKind,
-    traces: bool,
-) -> (Cell, SentinelReport, Option<fg_telemetry::TraceSnapshot>) {
+    telemetry: Arc<Telemetry>,
+) -> (Cell, SentinelReport) {
     let fork = SeedFork::new(config.seed ^ (posture as u64) << 8 ^ attack as u64);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_days(config.days);
 
-    let mut app = DefendedApp::new(
+    let mut app = DefendedApp::with_telemetry(
         AppConfig::airline(posture.policy()).with_concurrency(config.concurrency),
         fork.seed("app"),
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let target = FlightId(1);
     app.add_flight(Flight::new(
         target,
@@ -382,44 +381,42 @@ fn run_cell(
         attacker_profit: attacker_ledger.profit(),
         defender_loss: defender.total_loss(),
     };
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (cell, alerts, trace_snapshot)
+    (cell, alerts)
 }
 
 /// Runs the full grid.
 pub fn run(config: AblationConfig) -> AblationReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
 /// Runs the full grid, also returning the sentinel outcome for the
 /// unprotected SMS-pumping cell — the configuration with no defence at all,
-/// where the online alert is the only thing that notices the attack.
-///
-/// With `traces`, span tracing is enabled on that cell and its trace export
-/// is returned too. Tracing is read-only, so the report is unchanged.
+/// where the online alert is the only thing that notices the attack. That
+/// cell reports into `telemetry`, the others into hubs of their own.
+/// Observation is read-only, so the report is identical to [`run`]'s.
 pub fn run_observed(
     config: AblationConfig,
-    traces: bool,
-) -> (
-    AblationReport,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+    telemetry: Arc<Telemetry>,
+) -> (AblationReport, SentinelReport) {
     let mut cells = Vec::new();
     let mut designated = None;
     for posture in Posture::ALL {
         for attack in [AttackKind::SeatSpinning, AttackKind::SmsPumping] {
             let is_designated = posture == Posture::Unprotected && attack == AttackKind::SmsPumping;
-            let (cell, alerts, cell_traces) =
-                run_cell(&config, posture, attack, traces && is_designated);
+            let hub = if is_designated {
+                telemetry.clone()
+            } else {
+                Telemetry::shared()
+            };
+            let (cell, alerts) = run_cell(&config, posture, attack, hub);
             if is_designated {
-                designated = Some((alerts, cell_traces));
+                designated = Some(alerts);
             }
             cells.push(cell);
         }
     }
-    let (alerts, trace_snapshot) = designated.expect("grid covers the unprotected pumping cell");
-    (AblationReport { cells }, alerts, trace_snapshot)
+    let alerts = designated.expect("grid covers the unprotected pumping cell");
+    (AblationReport { cells }, alerts)
 }
 
 #[cfg(test)]

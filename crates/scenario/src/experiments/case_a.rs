@@ -116,7 +116,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::telemetry_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -183,26 +183,18 @@ impl fmt::Display for CaseAReport {
 
 /// Runs the Case A scenario.
 pub fn run(config: CaseAConfig) -> CaseAReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
-/// Runs the Case A scenario against a fresh [`Telemetry`] sink and returns
-/// it alongside the report, so callers can export metrics, the decision
-/// audit trail, and per-stage latency profiles for the run.
-pub fn run_with_telemetry(config: CaseAConfig) -> (CaseAReport, Arc<Telemetry>) {
-    let (report, telemetry, _) = run_observed(config, false);
-    (report, telemetry)
-}
-
-/// Runs the Case A scenario with both the telemetry sink and the sentinel
-/// attached. With `traces`, span tracing is enabled on the sink; read the
-/// export via [`Telemetry::trace_snapshot`]. Observation is read-only, so
-/// the report is identical to [`run`]'s.
+/// Runs the Case A scenario with the app reporting into `telemetry` and the
+/// sentinel attached, so callers can export metrics, the decision audit
+/// trail, per-stage latency profiles and, when the hub traces, the span
+/// export for the run. Observation is read-only, so the report is
+/// identical to [`run`]'s.
 pub fn run_observed(
     config: CaseAConfig,
-    traces: bool,
-) -> (CaseAReport, Arc<Telemetry>, SentinelReport) {
-    let telemetry = Telemetry::shared();
+    telemetry: Arc<Telemetry>,
+) -> (CaseAReport, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let departure = SimTime::from_days(config.departure_day);
@@ -212,13 +204,9 @@ pub fn run_observed(
         AppConfig::airline(PolicyConfig::traditional_antibot())
             .with_concurrency(config.concurrency),
         config.seed,
-        telemetry.clone(),
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let target = FlightId(1);
     app.add_flight(Flight::new(target, 180, departure));
     // Background flights so the legit population has somewhere to book.
@@ -309,7 +297,7 @@ pub fn run_observed(
         mean_hold_ratio_during_attack,
         blocked_requests: app.policy().counts().block,
     };
-    (report, telemetry, alerts)
+    (report, alerts)
 }
 
 #[cfg(test)]

@@ -106,7 +106,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::telemetry_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -156,19 +156,16 @@ impl fmt::Display for CaseBReport {
 
 /// Runs the Case B scenario.
 pub fn run(config: CaseBConfig) -> CaseBReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
-/// Runs the Case B scenario with both a fresh [`Telemetry`] sink and the
-/// sentinel attached, for metric/audit/latency export. With `traces`, span
-/// tracing is enabled on the sink; read the export via
-/// [`Telemetry::trace_snapshot`]. Observation is read-only, so the report
-/// is identical to [`run`]'s.
+/// Runs the Case B scenario with the app reporting into `telemetry` and the
+/// sentinel attached, for metric/audit/latency and span export.
+/// Observation is read-only, so the report is identical to [`run`]'s.
 pub fn run_observed(
     config: CaseBConfig,
-    traces: bool,
-) -> (CaseBReport, Arc<Telemetry>, SentinelReport) {
-    let telemetry = Telemetry::shared();
+    telemetry: Arc<Telemetry>,
+) -> (CaseBReport, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_days(config.days);
@@ -176,13 +173,9 @@ pub fn run_observed(
     let mut app = DefendedApp::with_telemetry(
         AppConfig::airline(PolicyConfig::unprotected()).with_concurrency(config.concurrency),
         config.seed,
-        telemetry.clone(),
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let capacity = (config.arrivals_per_day * config.days as f64 * 3.0) as u32;
     for f in 1..=3 {
         app.add_flight(Flight::new(FlightId(f), capacity, SimTime::from_days(40)));
@@ -284,7 +277,7 @@ pub fn run_observed(
         confusion,
         bookings_by_source: by_source,
     };
-    (report, telemetry, alerts)
+    (report, alerts)
 }
 
 #[cfg(test)]

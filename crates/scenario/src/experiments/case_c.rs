@@ -27,8 +27,10 @@ use fg_inventory::flight::Flight;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{AlertPolicy, AlertRule, SentinelReport};
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// The three §IV-C postures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -152,7 +154,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -233,12 +235,8 @@ fn run_posture(
     config: &CaseCConfig,
     posture: SmsPosture,
     measured_baseline_daily: Option<f64>,
-    traces: bool,
-) -> (
-    PostureOutcome,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+    telemetry: Arc<Telemetry>,
+) -> (PostureOutcome, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_weeks(config.weeks);
@@ -262,15 +260,12 @@ fn run_posture(
         }
     }
 
-    let mut app = DefendedApp::new(
+    let mut app = DefendedApp::with_telemetry(
         AppConfig::airline(policy).with_concurrency(config.concurrency),
         config.seed,
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let flight = FlightId(1);
     let capacity = (config.arrivals_per_day * config.weeks as f64 * 7.0 * 2.0 * 1.5) as u32;
     app.add_flight(Flight::new(flight, capacity, SimTime::from_days(60)));
@@ -345,40 +340,42 @@ fn run_posture(
         legit_refused: legit_stats.defence_friction,
         baseline_sms_daily,
     };
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (outcome, alerts, trace_snapshot)
+    (outcome, alerts)
 }
 
 /// Runs all three postures. The no-limits run doubles as the traffic
 /// measurement from which the other postures' path limit is calibrated.
 pub fn run(config: CaseCConfig) -> CaseCReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
 /// Runs all three postures, also returning the sentinel outcome for the
 /// no-limits posture — the configuration whose era defences never detect
-/// the pump, making it the cell where online spend alerting matters.
-///
-/// With `traces`, span tracing is enabled on that posture and its trace
-/// export is returned too. Tracing is read-only, so the report is
-/// unchanged.
+/// the pump, making it the cell where online spend alerting matters. That
+/// posture reports into `telemetry`, the others into hubs of their own.
+/// Observation is read-only, so the report is identical to [`run`]'s.
 pub fn run_observed(
     config: CaseCConfig,
-    traces: bool,
-) -> (
-    CaseCReport,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
-    let (no_limits, alerts, trace_snapshot) =
-        run_posture(&config, SmsPosture::NoLimits, None, traces);
+    telemetry: Arc<Telemetry>,
+) -> (CaseCReport, SentinelReport) {
+    let (no_limits, alerts) = run_posture(&config, SmsPosture::NoLimits, None, telemetry);
     let measured = Some(no_limits.baseline_sms_daily);
-    let (path, _, _) = run_posture(&config, SmsPosture::PathLimitOnly, measured, false);
-    let (booking, _, _) = run_posture(&config, SmsPosture::PerBookingLimit, measured, false);
+    let (path, _) = run_posture(
+        &config,
+        SmsPosture::PathLimitOnly,
+        measured,
+        Telemetry::shared(),
+    );
+    let (booking, _) = run_posture(
+        &config,
+        SmsPosture::PerBookingLimit,
+        measured,
+        Telemetry::shared(),
+    );
     let report = CaseCReport {
         outcomes: vec![no_limits, path, booking],
     };
-    (report, alerts, trace_snapshot)
+    (report, alerts)
 }
 
 #[cfg(test)]

@@ -30,8 +30,10 @@ use fg_inventory::flight::Flight;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{AlertPolicy, AlertRule, MetricSelector, SentinelReport};
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// Detector-comparison configuration.
 #[derive(Clone, Debug)]
@@ -114,7 +116,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -172,36 +174,27 @@ impl fmt::Display for DetectorsReport {
 
 /// Runs the detector comparison.
 pub fn run(config: DetectorsConfig) -> DetectorsReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
-/// Runs the detector comparison with the sentinel attached. The expected
-/// outcome is *no* detection — the volume blind spot under test.
-///
-/// With `traces`, span tracing is enabled on the defended app and its trace
-/// export is returned too. Tracing is read-only, so the report is
-/// unchanged.
+/// Runs the detector comparison with the defended app reporting into
+/// `telemetry` and the sentinel attached. The expected outcome is *no*
+/// detection — the volume blind spot under test. Observation is read-only,
+/// so the report is identical to [`run`]'s.
 pub fn run_observed(
     config: DetectorsConfig,
-    traces: bool,
-) -> (
-    DetectorsReport,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+    telemetry: Arc<Telemetry>,
+) -> (DetectorsReport, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_days(config.days);
 
-    let mut app = DefendedApp::new(
+    let mut app = DefendedApp::with_telemetry(
         AppConfig::airline(PolicyConfig::unprotected()).with_concurrency(config.concurrency),
         config.seed,
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     for f in 1..=3 {
         app.add_flight(Flight::new(
             FlightId(f),
@@ -313,8 +306,7 @@ pub fn run_observed(
             confusion: scraper_cm,
         },
     };
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (report, alerts, trace_snapshot)
+    (report, alerts)
 }
 
 #[cfg(test)]

@@ -21,8 +21,10 @@ use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{
     AlertPolicy, AlertRule, DriftBaseline, DriftStat, MetricSelector, SentinelReport,
 };
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// Fig. 1 experiment configuration.
 #[derive(Clone, Debug)]
@@ -117,7 +119,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -162,21 +164,14 @@ impl fmt::Display for Fig1Report {
 
 /// Runs the Fig. 1 scenario.
 pub fn run(config: Fig1Config) -> Fig1Report {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
-/// Runs the Fig. 1 scenario with the sentinel attached, returning the
-/// report plus the online alerting outcome, and with `traces`, span tracing
-/// enabled on the defended app and its trace export. Observation is
-/// read-only, so the report is identical to [`run`]'s.
-pub fn run_observed(
-    config: Fig1Config,
-    traces: bool,
-) -> (
-    Fig1Report,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+/// Runs the Fig. 1 scenario with the defended app reporting into
+/// `telemetry` and the sentinel attached, returning the report plus the
+/// online alerting outcome. Observation is read-only, so the report is
+/// identical to [`run`]'s.
+pub fn run_observed(config: Fig1Config, telemetry: Arc<Telemetry>) -> (Fig1Report, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_weeks(3);
@@ -187,12 +182,8 @@ pub fn run_observed(
     let mut app_config = AppConfig::airline(PolicyConfig::traditional_antibot())
         .with_concurrency(config.concurrency);
     app_config.hold_ttl = fg_core::time::SimDuration::from_hours(3);
-    let mut app = DefendedApp::new(app_config, config.seed);
+    let mut app = DefendedApp::with_telemetry(app_config, config.seed, telemetry);
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let flights: Vec<FlightId> = (1..=config.flights).map(FlightId).collect();
     // Capacity sized so legitimate demand over three weeks does not sell the
     // airline out (selling out would distort the distribution for reasons
@@ -249,8 +240,7 @@ pub fn run_observed(
         totals: [weeks[0].total(), weeks[1].total(), weeks[2].total()],
         weeks,
     };
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (report, alerts, trace_snapshot)
+    (report, alerts)
 }
 
 #[cfg(test)]

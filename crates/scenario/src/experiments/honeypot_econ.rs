@@ -22,8 +22,10 @@ use fg_inventory::flight::Flight;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{AlertPolicy, AlertRule, DriftStat, MetricSelector, SentinelReport};
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// Honeypot-economics configuration.
 #[derive(Clone, Debug)]
@@ -117,7 +119,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -187,12 +189,8 @@ impl fmt::Display for HoneypotReport {
 fn run_arm(
     config: &HoneypotConfig,
     honeypot: bool,
-    traces: bool,
-) -> (
-    ArmOutcome,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+    telemetry: Arc<Telemetry>,
+) -> (ArmOutcome, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_days(config.days);
@@ -204,15 +202,12 @@ fn run_arm(
     policy.gate.clear(fg_detection::log::Endpoint::Hold);
     policy.client_hold_limit = None;
 
-    let mut app = DefendedApp::new(
+    let mut app = DefendedApp::with_telemetry(
         AppConfig::airline(policy).with_concurrency(config.concurrency),
         fork.seed("app"),
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let target = FlightId(1);
     app.add_flight(Flight::new(
         target,
@@ -270,36 +265,26 @@ fn run_arm(
         attacker_spend: ledger.total_cost() + app.solver_spend(ClientId(1)),
         legit_denied_by_stock,
     };
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (outcome, alerts, trace_snapshot)
+    (outcome, alerts)
 }
 
 /// Runs both arms.
 pub fn run(config: HoneypotConfig) -> HoneypotReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
 /// Runs both arms, also returning the sentinel outcome for the honeypot
 /// arm — the cell where mitigation engagement (diversion) is itself the
-/// alertable event.
-///
-/// With `traces`, span tracing is enabled on that arm and its trace export
-/// is returned too. Tracing is read-only, so the report is unchanged.
+/// alertable event. That arm reports into `telemetry`, the blocking arm
+/// into a hub of its own. Observation is read-only, so the report is
+/// identical to [`run`]'s.
 pub fn run_observed(
     config: HoneypotConfig,
-    traces: bool,
-) -> (
-    HoneypotReport,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
-    let (blocking, _, _) = run_arm(&config, false, false);
-    let (honeypot, alerts, trace_snapshot) = run_arm(&config, true, traces);
-    (
-        HoneypotReport { blocking, honeypot },
-        alerts,
-        trace_snapshot,
-    )
+    telemetry: Arc<Telemetry>,
+) -> (HoneypotReport, SentinelReport) {
+    let (blocking, _) = run_arm(&config, false, Telemetry::shared());
+    let (honeypot, alerts) = run_arm(&config, true, telemetry);
+    (HoneypotReport { blocking, honeypot }, alerts)
 }
 
 #[cfg(test)]

@@ -20,8 +20,10 @@ use fg_inventory::pricing::DynamicPricer;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{AlertPolicy, AlertRule, MetricSelector, SentinelReport};
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// Price-manipulation experiment configuration.
 #[derive(Clone, Debug)]
@@ -108,7 +110,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -181,17 +183,11 @@ impl fmt::Display for PricingReport {
     }
 }
 
-#[allow(clippy::type_complexity)]
 fn run_arm(
     config: &PricingConfig,
     manipulated: bool,
-    traces: bool,
-) -> (
-    PricingArm,
-    Option<PricingReport>,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+    telemetry: Arc<Telemetry>,
+) -> (PricingArm, Option<PricingReport>, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let departure = SimTime::from_days(config.departure_day);
@@ -199,12 +195,8 @@ fn run_arm(
     let mut app_config =
         AppConfig::airline(PolicyConfig::unprotected()).with_concurrency(config.concurrency);
     app_config.pricing = Some(DynamicPricer::airline(config.base_fare));
-    let mut app = DefendedApp::new(app_config, config.seed);
+    let mut app = DefendedApp::with_telemetry(app_config, config.seed, telemetry);
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let target = FlightId(1);
     app.add_flight(Flight::new(target, 180, departure));
     app.add_flight(Flight::new(
@@ -254,37 +246,31 @@ fn run_arm(
             attacker_profit: bot.ledger().profit(),
         }
     });
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (arm, extras, alerts, trace_snapshot)
+    (arm, extras, alerts)
 }
 
 /// Runs both arms.
 pub fn run(config: PricingConfig) -> PricingReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
 /// Runs both arms, also returning the sentinel outcome for the manipulated
 /// arm — the cell whose hold-volume alert marks the suppression campaign.
-///
-/// With `traces`, span tracing is enabled on that arm and its trace export
-/// is returned too. Tracing is read-only, so the report is unchanged.
+/// That arm reports into `telemetry`, the healthy arm into a hub of its
+/// own. Observation is read-only, so the report is identical to [`run`]'s.
 pub fn run_observed(
     config: PricingConfig,
-    traces: bool,
-) -> (
-    PricingReport,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
-    let (healthy, _, _, _) = run_arm(&config, false, false);
-    let (attacked, extras, alerts, trace_snapshot) = run_arm(&config, true, traces);
+    telemetry: Arc<Telemetry>,
+) -> (PricingReport, SentinelReport) {
+    let (healthy, _, _) = run_arm(&config, false, Telemetry::shared());
+    let (attacked, extras, alerts) = run_arm(&config, true, telemetry);
     let extras = extras.expect("manipulated arm produced manipulator stats");
     let report = PricingReport {
         healthy,
         attacked,
         ..extras
     };
-    (report, alerts, trace_snapshot)
+    (report, alerts)
 }
 
 #[cfg(test)]

@@ -22,8 +22,10 @@ use fg_inventory::flight::Flight;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{AlertPolicy, AlertRule, DriftStat, MetricSelector, SentinelReport};
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// Proxy-ablation configuration.
 #[derive(Clone, Debug)]
@@ -104,7 +106,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -169,12 +171,8 @@ impl fmt::Display for ProxiesReport {
 fn run_arm(
     config: &ProxiesConfig,
     datacenter: bool,
-    traces: bool,
-) -> (
-    ProxyArm,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+    telemetry: Arc<Telemetry>,
+) -> (ProxyArm, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_days(config.days);
@@ -183,15 +181,12 @@ fn run_arm(
     // block (signal weight 0.8 ≥ threshold 0.75).
     let mut policy = PolicyConfig::traditional_antibot();
     policy.block_threshold = 0.75;
-    let mut app = DefendedApp::new(
+    let mut app = DefendedApp::with_telemetry(
         AppConfig::airline(policy).with_concurrency(config.concurrency),
         fork.seed("app"),
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     // A long-memory blocklist: confirmed attack exits stay burned for the
     // whole campaign (the realistic posture for manually curated lists).
     app.detection_mut()
@@ -269,38 +264,31 @@ fn run_arm(
         defence_refusals: stats.defence_refusals,
         leases_used: spinner.ledger().proxy_spend.as_f64() as u64, // ≥ leases × price
     };
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (arm, alerts, trace_snapshot)
+    (arm, alerts)
 }
 
 /// Runs both arms.
 pub fn run(config: ProxiesConfig) -> ProxiesReport {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
 /// Runs both arms, also returning the sentinel outcome for the residential
 /// arm — the paper's hard case, where IP blocking fails and the functional
-/// drift alert is what still catches the attack.
-///
-/// With `traces`, span tracing is enabled on that arm and its trace export
-/// is returned too. Tracing is read-only, so the report is unchanged.
+/// drift alert is what still catches the attack. That arm reports into
+/// `telemetry`, the datacenter arm into a hub of its own. Observation is
+/// read-only, so the report is identical to [`run`]'s.
 pub fn run_observed(
     config: ProxiesConfig,
-    traces: bool,
-) -> (
-    ProxiesReport,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
-    let (datacenter, _, _) = run_arm(&config, true, false);
-    let (residential, alerts, trace_snapshot) = run_arm(&config, false, traces);
+    telemetry: Arc<Telemetry>,
+) -> (ProxiesReport, SentinelReport) {
+    let (datacenter, _) = run_arm(&config, true, Telemetry::shared());
+    let (residential, alerts) = run_arm(&config, false, telemetry);
     (
         ProxiesReport {
             datacenter,
             residential,
         },
         alerts,
-        trace_snapshot,
     )
 }
 

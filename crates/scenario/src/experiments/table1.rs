@@ -20,8 +20,10 @@ use fg_inventory::flight::Flight;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::geo::GeoDatabase;
 use fg_sentinel::{AlertPolicy, AlertRule, MetricSelector, SentinelReport};
+use fg_telemetry::Telemetry;
 use serde::Serialize;
 use std::fmt;
+use std::sync::Arc;
 
 /// Table I experiment configuration.
 #[derive(Clone, Debug)]
@@ -111,7 +113,7 @@ pub fn spec() -> crate::harness::ExperimentSpec {
             let mut config = p.base_config(smoke_config);
             config.seed = p.seed;
             config.concurrency = p.concurrency();
-            crate::harness::sentinel_cell(p, run_observed(config, p.traces))
+            crate::harness::CellOutput::of(run_observed(config, p.telemetry.clone()))
         },
         profiles: defence_profiles,
         alerts: alert_policy,
@@ -178,35 +180,28 @@ impl fmt::Display for Table1Report {
 
 /// Runs the Table I scenario.
 pub fn run(config: Table1Config) -> Table1Report {
-    run_observed(config, false).0
+    run_observed(config, Telemetry::shared()).0
 }
 
-/// Runs the Table I scenario with the sentinel attached, returning the
-/// report plus the online alerting outcome, and with `traces`, span tracing
-/// enabled on the defended app and its trace export. Observation is
-/// read-only, so the report is identical to [`run`]'s.
+/// Runs the Table I scenario with the defended app reporting into
+/// `telemetry` and the sentinel attached, returning the report plus the
+/// online alerting outcome. Observation is read-only, so the report is
+/// identical to [`run`]'s.
 pub fn run_observed(
     config: Table1Config,
-    traces: bool,
-) -> (
-    Table1Report,
-    SentinelReport,
-    Option<fg_telemetry::TraceSnapshot>,
-) {
+    telemetry: Arc<Telemetry>,
+) -> (Table1Report, SentinelReport) {
     let fork = SeedFork::new(config.seed);
     let geo = GeoDatabase::default_world();
     let end = SimTime::from_weeks(2);
 
     // Airline D, December 2022: no per-feature limits at all.
-    let mut app = DefendedApp::new(
+    let mut app = DefendedApp::with_telemetry(
         AppConfig::airline(PolicyConfig::unprotected()).with_concurrency(config.concurrency),
         config.seed,
+        telemetry,
     );
     app.attach_sentinel(alert_policy());
-    if traces {
-        app.telemetry()
-            .enable_tracing(fg_telemetry::TraceConfig::default());
-    }
     let flight = FlightId(1);
     let capacity = (config.arrivals_per_day * 14.0 * 2.0 * 1.5) as u32;
     app.add_flight(Flight::new(flight, capacity, SimTime::from_days(30)));
@@ -258,8 +253,7 @@ pub fn run_observed(
         attacker_revenue: app.gateway().attacker_revenue(),
         rows,
     };
-    let trace_snapshot = traces.then(|| app.telemetry().trace_snapshot());
-    (report, alerts, trace_snapshot)
+    (report, alerts)
 }
 
 /// Human-readable country names for the report (Table I prints names).

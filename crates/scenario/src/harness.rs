@@ -8,13 +8,15 @@
 //!   any worker thread; the `Rc`-based [`crate::engine::Simulation`] is
 //!   constructed *inside* the cell, never crossing threads). Each hook
 //!   picks its config with [`ExperimentParams::base_config`], calls the
-//!   experiment's `run_observed(config, traces)` and packages what it
-//!   returns with [`sentinel_cell`] or [`telemetry_cell`].
+//!   experiment's `run_observed(config, telemetry)` on the cell's hub and
+//!   packages what it returns with [`CellOutput::of`].
 //! * [`run_matrix`] — a work-stealing-lite executor over
 //!   [`std::thread::scope`]: every (experiment × seed) cell goes into one
 //!   shared queue drained by `jobs` workers via an atomic cursor, so a slow
 //!   experiment never leaves the other cores idle behind a static
-//!   partition.
+//!   partition. It alone decides what a cell observes: it creates the
+//!   cell's telemetry hub, turns tracing on for a traced cell, and reads
+//!   the snapshot and trace export off the hub after the run.
 //! * [`ExperimentRun`] — per-experiment replicate results plus cross-seed
 //!   aggregation (mean/stddev/min–max per scalar metric, merged telemetry).
 //!
@@ -31,7 +33,7 @@ use crate::report::{render_aggregate_table, AggregateRow};
 use fg_core::rng::SeedFork;
 use fg_core::stats::Summary;
 use fg_sentinel::{AlertPolicy, SentinelReport};
-use fg_telemetry::{Telemetry, TelemetrySnapshot, TraceSnapshot};
+use fg_telemetry::{Telemetry, TelemetrySnapshot, TraceConfig, TraceSnapshot};
 use serde::Serialize;
 use serde_json::Value;
 use std::fmt::Display;
@@ -39,26 +41,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Per-cell inputs handed to an experiment's run hook.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ExperimentParams {
     /// Master seed for this replicate (see [`replicate_seed`]).
     pub seed: u64,
     /// Use the experiment's shrunken smoke config (CI-sized).
     pub smoke: bool,
-    /// Capture a telemetry snapshot where the experiment supports it.
-    pub telemetry: bool,
-    /// Capture the sentinel's alert report (TTD, incident timeline). The
-    /// sentinel always observes; this only controls result capture.
-    pub alerts: bool,
-    /// Enable span tracing and capture a trace snapshot where the
-    /// experiment supports it. Tracing is pure observation: enabling it
-    /// never changes any other artifact.
-    pub traces: bool,
     /// Shard count for the defended app's keyed stores (1 = the
     /// single-shard deterministic layout). Replayed single-threaded, any
     /// shard count produces byte-identical artifacts — see
     /// `tests/shard_independence.rs`.
     pub shards: usize,
+    /// The hub the experiment's designated app reports into. The harness
+    /// creates one per cell, with tracing already on when the cell is
+    /// traced; observation is read-only, so the hub never changes any
+    /// other artifact.
+    pub telemetry: Arc<Telemetry>,
 }
 
 impl ExperimentParams {
@@ -80,36 +78,6 @@ impl ExperimentParams {
     }
 }
 
-/// Packages the result of an experiment's `run_observed(config, traces)`
-/// that returns its designated cell's sentinel report and, when traced,
-/// that cell's trace snapshot.
-pub fn sentinel_cell<R: Display + Serialize>(
-    p: &ExperimentParams,
-    (report, alerts, traces): (R, SentinelReport, Option<TraceSnapshot>),
-) -> CellOutput {
-    CellOutput::of(&report)
-        .with_alerts(p.alerts.then_some(alerts))
-        .with_traces(traces)
-}
-
-/// Packages the result of an experiment's `run_observed(config, traces)`
-/// that returns its whole telemetry hub: the snapshot when
-/// [`ExperimentParams::telemetry`] asks for it, and the hub's spans when
-/// the run was traced.
-pub fn telemetry_cell<R: Display + Serialize>(
-    p: &ExperimentParams,
-    (report, telemetry, alerts): (R, Arc<Telemetry>, SentinelReport),
-) -> CellOutput {
-    let mut out = CellOutput::of(&report).with_alerts(p.alerts.then_some(alerts));
-    if p.telemetry {
-        out = out.with_telemetry(telemetry.snapshot());
-    }
-    if p.traces {
-        out = out.with_traces(Some(telemetry.trace_snapshot()));
-    }
-    out
-}
-
 /// What one experiment run hands back to the harness.
 #[derive(Clone, Debug)]
 pub struct CellOutput {
@@ -117,42 +85,19 @@ pub struct CellOutput {
     pub display: String,
     /// The report as a JSON tree (scalar leaves become aggregate metrics).
     pub report: Value,
-    /// Telemetry snapshot, when requested and supported.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// Sentinel alert report, when requested and supported.
-    pub alerts: Option<SentinelReport>,
-    /// Span-trace snapshot, when requested and supported.
-    pub traces: Option<TraceSnapshot>,
+    /// The designated app's sentinel report.
+    pub alerts: SentinelReport,
 }
 
 impl CellOutput {
-    /// Packages a typed report (its `Display` text plus JSON tree).
-    pub fn of<R: Display + Serialize>(report: &R) -> CellOutput {
+    /// Packages what an experiment's `run_observed` returns: the typed
+    /// report (its `Display` text plus JSON tree) and the sentinel report.
+    pub fn of<R: Display + Serialize>((report, alerts): (R, SentinelReport)) -> CellOutput {
         CellOutput {
             display: report.to_string(),
-            report: serde_json::to_value(report).expect("reports serialize cleanly"),
-            telemetry: None,
-            alerts: None,
-            traces: None,
+            report: serde_json::to_value(&report).expect("reports serialize cleanly"),
+            alerts,
         }
-    }
-
-    /// Attaches a telemetry snapshot.
-    pub fn with_telemetry(mut self, snapshot: TelemetrySnapshot) -> CellOutput {
-        self.telemetry = Some(snapshot);
-        self
-    }
-
-    /// Attaches a sentinel report.
-    pub fn with_alerts(mut self, report: Option<SentinelReport>) -> CellOutput {
-        self.alerts = report;
-        self
-    }
-
-    /// Attaches a span-trace snapshot.
-    pub fn with_traces(mut self, snapshot: Option<TraceSnapshot>) -> CellOutput {
-        self.traces = snapshot;
-        self
     }
 }
 
@@ -164,7 +109,9 @@ pub struct ExperimentSpec {
     pub name: &'static str,
     /// The module's historical default seed (replicate 0 runs exactly this).
     pub default_seed: u64,
-    /// Whether the run hook can capture telemetry.
+    /// Whether [`HarnessConfig::telemetry`] exports this experiment's
+    /// telemetry snapshot: true where the whole run reports into the
+    /// cell's hub (`case_a`, `case_b`), not only its designated app.
     pub telemetry_capable: bool,
     /// Runs one cell. A plain `fn` pointer keeps the spec `Send + Sync`
     /// without any `Send` bound on the simulation itself.
@@ -199,9 +146,9 @@ pub struct CellResult {
     pub metrics: Vec<(String, f64)>,
     /// Telemetry snapshot, when captured.
     pub telemetry: Option<TelemetrySnapshot>,
-    /// Sentinel alert report, when captured.
-    pub alerts: Option<SentinelReport>,
-    /// Span-trace snapshot, when captured.
+    /// The designated app's sentinel report.
+    pub alerts: SentinelReport,
+    /// Span-trace snapshot, when the cell was traced.
     pub traces: Option<TraceSnapshot>,
 }
 
@@ -242,19 +189,20 @@ impl ExperimentRun {
     }
 
     /// The alerts artifact (`results/<name>.alerts.json`) as pretty JSON:
-    /// per-seed time-to-detection, a cross-seed TTD summary, and replicate
-    /// 0's full sentinel report (alert events + incident timeline). `None`
-    /// when no replicate captured a sentinel report.
+    /// per-seed time-to-detection, a cross-seed TTD summary, and the first
+    /// cell's (replicate 0's, unless a seed offset moved it) full sentinel
+    /// report (alert events + incident timeline). `None` only for a run
+    /// without cells.
     pub fn alerts_json(&self) -> Option<String> {
-        let first = self.cells.iter().find_map(|c| c.alerts.as_ref())?;
+        let first = &self.cells.first()?.alerts;
         let ttd_mins =
             |r: &SentinelReport| r.time_to_detection.map(|d| d.as_millis() as f64 / 60_000.0);
         let replicates: Vec<Value> = self
             .cells
             .iter()
-            .filter_map(|c| {
-                let report = c.alerts.as_ref()?;
-                Some(Value::Object(vec![
+            .map(|c| {
+                let report = &c.alerts;
+                Value::Object(vec![
                     ("seed".to_owned(), Value::UInt(c.seed)),
                     (
                         "alerts_fired".to_owned(),
@@ -271,13 +219,13 @@ impl ExperimentRun {
                             None => Value::Null,
                         },
                     ),
-                ]))
+                ])
             })
             .collect();
         let ttds: Summary = self
             .cells
             .iter()
-            .filter_map(|c| c.alerts.as_ref().and_then(&ttd_mins))
+            .filter_map(|c| ttd_mins(&c.alerts))
             .collect();
         let summary = Value::Object(vec![
             (
@@ -320,7 +268,7 @@ impl ExperimentRun {
     }
 
     /// The trace artifact (`results/<name>.traces.json`) as pretty JSON in
-    /// Chrome trace-event form (Perfetto-loadable): replicate 0's span
+    /// Chrome trace-event form (Perfetto-loadable): the traced cell's span
     /// export plus provenance in `otherData`. `None` when no replicate
     /// captured traces.
     pub fn traces_json(&self) -> Option<String> {
@@ -333,39 +281,28 @@ impl ExperimentRun {
         Some(serde_json::to_string_pretty(&value).expect("trace artifacts serialize cleanly"))
     }
 
-    /// `true` when replicate 0 captured both a sentinel incident and a trace
-    /// snapshot, but some incident exemplar `trace_id` does not resolve to
-    /// an exported request span — the `--traces` CI gate condition.
+    /// `true` when a traced cell's incident cites an exemplar `trace_id`
+    /// that does not resolve to an exported request span — the `--traces`
+    /// gate condition.
     pub fn exemplars_unresolved(&self) -> bool {
-        let Some(cell) = self.cells.iter().find(|c| c.traces.is_some()) else {
-            return false;
-        };
-        let (Some(snapshot), Some(alerts)) = (cell.traces.as_ref(), cell.alerts.as_ref()) else {
-            return false;
-        };
-        let exported = snapshot.request_trace_ids();
-        alerts
-            .incident
-            .exemplar_trace_ids
-            .iter()
-            .any(|id| !exported.contains(id))
+        self.cells.iter().any(|cell| {
+            cell.traces.as_ref().is_some_and(|snapshot| {
+                let exported = snapshot.request_trace_ids();
+                cell.alerts
+                    .incident
+                    .exemplar_trace_ids
+                    .iter()
+                    .any(|id| !exported.contains(id))
+            })
+        })
     }
 
     /// `true` when this experiment's alert policy expects detection but some
-    /// captured replicate never saw a firing alert — the CI gate condition.
+    /// replicate never saw a firing alert — the detection gate condition.
     pub fn detection_missing(&self) -> bool {
-        let captured: Vec<&SentinelReport> = self
-            .cells
+        self.cells
             .iter()
-            .filter_map(|c| c.alerts.as_ref())
-            .collect();
-        match captured.first() {
-            Some(first) => {
-                first.policy.expect_detection
-                    && captured.iter().any(|r| r.time_to_detection.is_none())
-            }
-            None => false,
-        }
+            .any(|c| c.alerts.policy.expect_detection && c.alerts.time_to_detection.is_none())
     }
 }
 
@@ -381,13 +318,12 @@ pub struct HarnessConfig {
     pub jobs: usize,
     /// Run every experiment's smoke config.
     pub smoke: bool,
-    /// Capture telemetry where supported.
+    /// Capture the telemetry snapshot of `telemetry_capable` experiments.
     pub telemetry: bool,
-    /// Capture sentinel alert reports where supported.
-    pub alerts: bool,
-    /// Enable span tracing on replicate 0 (the cell whose incident
-    /// timeline [`ExperimentRun::alerts_json`] exports) and capture its
-    /// trace snapshot.
+    /// Enable span tracing on the sweep's first cell (replicate 0 unless
+    /// `seed_offset` moves it; the cell whose incident timeline
+    /// [`ExperimentRun::alerts_json`] exports) and capture its trace
+    /// snapshot.
     pub traces: bool,
     /// Shard count for every cell's defended-app keyed stores (`--shards`;
     /// 1 = deterministic single-shard layout).
@@ -402,7 +338,6 @@ impl Default for HarnessConfig {
             jobs: 1,
             smoke: false,
             telemetry: false,
-            alerts: false,
             traces: false,
             shards: 1,
         }
@@ -448,16 +383,19 @@ pub fn run_matrix(specs: &[ExperimentSpec], config: &HarnessConfig) -> Vec<Exper
                     break;
                 };
                 let spec = &specs[spec_idx];
+                let telemetry = Telemetry::shared();
+                // Trace the sweep's first cell only: the artifact is one
+                // exemplar trace per experiment (the cell whose incident
+                // timeline `alerts_json` exports), not a per-seed sweep.
+                let traced = config.traces && replicate == config.seed_offset;
+                if traced {
+                    telemetry.enable_tracing(TraceConfig::default());
+                }
                 let params = ExperimentParams {
                     seed: replicate_seed(spec.default_seed, replicate),
                     smoke: config.smoke,
-                    telemetry: config.telemetry && spec.telemetry_capable,
-                    alerts: config.alerts,
-                    // Trace replicate 0 only: the artifact is one exemplar
-                    // trace per experiment (the replicate whose incident
-                    // timeline `alerts_json` exports), not a per-seed sweep.
-                    traces: config.traces && replicate == 0,
                     shards: config.shards.max(1),
+                    telemetry,
                 };
                 let out = (spec.run)(&params);
                 *slots[i].lock().expect("no panics while holding slot") = Some(CellResult {
@@ -468,9 +406,10 @@ pub fn run_matrix(specs: &[ExperimentSpec], config: &HarnessConfig) -> Vec<Exper
                         .expect("reports serialize cleanly"),
                     metrics: scalar_metrics(&out.report),
                     display: out.display,
-                    telemetry: out.telemetry,
+                    telemetry: (config.telemetry && spec.telemetry_capable)
+                        .then(|| params.telemetry.snapshot()),
                     alerts: out.alerts,
-                    traces: out.traces,
+                    traces: traced.then(|| params.telemetry.trace_snapshot()),
                 });
             });
         }
@@ -600,6 +539,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    #[derive(Serialize)]
+    struct Noop;
+    impl Display for Noop {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("noop")
+        }
+    }
+
+    /// The report of a sentinel that watched nothing on the cell's hub.
+    fn quiet(p: &ExperimentParams) -> SentinelReport {
+        fg_sentinel::Sentinel::new(AlertPolicy::none(), p.telemetry.metrics()).report_with_traces(
+            fg_core::time::SimTime::ZERO,
+            &p.telemetry.audit().snapshot(),
+            None,
+        )
+    }
+
     fn toy_spec() -> ExperimentSpec {
         #[derive(Serialize)]
         struct ToyReport {
@@ -616,10 +572,11 @@ mod tests {
             default_seed: 7,
             telemetry_capable: false,
             run: |p| {
-                CellOutput::of(&ToyReport {
+                let report = ToyReport {
                     seed: p.seed,
                     doubled: p.seed.wrapping_mul(2),
-                })
+                };
+                CellOutput::of((report, quiet(p)))
             },
             profiles: Vec::new,
             alerts: AlertPolicy::none,
@@ -682,20 +639,13 @@ mod tests {
     #[test]
     fn all_cells_run_even_with_more_cells_than_workers() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
-        #[derive(Serialize)]
-        struct Noop;
-        impl Display for Noop {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("noop")
-            }
-        }
         let spec = ExperimentSpec {
             name: "noop",
             default_seed: 1,
             telemetry_capable: false,
-            run: |_| {
+            run: |p| {
                 RUNS.fetch_add(1, Ordering::Relaxed);
-                CellOutput::of(&Noop)
+                CellOutput::of((Noop, quiet(p)))
             },
             profiles: Vec::new,
             alerts: AlertPolicy::none,
@@ -712,6 +662,38 @@ mod tests {
         assert_eq!(runs.len(), 3);
         assert!(runs.iter().all(|r| r.cells.len() == 5));
         assert_eq!(RUNS.load(Ordering::Relaxed), 15);
+    }
+
+    /// `--traces` gates on its own: a traced cell whose incident cites a
+    /// trace id its export lacks fails the check with no other option set,
+    /// and a sweep that starts past replicate 0 still traces its first cell.
+    #[test]
+    fn traces_alone_catch_an_unresolved_exemplar() {
+        let spec = ExperimentSpec {
+            name: "unresolved",
+            default_seed: 1,
+            telemetry_capable: false,
+            run: |p| {
+                let mut alerts = quiet(p);
+                alerts.incident.exemplar_trace_ids.push(0xDEAD);
+                CellOutput::of((Noop, alerts))
+            },
+            profiles: Vec::new,
+            alerts: AlertPolicy::none,
+        };
+        for seed_offset in [0, 2] {
+            let traced = HarnessConfig {
+                traces: true,
+                seed_offset,
+                ..HarnessConfig::default()
+            };
+            let runs = run_matrix(&[spec], &traced);
+            assert!(runs[0].cells[0].traces.is_some(), "offset {seed_offset}");
+            assert!(runs[0].exemplars_unresolved(), "offset {seed_offset}");
+        }
+        // Untraced, there is no export to resolve against.
+        let plain = run_matrix(&[spec], &HarnessConfig::default());
+        assert!(!plain[0].exemplars_unresolved());
     }
 
     #[test]

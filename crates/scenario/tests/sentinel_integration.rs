@@ -10,13 +10,14 @@ use fg_core::time::{SimDuration, SimTime};
 use fg_scenario::experiments::{case_a, table1};
 use fg_scenario::harness::{run_matrix, HarnessConfig};
 use fg_sentinel::engine::AlertTransition;
+use fg_telemetry::Telemetry;
 
 /// Case A (seat-spinner with fingerprint rotation) under the default smoke
 /// seed: the NiP-distribution drift sentinel first fires at d1 22:05:00 —
 /// a time-to-detection of exactly 2 765 sim-minutes.
 #[test]
 fn case_a_smoke_ttd_and_timeline_are_pinned() {
-    let (_, _, alerts) = case_a::run_observed(case_a::smoke_config(), false);
+    let (_, alerts) = case_a::run_observed(case_a::smoke_config(), Telemetry::shared());
 
     assert_eq!(alerts.time_to_detection, Some(SimDuration::from_mins(2765)));
     assert_eq!(alerts.first_firing, Some(SimTime::from_mins(2765)));
@@ -73,7 +74,7 @@ fn case_a_smoke_ttd_and_timeline_are_pinned() {
 /// month later; the sentinel surfaces it within sim-minutes.
 #[test]
 fn table1_smoke_surge_fires_within_minutes_of_campaign_start() {
-    let (_, alerts, _) = table1::run_observed(table1::smoke_config(), false);
+    let (_, alerts) = table1::run_observed(table1::smoke_config(), Telemetry::shared());
 
     let campaign = SimTime::from_weeks(1);
     let ttd = alerts.time_to_detection.expect("pumping must be detected");
@@ -132,7 +133,6 @@ fn alerts_artifact_is_thread_count_independent() {
                 seeds: 2,
                 jobs,
                 smoke: true,
-                alerts: true,
                 ..HarnessConfig::default()
             },
         )

@@ -20,7 +20,6 @@ fn smoke(shards: usize) -> HarnessConfig {
         seeds: 2,
         jobs: 1,
         smoke: true,
-        alerts: true,
         traces: true,
         shards,
         ..HarnessConfig::default()

@@ -10,6 +10,7 @@
 
 use fg_scenario::experiments::{ablation, case_a, fig1};
 use fg_scenario::harness::{run_matrix, ExperimentSpec, HarnessConfig};
+use fg_telemetry::{Telemetry, TraceConfig};
 
 fn traced_smoke(jobs: usize) -> HarnessConfig {
     HarnessConfig {
@@ -18,7 +19,6 @@ fn traced_smoke(jobs: usize) -> HarnessConfig {
         jobs,
         smoke: true,
         telemetry: false,
-        alerts: true,
         traces: true,
         shards: 1,
     }
@@ -92,7 +92,7 @@ fn trace_artifacts_are_deterministic_valid_and_exemplars_resolve() {
             .find(|c| c.traces.is_some())
             .expect("replicate 0 is traced");
         assert_eq!(cell.replicate, 0, "{}: only replicate 0 is traced", s.name);
-        let alerts = cell.alerts.as_ref().expect("alerts requested");
+        let alerts = &cell.alerts;
         assert!(
             !alerts.incident.exemplar_trace_ids.is_empty(),
             "{}: incident has no exemplar traces",
@@ -105,9 +105,11 @@ fn trace_artifacts_are_deterministic_valid_and_exemplars_resolve() {
 fn run_traced_reports_match_plain_runs() {
     // The tentpole's behavioural invariant at module level: enabling the
     // tracer does not change a single reported number.
-    let (plain, _, _) = fig1::run_observed(fig1::smoke_config(), false);
-    let (traced, _, snapshot) = fig1::run_observed(fig1::smoke_config(), true);
-    let snapshot = snapshot.expect("tracing was enabled");
+    let (plain, _) = fig1::run_observed(fig1::smoke_config(), Telemetry::shared());
+    let telemetry = Telemetry::shared();
+    telemetry.enable_tracing(TraceConfig::default());
+    let (traced, _) = fig1::run_observed(fig1::smoke_config(), telemetry.clone());
+    let snapshot = telemetry.trace_snapshot();
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&traced).unwrap()

@@ -484,7 +484,6 @@ impl Sentinel {
                     let q: Vec<f64> = baseline.iter().map(|b| b / base_total).collect();
                     let score = match stat {
                         DriftStat::ChiSquarePerSample => chi_square_per_sample(&p, &q),
-                        DriftStat::JsDivergence => js_divergence(&p, &q),
                     };
                     (score >= *threshold, score, *threshold)
                 }
@@ -550,24 +549,6 @@ fn chi_square_per_sample(p: &[f64], q: &[f64]) -> f64 {
             d * d / qi.max(1e-3)
         })
         .sum()
-}
-
-/// Jensen–Shannon divergence in bits (`0log0 = 0`), bounded to `[0, 1]`.
-fn js_divergence(p: &[f64], q: &[f64]) -> f64 {
-    fn kl(a: &[f64], m: &[f64]) -> f64 {
-        a.iter()
-            .zip(m)
-            .map(|(&ai, &mi)| {
-                if ai > 0.0 && mi > 0.0 {
-                    ai * (ai / mi).log2()
-                } else {
-                    0.0
-                }
-            })
-            .sum()
-    }
-    let m: Vec<f64> = p.iter().zip(q).map(|(&pi, &qi)| 0.5 * (pi + qi)).collect();
-    0.5 * kl(p, &m) + 0.5 * kl(q, &m)
 }
 
 /// The serialisable outcome of one sentinel run: the deployed policy, every
@@ -786,7 +767,7 @@ mod tests {
             DriftBaseline::Learned {
                 until: SimTime::from_days(1),
             },
-            DriftStat::JsDivergence,
+            DriftStat::ChiSquarePerSample,
             0.2,
         ));
         let mut s = Sentinel::new(policy, registry);

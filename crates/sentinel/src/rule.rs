@@ -12,9 +12,8 @@
 //!   related work (Prometheus/SRE practice) prescribes.
 //! - [`RuleKind::Drift`] — histogram distribution drift vs an average-week
 //!   baseline ("the NiP mix no longer looks like the airline's"), the Fig. 1
-//!   detector, available with a chi-square-per-sample statistic (mirroring
-//!   `fg-detection`'s offline `NipDistributionMonitor`) or Jensen–Shannon
-//!   divergence.
+//!   detector, scored with a chi-square-per-sample statistic (mirroring
+//!   `fg-detection`'s offline `NipDistributionMonitor`).
 
 use fg_core::time::SimDuration;
 use fg_telemetry::MetricName;
@@ -100,8 +99,6 @@ pub enum DriftStat {
     /// (≈ (k−1)/N under the null, so it is sample-size aware via
     /// `min_samples`).
     ChiSquarePerSample,
-    /// Jensen–Shannon divergence in bits, bounded to `[0, 1]`.
-    JsDivergence,
 }
 
 /// What a rule computes each tick and compares against its trigger.

@@ -15,7 +15,6 @@ fn smoke(seeds: usize, seed_offset: usize, jobs: usize, telemetry: bool) -> Harn
         jobs,
         smoke: true,
         telemetry,
-        alerts: false,
         traces: false,
         shards: 1,
     }

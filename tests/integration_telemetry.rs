@@ -3,7 +3,16 @@
 //! counter-backed decision totals agree with the scenario report, and the
 //! exporters produce well-formed artifacts.
 
-use fg_scenario::experiments::case_a::{run_with_telemetry, CaseAConfig};
+use fg_scenario::experiments::case_a::{run_observed, CaseAConfig, CaseAReport};
+use fg_telemetry::Telemetry;
+use std::sync::Arc;
+
+/// Runs Case A against a fresh hub and returns the report with the hub.
+fn run_with_telemetry(config: CaseAConfig) -> (CaseAReport, Arc<Telemetry>) {
+    let telemetry = Telemetry::shared();
+    let (report, _) = run_observed(config, telemetry.clone());
+    (report, telemetry)
+}
 
 #[test]
 fn case_a_audit_trail_explains_the_defence() {
