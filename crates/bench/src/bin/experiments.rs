@@ -29,15 +29,19 @@
 //! * `<name>.telemetry.json` / `<name>.prom` — with `--telemetry`, the
 //!   replicate-merged telemetry snapshot for experiments that expose a sink
 //!   (`case_a`, `case_b`).
-//! * `<name>.alerts.json` — on every run, the sentinel outcome: per-seed
-//!   time-to-detection, the aggregate TTD summary, and the first cell's
-//!   (replicate 0 unless `--seed-offset`) alert/incident timeline. The
-//!   process exits non-zero if any experiment whose policy expects
-//!   detection reports none (the detection gate).
-//! * `<name>.traces.json` — with `--traces`, the first cell's causal span
+//! * `<name>.alerts.json` — the sentinel outcome: per-seed
+//!   time-to-detection, the aggregate TTD summary, and replicate 0's
+//!   alert/incident timeline. The process exits non-zero if any experiment
+//!   whose policy expects detection reports none (the detection gate).
+//! * `<name>.traces.json` — with `--traces`, replicate 0's causal span
 //!   trace in Chrome trace-event form (load it in Perfetto or
 //!   `chrome://tracing`). The process exits non-zero if any incident's
 //!   exemplar trace ids fail to resolve in the export (the CI tracing gate).
+//!
+//! Every file but the per-seed cells describes a sweep from replicate 0, so
+//! a `--seed-offset K` sweep (K > 0) writes only its `<name>.s<seed>.json`
+//! cells and never overwrites the others; its detection and `--traces`
+//! gates still apply.
 
 use fg_scenario::experiments::all_specs;
 use fg_scenario::harness::{run_matrix, ExperimentRun, ExperimentSpec, HarnessConfig};
@@ -76,7 +80,9 @@ fn write_file(path: &Path, contents: String) {
     }
 }
 
-/// Writes every artifact one experiment's sweep captured.
+/// Writes every artifact one experiment's sweep captured. The unsuffixed
+/// `<name>.*` files describe a sweep from replicate 0, so a sweep that
+/// starts later (`--seed-offset K`) writes only its per-seed cells.
 fn write_artifacts(run: &ExperimentRun) {
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_err() {
@@ -88,10 +94,11 @@ fn write_artifacts(run: &ExperimentRun) {
             &dir.join(format!("{}.s{}.json", run.name, cell.seed)),
             cell.json.clone(),
         );
-        if cell.replicate == 0 {
-            write_file(&dir.join(format!("{}.json", run.name)), cell.json.clone());
-        }
     }
+    let Some(first) = run.cells.first().filter(|cell| cell.replicate == 0) else {
+        return;
+    };
+    write_file(&dir.join(format!("{}.json", run.name)), first.json.clone());
     if run.cells.len() > 1 {
         write_file(
             &dir.join(format!("{}.agg.json", run.name)),

@@ -34,7 +34,7 @@
 
 use fg_core::rng::splitmix64;
 use fg_core::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{json, Deserialize, Serialize};
 use serde_json::Value;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -398,7 +398,7 @@ impl<'a> SpanSource<'a> {
             "{{\"trace_id\":{},\"span_id\":{},\"parent_id\":{},\"name\":",
             head.trace_id, head.span_id, head.parent_id
         );
-        push_json_string(out, self.name());
+        json::write_str(out, &self.name());
         let _ = write!(
             out,
             ",\"session\":{},\"start_us\":{},\"dur_us\":{},\"attrs\":[",
@@ -411,46 +411,12 @@ impl<'a> SpanSource<'a> {
             }
             first = false;
             out.push('[');
-            push_json_string(out, key);
+            json::write_str(out, key);
             out.push(',');
-            push_json_string(out, value);
+            json::write_display(out, value);
             out.push(']');
         });
         out.push_str("]}");
-    }
-}
-
-/// Appends `text` to `out` as a JSON string, escaped as `serde_json`
-/// escapes strings.
-fn push_json_string(out: &mut String, text: impl fmt::Display) {
-    out.push('"');
-    let _ = write!(JsonEscape(out), "{text}");
-    out.push('"');
-}
-
-/// Escapes what is written through it into the wrapped string.
-struct JsonEscape<'a>(&'a mut String);
-
-impl fmt::Write for JsonEscape<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-            self.0.push_str(s);
-            return Ok(());
-        }
-        for c in s.chars() {
-            match c {
-                '"' => self.0.push_str("\\\""),
-                '\\' => self.0.push_str("\\\\"),
-                '\n' => self.0.push_str("\\n"),
-                '\t' => self.0.push_str("\\t"),
-                '\r' => self.0.push_str("\\r"),
-                '\u{8}' => self.0.push_str("\\b"),
-                '\u{c}' => self.0.push_str("\\f"),
-                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
-                c => self.0.push(c),
-            }
-        }
-        Ok(())
     }
 }
 

@@ -6,8 +6,9 @@
 # /debug/flightrecorder, /debug/alerts — every latency exemplar must
 # resolve to a retrievable trace, and the server-side p99 gauge must agree
 # with the wire-side measurement), proves hot-reload reject-and-keep-old,
-# drains on SIGTERM, and asserts the unified exit-code contract (0/2/3/4)
-# for both binaries. Run from the repository root after
+# refuses deeply nested JSON bodies with 400, drains on SIGTERM, and
+# asserts the unified exit-code contract (0/2/3/4) for both binaries.
+# Run from the repository root after
 # `cargo build --release -p fg-serve --bins`; CI calls it verbatim.
 #
 # Tunables (env): BIN_DIR, SERVE_PORT, LOAD_DURATION, SERVE_BENCH_OUT.
@@ -243,6 +244,33 @@ for _ in $(seq 1 50); do
 done
 readyz | grep -q "\"config_generation\":$((GEN_BEFORE + 1))" || fail "valid hot reload never applied"
 echo "serve-smoke: hot-reload apply OK (generation $((GEN_BEFORE + 1)))"
+
+# --- hostile nesting --------------------------------------------------
+# 1 MiB bodies nested far past the JSON reader's depth limit, including
+# arrays under an unknown key, must get 400 from both endpoints; before
+# nesting was bounded, one of them overflowed a worker's stack and aborted
+# fg-serve. The drain check below also fails on any panic they caused.
+python3 - <<'EOF'
+mib = 1 << 20
+bodies = {
+    "arrays": b"[" * mib,
+    "objects": b'{"a":' * (mib // 5),
+    "unknown-key": (b'{"junk":' + b"[" * mib)[:mib],
+}
+for name, body in bodies.items():
+    open(f"serve-hostile-{name}.json", "wb").write(body)
+EOF
+for body in serve-hostile-*.json; do
+  for endpoint in /v1/decide /v1/report; do
+    status=$(curl -s -o /dev/null -w '%{http_code}' -H 'Expect:' \
+      -H 'Content-Type: application/json' --data-binary "@$body" "http://$ADDR$endpoint")
+    [ "$status" = 400 ] || fail "$body to $endpoint answered $status, wanted 400"
+  done
+done
+rm -f serve-hostile-*.json
+status=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/readyz")
+[ "$status" = 200 ] || fail "/readyz answered $status after the hostile bodies"
+echo "serve-smoke: hostile nesting OK (400 on both endpoints, still ready)"
 
 # --- SIGTERM drain ----------------------------------------------------
 kill -TERM "$SERVE_PID"

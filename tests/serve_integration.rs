@@ -259,6 +259,38 @@ fn endpoints_answer_with_correct_statuses() {
     assert!(report.clean, "{report:?}");
 }
 
+/// 1 MiB bodies (the largest the server reads) nested far past the JSON
+/// reader's depth limit: arrays, an object chain, and arrays under an
+/// unknown key of an otherwise well-formed object, which a typed reader
+/// only skips. Before nesting was bounded, each overflowed a worker's
+/// stack and aborted the server.
+fn deeply_nested_bodies() -> [(&'static str, Vec<u8>); 3] {
+    const MIB: usize = 1 << 20;
+    let mut unknown_key = b"{\"junk\":".to_vec();
+    unknown_key.resize(MIB, b'[');
+    [
+        ("arrays", vec![b'['; MIB]),
+        ("objects", b"{\"a\":".repeat(MIB / 5)),
+        ("unknown key", unknown_key),
+    ]
+}
+
+#[test]
+fn deeply_nested_bodies_get_400_and_the_server_keeps_serving() {
+    let server = Server::start(test_config(), Telemetry::shared(), None).expect("boot");
+    let addr = server.addr();
+    for (shape, body) in deeply_nested_bodies() {
+        for target in ["/v1/decide", "/v1/report"] {
+            let (status, reply) = request(addr, "POST", target, &body);
+            assert_eq!(status, 400, "{shape} to {target}: {reply}");
+        }
+    }
+    let (status, body) = request(addr, "POST", "/v1/decide", sample_decide_body().as_bytes());
+    assert_eq!(status, 200, "{body}");
+    let report = server.drain(Duration::from_secs(10));
+    assert!(report.clean, "{report:?}");
+}
+
 #[test]
 fn observability_plane_links_metrics_traces_and_the_flight_recorder() {
     let server = Server::start(test_config(), Telemetry::shared(), None).expect("boot");
