@@ -10,11 +10,11 @@
 //!   the rule when shards grow interior mutability or per-shard locks,
 //!   where nesting becomes a deadlock instead of a borrow error.
 //! * **`shard-discipline`** ([`Severity::Warn`]) — `shards_mut` hands out
-//!   every shard at once and therefore bypasses key→shard routing. The
-//!   documented uses are full-sweep maintenance and the disjoint-worker
-//!   pattern (each worker owns one `&mut` slot); every call site must say
-//!   which one it is with `// fg-analyze: allow(shard-discipline): <why>`.
-//!   Only the accessor's own definition is exempt.
+//!   every shard at once and therefore bypasses key→shard routing. The one
+//!   documented use is full-sweep maintenance (idle eviction, compaction,
+//!   decay purges), which visits every shard; every call site must say so
+//!   with `// fg-analyze: allow(shard-discipline): <why>`. Only the
+//!   accessor's own definition is exempt.
 //! * **`lock-order-inversion`** ([`Severity::Deny`]) — two named `Mutex`es
 //!   in `fg-serve` acquired in opposite orders in two code paths. Lock
 //!   traces are per-function acquisition sequences with one level of
@@ -143,8 +143,8 @@ fn shard_checks(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) 
                     in_stmt.push((recv, line_no));
                 }
             } else if t == "shards_mut" {
-                // The accessor's own definition (and delegating accessors of
-                // the same name) define the pattern; call sites justify it.
+                // The accessor's own definition defines the pattern; call
+                // sites justify it.
                 if item.name == "shards_mut" {
                     continue;
                 }
@@ -156,8 +156,8 @@ fn shard_checks(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) 
                             format!("{}:{}", file.path, line_no),
                             format!(
                                 "`{}` takes `shards_mut()` without a documented \
-                                 pattern: annotate the site — full-sweep \
-                                 maintenance or disjoint per-worker hand-out",
+                                 pattern: annotate the site as the full-sweep \
+                                 maintenance it does, or route by key instead",
                                 item.path
                             ),
                         )

@@ -4,17 +4,16 @@
 //! fg-bench --list                                  # show every case
 //! fg-bench --bench-json BENCH_current.json         # measure, write baseline JSON
 //! fg-bench --compare BENCH_baseline.json           # measure, diff, exit 1 on fail
-//! fg-bench --compare BENCH_baseline.json --tolerance 0.5 --hard-fail 10
 //! fg-bench --filter name_heuristics --bench-json - # subset, JSON to stdout
 //! fg-bench --quick --compare BENCH_baseline.json   # CI profile (shorter samples)
 //! fg-bench --bless                                 # re-measure, overwrite BENCH_baseline.json
 //! ```
 //!
 //! `--compare` normalizes ratios by the `calibration/splitmix64_chain` case
-//! so shared-runner speed differences don't trip the gate; pass
-//! `--no-normalize` to gate on raw ns/op instead.
+//! so shared-runner speed differences don't trip the gate, fails a metric
+//! more than 50% slower than its baseline, and hard-fails one 10x slower.
 
-use fg_bench::perf::{self, Baseline, CompareOpts, MeasureOpts};
+use fg_bench::perf::{self, Baseline, MeasureOpts};
 use std::process::ExitCode;
 
 /// Where `--bless` writes: the committed baseline the CI gate compares
@@ -25,9 +24,6 @@ const BLESS_PATH: &str = "BENCH_baseline.json";
 struct Args {
     bench_json: Option<String>,
     compare: Option<String>,
-    tolerance: f64,
-    hard_fail: f64,
-    normalize: bool,
     filter: Option<String>,
     quick: bool,
     list: bool,
@@ -38,9 +34,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         bench_json: None,
         compare: None,
-        tolerance: 0.5,
-        hard_fail: 10.0,
-        normalize: true,
         filter: None,
         quick: false,
         list: false,
@@ -58,17 +51,6 @@ fn parse_args() -> Result<Args, String> {
                 args.bench_json = Some(value("--bench-json")?);
             }
             "--compare" => args.compare = Some(value("--compare")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
-            }
-            "--hard-fail" => {
-                args.hard_fail = value("--hard-fail")?
-                    .parse()
-                    .map_err(|e| format!("--hard-fail: {e}"))?
-            }
-            "--no-normalize" => args.normalize = false,
             "--bless" => {
                 if args.bench_json.is_some() {
                     return Err("--bless conflicts with --bench-json (it implies one)".into());
@@ -102,10 +84,8 @@ fn print_help() {
          \x20 --list                 list every benchmark case and exit\n\
          \x20 --bench-json <PATH>    measure the suite, write baseline JSON ('-' = stdout)\n\
          \x20 --compare <PATH>       measure the suite, diff against a committed baseline;\n\
-         \x20                        exits 1 when the gate fails\n\
-         \x20 --tolerance <FRAC>     allowed fractional slowdown (default 0.5 = +50%)\n\
-         \x20 --hard-fail <RATIO>    normalized slowdown that always fails (default 10)\n\
-         \x20 --no-normalize         gate on raw ns/op, skip calibration scaling\n\
+         \x20                        exits 1 when a metric is missing or, after\n\
+         \x20                        calibration scaling, over 50% slower\n\
          \x20 --bless                re-measure and overwrite BENCH_baseline.json in the\n\
          \x20                        current directory (run from the repo root; full\n\
          \x20                        profile; commit the diff deliberately)\n\
@@ -179,15 +159,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let report = perf::compare(
-            &baseline,
-            &current,
-            &CompareOpts {
-                tolerance: args.tolerance,
-                hard_fail_ratio: args.hard_fail,
-                normalize: args.normalize,
-            },
-        );
+        let report = perf::compare(&baseline, &current);
         print!("{}", report.render());
         if report.failed() {
             eprintln!("fg-bench: perf gate FAILED against {path}");

@@ -24,8 +24,8 @@
 //!   time-bucketed series, summary accumulators.
 //! * [`hash`] — fast deterministic hashing ([`hash::FxHashMap`]) for the
 //!   per-event keyed maps on the request path.
-//! * [`shard`] — shard-per-core partitioning ([`ShardedStore`]) for those
-//!   keyed maps, plus the [`ConcurrencyMode`] selecting it.
+//! * [`shard`] — hash partitioning ([`ShardedStore`]) for those keyed maps,
+//!   plus the [`ConcurrencyMode`] selecting it.
 //!
 //! # Example
 //!

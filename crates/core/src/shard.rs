@@ -1,13 +1,14 @@
-//! Shard-per-core partitioning for keyed defence state.
+//! Hash partitioning for keyed defence state.
 //!
 //! The defence stack's keyed stores (rate-limiter buckets, velocity windows,
-//! reputation evidence, fingerprint populations) are single writer by
-//! design — the deterministic simulation replays one request at a time. To
-//! let one `DefendedApp` saturate a machine, each store is split into
-//! `2^n` *shards*, hash-partitioned by key: every key deterministically owns
-//! exactly one shard, so shards can be pinned to cores and mutated without
-//! any cross-shard coordination, and housekeeping (`evict_idle`/`compact`)
-//! stripes across shards independently.
+//! reputation evidence, fingerprint populations) have one writer: the
+//! deterministic simulation replays one request at a time, and fg-serve
+//! decides under one lock. Each store may still be split into `2^n`
+//! *shards*, hash-partitioned by key: every key deterministically owns
+//! exactly one shard, a lookup touches only that shard, and housekeeping
+//! (`evict_idle`/`compact`/`purge_below`) sweeps the shards one by one in
+//! index order. The experiments' `--shards` and fg-serve's `shards` setting
+//! pick the count; no decision or artifact depends on it.
 //!
 //! Two properties make the partitioning safe for the reproduction harness:
 //!
@@ -48,11 +49,10 @@ use std::marker::PhantomData;
 
 /// How a `DefendedApp` (and the keyed stores beneath it) partitions state.
 ///
-/// `Deterministic` is the reproduction default: one shard, one writer,
-/// bit-identical to the pre-sharding code path. `Sharded` hash-partitions
-/// every keyed store into `shards` (rounded up to a power of two) so
-/// housekeeping stripes per shard and a service-style deployment can pin
-/// shards to cores.
+/// `Deterministic` is the reproduction default: one shard, bit-identical to
+/// the pre-sharding code path. `Sharded` hash-partitions every keyed store
+/// into `shards` (rounded up to a power of two), so housekeeping stripes
+/// per shard. Either way the store has one writer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ConcurrencyMode {
     /// Single-shard, single-writer: the experiment-grade deterministic path.
@@ -113,7 +113,7 @@ impl<K: Hash, V> ShardedStore<K, V> {
     /// The shard index owning `key` — a pure function of the key and the
     /// shard count, identical across runs and processes.
     #[inline]
-    pub fn shard_index(&self, key: &K) -> usize {
+    fn shard_index(&self, key: &K) -> usize {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         (splitmix64(h.finish()) & self.mask) as usize
@@ -132,9 +132,9 @@ impl<K: Hash, V> ShardedStore<K, V> {
         &mut self.shards[idx]
     }
 
-    /// All shards, mutably — striped housekeeping iterates this, and
-    /// `std::thread::scope` workers may each take one `&mut V` for
-    /// coordination-free parallel updates.
+    /// All shards, mutably, in index order — for full-sweep maintenance
+    /// (idle eviction, compaction, decay purges) that visits every shard.
+    /// Per-key access goes through [`ShardedStore::shard_mut`].
     pub fn shards_mut(&mut self) -> &mut [V] {
         &mut self.shards
     }

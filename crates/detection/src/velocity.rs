@@ -14,74 +14,12 @@ use fg_core::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::hash::Hash;
 
-/// One hash partition of a [`VelocityCounter`]: a flat map of per-key event
-/// queues. Self-contained (it carries the window) so scoped threads can each
-/// own one shard and record/compact without cross-shard coordination.
-#[derive(Clone, Debug)]
-pub struct VelocityShard<K> {
-    window: SimDuration,
-    // Fx-hashed: keys are already-mixed integers (identity hashes, IPs), and
-    // per-event hashing cost dominates at production rates.
-    events: FxHashMap<K, VecDeque<SimTime>>,
-}
-
-impl<K: Eq + Hash + Clone> VelocityShard<K> {
-    fn new(window: SimDuration) -> Self {
-        VelocityShard {
-            window,
-            events: FxHashMap::default(),
-        }
-    }
-
-    fn evict(q: &mut VecDeque<SimTime>, now: SimTime, window: SimDuration) {
-        while let Some(&front) = q.front() {
-            if now - front > window {
-                q.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Records one event for `key` at `now`.
-    ///
-    /// Correct only for keys this shard owns — the parent counter routes;
-    /// parallel workers partition key streams with
-    /// [`VelocityCounter::shard_index`] first.
-    pub fn record(&mut self, key: K, now: SimTime) {
-        let q = self.events.entry(key).or_default();
-        q.push_back(now);
-        Self::evict(q, now, self.window);
-    }
-
-    /// Records and returns the new in-window count in one step.
-    pub fn record_and_count(&mut self, key: K, now: SimTime) -> u64 {
-        let q = self.events.entry(key).or_default();
-        q.push_back(now);
-        Self::evict(q, now, self.window);
-        q.len() as u64
-    }
-
-    /// Drops every key in this shard whose events all expired by `now`.
-    pub fn compact(&mut self, now: SimTime) {
-        let window = self.window;
-        self.events.retain(|_, q| {
-            Self::evict(q, now, window);
-            !q.is_empty()
-        });
-    }
-
-    /// Keys with any retained events in this shard.
-    pub fn tracked_keys(&self) -> usize {
-        self.events.len()
-    }
-}
-
 /// Counts events per key over a sliding time window.
 ///
-/// Internally hash-partitioned into [`VelocityShard`]s (1 shard by default,
-/// bit-identical to a flat map); [`VelocityCounter::compact`] stripes shard
-/// by shard and aggregate reads sum over shards in index order.
+/// Internally hash-partitioned into flat maps of per-key event queues (1
+/// shard by default, bit-identical to a flat map);
+/// [`VelocityCounter::compact`] stripes shard by shard and aggregate reads
+/// sum over shards in index order.
 ///
 /// # Example
 ///
@@ -97,7 +35,10 @@ impl<K: Eq + Hash + Clone> VelocityShard<K> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct VelocityCounter<K> {
-    shards: ShardedStore<K, VelocityShard<K>>,
+    window: SimDuration,
+    // Fx-hashed: keys are already-mixed integers (identity hashes, IPs), and
+    // per-event hashing cost dominates at production rates.
+    shards: ShardedStore<K, FxHashMap<K, VecDeque<SimTime>>>,
 }
 
 impl<K: Eq + Hash + Clone> VelocityCounter<K> {
@@ -119,44 +60,48 @@ impl<K: Eq + Hash + Clone> VelocityCounter<K> {
     pub fn with_shards(window: SimDuration, shards: usize) -> Self {
         assert!(window.as_millis() > 0, "velocity window must be positive");
         VelocityCounter {
-            shards: ShardedStore::new(shards, |_| VelocityShard::new(window)),
+            window,
+            shards: ShardedStore::new(shards, |_| FxHashMap::default()),
+        }
+    }
+
+    fn evict(q: &mut VecDeque<SimTime>, now: SimTime, window: SimDuration) {
+        while let Some(&front) = q.front() {
+            if now - front > window {
+                q.pop_front();
+            } else {
+                break;
+            }
         }
     }
 
     /// Records and returns the new in-window count in one step — a single
     /// map lookup, no key clone.
     pub fn record_and_count(&mut self, key: K, now: SimTime) -> u64 {
-        self.shards.shard_mut(&key).record_and_count(key, now)
+        let q = self.shards.shard_mut(&key).entry(key).or_default();
+        q.push_back(now);
+        Self::evict(q, now, self.window);
+        q.len() as u64
     }
 
     /// Number of keys with any retained events (may include stale keys until
     /// queried; call [`VelocityCounter::compact`] to trim exactly), summed
     /// over shards.
     pub fn tracked_keys(&self) -> usize {
-        self.shards.fold(0, |acc, s| acc + s.tracked_keys())
+        self.shards.fold(0, |acc, s| acc + s.len())
     }
 
     /// Drops every key whose events all fell out of the window by `now`,
     /// striping the scan shard by shard.
     pub fn compact(&mut self, now: SimTime) {
+        let window = self.window;
         // fg-analyze: allow(shard-discipline): full-sweep maintenance — every shard is compacted in one pass
         for shard in self.shards.shards_mut() {
-            shard.compact(now);
+            shard.retain(|_, q| {
+                Self::evict(q, now, window);
+                !q.is_empty()
+            });
         }
-    }
-
-    /// The shard index owning `key` — parallel workers partition their key
-    /// streams with this before taking shards from
-    /// [`VelocityCounter::shards_mut`].
-    pub fn shard_index(&self, key: &K) -> usize {
-        self.shards.shard_index(key)
-    }
-
-    /// All shards, mutably, for coordination-free parallel recording: each
-    /// scoped thread takes one `&mut VelocityShard` and records only the
-    /// keys that [`VelocityCounter::shard_index`] routes to it.
-    pub fn shards_mut(&mut self) -> &mut [VelocityShard<K>] {
-        self.shards.shards_mut()
     }
 }
 

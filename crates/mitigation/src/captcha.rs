@@ -2,9 +2,13 @@
 //!
 //! §V: "Even if attackers can leverage CAPTCHA-solving services, these
 //! measures add cost and complexity to automated attacks." The model makes
-//! that quantitative: humans pass with a small friction (and a small
-//! abandonment probability — the usability cost), bots pass only by paying a
-//! solver fee and waiting for solver latency.
+//! that quantitative: humans abandon with a small probability (the
+//! usability cost), and bots pay a solver fee per attempt and pass with the
+//! solver's success probability.
+//!
+//! Each solved outcome also carries a solving latency drawn from the
+//! policy, which advances the CAPTCHA RNG, but nothing applies it: no
+//! client waits for it.
 
 use fg_core::money::Money;
 use fg_core::time::SimDuration;

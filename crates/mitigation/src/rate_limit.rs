@@ -73,59 +73,18 @@ impl TokenBucket {
     }
 }
 
-/// One hash partition of a [`KeyedLimiter`]: a flat bucket map.
-/// Self-contained (it carries the bucket parameters) so scoped threads can
-/// each own one shard and acquire/evict without any cross-shard
-/// coordination.
-#[derive(Clone, Debug)]
-pub struct LimiterShard<K> {
-    capacity: f64,
-    rate_per_sec: f64,
-    // Fx-hashed: keyed by integer client/booking keys on the request path.
-    buckets: FxHashMap<K, TokenBucket>,
-}
-
-impl<K: Eq + Hash> LimiterShard<K> {
-    fn new(capacity: f64, rate_per_sec: f64) -> Self {
-        LimiterShard {
-            capacity,
-            rate_per_sec,
-            buckets: FxHashMap::default(),
-        }
-    }
-
-    /// Attempts to take one token for `key` at `now`.
-    ///
-    /// Correct only for keys this shard owns — the parent limiter routes;
-    /// callers holding a shard directly (parallel workers) must partition
-    /// keys with [`KeyedLimiter::shard_index`] first.
-    pub fn try_acquire(&mut self, key: K, now: SimTime) -> bool {
-        let (capacity, rate) = (self.capacity, self.rate_per_sec);
-        let bucket = self.buckets.entry(key).or_insert_with(|| {
-            let mut b = TokenBucket::new(capacity, rate);
-            // A fresh key's bucket starts full *now*, not at epoch.
-            b.updated = now;
-            b
-        });
-        bucket.try_acquire(now)
-    }
-
-    /// Drops every bucket in this shard that has refilled to capacity.
-    pub fn evict_idle(&mut self, now: SimTime) {
-        let capacity = self.capacity;
-        self.buckets.retain(|_, b| b.available(now) < capacity);
-    }
-}
-
 /// A map of token buckets, one per key — per-booking, per-IP, per-user, or
 /// per-path depending on the key type the caller chooses.
 ///
-/// Internally hash-partitioned into [`LimiterShard`]s (1 shard by default,
+/// Internally hash-partitioned into flat bucket maps (1 shard by default,
 /// which is bit-identical to a flat map). Aggregate reads sum over shards in
 /// index order, so totals are independent of the shard count.
 #[derive(Clone, Debug)]
 pub struct KeyedLimiter<K> {
-    shards: ShardedStore<K, LimiterShard<K>>,
+    capacity: f64,
+    rate_per_sec: f64,
+    // Fx-hashed: keyed by integer client/booking keys on the request path.
+    shards: ShardedStore<K, FxHashMap<K, TokenBucket>>,
 }
 
 impl<K: Eq + Hash> KeyedLimiter<K> {
@@ -149,13 +108,22 @@ impl<K: Eq + Hash> KeyedLimiter<K> {
         // Validate eagerly so a bad config fails at construction.
         let _ = TokenBucket::new(capacity, rate_per_sec);
         KeyedLimiter {
-            shards: ShardedStore::new(shards, |_| LimiterShard::new(capacity, rate_per_sec)),
+            capacity,
+            rate_per_sec,
+            shards: ShardedStore::new(shards, |_| FxHashMap::default()),
         }
     }
 
     /// Attempts to take one token for `key` at `now`.
     pub fn try_acquire(&mut self, key: K, now: SimTime) -> bool {
-        self.shards.shard_mut(&key).try_acquire(key, now)
+        let (capacity, rate) = (self.capacity, self.rate_per_sec);
+        let bucket = self.shards.shard_mut(&key).entry(key).or_insert_with(|| {
+            let mut b = TokenBucket::new(capacity, rate);
+            // A fresh key's bucket starts full *now*, not at epoch.
+            b.updated = now;
+            b
+        });
+        bucket.try_acquire(now)
     }
 
     /// Drops every bucket that has refilled to capacity by `now`, striping
@@ -169,29 +137,16 @@ impl<K: Eq + Hash> KeyedLimiter<K> {
     /// per-request proxy exits) this is what keeps the key map bounded by the
     /// *live* population instead of growing with every identity ever seen.
     pub fn evict_idle(&mut self, now: SimTime) {
+        let capacity = self.capacity;
         // fg-analyze: allow(shard-discipline): full-sweep maintenance — idle eviction visits every shard
         for shard in self.shards.shards_mut() {
-            shard.evict_idle(now);
+            shard.retain(|_, b| b.available(now) < capacity);
         }
     }
 
     /// Number of keys with a materialized bucket, summed over shards.
     pub fn tracked_keys(&self) -> usize {
-        self.shards.fold(0, |acc, s| acc + s.buckets.len())
-    }
-
-    /// The shard index owning `key` — parallel workers partition their key
-    /// streams with this before taking shards from
-    /// [`KeyedLimiter::shards_mut`].
-    pub fn shard_index(&self, key: &K) -> usize {
-        self.shards.shard_index(key)
-    }
-
-    /// All shards, mutably, for coordination-free parallel acquisition:
-    /// each scoped thread takes one `&mut LimiterShard` and drives only the
-    /// keys that [`KeyedLimiter::shard_index`] routes to it.
-    pub fn shards_mut(&mut self) -> &mut [LimiterShard<K>] {
-        self.shards.shards_mut()
+        self.shards.fold(0, |acc, s| acc + s.len())
     }
 }
 
@@ -324,15 +279,18 @@ mod tests {
 
     #[test]
     fn shard_partition_is_exhaustive_and_exclusive() {
-        // Every key routes to exactly one shard, and driving shards
-        // directly (as parallel workers do) reproduces routed behaviour.
+        // Every key's bucket lives in exactly one shard, and the keys
+        // spread over every shard.
         let mut l: KeyedLimiter<u64> = KeyedLimiter::with_shards(1.0, 0.0, 4);
         let keys: Vec<u64> = (0..64).collect();
-        let idx: Vec<usize> = keys.iter().map(|k| l.shard_index(k)).collect();
-        for (k, &i) in keys.iter().zip(&idx) {
-            let shard = l.shards_mut().get_mut(i).expect("shard index in range");
-            assert!(shard.try_acquire(*k, SimTime::ZERO));
+        for k in &keys {
+            assert!(l.try_acquire(*k, SimTime::ZERO));
         }
+        for k in &keys {
+            let owners = l.shards.fold(0, |n, s| n + usize::from(s.contains_key(k)));
+            assert_eq!(owners, 1, "key {k}");
+        }
+        assert!(l.shards.fold(true, |all, s| all && !s.is_empty()));
         // Each key took its shard's single token; the routed path now
         // rejects every one of them.
         for k in &keys {

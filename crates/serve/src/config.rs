@@ -138,6 +138,19 @@ impl ServeConfig {
         if self.observe.p99_slo_ms == 0 {
             errors.push("observe.p99_slo_ms must be >= 1".to_owned());
         }
+        // JSON has no infinity (it is written as `null`), so such a config
+        // would not read back. The policy gate already refuses NaN.
+        for (name, t) in [
+            ("challenge_threshold", self.policy.challenge_threshold),
+            ("block_threshold", self.policy.block_threshold),
+        ] {
+            if t.is_infinite() {
+                errors.push(format!(
+                    "policy.{name} must be finite, got {t}: scores lie in [0, 1], \
+                     so a threshold above 1.0 disables the stage"
+                ));
+            }
+        }
         if let Err(diags) = fg_analyze::validate_serve_policy(&self.policy) {
             errors.extend(
                 diags
@@ -209,6 +222,22 @@ mod tests {
             errors.iter().any(|e| e.contains("unreachable-challenge")),
             "{errors:?}"
         );
+    }
+
+    #[test]
+    fn infinite_thresholds_are_refused_and_finite_ones_read_back() {
+        let open = ServeConfig {
+            policy: PolicyConfig::unprotected(),
+            ..ServeConfig::recommended()
+        };
+        let errors = open.validate().unwrap_err();
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(
+            errors.iter().all(|e| e.contains("above 1.0 disables")),
+            "{errors:?}"
+        );
+        let c = ServeConfig::recommended();
+        assert_eq!(ServeConfig::from_json(&c.to_json()).unwrap(), c);
     }
 
     #[test]

@@ -449,11 +449,14 @@ impl ServeState {
                 }
             },
         };
-        // Written straight from the tracer, one span at a time: a copied
-        // snapshot and its JSON trees take about twelve times the body,
-        // which the allocator then keeps for whichever worker served it.
+        // Only the shared handles are taken under the tracer lock, which
+        // every decision also takes; the spans are formatted after it is
+        // released, one at a time: a copied snapshot and its JSON trees
+        // take about twelve times the body, which the allocator then keeps
+        // for whichever worker served it.
+        let export = self.telemetry.tracer().export_handles(only);
         let mut body = String::new();
-        self.telemetry.tracer().write_json(only, &mut body);
+        export.write_json(&mut body);
         Response::json(200, body.into_bytes())
     }
 

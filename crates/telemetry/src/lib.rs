@@ -63,7 +63,9 @@ pub use export::TelemetrySnapshot;
 pub use hist::{AtomicHist, Exemplar, Hist, HistSnapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricName, MetricsRegistry, MetricsSnapshot};
 pub use profile::{StageProfiler, StageSnapshot};
-pub use trace::{AttrValue, RequestTrace, SpanRecord, TraceConfig, TraceSnapshot, Tracer};
+pub use trace::{
+    AttrValue, RequestTrace, SpanRecord, TraceConfig, TraceExport, TraceSnapshot, Tracer,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

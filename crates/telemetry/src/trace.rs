@@ -39,6 +39,7 @@ use serde_json::Value;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Default probability of keeping an `allow`-decision trace: 1/32. Exact in
 /// binary, so the keep/drop threshold arithmetic has no rounding surprises.
@@ -286,6 +287,11 @@ impl RequestTrace {
     }
 }
 
+/// The trace and span id of `session`'s root span in an export.
+fn session_root_id(session: u64) -> u64 {
+    fg_core::hash::trace_id(session, 0)
+}
+
 /// An exported span's numeric fields.
 #[derive(Clone, Copy, Debug)]
 struct SpanHead {
@@ -321,7 +327,7 @@ impl<'a> SpanSource<'a> {
                 start,
                 end,
             } => {
-                let id = fg_core::hash::trace_id(session, 0);
+                let id = session_root_id(session);
                 SpanHead {
                     trace_id: id,
                     span_id: id,
@@ -516,16 +522,18 @@ impl TraceSnapshot {
 pub struct Tracer {
     config: Option<TraceConfig>,
     pinned: BTreeSet<u64>,
+    // Retained traces and spans are shared, so an export can take them out
+    // of the tracer's lock and format them after releasing it.
     /// Sampled `allow` traces — the first to evict under pressure.
-    kept_sampled: VecDeque<RequestTrace>,
+    kept_sampled: VecDeque<Arc<RequestTrace>>,
     /// Non-allow or pinned-session traces — evicted only among themselves.
-    kept_important: VecDeque<RequestTrace>,
+    kept_important: VecDeque<Arc<RequestTrace>>,
     /// Trace ids an exemplar currently cites.
     cited: BTreeSet<u64>,
     /// Cited traces the retention budget has already evicted, kept until
     /// [`Tracer::cite`] releases them.
-    held: BTreeMap<u64, RequestTrace>,
-    aux: VecDeque<SpanRecord>,
+    held: BTreeMap<u64, Arc<RequestTrace>>,
+    aux: VecDeque<Arc<SpanRecord>>,
     submitted: u64,
     sampled_out: u64,
     evicted: u64,
@@ -571,6 +579,7 @@ impl Tracer {
             self.sampled_out += 1;
             return;
         }
+        let trace = Arc::new(trace);
         if important {
             self.kept_important.push_back(trace);
         } else {
@@ -620,12 +629,12 @@ impl Tracer {
             self.aux.pop_front();
             self.aux_dropped += 1;
         }
-        self.aux.push_back(span);
+        self.aux.push_back(Arc::new(span));
     }
 
     /// Every retained request trace: the budgeted rings plus held cited
     /// traces.
-    fn retained(&self) -> impl Iterator<Item = &RequestTrace> {
+    fn retained(&self) -> impl Iterator<Item = &Arc<RequestTrace>> + Clone {
         self.kept_important
             .iter()
             .chain(self.kept_sampled.iter())
@@ -639,47 +648,8 @@ impl Tracer {
 
     /// Traces the sampler kept: those retained plus those evicted since.
     fn kept(&self) -> u64 {
-        self.retained().count() as u64 + self.evicted
-    }
-
-    /// Every retained span, unformatted: the request and stage spans, one
-    /// root per session bracketing its retained requests from the first
-    /// one's start to the last one's end, and the auxiliary ring — sorted
-    /// by `(start_us, trace_id, span_id)`.
-    fn export(&self) -> Vec<(SpanHead, SpanSource<'_>)> {
-        let mut sessions: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        let mut request_spans = 0;
-        for trace in self.retained() {
-            let root = trace.span_head(0);
-            let (start, end) = (root.start_us, root.start_us.saturating_add(root.dur_us));
-            sessions
-                .entry(trace.session)
-                .and_modify(|(s, e)| {
-                    *s = (*s).min(start);
-                    *e = (*e).max(end);
-                })
-                .or_insert((start, end));
-            request_spans += trace.stages.len() + 1;
-        }
-        let mut spans = Vec::with_capacity(request_spans + sessions.len() + self.aux.len());
-        let sources = self
-            .retained()
-            .flat_map(|trace| {
-                (0..=trace.stages.len()).map(move |handle| SpanSource::Request(trace, handle))
-            })
-            .chain(
-                sessions
-                    .into_iter()
-                    .map(|(session, (start, end))| SpanSource::Session {
-                        session,
-                        start,
-                        end,
-                    }),
-            )
-            .chain(self.aux.iter().map(SpanSource::Aux));
-        spans.extend(sources.map(|source| (source.head(), source)));
-        spans.sort_by_key(|(head, _)| (head.start_us, head.trace_id, head.span_id));
-        spans
+        (self.kept_important.len() + self.kept_sampled.len() + self.held.len()) as u64
+            + self.evicted
     }
 
     /// Exports every retained span, sorted by `(start_us, trace_id,
@@ -691,30 +661,125 @@ impl Tracer {
             sampled_out: self.sampled_out,
             evicted: self.evicted,
             aux_dropped: self.aux_dropped,
-            spans: self
-                .export()
+            spans: sorted_spans(self.retained().map(|t| &**t), self.aux.iter().map(|s| &**s))
                 .iter()
                 .map(|(head, source)| source.record(head))
                 .collect(),
         }
     }
 
+    /// Copies out what [`TraceExport::write_json`] writes: the counters,
+    /// the retained trace ids, and shared handles to the retained traces and
+    /// auxiliary spans (with `only`, just those that can carry a span of
+    /// that trace id). It formats and deep-copies nothing, so a caller
+    /// holding the tracer's lock can release it before formatting, which
+    /// takes far longer.
+    pub fn export_handles(&self, only: Option<u64>) -> TraceExport {
+        let wanted = |id: u64| only.is_none_or(|o| o == id);
+        TraceExport {
+            only,
+            submitted: self.submitted,
+            kept: self.kept(),
+            sampled_out: self.sampled_out,
+            evicted: self.evicted,
+            retained_ids: self.retained().map(|t| t.trace_id).collect(),
+            // A session root's bounds come from every trace of its session.
+            traces: self
+                .retained()
+                .filter(|t| wanted(t.trace_id) || wanted(session_root_id(t.session)))
+                .cloned()
+                .collect(),
+            aux: self
+                .aux
+                .iter()
+                .filter(|s| wanted(s.trace_id))
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Appends the export to `out` as one JSON object; see
+    /// [`TraceExport::write_json`].
+    pub fn write_json(&self, only: Option<u64>, out: &mut String) {
+        self.export_handles(only).write_json(out);
+    }
+}
+
+/// Every span of `traces` and `aux`, unformatted: the request and stage
+/// spans, one root per session bracketing its requests from the first
+/// one's start to the last one's end, and the auxiliary spans — sorted by
+/// `(start_us, trace_id, span_id)`.
+fn sorted_spans<'a>(
+    traces: impl Iterator<Item = &'a RequestTrace> + Clone,
+    aux: impl ExactSizeIterator<Item = &'a SpanRecord>,
+) -> Vec<(SpanHead, SpanSource<'a>)> {
+    let mut sessions: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    let mut request_spans = 0;
+    for trace in traces.clone() {
+        let root = trace.span_head(0);
+        let (start, end) = (root.start_us, root.start_us.saturating_add(root.dur_us));
+        sessions
+            .entry(trace.session)
+            .and_modify(|(s, e)| {
+                *s = (*s).min(start);
+                *e = (*e).max(end);
+            })
+            .or_insert((start, end));
+        request_spans += trace.stages.len() + 1;
+    }
+    let mut spans = Vec::with_capacity(request_spans + sessions.len() + aux.len());
+    let sources = traces
+        .flat_map(|trace| {
+            (0..=trace.stages.len()).map(move |handle| SpanSource::Request(trace, handle))
+        })
+        .chain(
+            sessions
+                .into_iter()
+                .map(|(session, (start, end))| SpanSource::Session {
+                    session,
+                    start,
+                    end,
+                }),
+        )
+        .chain(aux.map(SpanSource::Aux));
+    spans.extend(sources.map(|source| (source.head(), source)));
+    spans.sort_by_key(|(head, _)| (head.start_us, head.trace_id, head.span_id));
+    spans
+}
+
+/// One `/debug/traces`-style export, taken by [`Tracer::export_handles`]:
+/// the tracer's counters and retained trace ids at that moment, and shared
+/// handles to the traces and spans it writes. Traces the tracer evicts
+/// later stay alive until the export is written.
+#[derive(Debug)]
+pub struct TraceExport {
+    only: Option<u64>,
+    submitted: u64,
+    kept: u64,
+    sampled_out: u64,
+    evicted: u64,
+    retained_ids: Vec<u64>,
+    traces: Vec<Arc<RequestTrace>>,
+    aux: Vec<Arc<SpanRecord>>,
+}
+
+impl TraceExport {
     /// Appends the export to `out` as one JSON object: `submitted`, `kept`,
     /// `sampled_out` and `evicted` as in [`Tracer::snapshot`], `retained`
     /// (the retained request trace ids as 16 hex digits, ascending) and
-    /// `spans`, every one or only those of trace `only`, each serialised
-    /// as its [`SpanRecord`]. Spans are formatted straight into `out`, one
-    /// at a time, so the export needs little memory beyond `out` itself.
-    pub fn write_json(&self, only: Option<u64>, out: &mut String) {
+    /// `spans`, every one or only those of the trace the export was taken
+    /// for, each serialised as its [`SpanRecord`]. Spans are formatted
+    /// straight into `out`, one at a time, so the export needs little
+    /// memory beyond `out` itself.
+    pub fn write_json(mut self, out: &mut String) {
+        self.retained_ids.sort_unstable();
+        self.retained_ids.dedup();
         let _ = write!(
             out,
             "{{\"submitted\":{},\"kept\":{},\"sampled_out\":{},\"evicted\":{},\"retained\":[",
-            self.submitted,
-            self.kept(),
-            self.sampled_out,
-            self.evicted
+            self.submitted, self.kept, self.sampled_out, self.evicted
         );
-        for (i, id) in self.retained_ids().iter().enumerate() {
+        for (i, id) in self.retained_ids.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -722,8 +787,12 @@ impl Tracer {
         }
         out.push_str("],\"spans\":[");
         let mut first = true;
-        for (head, source) in &self.export() {
-            if only.is_none_or(|id| head.trace_id == id) {
+        let spans = sorted_spans(
+            self.traces.iter().map(|t| &**t),
+            self.aux.iter().map(|s| &**s),
+        );
+        for (head, source) in &spans {
+            if self.only.is_none_or(|id| head.trace_id == id) {
                 if !first {
                     out.push(',');
                 }
@@ -1135,6 +1204,50 @@ mod tests {
             tr.write_json(only, &mut written);
             assert_eq!(written, serialised(only), "only {only:?}");
         }
+    }
+
+    #[test]
+    fn an_export_writes_what_was_retained_when_it_was_taken() {
+        let mut tr = Tracer::new();
+        tr.enable(TraceConfig {
+            allow_sample_rate: 1.0,
+            capacity: 2,
+            aux_capacity: 1,
+        });
+        tr.submit(trace(1, 1, "block"));
+        tr.submit(trace(2, 1, "allow"));
+        let aux = |trace_id| SpanRecord {
+            trace_id,
+            span_id: 1,
+            parent_id: 0,
+            name: "sentinel.evaluate".to_owned(),
+            session: 0,
+            start_us: 0,
+            dur_us: 1,
+            attrs: Vec::new(),
+        };
+        tr.record_aux(aux(7));
+        let (mut expected, mut expected_one) = (String::new(), String::new());
+        tr.write_json(None, &mut expected);
+        let one = fg_core::hash::trace_id(2, 1);
+        tr.write_json(Some(one), &mut expected_one);
+        let (export, export_one) = (tr.export_handles(None), tr.export_handles(Some(one)));
+
+        // Evict both traces and the auxiliary span.
+        for seq in 2..5 {
+            tr.submit(trace(3, seq, "block"));
+        }
+        tr.record_aux(aux(8));
+        let mut now = String::new();
+        tr.write_json(None, &mut now);
+        assert_ne!(now, expected);
+
+        let (mut written, mut written_one) = (String::new(), String::new());
+        export.write_json(&mut written);
+        export_one.write_json(&mut written_one);
+        assert_eq!(written, expected);
+        assert_eq!(written_one, expected_one);
+        assert!(written_one.contains(&format!("{{\"trace_id\":{one},")));
     }
 
     #[test]
