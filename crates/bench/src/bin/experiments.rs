@@ -141,7 +141,7 @@ fn print_run(run: &ExperimentRun) {
         println!("{}", run.render_aggregate());
     }
     if let Some(snapshot) = &run.merged_telemetry {
-        println!("{}", render_stage_table(&snapshot.stages));
+        println!("{}", render_stage_table(&snapshot.stages()));
         println!(
             "audit trail: {} decisions recorded ({} evicted); totals {:?}",
             snapshot.audit.recorded, snapshot.audit.evicted, snapshot.audit.decision_totals

@@ -15,8 +15,10 @@ use fg_fingerprint::attributes::Fingerprint;
 use fg_fingerprint::inconsistency::consistency_report;
 use fg_netsim::ip::IpAddress;
 use fg_netsim::reputation::ReputationLedger;
+use fg_telemetry::{Latency, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::time::Instant;
 
 /// One contributing detection signal with its weight.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -195,7 +197,20 @@ pub struct DetectionEngine {
     fp_velocity: VelocityCounter<u64>,
     booking_sms_velocity: VelocityCounter<BookingRef>,
     reputation: ReputationLedger,
-    telemetry: Option<std::sync::Arc<fg_telemetry::Telemetry>>,
+    /// The stage cells [`DetectionEngine::assess`] times into, once
+    /// telemetry is attached.
+    stages: Option<DetectStages>,
+}
+
+/// The latency cells of the five `detect.*` stages, one per signal family
+/// [`DetectionEngine::assess`] evaluates.
+#[derive(Debug)]
+struct DetectStages {
+    fingerprint_consistency: Latency,
+    ip_reputation: Latency,
+    ip_velocity: Latency,
+    fp_velocity: Latency,
+    booking_sms_velocity: Latency,
 }
 
 impl DetectionEngine {
@@ -221,19 +236,33 @@ impl DetectionEngine {
                 10.0,
                 shards,
             ),
-            telemetry: None,
+            stages: None,
         }
     }
 
-    /// Attaches a telemetry hub; [`DetectionEngine::assess`] then profiles
-    /// each signal family as a `detect.*` stage.
-    pub fn attach_telemetry(&mut self, telemetry: std::sync::Arc<fg_telemetry::Telemetry>) {
-        self.telemetry = Some(telemetry);
+    /// Registers the five `detect.*` stage cells in `telemetry`;
+    /// [`DetectionEngine::assess`] then times each signal family into its
+    /// cell. Until then it reads no clock.
+    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
+        self.stages = Some(DetectStages {
+            fingerprint_consistency: telemetry.stage_latency("detect.fingerprint-consistency"),
+            ip_reputation: telemetry.stage_latency("detect.ip-reputation"),
+            ip_velocity: telemetry.stage_latency("detect.ip-velocity"),
+            fp_velocity: telemetry.stage_latency("detect.fp-velocity"),
+            booking_sms_velocity: telemetry.stage_latency("detect.booking-sms-velocity"),
+        });
     }
 
-    fn note_stage(&self, stage: &'static str, start: std::time::Instant) {
-        if let Some(t) = &self.telemetry {
-            t.record_stage(stage, start.elapsed());
+    /// Starts a stage timer: `None`, without reading the clock, when no
+    /// telemetry is attached.
+    fn stage_clock(&self) -> Option<Instant> {
+        self.stages.as_ref().map(|_| Instant::now()) // fg-analyze: allow(wall-clock): stage profiling only
+    }
+
+    /// Records the time since `start` into the cell `stage_cell` picks.
+    fn note_stage(&self, stage_cell: fn(&DetectStages) -> &Latency, start: Option<Instant>) {
+        if let (Some(stages), Some(start)) = (&self.stages, start) {
+            stage_cell(stages).record(start.elapsed());
         }
     }
 
@@ -286,38 +315,38 @@ impl DetectionEngine {
     ) -> Verdict {
         let mut signals = Vec::new();
 
-        let t = std::time::Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
+        let t = self.stage_clock();
         let report = consistency_report(fingerprint);
         if !report.is_clean() {
             signals.push(Signal::FingerprintInconsistent {
                 suspicion: report.suspicion(),
             });
         }
-        self.note_stage("detect.fingerprint-consistency", t);
+        self.note_stage(|s| &s.fingerprint_consistency, t);
 
-        let t = std::time::Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
+        let t = self.stage_clock();
         if self.reputation.is_denied(ip, now) {
             signals.push(Signal::IpReputation);
         }
-        self.note_stage("detect.ip-reputation", t);
+        self.note_stage(|s| &s.ip_reputation, t);
 
-        let t = std::time::Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
+        let t = self.stage_clock();
         let ip_count = self.ip_velocity.record_and_count(ip.as_u32(), now);
         if ip_count > self.config.ip_velocity_threshold {
             signals.push(Signal::IpVelocity { count: ip_count });
         }
-        self.note_stage("detect.ip-velocity", t);
+        self.note_stage(|s| &s.ip_velocity, t);
 
-        let t = std::time::Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
+        let t = self.stage_clock();
         let fp_count = self
             .fp_velocity
             .record_and_count(fingerprint.identity_hash(), now);
         if fp_count > self.config.fp_velocity_threshold {
             signals.push(Signal::FingerprintVelocity { count: fp_count });
         }
-        self.note_stage("detect.fp-velocity", t);
+        self.note_stage(|s| &s.fp_velocity, t);
 
-        let t = std::time::Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
+        let t = self.stage_clock();
         let sms_endpoint = matches!(endpoint, Endpoint::SendOtp | Endpoint::BoardingPass);
         if sms_endpoint {
             if let Some(reference) = booking {
@@ -327,7 +356,7 @@ impl DetectionEngine {
                 }
             }
         }
-        self.note_stage("detect.booking-sms-velocity", t);
+        self.note_stage(|s| &s.booking_sms_velocity, t);
 
         if endpoint == Endpoint::TrapFile {
             signals.push(Signal::TrapHit);
@@ -489,13 +518,13 @@ mod tests {
 
     #[test]
     fn attached_telemetry_profiles_each_signal_family() {
-        let telemetry = fg_telemetry::Telemetry::shared();
+        let telemetry = Telemetry::new();
         let mut e = DetectionEngine::with_defaults();
-        e.attach_telemetry(telemetry.clone());
+        e.attach_telemetry(&telemetry);
         e.assess(SimTime::ZERO, ip(1), &human_fp(1), Endpoint::Search, None);
         let stages: Vec<String> = telemetry
             .snapshot()
-            .stages
+            .stages()
             .iter()
             .map(|s| s.stage.clone())
             .collect();

@@ -14,7 +14,6 @@ use fg_detection::engine::Verdict;
 use fg_detection::log::Endpoint;
 use fg_fingerprint::attributes::Fingerprint;
 use fg_netsim::ip::IpAddress;
-use fg_telemetry::metrics::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -309,11 +308,9 @@ impl DecisionTrace {
     }
 }
 
-/// Counters of decisions taken, for experiment reports.
-///
-/// Since the telemetry refactor this is a *snapshot* of the live
-/// [`DecisionCounters`] a [`PolicyEngine`] maintains; the field and
-/// accessor surface is unchanged.
+/// Counts of decisions taken, for experiment reports. The engine keeps
+/// none: the app that asks it for decisions counts them
+/// (`fg_scenario::app::DefendedApp::decision_counts`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecisionCounts {
     /// Allowed.
@@ -328,69 +325,6 @@ pub struct DecisionCounts {
     pub honeypot: u64,
     /// Blocked.
     pub block: u64,
-}
-
-/// Live decision counters backed by telemetry [`Counter`]s, so the policy
-/// engine's per-decision tallies and the exported `fg_decisions_total`
-/// series are the same cells.
-#[derive(Clone, Debug, Default)]
-pub struct DecisionCounters {
-    allow: Counter,
-    challenge: Counter,
-    rate_limited: Counter,
-    tier_denied: Counter,
-    honeypot: Counter,
-    block: Counter,
-}
-
-impl DecisionCounters {
-    fn counter(&self, d: Decision) -> &Counter {
-        match d {
-            Decision::Allow => &self.allow,
-            Decision::Challenge => &self.challenge,
-            Decision::RateLimited => &self.rate_limited,
-            Decision::TierDenied => &self.tier_denied,
-            Decision::Honeypot => &self.honeypot,
-            Decision::Block => &self.block,
-        }
-    }
-
-    fn bump(&self, d: Decision) {
-        self.counter(d).inc();
-    }
-
-    /// Point-in-time copy of all six tallies.
-    pub fn snapshot(&self) -> DecisionCounts {
-        DecisionCounts {
-            allow: self.allow.get(),
-            challenge: self.challenge.get(),
-            rate_limited: self.rate_limited.get(),
-            tier_denied: self.tier_denied.get(),
-            honeypot: self.honeypot.get(),
-            block: self.block.get(),
-        }
-    }
-
-    /// Exposes the counters in `registry` as
-    /// `fg_decisions_total{decision="..."}`.
-    pub fn register_in(&self, registry: &MetricsRegistry) {
-        registry.set_help("fg_decisions_total", "Policy decisions issued, by kind");
-        for d in [
-            Decision::Allow,
-            Decision::Challenge,
-            Decision::RateLimited,
-            Decision::TierDenied,
-            Decision::Honeypot,
-            Decision::Block,
-        ] {
-            let label = d.to_string();
-            registry.adopt_counter(
-                "fg_decisions_total",
-                &[("decision", label.as_str())],
-                self.counter(d),
-            );
-        }
-    }
 }
 
 /// The stateful policy engine.
@@ -428,7 +362,6 @@ pub struct PolicyEngine {
     booking_sms_limiter: Option<KeyedLimiter<BookingRef>>,
     path_sms_limiter: Option<TokenBucket>,
     client_hold_limiter: Option<KeyedLimiter<u64>>,
-    counters: DecisionCounters,
 }
 
 const SECS_PER_DAY: f64 = 86_400.0;
@@ -447,9 +380,9 @@ impl PolicyEngine {
 
     /// Creates an engine whose keyed limiters are hash-partitioned into
     /// `shards` partitions (rounded up to a power of two). Shard count
-    /// changes memory layout and housekeeping striping only — decisions and
-    /// counters are identical at any count. (The per-path limiter is a
-    /// single bucket, not keyed, so it has nothing to shard.)
+    /// changes memory layout and housekeeping striping only — decisions are
+    /// identical at any count. (The per-path limiter is a single bucket,
+    /// not keyed, so it has nothing to shard.)
     ///
     /// # Panics
     ///
@@ -477,7 +410,6 @@ impl PolicyEngine {
                 .path_sms_limit
                 .map(|(burst, per_day)| TokenBucket::new(burst, per_day / SECS_PER_DAY)),
             rules: BlockRuleEngine::new(),
-            counters: DecisionCounters::default(),
             config,
         }
     }
@@ -519,36 +451,9 @@ impl PolicyEngine {
         )
     }
 
-    /// Decision counters so far.
-    pub fn counts(&self) -> DecisionCounts {
-        self.counters.snapshot()
-    }
-
-    /// The live telemetry-backed counters, for registry adoption.
-    pub fn decision_counters(&self) -> &DecisionCounters {
-        &self.counters
-    }
-
-    /// Replaces this engine's decision counters with shared handles carried
-    /// over from a previous engine. [`Counter`]s clone as handles to the
-    /// same cell, so a rebuilt engine (e.g. after a config hot-swap in the
-    /// decision service) keeps incrementing the `fg_decisions_total` cells
-    /// already adopted into a registry instead of resetting the series.
-    pub fn adopt_counters(&mut self, counters: DecisionCounters) {
-        self.counters = counters;
-    }
-
     /// Decides one request.
     pub fn decide(&mut self, ctx: &RequestContext<'_>) -> Decision {
         self.decide_traced(ctx).decision
-    }
-
-    /// Decides one request and returns the full reason chain alongside the
-    /// decision — the audit trail's view of this engine.
-    pub fn decide_traced(&mut self, ctx: &RequestContext<'_>) -> DecisionTrace {
-        let trace = self.trace_inner(ctx);
-        self.counters.bump(trace.decision);
-        trace
     }
 
     fn block_or_divert(&self) -> Decision {
@@ -559,7 +464,9 @@ impl PolicyEngine {
         }
     }
 
-    fn trace_inner(&mut self, ctx: &RequestContext<'_>) -> DecisionTrace {
+    /// Decides one request and returns the full reason chain alongside the
+    /// decision — the audit trail's view of this engine.
+    pub fn decide_traced(&mut self, ctx: &RequestContext<'_>) -> DecisionTrace {
         let mut chain = Vec::with_capacity(PolicyStage::ALL.len());
         let done = |decision: Decision, chain: Vec<ReasonLink>| DecisionTrace { decision, chain };
 
@@ -701,7 +608,6 @@ mod tests {
             ));
             assert_eq!(d, Decision::Allow);
         }
-        assert_eq!(e.counts().allow, 100);
     }
 
     #[test]
@@ -900,37 +806,6 @@ mod tests {
         let json = serde_json::to_string(&trace).unwrap();
         let back: DecisionTrace = serde_json::from_str(&json).unwrap();
         assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn counts_are_telemetry_backed() {
-        let registry = fg_telemetry::MetricsRegistry::new();
-        let mut e = PolicyEngine::new(PolicyConfig::traditional_antibot());
-        e.decision_counters().register_in(&registry);
-        let f = fp();
-        let clean = Verdict::clean();
-        let high = verdict(0.95);
-        e.decide(&ctx(&f, &clean, Endpoint::Search, None, SimTime::ZERO));
-        e.decide(&ctx(&f, &high, Endpoint::Search, None, SimTime::ZERO));
-        // The snapshot accessor and the exported counters agree because
-        // they are the same cells.
-        assert_eq!(
-            e.counts(),
-            DecisionCounts {
-                allow: 1,
-                block: 1,
-                ..DecisionCounts::default()
-            }
-        );
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter_value("fg_decisions_total", &[("decision", "allow")]),
-            Some(1)
-        );
-        assert_eq!(
-            snap.counter_value("fg_decisions_total", &[("decision", "block")]),
-            Some(1)
-        );
     }
 
     #[test]

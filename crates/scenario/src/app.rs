@@ -16,12 +16,12 @@ use fg_inventory::system::ReservationSystem;
 use fg_mitigation::captcha::CaptchaPolicy;
 use fg_mitigation::economics::DefenderLedger;
 use fg_mitigation::honeypot::Honeypot;
-use fg_mitigation::policy::{Decision, PolicyConfig, PolicyEngine, RequestContext};
+use fg_mitigation::policy::{Decision, DecisionCounts, PolicyConfig, PolicyEngine, RequestContext};
 use fg_sentinel::{AlertPolicy, Sentinel, SentinelReport};
 use fg_smsgw::gateway::Gateway;
 use fg_smsgw::message::{SmsKind, SmsMessage};
 use fg_telemetry::audit::{AuditRecord, SignalScore};
-use fg_telemetry::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use fg_telemetry::metrics::{Counter, Gauge, Histogram, Latency};
 use fg_telemetry::{AttrValue, RequestTrace, Telemetry};
 use rand::rngs::StdRng;
 use std::collections::HashMap;
@@ -141,12 +141,14 @@ pub struct GateDecision {
     pub signals: Vec<SignalScore>,
 }
 
-/// Pre-registered handles for everything the gate increments per request,
-/// so the hot path never touches the registry mutex.
+/// Pre-registered handles for everything the gate increments or times per
+/// request, so the hot path never touches the registry mutex.
 #[derive(Debug)]
 struct AppMetrics {
     /// One counter per endpoint, in [`Endpoint::ALL`] order.
     requests: Vec<Counter>,
+    /// One counter per policy decision, in [`DECISIONS`] order.
+    decisions: Vec<Counter>,
     /// One counter per signal kind, in [`Signal::KINDS`] order.
     signals: Vec<Counter>,
     honeypot_diversions: Counter,
@@ -162,7 +164,25 @@ struct AppMetrics {
     /// One gauge per defence-state map, in [`TRACKED_MAPS`] order: current
     /// key population after housekeeping.
     tracked_keys: Vec<Gauge>,
+    /// The stage latency cells the gate times, one per stage:
+    /// `mitigation.honeypot-check`, `detect.assess`, `policy.decide` and
+    /// `mitigation.captcha`.
+    honeypot_check: Latency,
+    assess: Latency,
+    decide: Latency,
+    captcha: Latency,
 }
+
+/// Every policy decision, in the order [`AppMetrics`] registers
+/// `fg_decisions_total{decision}`.
+const DECISIONS: [Decision; 6] = [
+    Decision::Allow,
+    Decision::Challenge,
+    Decision::RateLimited,
+    Decision::TierDenied,
+    Decision::Honeypot,
+    Decision::Block,
+];
 
 /// The per-key defence-state maps whose populations are exported as
 /// `fg_tracked_keys{map="..."}` and bounded by the housekeeping tick.
@@ -195,12 +215,14 @@ fn signal_span(kind: &str) -> &'static str {
 }
 
 impl AppMetrics {
-    fn register(registry: &MetricsRegistry) -> Self {
+    fn register(telemetry: &Telemetry) -> Self {
+        let registry = telemetry.metrics();
         for (name, help) in [
             (
                 "fg_requests_total",
                 "Requests reaching the gate, by endpoint",
             ),
+            ("fg_decisions_total", "Policy decisions issued, by kind"),
             (
                 "fg_signals_total",
                 "Detection signals raised, by signal kind",
@@ -245,6 +267,10 @@ impl AppMetrics {
                     registry.counter_with("fg_requests_total", &[("endpoint", path.as_str())])
                 })
                 .collect(),
+            decisions: DECISIONS
+                .iter()
+                .map(|d| registry.counter_with("fg_decisions_total", &[("decision", d.as_str())]))
+                .collect(),
             signals: Signal::KINDS
                 .iter()
                 .map(|kind| registry.counter_with("fg_signals_total", &[("signal", kind)]))
@@ -269,11 +295,22 @@ impl AppMetrics {
                 .iter()
                 .map(|map| registry.gauge_with("fg_tracked_keys", &[("map", map)]))
                 .collect(),
+            honeypot_check: telemetry.stage_latency("mitigation.honeypot-check"),
+            assess: telemetry.stage_latency("detect.assess"),
+            decide: telemetry.stage_latency("policy.decide"),
+            captcha: telemetry.stage_latency("mitigation.captcha"),
         }
     }
 
     fn endpoint_counter(&self, endpoint: Endpoint) -> &Counter {
         &self.requests[endpoint.index()]
+    }
+
+    fn decision_counter(&self, decision: Decision) -> Option<&Counter> {
+        DECISIONS
+            .iter()
+            .position(|d| *d == decision)
+            .and_then(|i| self.decisions.get(i))
     }
 
     fn signal_counter(&self, kind: &str) -> Option<&Counter> {
@@ -299,12 +336,11 @@ impl DefendedApp {
         let shards = config.concurrency.shard_count();
         let mut detection =
             DetectionEngine::with_shards(fg_detection::engine::EngineConfig::default(), shards);
-        detection.attach_telemetry(telemetry.clone());
+        detection.attach_telemetry(&telemetry);
         let policy = PolicyEngine::with_shards(config.policy.clone(), shards);
-        policy.decision_counters().register_in(telemetry.metrics());
         let mut gateway = Gateway::default_network();
         gateway.attach_telemetry(telemetry.clone());
-        let metrics = AppMetrics::register(telemetry.metrics());
+        let metrics = AppMetrics::register(&telemetry);
         DefendedApp {
             reservations: ReservationSystem::new(config.hold_ttl, config.max_nip),
             gateway,
@@ -339,18 +375,16 @@ impl DefendedApp {
         self.recorder.take().unwrap_or_default()
     }
 
-    /// Swaps the policy config in place, preserving decision-counter
-    /// continuity (the rebuilt engine keeps incrementing the same
-    /// `fg_decisions_total` cells). Block rules and limiter buckets reset —
-    /// a hot-swap is a posture change, and stale per-key debt under the old
-    /// posture must not leak into the new one. Callers are expected to have
-    /// validated `policy` (see `fg_analyze::validate_serve_policy`);
-    /// in debug builds an invalid config panics at engine construction.
+    /// Swaps the policy config in place. Block rules and limiter buckets
+    /// reset — a hot-swap is a posture change, and stale per-key debt under
+    /// the old posture must not leak into the new one — while
+    /// `fg_decisions_total`, which the app counts, carries on. Callers are
+    /// expected to have validated `policy` (see
+    /// `fg_analyze::validate_serve_policy`); in debug builds an invalid
+    /// config panics at engine construction.
     pub fn replace_policy(&mut self, policy: PolicyConfig) {
         let shards = self.config.concurrency.shard_count();
-        let mut engine = PolicyEngine::with_shards(policy.clone(), shards);
-        engine.adopt_counters(self.policy.decision_counters().clone());
-        self.policy = engine;
+        self.policy = PolicyEngine::with_shards(policy.clone(), shards);
         self.config.policy = policy;
     }
 
@@ -422,6 +456,22 @@ impl DefendedApp {
     /// The policy engine (read access).
     pub fn policy(&self) -> &PolicyEngine {
         &self.policy
+    }
+
+    /// Policy decisions taken so far, read from the `fg_decisions_total`
+    /// cells. Sticky honeypot sessions never reach the policy, so their
+    /// requests are not counted here. The cells belong to the telemetry
+    /// hub, so apps built on one hub count into the same cells.
+    pub fn decision_counts(&self) -> DecisionCounts {
+        let count = |d| self.metrics.decision_counter(d).map_or(0, Counter::get);
+        DecisionCounts {
+            allow: count(Decision::Allow),
+            challenge: count(Decision::Challenge),
+            rate_limited: count(Decision::RateLimited),
+            tier_denied: count(Decision::TierDenied),
+            honeypot: count(Decision::Honeypot),
+            block: count(Decision::Block),
+        }
     }
 
     /// The detection engine (read access — velocity key populations, …).
@@ -502,7 +552,7 @@ impl DefendedApp {
             gauge.set(keys as f64);
         }
         if let Some(sentinel) = &mut self.sentinel {
-            let snap = self.telemetry.metrics().snapshot();
+            let snap = self.telemetry.metrics().snapshot_without_latencies();
             let events_before = sentinel.events().len();
             sentinel.observe(now, &snap);
             if self.telemetry.tracing_enabled() {
@@ -585,8 +635,7 @@ impl DefendedApp {
         // Already-diverted clients stay in the decoy.
         let t = Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
         let diverted = self.honeypot.is_diverted(req.client);
-        self.telemetry
-            .record_stage("mitigation.honeypot-check", t.elapsed());
+        self.metrics.honeypot_check.record(t.elapsed());
         if let Some(tr) = span_trace.as_mut() {
             let check = tr.stage("mitigation.honeypot-check");
             tr.attr(check, "diverted", diverted);
@@ -622,7 +671,7 @@ impl DefendedApp {
         let verdict = self
             .detection
             .assess(now, req.ip, &req.fingerprint, endpoint, booking);
-        self.telemetry.record_stage("detect.assess", t.elapsed());
+        self.metrics.assess.record(t.elapsed());
         self.metrics.detection_score.record(verdict.score);
         if let Some(tr) = span_trace.as_mut() {
             let assess = tr.stage("detect.assess");
@@ -655,8 +704,11 @@ impl DefendedApp {
             client_key: req.client.as_u64(),
             verdict: &verdict,
         });
-        self.telemetry.record_stage("policy.decide", t.elapsed());
+        self.metrics.decide.record(t.elapsed());
         let decision = trace.decision;
+        if let Some(counter) = self.metrics.decision_counter(decision) {
+            counter.inc();
+        }
         let reasons = trace.reason_strings();
         if let Some(tr) = span_trace.as_mut() {
             let decide = tr.stage("policy.decide");
@@ -794,8 +846,7 @@ impl DefendedApp {
                     Ok(_) => self.metrics.challenges_solved.inc(),
                     Err(_) => self.metrics.challenges_failed.inc(),
                 }
-                self.telemetry
-                    .record_stage("mitigation.captcha", t.elapsed());
+                self.metrics.captcha.record(t.elapsed());
                 if let Some(tr) = span_trace.as_mut() {
                     let captcha = tr.stage("mitigation.captcha");
                     tr.attr(captcha, "solver", req.is_bot);
@@ -1243,6 +1294,29 @@ mod tests {
     }
 
     #[test]
+    fn a_policy_swap_keeps_fg_decisions_total_counting() {
+        let mut a = app(PolicyConfig::recommended());
+        let req = human_req(11, TrustTier::Verified);
+        a.search(&req, SimTime::ZERO).unwrap();
+        a.replace_policy(PolicyConfig::unprotected());
+        a.search(&req, SimTime::from_mins(1)).unwrap();
+        a.search(&req, SimTime::from_mins(2)).unwrap();
+        let snap = a.telemetry().metrics().snapshot();
+        assert_eq!(
+            snap.counter_value("fg_decisions_total", &[("decision", "allow")]),
+            Some(3),
+            "the swap neither reset the series nor left it behind"
+        );
+        assert_eq!(
+            a.decision_counts(),
+            DecisionCounts {
+                allow: 3,
+                ..DecisionCounts::default()
+            }
+        );
+    }
+
+    #[test]
     fn gate_metrics_and_stages_accumulate() {
         let mut a = app(PolicyConfig::recommended());
         let req = human_req(10, TrustTier::Verified);
@@ -1275,7 +1349,8 @@ mod tests {
             .unwrap();
         assert!((revenue - a.ticket_revenue().as_f64()).abs() < 1e-9);
         // Stage profiles cover detection, policy, and the honeypot check.
-        let stages: Vec<&str> = snap.stages.iter().map(|s| s.stage.as_str()).collect();
+        let stages = snap.stages();
+        let stages: Vec<&str> = stages.iter().map(|s| s.stage.as_str()).collect();
         for expected in [
             "mitigation.honeypot-check",
             "detect.assess",

@@ -80,6 +80,8 @@ pub struct Simulation {
     /// here (exported as `fg_agent_wake_clamped_total`) so misbehaving
     /// agents are visible without debug/release divergence.
     wake_clamps: fg_telemetry::Counter,
+    /// The `team.review` stage latency cell.
+    review_latency: fg_telemetry::Latency,
 }
 
 impl Simulation {
@@ -91,9 +93,11 @@ impl Simulation {
             "Agent wake-ups clamped forward to keep sim time monotone",
         );
         let wake_clamps = registry.counter("fg_agent_wake_clamped_total");
+        let review_latency = app.telemetry().stage_latency("team.review");
         Simulation {
             app,
             wake_clamps,
+            review_latency,
             agents: Vec::new(),
             agent_rngs: Vec::new(),
             interventions: Vec::new(),
@@ -160,8 +164,8 @@ impl Simulation {
                     if let Some((team, interval)) = &mut self.team {
                         let started = std::time::Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
                         team.review(&mut self.app, now);
+                        self.review_latency.record(started.elapsed());
                         let telemetry = self.app.telemetry();
-                        telemetry.record_stage("team.review", started.elapsed());
                         if telemetry.tracing_enabled() {
                             // Aux span: reviews run outside any request
                             // trace, on session lane 0.
@@ -233,7 +237,7 @@ mod tests {
         assert!(app.gateway().sent_total() > 500);
         assert!(!app.logs().is_empty());
         // Most traffic is allowed under no protection.
-        assert_eq!(app.policy().counts().block, 0);
+        assert_eq!(app.decision_counts().block, 0);
     }
 
     #[test]

@@ -295,7 +295,7 @@ pub fn run_observed(
         }),
         departure_day: config.departure_day as f64,
         mean_hold_ratio_during_attack,
-        blocked_requests: app.policy().counts().block,
+        blocked_requests: app.decision_counts().block,
     };
     (report, alerts)
 }

@@ -115,7 +115,9 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Renders per-stage latency profiles (from
-/// [`fg_telemetry::StageProfiler::snapshot`]) as an ASCII table.
+/// [`fg_telemetry::TelemetrySnapshot::stages`], the
+/// `fg_stage_latency_seconds` family) as an ASCII table, one row per
+/// stage in the order given.
 pub fn render_stage_table(stages: &[StageSnapshot]) -> String {
     let rows: Vec<Vec<String>> = stages
         .iter()
@@ -287,14 +289,15 @@ mod tests {
 
     #[test]
     fn stage_table_renders_latency_columns() {
-        use fg_telemetry::StageProfiler;
+        use fg_telemetry::Telemetry;
         use std::time::Duration;
 
-        let mut p = StageProfiler::new();
+        let t = Telemetry::new();
+        let assess = t.stage_latency("detect.assess");
         for us in [10, 20, 30] {
-            p.record_named("detect.assess", Duration::from_micros(us));
+            assess.record(Duration::from_micros(us));
         }
-        let s = render_stage_table(&p.snapshot());
+        let s = render_stage_table(&t.snapshot().stages());
         assert!(s.contains("detect.assess"), "{s}");
         assert!(s.contains("| Calls"), "{s}");
         assert!(s.contains("p95 µs"), "{s}");

@@ -6,9 +6,9 @@
 //! Values are generated as small integers so f64 addition is exact and the
 //! assertions can demand bitwise equality.
 //!
-//! (Stage-latency and audit sections are excluded deliberately: weighted
-//! percentile averaging is float-order sensitive by design, and audit
-//! re-sorting only ties on full-record equality.)
+//! (Latency and audit sections are excluded deliberately: their exemplars
+//! and records re-sort by latency and time only, so ties keep an order
+//! that depends on the grouping.)
 
 use fg_telemetry::metrics::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 use fg_telemetry::{AuditSnapshot, MetricName, TelemetrySnapshot};
@@ -51,7 +51,6 @@ fn snapshot_from(counters: &[(u8, u8)], gauges: &[(u8, u8)], hist: &[u8]) -> Tel
     };
     TelemetrySnapshot {
         metrics,
-        stages: Vec::new(),
         audit: AuditSnapshot {
             recorded: 0,
             evicted: 0,

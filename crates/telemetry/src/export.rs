@@ -5,17 +5,16 @@
 
 use crate::audit::AuditSnapshot;
 use crate::metrics::{MetricName, MetricsSnapshot};
-use crate::profile::StageSnapshot;
+use crate::profile::{stage_snapshots, StageSnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A complete point-in-time export of a [`crate::Telemetry`] instance.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
-    /// Counters, gauges, histograms.
+    /// Counters, gauges, histograms and latency histograms, stage
+    /// latencies included.
     pub metrics: MetricsSnapshot,
-    /// Per-stage latency statistics.
-    pub stages: Vec<StageSnapshot>,
     /// The decision audit trail.
     pub audit: AuditSnapshot,
 }
@@ -38,11 +37,10 @@ impl TelemetrySnapshot {
     /// - **Histograms** with identical bounds sum bucket-wise (plus `count`
     ///   and `sum`); a histogram whose bounds differ from an already-merged
     ///   namesake is kept as a separate entry rather than silently mangled.
-    /// - **Latency histograms** (log-linear) sum bucket-wise; exemplars
-    ///   union and re-sort by latency.
-    /// - **Stages** combine by name by merging their log-linear histograms
-    ///   bucket-wise — *exact*: the merged percentiles are the percentiles
-    ///   of the union of the samples (within the layout's
+    /// - **Latency histograms** (log-linear), stage latencies included,
+    ///   sum bucket-wise; exemplars union and re-sort by latency. The merge
+    ///   is *exact*: the merged percentiles are the percentiles of the
+    ///   union of the samples (within the layout's
     ///   [`crate::hist::RELATIVE_ERROR`] bucket error), not a count-weighted
     ///   average of per-shard percentiles, which skews badly when shards
     ///   have different tail shapes.
@@ -105,17 +103,6 @@ impl TelemetrySnapshot {
         }
         self.metrics.help.sort();
 
-        for s in &other.stages {
-            match self.stages.iter_mut().find(|mine| mine.stage == s.stage) {
-                Some(mine) => {
-                    mine.hist.merge(&s.hist);
-                    mine.refresh_derived();
-                }
-                None => self.stages.push(s.clone()),
-            }
-        }
-        self.stages.sort_by(|a, b| a.stage.cmp(&b.stage));
-
         self.audit.recorded += other.audit.recorded;
         self.audit.evicted += other.audit.evicted;
         for (decision, n) in &other.audit.decision_totals {
@@ -150,17 +137,22 @@ impl TelemetrySnapshot {
         Some(first)
     }
 
-    /// Renders metrics and stage latencies in Prometheus text exposition
-    /// format. Stage latencies appear as `summary` metrics in seconds under
-    /// `fg_stage_latency_seconds`; the audit trail is JSON-only.
+    /// Per-stage latency statistics of every stage with samples, ordered
+    /// by stage name, read from the `fg_stage_latency_seconds` family.
+    pub fn stages(&self) -> Vec<StageSnapshot> {
+        stage_snapshots(&self.metrics)
+    }
+
+    /// Renders the metrics in Prometheus text exposition format; latency
+    /// histograms, stage latencies included, render as native histograms
+    /// in seconds. The audit trail is JSON-only.
     pub fn to_prometheus(&self) -> String {
-        render_prometheus(&self.metrics, &self.stages)
+        render_prometheus(&self.metrics)
     }
 }
 
-/// The Prometheus text renderer behind [`TelemetrySnapshot::to_prometheus`]:
-/// it reads only the metrics and the stages.
-fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> String {
+/// The Prometheus text renderer behind [`TelemetrySnapshot::to_prometheus`].
+fn render_prometheus(metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
 
     let mut last_type_header = String::new();
@@ -229,7 +221,7 @@ fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> Str
         type_header(&mut out, &name, "histogram");
         // Exemplars keyed by the rendered bucket they fall in; when two
         // land in one bucket the slower wins (they arrive sorted).
-        let mut exemplar_at: Vec<(usize, crate::hist::Exemplar)> = Vec::new();
+        let mut exemplar_at: Vec<(usize, crate::metrics::Exemplar)> = Vec::new();
         for e in &l.exemplars {
             let idx = crate::hist::bucket_index(e.nanos);
             match exemplar_at.iter_mut().find(|(i, _)| *i == idx) {
@@ -237,17 +229,20 @@ fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> Str
                 None => exemplar_at.push((idx, *e)),
             }
         }
+        // The series' own labels, rendered once for all its bucket lines
+        // (a stage histogram has hundreds).
+        let labels: String = l
+            .name
+            .labels
+            .iter()
+            .map(|(k, v)| format!("{}=\"{}\",", sanitize(k), escape_label(v)))
+            .collect();
         let mut cumulative = 0u64;
         for &(idx, bucket_count) in &l.hist.buckets {
             cumulative += bucket_count;
-            let le = render_f64(crate::hist::bucket_high(idx as usize) as f64 * 1e-9);
-            let _ = write!(
-                out,
-                "{}_bucket{} {}",
-                name,
-                render_labels(&l.name, &[("le", &le)]),
-                cumulative
-            );
+            // Bucket edges are finite, so `{le}` renders as `render_f64` would.
+            let le = crate::hist::bucket_high(idx as usize) as f64 * 1e-9;
+            let _ = write!(out, "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}");
             if let Some((_, e)) = exemplar_at.iter().find(|(i, _)| *i == idx as usize) {
                 // OpenMetrics exemplar: `# {trace_id="…"} value`.
                 let _ = write!(
@@ -259,13 +254,7 @@ fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> Str
             }
             let _ = writeln!(out);
         }
-        let _ = writeln!(
-            out,
-            "{}_bucket{} {}",
-            name,
-            render_labels(&l.name, &[("le", "+Inf")]),
-            l.hist.count
-        );
+        let _ = writeln!(out, "{name}_bucket{{{labels}le=\"+Inf\"}} {}", l.hist.count);
         let _ = writeln!(
             out,
             "{}_sum{} {}",
@@ -280,36 +269,6 @@ fn render_prometheus(metrics: &MetricsSnapshot, stages: &[StageSnapshot]) -> Str
             render_labels(&l.name, &[]),
             l.hist.count
         );
-    }
-
-    if !stages.is_empty() {
-        let name = "fg_stage_latency_seconds";
-        if let Some(help) = metrics.help_for(name) {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-        }
-        let _ = writeln!(out, "# TYPE {name} summary");
-        for s in stages {
-            for (q, v_us) in [("0.5", s.p50_us), ("0.95", s.p95_us), ("0.99", s.p99_us)] {
-                let _ = writeln!(
-                    out,
-                    "{name}{{stage=\"{}\",quantile=\"{q}\"}} {}",
-                    escape_label(&s.stage),
-                    render_f64(v_us * 1e-6)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{name}_sum{{stage=\"{}\"}} {}",
-                escape_label(&s.stage),
-                render_f64(s.total_ms * 1e-3)
-            );
-            let _ = writeln!(
-                out,
-                "{name}_count{{stage=\"{}\"}} {}",
-                escape_label(&s.stage),
-                s.count
-            );
-        }
     }
 
     out
@@ -396,11 +355,12 @@ mod tests {
     use super::*;
     use crate::audit::AuditTrail;
     use crate::metrics::MetricsRegistry;
-    use crate::profile::StageProfiler;
+    use crate::Telemetry;
     use std::time::Duration;
 
     fn sample_snapshot() -> TelemetrySnapshot {
-        let registry = MetricsRegistry::new();
+        let telemetry = Telemetry::with_audit_capacity(4);
+        let registry = telemetry.metrics();
         registry.set_help("fg_sms_sent_total", "Delivered SMS by country");
         registry
             .counter_with("fg_sms_sent_total", &[("country", "UZ")])
@@ -410,13 +370,10 @@ mod tests {
         h.record(0.1);
         h.record(0.6);
         h.record(0.97);
-        let mut profiler = StageProfiler::new();
-        profiler.record_named("policy.decide", Duration::from_micros(20));
-        TelemetrySnapshot {
-            metrics: registry.snapshot(),
-            stages: profiler.snapshot(),
-            audit: AuditTrail::new(4).snapshot(),
-        }
+        telemetry
+            .stage_latency("policy.decide")
+            .record(Duration::from_micros(20));
+        telemetry.snapshot()
     }
 
     #[test]
@@ -446,9 +403,18 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("fg_detection_score_count 3"), "{text}");
-        // Stage latencies render as a summary in seconds.
+        // Stage latencies render as a native histogram in seconds.
         assert!(
-            text.contains("fg_stage_latency_seconds{stage=\"policy.decide\",quantile=\"0.5\"}"),
+            text.contains("# TYPE fg_stage_latency_seconds histogram"),
+            "{text}"
+        );
+        assert!(!text.contains("quantile="), "{text}");
+        assert!(
+            text.contains("fg_stage_latency_seconds_bucket{stage=\"policy.decide\",le=\"+Inf\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("fg_stage_latency_seconds_sum{stage=\"policy.decide\"} 0.00002\n"),
             "{text}"
         );
         assert!(
@@ -478,7 +444,6 @@ mod tests {
         registry.counter("fg_x_total").inc();
         let snap = TelemetrySnapshot {
             metrics: registry.snapshot(),
-            stages: Vec::new(),
             audit: AuditTrail::new(4).snapshot(),
         };
         assert!(snap
@@ -492,7 +457,6 @@ mod tests {
         registry.set_help("fg_a_total", "mine");
         let mut a = TelemetrySnapshot {
             metrics: registry.snapshot(),
-            stages: Vec::new(),
             audit: AuditTrail::new(4).snapshot(),
         };
         let registry = MetricsRegistry::new();
@@ -500,7 +464,6 @@ mod tests {
         registry.set_help("fg_b_total", "only theirs");
         let b = TelemetrySnapshot {
             metrics: registry.snapshot(),
-            stages: Vec::new(),
             audit: AuditTrail::new(4).snapshot(),
         };
         a.merge(&b);
@@ -534,7 +497,8 @@ mod tests {
         assert_eq!(h.count, 6);
         assert_eq!(h.buckets.iter().sum::<u64>(), 6);
         assert!((h.sum - 2.0 * (0.1 + 0.6 + 0.97)).abs() < 1e-9);
-        let s = &a.stages[0];
+        let stages = a.stages();
+        let s = &stages[0];
         assert_eq!(s.stage, "policy.decide");
         assert_eq!(s.count, 2);
         assert!((s.mean_us - 20.0).abs() < 1e-9);
@@ -547,14 +511,12 @@ mod tests {
         registry.counter("zz_total").add(1);
         let mut a = TelemetrySnapshot {
             metrics: registry.snapshot(),
-            stages: Vec::new(),
             audit: AuditTrail::new(4).snapshot(),
         };
         let registry = MetricsRegistry::new();
         registry.counter("aa_total").add(2);
         let b = TelemetrySnapshot {
             metrics: registry.snapshot(),
-            stages: Vec::new(),
             audit: AuditTrail::new(4).snapshot(),
         };
         a.merge(&b);
@@ -574,38 +536,34 @@ mod tests {
     #[test]
     fn two_skewed_shards_merge_to_the_true_p99() {
         // Shard A: 99 fast samples (1 µs). Shard B: 99 slow ones (10 ms).
-        let mut fast = StageProfiler::new();
-        let mut slow = StageProfiler::new();
-        for _ in 0..99 {
-            fast.record_named("policy.decide", Duration::from_micros(1));
-            slow.record_named("policy.decide", Duration::from_millis(10));
-        }
-        let empty = || TelemetrySnapshot {
-            metrics: MetricsRegistry::new().snapshot(),
-            stages: Vec::new(),
-            audit: AuditTrail::new(4).snapshot(),
+        let shard = |sample: Duration| {
+            let t = Telemetry::with_audit_capacity(4);
+            let stage = t.stage_latency("policy.decide");
+            for _ in 0..99 {
+                stage.record(sample);
+            }
+            t.snapshot()
         };
-        let mut a = empty();
-        a.stages = fast.snapshot();
-        let mut b = empty();
-        b.stages = slow.snapshot();
+        let mut a = shard(Duration::from_micros(1));
+        let b = shard(Duration::from_millis(10));
 
         // The old count-weighted average would have said:
-        let averaged = (a.stages[0].p99_us * 99.0 + b.stages[0].p99_us * 99.0) / 198.0;
+        let averaged = (a.stages()[0].p99_us * 99.0 + b.stages()[0].p99_us * 99.0) / 198.0;
 
         a.merge(&b);
-        let merged_p99 = a.stages[0].p99_us;
+        let merged = &a.stages()[0];
         // True union: 198 samples, rank ceil(0.99·198)=197 → a 10 ms sample.
         let exact_us = 10_000.0;
         assert!(
-            (merged_p99 - exact_us).abs() <= exact_us * crate::hist::RELATIVE_ERROR,
-            "merged p99 {merged_p99} µs should be ~{exact_us} µs"
+            (merged.p99_us - exact_us).abs() <= exact_us * crate::hist::RELATIVE_ERROR,
+            "merged p99 {} µs should be ~{exact_us} µs",
+            merged.p99_us
         );
         assert!(
             averaged < exact_us * 0.6,
             "the old averaging really was wrong ({averaged} µs)"
         );
-        assert_eq!(a.stages[0].count, 198);
+        assert_eq!(merged.count, 198);
     }
 
     #[test]
@@ -620,7 +578,6 @@ mod tests {
         l.record_with_exemplar(Duration::from_millis(25), 0xDEAD_BEEF);
         let snap = TelemetrySnapshot {
             metrics: registry.snapshot(),
-            stages: Vec::new(),
             audit: AuditTrail::new(4).snapshot(),
         };
         let text = snap.to_prometheus();
@@ -652,7 +609,6 @@ mod tests {
             l.record_with_exemplar(Duration::from_nanos(nanos), id);
             TelemetrySnapshot {
                 metrics: registry.snapshot(),
-                stages: Vec::new(),
                 audit: AuditTrail::new(4).snapshot(),
             }
         };

@@ -6,17 +6,15 @@
 //! and a quantile reported at the bucket midpoint is within
 //! [`RELATIVE_ERROR`] (= 1/64 ≈ 1.6%) of the exact nearest-rank sample.
 //! Memory is a fixed [`BUCKET_COUNT`]-slot table (~15 KiB of `u64`s) no
-//! matter how many samples are recorded — unlike the retained-sample
-//! summary the stage profiler used before, which grew without bound in a
-//! long-running server.
+//! matter how many samples are recorded, so a long-running server's
+//! histograms never grow.
 //!
-//! Three faces of the same layout:
+//! Two faces of the same layout:
 //!
-//! - [`Hist`] — plain dense counts, for single-writer contexts (the stage
-//!   profiler behind its mutex).
-//! - [`AtomicHist`] — lock-free recording for the serve hot path: one
-//!   relaxed fetch-add per sample, plus bounded per-octave *exemplar* slots
-//!   pairing a bucket with the trace id of a request that landed in it.
+//! - [`Hist`] — lock-free recording: one relaxed fetch-add per sample, so
+//!   a hot path records without a lock. [`crate::metrics::Latency`] wraps
+//!   one with exemplar slots; every latency in the workspace, stage
+//!   timings included, is one of those.
 //! - [`HistSnapshot`] — the compact serde form (sparse `(index, count)`
 //!   pairs); merging is exact bucket-wise addition, so a merged snapshot is
 //!   indistinguishable from one that recorded the union of the samples.
@@ -26,8 +24,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
 
 /// log2 of the number of linear sub-buckets per power-of-two octave.
 pub const SUB_BUCKET_BITS: u32 = 5;
@@ -86,73 +82,6 @@ pub fn bucket_mid(index: usize) -> u64 {
         1u64 << (group - 1) >> 1
     };
     bucket_low(index) + half
-}
-
-/// A plain (non-atomic) log-linear histogram for single-writer contexts.
-#[derive(Clone)]
-pub struct Hist {
-    counts: Box<[u64; BUCKET_COUNT]>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Hist {
-    fn default() -> Self {
-        Hist::new()
-    }
-}
-
-impl std::fmt::Debug for Hist {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hist")
-            .field("count", &self.count)
-            .field("sum", &self.sum)
-            .field("max", &self.max)
-            .finish()
-    }
-}
-
-impl Hist {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Hist {
-            counts: Box::new([0; BUCKET_COUNT]),
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one nanosecond sample.
-    pub fn record(&mut self, nanos: u64) {
-        self.counts[bucket_index(nanos)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(nanos);
-        self.max = self.max.max(nanos);
-    }
-
-    /// Records one duration sample (saturating at `u64::MAX` nanoseconds).
-    pub fn record_duration(&mut self, elapsed: Duration) {
-        self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// The compact, mergeable serde form.
-    pub fn snapshot(&self) -> HistSnapshot {
-        HistSnapshot {
-            sub_bucket_bits: SUB_BUCKET_BITS,
-            buckets: self
-                .counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (i as u32, c))
-                .collect(),
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-        }
-    }
 }
 
 /// 1-based nearest rank for quantile `q` of `count` samples.
@@ -271,57 +200,39 @@ impl HistSnapshot {
     }
 }
 
-/// Number of exemplar slots on an [`AtomicHist`] — one per latency decade
-/// band, coarse on purpose: exemplars are navigation aids, not samples.
-const EXEMPLAR_SLOTS: usize = 8;
-
-/// One exemplar: a trace id pinned to the latency bucket its request
-/// landed in, linking a histogram bucket on `/metrics` to a retrievable
-/// trace in `/debug/traces`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Exemplar {
-    /// The observed latency, nanoseconds.
-    pub nanos: u64,
-    /// The decision trace id (`fg_core::hash::trace_id` domain, never 0).
-    pub trace_id: u64,
-}
-
-/// Lock-free log-linear histogram for concurrent writers (the serve worker
-/// loop): recording is one relaxed `fetch_add` per sample plus three for
-/// the aggregates. Exemplars take a short mutex, but only interesting
-/// requests (slow / non-allow / 5xx) offer one.
-pub struct AtomicHist {
+/// Lock-free log-linear histogram: recording is one relaxed `fetch_add`
+/// per sample plus three for the aggregates, so any number of threads
+/// may record into one `Hist` while another snapshots it.
+pub struct Hist {
     counts: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
-    exemplars: Mutex<[Option<Exemplar>; EXEMPLAR_SLOTS]>,
 }
 
-impl Default for AtomicHist {
+impl Default for Hist {
     fn default() -> Self {
-        AtomicHist::new()
+        Hist::new()
     }
 }
 
-impl std::fmt::Debug for AtomicHist {
+impl std::fmt::Debug for Hist {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AtomicHist")
+        f.debug_struct("Hist")
             .field("count", &self.count.load(Ordering::Relaxed))
             .finish()
     }
 }
 
-impl AtomicHist {
+impl Hist {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         let counts: Vec<AtomicU64> = (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect();
-        AtomicHist {
+        Hist {
             counts: counts.into_boxed_slice(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
-            exemplars: Mutex::new([None; EXEMPLAR_SLOTS]),
         }
     }
 
@@ -333,39 +244,17 @@ impl AtomicHist {
         self.max.fetch_max(nanos, Ordering::Relaxed);
     }
 
-    /// Records one duration sample.
-    pub fn record_duration(&self, elapsed: Duration) {
-        self.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Records a sample *and* offers its trace id as an exemplar for the
-    /// latency band it fell in. Each of the eight decade bands keeps the
-    /// latest exemplar, so `/metrics` always links somewhere recent.
-    ///
-    /// Returns the trace id the offer displaced from its band — 0 when the
-    /// band was empty or `trace_id` is 0 — so a caller that keeps cited
-    /// traces retrievable ([`crate::Tracer::cite`]) can release it.
-    pub fn record_with_exemplar(&self, nanos: u64, trace_id: u64) -> u64 {
-        self.record(nanos);
-        if trace_id == 0 {
-            return 0;
-        }
-        let slot = exemplar_slot(nanos);
-        self.exemplars
-            .lock()
-            .ok()
-            .and_then(|mut slots| slots[slot].replace(Exemplar { nanos, trace_id }))
-            .map_or(0, |displaced| displaced.trace_id)
-    }
-
-    /// Point-in-time compact form plus the current exemplar set (ascending
-    /// by latency).
-    pub fn snapshot(&self) -> (HistSnapshot, Vec<Exemplar>) {
-        let snap = HistSnapshot {
+    /// The compact, mergeable serde form, as of now. Only the buckets up
+    /// to the one holding the largest sample are read: latencies fill a
+    /// few octaves of the 60, so a snapshot reads a fraction of the table.
+    pub fn snapshot(&self) -> HistSnapshot {
+        let max = self.max.load(Ordering::Relaxed);
+        HistSnapshot {
             sub_bucket_bits: SUB_BUCKET_BITS,
             buckets: self
                 .counts
                 .iter()
+                .take(bucket_index(max) + 1)
                 .enumerate()
                 .filter_map(|(i, c)| {
                     let c = c.load(Ordering::Relaxed);
@@ -374,30 +263,9 @@ impl AtomicHist {
                 .collect(),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        };
-        let mut exemplars: Vec<Exemplar> = self
-            .exemplars
-            .lock()
-            .map(|slots| slots.iter().flatten().copied().collect())
-            .unwrap_or_default();
-        exemplars.sort_by_key(|e| e.nanos);
-        (snap, exemplars)
-    }
-}
-
-/// Coarse exemplar banding: one slot per ~decade above 100 µs, so slow
-/// requests never evict each other's exemplars with fast ones.
-fn exemplar_slot(nanos: u64) -> usize {
-    // Bands: <100µs, <1ms, <10ms, <100ms, <1s, <10s, <100s, rest.
-    let mut bound = 100_000u64;
-    for slot in 0..EXEMPLAR_SLOTS - 1 {
-        if nanos < bound {
-            return slot;
+            max,
         }
-        bound = bound.saturating_mul(10);
     }
-    EXEMPLAR_SLOTS - 1
 }
 
 #[cfg(test)]
@@ -434,7 +302,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let mut h = Hist::new();
+        let h = Hist::new();
         for v in [0u64, 1, 5, 31] {
             h.record(v);
         }
@@ -447,7 +315,7 @@ mod tests {
 
     #[test]
     fn quantiles_clamp_to_exact_max() {
-        let mut h = Hist::new();
+        let h = Hist::new();
         h.record(1_000_003);
         let snap = h.snapshot();
         assert_eq!(snap.quantile(0.5), 1_000_003);
@@ -456,9 +324,9 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_and_merges_like_dense() {
-        let mut a = Hist::new();
-        let mut b = Hist::new();
-        let mut union = Hist::new();
+        let a = Hist::new();
+        let b = Hist::new();
+        let union = Hist::new();
         for v in [3u64, 99, 1_000, 123_456, 88] {
             a.record(v);
             union.record(v);
@@ -475,43 +343,6 @@ mod tests {
         assert_eq!(back, merged);
     }
 
-    #[test]
-    fn atomic_hist_matches_plain_hist() {
-        let atomic = AtomicHist::new();
-        let mut plain = Hist::new();
-        for v in [0u64, 17, 300, 40_000, 7_777_777] {
-            atomic.record(v);
-            plain.record(v);
-        }
-        let (snap, exemplars) = atomic.snapshot();
-        assert_eq!(snap, plain.snapshot());
-        assert!(exemplars.is_empty(), "no exemplars were offered");
-    }
-
-    #[test]
-    fn exemplars_band_by_latency_and_keep_latest() {
-        let h = AtomicHist::new();
-        assert_eq!(h.record_with_exemplar(50_000, 0xA), 0); // <100µs band
-        assert_eq!(h.record_with_exemplar(60_000, 0xB), 0xA); // same band: evicts 0xA
-        assert_eq!(h.record_with_exemplar(20_000_000, 0xC), 0); // 10–100ms band
-        assert_eq!(h.record_with_exemplar(3_000, 0), 0); // id 0 = no trace: ignored
-        let (snap, exemplars) = h.snapshot();
-        assert_eq!(snap.count, 4);
-        assert_eq!(
-            exemplars,
-            vec![
-                Exemplar {
-                    nanos: 60_000,
-                    trace_id: 0xB
-                },
-                Exemplar {
-                    nanos: 20_000_000,
-                    trace_id: 0xC
-                },
-            ]
-        );
-    }
-
     proptest! {
         /// Every reported quantile is within the documented relative error
         /// of the exact nearest-rank sample.
@@ -520,11 +351,14 @@ mod tests {
             samples in proptest::collection::vec(0u64..10_000_000_000, 1..400),
             qs in proptest::collection::vec(0.0f64..1.0, 1..8),
         ) {
-            let mut h = Hist::new();
+            let h = Hist::new();
             for &s in &samples {
                 h.record(s);
             }
             let snap = h.snapshot();
+            // The snapshot reads buckets only up to the largest sample's,
+            // and every sample sits at or below it.
+            prop_assert_eq!(snap.buckets.iter().map(|&(_, c)| c).sum::<u64>(), snap.count);
             let mut sorted = samples.clone();
             sorted.sort_unstable();
             for q in qs {
@@ -545,9 +379,9 @@ mod tests {
             xs in proptest::collection::vec(0u64..10_000_000_000, 0..200),
             ys in proptest::collection::vec(0u64..10_000_000_000, 0..200),
         ) {
-            let mut a = Hist::new();
-            let mut b = Hist::new();
-            let mut union = Hist::new();
+            let a = Hist::new();
+            let b = Hist::new();
+            let union = Hist::new();
             for &x in &xs {
                 a.record(x);
                 union.record(x);

@@ -1,15 +1,22 @@
-//! **fg-telemetry** — metrics, decision audit trail, and pipeline profiling
-//! for the defence stack.
+//! **fg-telemetry** — metrics, decision audit trail, and span tracing for
+//! the defence stack.
 //!
 //! The paper's case studies (§IV) repeatedly hinge on *post-hoc
 //! explainability*: the airline's security team reasons about which signal
 //! caught which identity, and the defender's economics depend on knowing
-//! where requests were stopped. This crate gives the simulated defence the
-//! same observability a production stack would have, in four layers:
+//! where requests were stopped and what that cost. This crate gives the
+//! simulated defence the same observability a production stack would have,
+//! in three layers:
 //!
-//! 1. **Metrics** ([`metrics`]) — pre-registered counters, gauges and
-//!    fixed-bucket histograms whose hot-path cost is a single relaxed
-//!    atomic write.
+//! 1. **Metrics** ([`metrics`]) — pre-registered counters, gauges,
+//!    fixed-bucket histograms and log-linear latency histograms
+//!    ([`metrics::Latency`] over [`hist::Hist`], p50/p95/p99 within 1/64
+//!    of the exact values) whose hot-path cost is a few relaxed atomic
+//!    writes. Stage latencies are metrics too: each timed detection signal
+//!    and mitigation stage is one latency cell,
+//!    `fg_stage_latency_seconds{stage="…"}`, registered once by the
+//!    component that times it ([`Telemetry::stage_latency`]) and read back
+//!    per stage through [`profile`].
 //! 2. **Audit trail** ([`audit`]) — a bounded ring buffer recording, for
 //!    every request through the defended app, the detection signals that
 //!    fired and the policy engine's machine-readable reason chain, so a
@@ -18,19 +25,15 @@
 //!    never reads the trail switches it off with
 //!    [`Telemetry::disable_audit`], and decision paths then build no
 //!    record at all (fg-serve explains its decisions through traces).
-//! 3. **Profiling** ([`profile`]) — wall-clock timers around each
-//!    detection signal and mitigation stage, aggregated into bounded
-//!    log-linear histograms ([`hist::Hist`]) whose p50/p95/p99 are within
-//!    1/64 of the exact values.
-//! 4. **Tracing** ([`trace`]) — deterministic, sim-time causal spans over
+//! 3. **Tracing** ([`trace`]) — deterministic, sim-time causal spans over
 //!    the decision path (fg-trace), with head+tail sampling and a Chrome
 //!    trace-event exporter. Off by default; when off, the only hot-path
 //!    cost is one relaxed atomic load.
 //!
-//! [`export::TelemetrySnapshot`] serialises the first three as a JSON
-//! artifact, and metrics and stage latencies as Prometheus text
-//! exposition; [`trace::TraceSnapshot`] exports the spans.
-//! `fg_scenario::report` renders the ASCII tables.
+//! [`export::TelemetrySnapshot`] serialises metrics and the audit trail as
+//! a JSON artifact, and metrics as Prometheus text exposition;
+//! [`trace::TraceSnapshot`] exports the spans. `fg_scenario::report`
+//! renders the ASCII tables.
 //!
 //! # Example
 //!
@@ -40,11 +43,13 @@
 //!
 //! let telemetry = Telemetry::shared();
 //! let requests = telemetry.metrics().counter("fg_requests_total");
+//! let decide = telemetry.stage_latency("policy.decide");
 //! requests.inc(); // hot path: one atomic add
-//! telemetry.record_stage("policy.decide", Duration::from_micros(12));
+//! decide.record(Duration::from_micros(12)); // and no lock either
 //!
 //! let snapshot = telemetry.snapshot();
 //! assert_eq!(snapshot.metrics.counter_value("fg_requests_total", &[]), Some(1));
+//! assert_eq!(snapshot.stages()[0].stage, "policy.decide");
 //! assert!(snapshot.to_prometheus().contains("fg_requests_total 1"));
 //! ```
 
@@ -60,24 +65,25 @@ pub mod trace;
 
 pub use audit::{AuditRecord, AuditSnapshot, AuditTrail, SignalScore};
 pub use export::TelemetrySnapshot;
-pub use hist::{AtomicHist, Exemplar, Hist, HistSnapshot};
-pub use metrics::{Counter, Gauge, Histogram, MetricName, MetricsRegistry, MetricsSnapshot};
-pub use profile::{StageProfiler, StageSnapshot};
+pub use hist::{Hist, HistSnapshot};
+pub use metrics::{
+    Counter, Exemplar, Gauge, Histogram, Latency, MetricName, MetricsRegistry, MetricsSnapshot,
+};
+pub use profile::{StageSnapshot, StageView};
 pub use trace::{
     AttrValue, RequestTrace, SpanRecord, TraceConfig, TraceExport, TraceSnapshot, Tracer,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Default audit-trail capacity: generous enough that a two-week case-study
 /// run keeps every decision, bounded so memory stays predictable.
 pub const DEFAULT_AUDIT_CAPACITY: usize = 65_536;
 
 /// The facade instrumented components share (typically as
-/// `Arc<Telemetry>`): a metrics registry, the audit trail, and the stage
-/// profiler.
+/// `Arc<Telemetry>`): a metrics registry, the audit trail, and the span
+/// tracer.
 #[derive(Debug)]
 pub struct Telemetry {
     metrics: MetricsRegistry,
@@ -85,7 +91,6 @@ pub struct Telemetry {
     /// Whether decision paths record into `audit`; on until
     /// [`Telemetry::disable_audit`].
     auditing: AtomicBool,
-    profiler: Mutex<StageProfiler>,
     tracer: Mutex<Tracer>,
     /// Set by [`Telemetry::enable_tracing`] together with the tracer's
     /// config, so the tracing-off hot path pays one relaxed load instead
@@ -109,14 +114,13 @@ impl Telemetry {
     pub fn with_audit_capacity(capacity: usize) -> Self {
         let metrics = MetricsRegistry::new();
         metrics.set_help(
-            "fg_stage_latency_seconds",
+            profile::STAGE_FAMILY,
             "Wall-clock latency of instrumented pipeline stages",
         );
         Telemetry {
             metrics,
             audit: Mutex::new(AuditTrail::new(capacity)),
             auditing: AtomicBool::new(true),
-            profiler: Mutex::new(StageProfiler::new()),
             tracer: Mutex::new(Tracer::new()),
             tracing: AtomicBool::new(false),
         }
@@ -159,14 +163,17 @@ impl Telemetry {
         self.auditing.load(Ordering::Relaxed)
     }
 
-    /// Locks and returns the stage profiler.
-    pub fn profiler(&self) -> MutexGuard<'_, StageProfiler> {
-        self.profiler.lock().unwrap_or_else(|e| e.into_inner())
+    /// Registers (or fetches) the latency cell of pipeline stage `name`,
+    /// `fg_stage_latency_seconds{stage=name}`. A component that times a
+    /// stage registers its cell once and records into it without a lock.
+    pub fn stage_latency(&self, name: &str) -> Latency {
+        self.metrics
+            .latency_with(profile::STAGE_FAMILY, &[("stage", name)])
     }
 
-    /// Records one latency sample against a named stage.
-    pub fn record_stage(&self, stage: &str, elapsed: Duration) {
-        self.profiler().record_named(stage, elapsed);
+    /// The stage latencies recorded so far, read per stage.
+    pub fn profiler(&self) -> StageView<'_> {
+        StageView(&self.metrics)
     }
 
     /// Turns span tracing on with the given config. Until called, tracing
@@ -200,11 +207,11 @@ impl Telemetry {
         self.tracer().snapshot()
     }
 
-    /// Captures metrics, stage latencies, and the audit trail at once.
+    /// Captures metrics, stage latencies included, and the audit trail at
+    /// once.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             metrics: self.metrics.snapshot(),
-            stages: self.profiler().snapshot(),
             audit: self.audit().snapshot(),
         }
     }
@@ -213,12 +220,14 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn facade_wires_all_three_layers() {
         let t = Telemetry::with_audit_capacity(4);
         t.metrics().counter("fg_requests_total").inc();
-        t.record_stage("gate.total", Duration::from_micros(5));
+        t.stage_latency("gate.total")
+            .record(Duration::from_micros(5));
         t.record_audit(AuditRecord {
             at: fg_core::time::SimTime::from_secs(1),
             endpoint: "/search".to_owned(),
@@ -237,8 +246,9 @@ mod tests {
             snap.metrics.counter_value("fg_requests_total", &[]),
             Some(1)
         );
-        assert_eq!(snap.stages.len(), 1);
-        assert_eq!(snap.stages[0].stage, "gate.total");
+        let stages = snap.stages();
+        assert_eq!(stages.len(), 1);
+        assert_eq!(stages[0].stage, "gate.total");
         assert_eq!(snap.audit.recorded, 1);
         assert_eq!(snap.audit.decision_total("allow"), 1);
     }

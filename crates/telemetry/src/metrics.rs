@@ -6,7 +6,7 @@
 //! increment is then a single relaxed atomic write — the registry's mutex is
 //! only taken at registration and snapshot time, never on the hot path.
 
-use crate::hist::{AtomicHist, Exemplar, HistSnapshot};
+use crate::hist::{Hist, HistSnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,12 +175,53 @@ impl Histogram {
 }
 
 /// A shared handle to a lock-free log-linear latency histogram
-/// ([`crate::hist::AtomicHist`]): bounded memory, exact bucket-wise merge,
+/// ([`crate::hist::Hist`]): bounded memory, exact bucket-wise merge,
 /// quantiles within [`crate::hist::RELATIVE_ERROR`]. The exporter renders
 /// these as native Prometheus histograms (in seconds) with OpenMetrics
 /// exemplars linking slow buckets to trace ids.
 #[derive(Clone, Debug, Default)]
-pub struct Latency(Arc<AtomicHist>);
+pub struct Latency(Arc<LatencyCore>);
+
+#[derive(Debug, Default)]
+struct LatencyCore {
+    hist: Hist,
+    /// The latest exemplar per latency band ([`exemplar_slot`]).
+    exemplars: Mutex<[Option<Exemplar>; EXEMPLAR_SLOTS]>,
+}
+
+/// Number of exemplar slots on a [`Latency`] — one per latency decade
+/// band, coarse on purpose: exemplars are navigation aids, not samples.
+const EXEMPLAR_SLOTS: usize = 8;
+
+/// One exemplar: a trace id pinned to the latency bucket its request
+/// landed in, linking a histogram bucket on `/metrics` to a retrievable
+/// trace in `/debug/traces`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Exemplar {
+    /// The observed latency, nanoseconds.
+    pub nanos: u64,
+    /// The decision trace id (`fg_core::hash::trace_id` domain, never 0).
+    pub trace_id: u64,
+}
+
+/// Coarse exemplar banding: one slot per ~decade above 100 µs, so slow
+/// requests never evict each other's exemplars with fast ones.
+fn exemplar_slot(nanos: u64) -> usize {
+    // Bands: <100µs, <1ms, <10ms, <100ms, <1s, <10s, <100s, rest.
+    let mut bound = 100_000u64;
+    for slot in 0..EXEMPLAR_SLOTS - 1 {
+        if nanos < bound {
+            return slot;
+        }
+        bound = bound.saturating_mul(10);
+    }
+    EXEMPLAR_SLOTS - 1
+}
+
+/// `elapsed` in nanoseconds, saturating at `u64::MAX`.
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
 
 impl Latency {
     /// Creates a detached latency histogram (not yet in any registry).
@@ -190,22 +231,49 @@ impl Latency {
 
     /// Records one latency sample. Lock-free.
     pub fn record(&self, elapsed: Duration) {
-        self.0.record_duration(elapsed);
+        self.0.hist.record(nanos(elapsed));
     }
 
     /// Records a sample and offers `trace_id` as the exemplar for its
-    /// latency band (ignored when `trace_id` is 0, the "no trace" value).
-    /// Returns the trace id displaced from that band, or 0.
+    /// latency band. Each of the eight decade bands keeps the latest
+    /// exemplar, so `/metrics` always links somewhere recent. The offer
+    /// takes a short mutex, but only interesting requests (slow, non-allow,
+    /// 5xx) make one.
+    ///
+    /// Returns the trace id the offer displaced from its band — 0 when the
+    /// band was empty or `trace_id` is 0, the "no trace" value, which is
+    /// recorded but never offered — so a caller that keeps cited traces
+    /// retrievable ([`crate::Tracer::cite`]) can release it.
     pub fn record_with_exemplar(&self, elapsed: Duration, trace_id: u64) -> u64 {
-        self.0.record_with_exemplar(
-            u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            trace_id,
-        )
+        let nanos = nanos(elapsed);
+        self.0.hist.record(nanos);
+        if trace_id == 0 {
+            return 0;
+        }
+        self.0
+            .exemplars
+            .lock()
+            .ok()
+            .and_then(|mut slots| {
+                slots
+                    .get_mut(exemplar_slot(nanos))?
+                    .replace(Exemplar { nanos, trace_id })
+            })
+            .map_or(0, |displaced| displaced.trace_id)
     }
 
-    /// Point-in-time compact histogram plus current exemplars.
+    /// Point-in-time compact histogram plus current exemplars, ascending
+    /// by latency.
     pub fn snapshot(&self) -> (HistSnapshot, Vec<Exemplar>) {
-        self.0.snapshot()
+        let hist = self.0.hist.snapshot();
+        let mut exemplars: Vec<Exemplar> = self
+            .0
+            .exemplars
+            .lock()
+            .map(|slots| slots.iter().flatten().copied().collect())
+            .unwrap_or_default();
+        exemplars.sort_by_key(|e| e.nanos);
+        (hist, exemplars)
     }
 }
 
@@ -330,19 +398,6 @@ impl MetricsRegistry {
         c
     }
 
-    /// Registers an existing counter handle under the given identity, so a
-    /// component that pre-dates the registry (e.g. `PolicyEngine`'s decision
-    /// counters) can expose its counts without rewiring its hot path.
-    pub fn adopt_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) {
-        let id = MetricName::with_labels(name, labels);
-        let mut inner = self.lock();
-        if let Some(slot) = inner.counters.iter_mut().find(|(n, _)| *n == id) {
-            slot.1 = counter.clone();
-        } else {
-            inner.counters.push((id, counter.clone()));
-        }
-    }
-
     /// Registers (or fetches) an unlabelled gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
         self.gauge_with(name, &[])
@@ -412,6 +467,18 @@ impl MetricsRegistry {
     /// Captures every registered metric's current value, sorted by identity
     /// for deterministic export.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        self.capture(true)
+    }
+
+    /// Like [`MetricsRegistry::snapshot`], with `latencies` left empty: all
+    /// a reader of counters, gauges and fixed-bucket histograms needs (the
+    /// sentinel, on every housekeeping tick), without copying a bucket
+    /// table per latency cell.
+    pub fn snapshot_without_latencies(&self) -> MetricsSnapshot {
+        self.capture(false)
+    }
+
+    fn capture(&self, with_latencies: bool) -> MetricsSnapshot {
         let inner = self.lock();
         let mut counters: Vec<CounterSample> = inner
             .counters
@@ -446,6 +513,7 @@ impl MetricsRegistry {
         let mut latencies: Vec<LatencySample> = inner
             .latencies
             .iter()
+            .filter(|_| with_latencies)
             .map(|(n, l)| {
                 let (hist, exemplars) = l.snapshot();
                 LatencySample {
@@ -621,17 +689,27 @@ mod tests {
     }
 
     #[test]
-    fn adopted_counters_export_live_values() {
-        let registry = MetricsRegistry::new();
-        let mine = Counter::new();
-        mine.add(7);
-        registry.adopt_counter("fg_decisions_total", &[("decision", "block")], &mine);
-        mine.inc();
+    fn exemplars_band_by_latency_and_keep_latest() {
+        let l = Latency::new();
+        let at = Duration::from_nanos;
+        assert_eq!(l.record_with_exemplar(at(50_000), 0xA), 0); // <100µs band
+        assert_eq!(l.record_with_exemplar(at(60_000), 0xB), 0xA); // same band: evicts 0xA
+        assert_eq!(l.record_with_exemplar(at(20_000_000), 0xC), 0); // 10–100ms band
+        assert_eq!(l.record_with_exemplar(at(3_000), 0), 0); // id 0 = no trace: ignored
+        let (snap, exemplars) = l.snapshot();
+        assert_eq!(snap.count, 4);
         assert_eq!(
-            registry
-                .snapshot()
-                .counter_value("fg_decisions_total", &[("decision", "block")]),
-            Some(8)
+            exemplars,
+            vec![
+                Exemplar {
+                    nanos: 60_000,
+                    trace_id: 0xB
+                },
+                Exemplar {
+                    nanos: 20_000_000,
+                    trace_id: 0xC
+                },
+            ]
         );
     }
 
@@ -656,6 +734,14 @@ mod tests {
         assert_eq!(merged(&[("status", "200")]), Some((2, 50_000)));
         assert_eq!(merged(&[]), Some((4, 150_000)));
         assert_eq!(merged(&[("endpoint", "observe")]), None);
+        // The sentinel's per-tick snapshot is the same minus the latencies.
+        assert_eq!(
+            registry.snapshot_without_latencies(),
+            MetricsSnapshot {
+                latencies: Vec::new(),
+                ..snap
+            }
+        );
     }
 
     #[test]

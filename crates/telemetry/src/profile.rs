@@ -1,69 +1,54 @@
 //! Per-stage wall-clock profiling of the defence pipeline.
 //!
-//! Each named stage (a detection signal, a policy decision, a team review
-//! pass) accumulates its latencies into a bounded log-linear histogram
-//! ([`crate::hist::Hist`]): memory stays fixed no matter how long the
-//! process runs, percentiles are within [`crate::hist::RELATIVE_ERROR`]
-//! (1/64) of the exact nearest-rank value, and per-shard snapshots merge
-//! exactly bucket-wise instead of averaging percentiles.
+//! Each timed stage (a detection signal, a policy decision, a team review
+//! pass) is one [`crate::metrics::Latency`] cell of the metrics registry,
+//! `fg_stage_latency_seconds{stage="…"}`, registered once by the
+//! component that times it ([`crate::Telemetry::stage_latency`]) and
+//! recorded into without a lock. This module reads the family back as
+//! per-stage statistics: memory stays fixed no matter how long the process
+//! runs, percentiles are within [`crate::hist::RELATIVE_ERROR`] (1/64) of
+//! the exact nearest-rank value, and per-shard snapshots merge exactly
+//! bucket-wise instead of averaging percentiles.
 
-use crate::hist::{Hist, HistSnapshot};
+use crate::hist::HistSnapshot;
+use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::time::Duration;
 
-#[derive(Clone, Debug)]
-struct StageStats {
-    name: String,
-    nanos: Hist,
+/// The metric family every stage latency belongs to.
+pub(crate) const STAGE_FAMILY: &str = "fg_stage_latency_seconds";
+
+/// Every stage of the `fg_stage_latency_seconds` family in `metrics` that
+/// has samples, ordered by stage name: what [`StageView::snapshot`] and
+/// [`crate::TelemetrySnapshot::stages`] return.
+pub(crate) fn stage_snapshots(metrics: &MetricsSnapshot) -> Vec<StageSnapshot> {
+    metrics
+        .latencies
+        .iter()
+        .filter(|l| l.name.name == STAGE_FAMILY && l.hist.count > 0)
+        .filter_map(|l| {
+            let (_, stage) = l.name.labels.iter().find(|(k, _)| k == "stage")?;
+            Some(StageSnapshot::from_hist(stage.clone(), l.hist.clone()))
+        })
+        .collect()
 }
 
-/// Accumulates wall-clock latencies per named pipeline stage.
-#[derive(Clone, Debug, Default)]
-pub struct StageProfiler {
-    stages: Vec<StageStats>,
-    index: HashMap<String, usize>,
-}
+/// A read-only view of the stage latencies a registry holds, as
+/// [`crate::Telemetry::profiler`] hands them out.
+#[derive(Clone, Copy, Debug)]
+pub struct StageView<'a>(pub(crate) &'a MetricsRegistry);
 
-impl StageProfiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        StageProfiler::default()
-    }
-
-    /// Records one latency sample, registering `name` as a stage on its
-    /// first sample.
-    pub fn record_named(&mut self, name: &str, elapsed: Duration) {
-        let stage = match self.index.get(name) {
-            Some(&i) => self.stages.get_mut(i),
-            None => {
-                self.index.insert(name.to_owned(), self.stages.len());
-                self.stages.push(StageStats {
-                    name: name.to_owned(),
-                    nanos: Hist::new(),
-                });
-                self.stages.last_mut()
-            }
-        };
-        if let Some(stage) = stage {
-            stage.nanos.record_duration(elapsed);
-        }
-    }
-
-    /// Per-stage latency statistics, in registration order.
+impl StageView<'_> {
+    /// Per-stage latency statistics of every stage with samples, ordered
+    /// by stage name.
     pub fn snapshot(&self) -> Vec<StageSnapshot> {
-        self.stages
-            .iter()
-            .map(|s| StageSnapshot::from_hist(s.name.clone(), s.nanos.snapshot()))
-            .collect()
+        stage_snapshots(&self.0.snapshot())
     }
 }
 
 /// One stage's latency statistics, in microseconds.
 ///
-/// The percentile fields are derived from `hist` (the mergeable source of
-/// truth); [`StageSnapshot::refresh_derived`] recomputes them after a
-/// merge.
+/// The percentile fields are derived from `hist`, the mergeable source of
+/// truth.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StageSnapshot {
     /// Stage name, e.g. `detect.ip-velocity`.
@@ -88,62 +73,54 @@ pub struct StageSnapshot {
 }
 
 impl StageSnapshot {
-    /// Builds a snapshot (derived fields included) from a histogram.
-    pub fn from_hist(stage: String, hist: HistSnapshot) -> Self {
-        let mut snap = StageSnapshot {
+    /// Builds a snapshot, derived fields included, from a histogram.
+    fn from_hist(stage: String, hist: HistSnapshot) -> Self {
+        StageSnapshot {
             stage,
-            count: 0,
-            total_ms: 0.0,
-            mean_us: 0.0,
-            p50_us: 0.0,
-            p95_us: 0.0,
-            p99_us: 0.0,
-            max_us: 0.0,
+            count: hist.count,
+            total_ms: hist.sum as f64 * 1e-6,
+            mean_us: if hist.count == 0 {
+                0.0
+            } else {
+                hist.sum as f64 * (hist.count as f64).recip() * 1e-3
+            },
+            p50_us: hist.quantile_us(0.50),
+            p95_us: hist.quantile_us(0.95),
+            p99_us: hist.quantile_us(0.99),
+            max_us: hist.max as f64 * 1e-3,
             hist,
-        };
-        snap.refresh_derived();
-        snap
-    }
-
-    /// Recomputes count/total/mean/percentiles/max from `hist`, after the
-    /// histogram has been merged or replaced.
-    pub fn refresh_derived(&mut self) {
-        self.count = self.hist.count;
-        self.total_ms = self.hist.sum as f64 * 1e-6;
-        self.mean_us = if self.hist.count == 0 {
-            0.0
-        } else {
-            self.hist.sum as f64 * (self.hist.count as f64).recip() * 1e-3
-        };
-        self.p50_us = self.hist.quantile_us(0.50);
-        self.p95_us = self.hist.quantile_us(0.95);
-        self.p99_us = self.hist.quantile_us(0.99);
-        self.max_us = self.hist.max as f64 * 1e-3;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::hist::RELATIVE_ERROR;
+    use crate::Telemetry;
+    use std::time::Duration;
 
     #[test]
     fn stages_register_idempotently() {
-        let mut p = StageProfiler::new();
-        p.record_named("detect.assess", Duration::from_micros(3));
-        p.record_named("detect.assess", Duration::from_micros(4));
-        let snap = p.snapshot();
-        assert_eq!(snap.len(), 1);
+        let t = Telemetry::new();
+        t.stage_latency("detect.assess")
+            .record(Duration::from_micros(3));
+        t.stage_latency("detect.assess")
+            .record(Duration::from_micros(4));
+        t.stage_latency("policy.decide");
+        let snap = t.profiler().snapshot();
+        assert_eq!(snap.len(), 1, "a stage without samples is not listed");
+        assert_eq!(snap[0].stage, "detect.assess");
         assert_eq!(snap[0].count, 2);
     }
 
     #[test]
     fn percentiles_come_from_recorded_samples() {
-        let mut p = StageProfiler::new();
+        let t = Telemetry::new();
+        let stage = t.stage_latency("policy.decide");
         for us in 1..=100u64 {
-            p.record_named("policy.decide", Duration::from_micros(us));
+            stage.record(Duration::from_micros(us));
         }
-        let snap = p.snapshot();
+        let snap = t.profiler().snapshot();
         assert_eq!(snap.len(), 1);
         let s = &snap[0];
         assert_eq!(s.count, 100);
@@ -162,12 +139,14 @@ mod tests {
 
     #[test]
     fn memory_is_bounded_regardless_of_sample_count() {
-        // The old Summary retained every sample; the histogram must not.
-        let mut p = StageProfiler::new();
+        // A retained-sample summary would grow with every sample; the
+        // histogram must not.
+        let t = Telemetry::new();
+        let stage = t.stage_latency("detect.assess");
         for i in 0..200_000u64 {
-            p.record_named("detect.assess", Duration::from_nanos(100 + i % 1000));
+            stage.record(Duration::from_nanos(100 + i % 1000));
         }
-        let snap = p.snapshot();
+        let snap = t.profiler().snapshot();
         assert_eq!(snap[0].count, 200_000);
         assert!(
             snap[0].hist.buckets.len() <= crate::hist::BUCKET_COUNT,

@@ -157,8 +157,8 @@ impl From<bool> for AttrValue {
 /// One in-flight request trace, built inside `DefendedApp::gate` and handed
 /// to [`Tracer::submit`] with the final decision. Names, keys and labels
 /// are `&'static str` and values stay [`AttrValue`]s, so building a trace
-/// formats nothing; [`Tracer::snapshot`] and [`Tracer::write_json`] format
-/// the traces they export.
+/// formats nothing; [`Tracer::snapshot`] and [`TraceExport::write_json`]
+/// format the traces they export.
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
     trace_id: u64,
@@ -697,12 +697,6 @@ impl Tracer {
                 .collect(),
         }
     }
-
-    /// Appends the export to `out` as one JSON object; see
-    /// [`TraceExport::write_json`].
-    pub fn write_json(&self, only: Option<u64>, out: &mut String) {
-        self.export_handles(only).write_json(out);
-    }
 }
 
 /// Every span of `traces` and `aux`, unformatted: the request and stage
@@ -1079,7 +1073,7 @@ mod tests {
         assert_eq!(snap.spans.len(), 3, "request, stage and session root");
         assert!(snap.spans.iter().all(|s| s.start_us == u64::MAX));
         let mut written = String::new();
-        tr.write_json(None, &mut written);
+        tr.export_handles(None).write_json(&mut written);
         assert!(written.contains(&format!("\"start_us\":{}", u64::MAX)));
     }
 
@@ -1201,7 +1195,7 @@ mod tests {
             Some(1),
         ] {
             let mut written = String::new();
-            tr.write_json(only, &mut written);
+            tr.export_handles(only).write_json(&mut written);
             assert_eq!(written, serialised(only), "only {only:?}");
         }
     }
@@ -1228,9 +1222,9 @@ mod tests {
         };
         tr.record_aux(aux(7));
         let (mut expected, mut expected_one) = (String::new(), String::new());
-        tr.write_json(None, &mut expected);
+        tr.export_handles(None).write_json(&mut expected);
         let one = fg_core::hash::trace_id(2, 1);
-        tr.write_json(Some(one), &mut expected_one);
+        tr.export_handles(Some(one)).write_json(&mut expected_one);
         let (export, export_one) = (tr.export_handles(None), tr.export_handles(Some(one)));
 
         // Evict both traces and the auxiliary span.
@@ -1239,7 +1233,7 @@ mod tests {
         }
         tr.record_aux(aux(8));
         let mut now = String::new();
-        tr.write_json(None, &mut now);
+        tr.export_handles(None).write_json(&mut now);
         assert_ne!(now, expected);
 
         let (mut written, mut written_one) = (String::new(), String::new());

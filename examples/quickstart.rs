@@ -60,7 +60,7 @@ fn main() {
     println!("legitimate population : {:?}\n", legit.borrow().stats());
     println!("seat spinner          : {:?}", bot.borrow().stats());
     println!("seat spinner ledger   : {}\n", bot.borrow().ledger());
-    println!("defence decisions     : {:?}", app.policy().counts());
+    println!("defence decisions     : {:?}", app.decision_counts());
     println!("block rules deployed  : {}", app.policy().rules().len());
     println!("honeypot absorbed     : {:?}", app.honeypot().stats());
     println!(

@@ -4,10 +4,12 @@
 # Boots fg-serve from a watched config file, drives it with fg-loadgen,
 # exercises /metrics and the live-observability plane (/debug/traces,
 # /debug/flightrecorder, /debug/alerts — every latency exemplar must
-# resolve to a retrievable trace, and the server-side p99 gauge must agree
-# with the wire-side measurement), proves hot-reload reject-and-keep-old,
-# refuses deeply nested JSON bodies with 400, drains on SIGTERM, and
-# asserts the unified exit-code contract (0/2/3/4) for both binaries.
+# resolve to a retrievable trace, the server-side p99 gauge must agree
+# with the wire-side measurement, and the decision-stage latencies must be
+# a histogram family that counts one honeypot check per decide), proves
+# hot-reload reject-and-keep-old, refuses deeply nested JSON bodies with
+# 400, drains on SIGTERM, and asserts the unified exit-code contract
+# (0/2/3/4) for both binaries.
 # Run from the repository root after
 # `cargo build --release -p fg-serve --bins`; CI calls it verbatim.
 #
@@ -137,8 +139,11 @@ expect_exit 4 "$BIN/fg-loadgen" --addr "$ADDR" --connections 1 --duration 1s --s
 
 # --- metrics ----------------------------------------------------------
 METRICS=$(curl -sf "http://$ADDR/metrics")
-echo "$METRICS" | grep -q 'fg_decisions_total' || fail "metrics missing fg_decisions_total"
-echo "$METRICS" | grep -q 'fg_http_requests_total' || fail "metrics missing fg_http_requests_total"
+# Here-strings, not `echo | grep -q`: under pipefail, grep quitting at its
+# first match kills echo with SIGPIPE once the exposition outgrows a pipe
+# buffer, as the stage histograms make it.
+grep -q 'fg_decisions_total' <<< "$METRICS" || fail "metrics missing fg_decisions_total"
+grep -q 'fg_http_requests_total' <<< "$METRICS" || fail "metrics missing fg_http_requests_total"
 echo "serve-smoke: /metrics OK"
 
 # --- live observability plane -----------------------------------------
@@ -214,8 +219,20 @@ server_ms = float(m.group(1)) * 1000.0
 client_ms = bench["latency_ms"]["p99"]
 assert server_ms > 0, "p99 gauge never refreshed by the sentinel"
 assert server_ms <= client_ms * 3 + 50, (server_ms, client_ms)
+
+# Decision-stage latencies are a native histogram family, and every decide
+# answered 200 ran the honeypot check exactly once.
+assert "# TYPE fg_stage_latency_seconds histogram\n" in metrics, "stage family not a histogram"
+def sample(series):
+    m = re.search(re.escape(series) + r" ([0-9.eE+-]+)$", metrics, re.M)
+    assert m, f"{series} missing from /metrics"
+    return float(m.group(1))
+checks = sample('fg_stage_latency_seconds_count{stage="mitigation.honeypot-check"}')
+decides = sample('fg_http_requests_total{endpoint="decide",status="200"}')
+print(f"serve-smoke: {checks:.0f} honeypot-check stage samples for {decides:.0f} decides answered 200")
+assert checks == decides, (checks, decides)
 EOF
-echo "serve-smoke: observability plane OK (exemplars resolve, p99 agrees)"
+echo "serve-smoke: observability plane OK (exemplars resolve, p99 agrees, stage histograms count every decide)"
 
 # --- hot reload: rejected edit keeps the old config -------------------
 GEN_BEFORE=$(readyz | python3 -c 'import json,sys; print(json.load(sys.stdin)["config_generation"])')

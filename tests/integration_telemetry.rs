@@ -46,7 +46,8 @@ fn case_a_audit_trail_explains_the_defence() {
     assert!(!record.endpoint.is_empty());
 
     // Stage profiles cover the whole gate path.
-    let stages: Vec<&str> = snapshot.stages.iter().map(|s| s.stage.as_str()).collect();
+    let stages = snapshot.stages();
+    let stages: Vec<&str> = stages.iter().map(|s| s.stage.as_str()).collect();
     for expected in [
         "mitigation.honeypot-check",
         "detect.assess",

@@ -3,7 +3,8 @@
 //! histogram invariants scrapers rely on — cumulative buckets monotone
 //! non-decreasing, `le` values ascending with a terminal `+Inf`, the `+Inf`
 //! bucket equal to `_count`, `_sum` present for every series, and exemplar
-//! labels drawn from the allowed charset.
+//! labels drawn from the allowed charset. Decision-stage latencies are one
+//! such histogram family, `fg_stage_latency_seconds{stage}`.
 
 use fg_scenario::workload::{generate, WorkloadConfig};
 use fg_serve::{ServeConfig, Server};
@@ -155,7 +156,8 @@ fn metrics_exposition_satisfies_histogram_and_exemplar_conformance() {
         seat_spinner: true,
         sms_pumper: false,
     });
-    for req in workload.requests.iter().take(200) {
+    let decides = workload.requests.len().min(200);
+    for req in &workload.requests[..decides] {
         let body = serde_json::to_string(req).expect("request serializes");
         let (status, _) = request(addr, "POST", "/v1/decide", body.as_bytes());
         assert_eq!(status, 200);
@@ -215,6 +217,27 @@ fn metrics_exposition_satisfies_histogram_and_exemplar_conformance() {
             .iter()
             .any(|((base, _), _)| base == "fg_http_request_duration_seconds"),
         "request-latency histogram missing from exposition"
+    );
+
+    // Stage latencies are a native histogram family like any other, so the
+    // checks below hold for its series too; every decide ran the honeypot
+    // check once.
+    assert!(
+        text.contains("# TYPE fg_stage_latency_seconds histogram\n"),
+        "stage family must be typed histogram"
+    );
+    let honeypot_check = (
+        "fg_stage_latency_seconds".to_owned(),
+        vec![("stage".to_owned(), "mitigation.honeypot-check".to_owned())],
+    );
+    let check = series
+        .get(&honeypot_check)
+        .expect("honeypot-check stage series missing");
+    assert!(!check.buckets.is_empty(), "honeypot-check has no buckets");
+    assert_eq!(
+        check.count,
+        Some(decides as f64),
+        "one honeypot check per decide"
     );
 
     let mut exemplars_seen = 0usize;
