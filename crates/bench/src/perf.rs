@@ -465,7 +465,7 @@ pub fn cases() -> Vec<PerfCase> {
     {
         let mut rng = StdRng::seed_from_u64(11);
         let fps: Vec<_> = (0..64).map(|_| model.sample_human(&mut rng)).collect();
-        let mut engine = DetectionEngine::with_defaults();
+        let mut engine = DetectionEngine::new();
         let mut t = 0u64;
         cases.push(PerfCase::new("detection_engine", "assess_clean_search", {
             move || {
@@ -488,7 +488,7 @@ pub fn cases() -> Vec<PerfCase> {
     {
         let mut rng = StdRng::seed_from_u64(12);
         let fps: Vec<_> = (0..64).map(|_| model.sample_human(&mut rng)).collect();
-        let mut engine = DetectionEngine::with_defaults();
+        let mut engine = DetectionEngine::new();
         let mut t = 0u64;
         cases.push(PerfCase::new("detection_engine", "assess_sms_booking", {
             move || {

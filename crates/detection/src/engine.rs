@@ -15,10 +15,8 @@ use fg_fingerprint::attributes::Fingerprint;
 use fg_fingerprint::inconsistency::consistency_report;
 use fg_netsim::ip::IpAddress;
 use fg_netsim::reputation::ReputationLedger;
-use fg_telemetry::{Latency, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::Instant;
 
 /// One contributing detection signal with its weight.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -122,31 +120,16 @@ impl Verdict {
     }
 }
 
-/// Tunable thresholds for the velocity signals.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// Sliding window for all velocity counters.
-    pub velocity_window: SimDuration,
-    /// IP request count above which [`Signal::IpVelocity`] fires.
-    pub ip_velocity_threshold: u64,
-    /// Fingerprint request count above which [`Signal::FingerprintVelocity`]
-    /// fires.
-    pub fp_velocity_threshold: u64,
-    /// Per-booking SMS request count above which
-    /// [`Signal::BookingSmsVelocity`] fires.
-    pub booking_sms_threshold: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            velocity_window: SimDuration::from_hours(1),
-            ip_velocity_threshold: 120,
-            fp_velocity_threshold: 100,
-            booking_sms_threshold: 3,
-        }
-    }
-}
+/// Sliding window of every velocity counter.
+const VELOCITY_WINDOW: SimDuration = SimDuration::from_hours(1);
+/// IP request count above which [`Signal::IpVelocity`] fires.
+const IP_VELOCITY_THRESHOLD: u64 = 120;
+/// Fingerprint request count above which [`Signal::FingerprintVelocity`]
+/// fires.
+const FP_VELOCITY_THRESHOLD: u64 = 100;
+/// Per-booking SMS request count above which [`Signal::BookingSmsVelocity`]
+/// fires.
+const BOOKING_SMS_THRESHOLD: u64 = 3;
 
 /// Key-population counts of the engine's three velocity maps (see
 /// [`DetectionEngine::tracked_keys`]).
@@ -169,6 +152,13 @@ impl TrackedKeys {
 
 /// The stateful per-request scoring engine.
 ///
+/// A verdict is a pure function of the request, the engine's state and its
+/// constants (a one-hour velocity window; thresholds of 120 requests per
+/// IP, 100 per fingerprint and 3 SMS requests per booking): the engine
+/// reads no clock and reports no metrics. Whoever calls
+/// [`DetectionEngine::assess`] times it as one stage, as
+/// `fg_scenario::app::DefendedApp` does with `detect.assess`.
+///
 /// # Example
 ///
 /// ```
@@ -178,7 +168,7 @@ impl TrackedKeys {
 /// use fg_core::time::SimTime;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// let mut engine = DetectionEngine::with_defaults();
+/// let mut engine = DetectionEngine::new();
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let human_fp = PopulationModel::default_web().sample_human(&mut rng);
 /// let verdict = engine.assess(
@@ -192,83 +182,41 @@ impl TrackedKeys {
 /// ```
 #[derive(Debug)]
 pub struct DetectionEngine {
-    config: EngineConfig,
     ip_velocity: VelocityCounter<u32>,
     fp_velocity: VelocityCounter<u64>,
     booking_sms_velocity: VelocityCounter<BookingRef>,
     reputation: ReputationLedger,
-    /// The stage cells [`DetectionEngine::assess`] times into, once
-    /// telemetry is attached.
-    stages: Option<DetectStages>,
 }
 
-/// The latency cells of the five `detect.*` stages, one per signal family
-/// [`DetectionEngine::assess`] evaluates.
-#[derive(Debug)]
-struct DetectStages {
-    fingerprint_consistency: Latency,
-    ip_reputation: Latency,
-    ip_velocity: Latency,
-    fp_velocity: Latency,
-    booking_sms_velocity: Latency,
+impl Default for DetectionEngine {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl DetectionEngine {
-    /// Creates an engine with the given config and a default reputation
-    /// ledger (12 h half-life, thresholds 3 / 10).
-    pub fn new(config: EngineConfig) -> Self {
-        Self::with_shards(config, 1)
+    /// Creates an engine with a default reputation ledger (12 h half-life,
+    /// thresholds 3 / 10).
+    pub fn new() -> Self {
+        Self::with_shards(1)
     }
 
     /// Creates an engine whose velocity maps and reputation ledger are
     /// hash-partitioned into `shards` partitions (rounded up to a power of
     /// two). Shard count changes memory layout and housekeeping striping
     /// only — verdicts and aggregates are identical at any count.
-    pub fn with_shards(config: EngineConfig, shards: usize) -> Self {
+    pub fn with_shards(shards: usize) -> Self {
         DetectionEngine {
-            config,
-            ip_velocity: VelocityCounter::with_shards(config.velocity_window, shards),
-            fp_velocity: VelocityCounter::with_shards(config.velocity_window, shards),
-            booking_sms_velocity: VelocityCounter::with_shards(config.velocity_window, shards),
+            ip_velocity: VelocityCounter::with_shards(VELOCITY_WINDOW, shards),
+            fp_velocity: VelocityCounter::with_shards(VELOCITY_WINDOW, shards),
+            booking_sms_velocity: VelocityCounter::with_shards(VELOCITY_WINDOW, shards),
             reputation: ReputationLedger::with_shards(
                 SimDuration::from_hours(12),
                 3.0,
                 10.0,
                 shards,
             ),
-            stages: None,
         }
-    }
-
-    /// Registers the five `detect.*` stage cells in `telemetry`;
-    /// [`DetectionEngine::assess`] then times each signal family into its
-    /// cell. Until then it reads no clock.
-    pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.stages = Some(DetectStages {
-            fingerprint_consistency: telemetry.stage_latency("detect.fingerprint-consistency"),
-            ip_reputation: telemetry.stage_latency("detect.ip-reputation"),
-            ip_velocity: telemetry.stage_latency("detect.ip-velocity"),
-            fp_velocity: telemetry.stage_latency("detect.fp-velocity"),
-            booking_sms_velocity: telemetry.stage_latency("detect.booking-sms-velocity"),
-        });
-    }
-
-    /// Starts a stage timer: `None`, without reading the clock, when no
-    /// telemetry is attached.
-    fn stage_clock(&self) -> Option<Instant> {
-        self.stages.as_ref().map(|_| Instant::now()) // fg-analyze: allow(wall-clock): stage profiling only
-    }
-
-    /// Records the time since `start` into the cell `stage_cell` picks.
-    fn note_stage(&self, stage_cell: fn(&DetectStages) -> &Latency, start: Option<Instant>) {
-        if let (Some(stages), Some(start)) = (&self.stages, start) {
-            stage_cell(stages).record(start.elapsed());
-        }
-    }
-
-    /// Creates an engine with [`EngineConfig::default`].
-    pub fn with_defaults() -> Self {
-        DetectionEngine::new(EngineConfig::default())
     }
 
     /// Drops every velocity key whose events all fell out of the window by
@@ -315,48 +263,38 @@ impl DetectionEngine {
     ) -> Verdict {
         let mut signals = Vec::new();
 
-        let t = self.stage_clock();
         let report = consistency_report(fingerprint);
         if !report.is_clean() {
             signals.push(Signal::FingerprintInconsistent {
                 suspicion: report.suspicion(),
             });
         }
-        self.note_stage(|s| &s.fingerprint_consistency, t);
 
-        let t = self.stage_clock();
         if self.reputation.is_denied(ip, now) {
             signals.push(Signal::IpReputation);
         }
-        self.note_stage(|s| &s.ip_reputation, t);
 
-        let t = self.stage_clock();
         let ip_count = self.ip_velocity.record_and_count(ip.as_u32(), now);
-        if ip_count > self.config.ip_velocity_threshold {
+        if ip_count > IP_VELOCITY_THRESHOLD {
             signals.push(Signal::IpVelocity { count: ip_count });
         }
-        self.note_stage(|s| &s.ip_velocity, t);
 
-        let t = self.stage_clock();
         let fp_count = self
             .fp_velocity
             .record_and_count(fingerprint.identity_hash(), now);
-        if fp_count > self.config.fp_velocity_threshold {
+        if fp_count > FP_VELOCITY_THRESHOLD {
             signals.push(Signal::FingerprintVelocity { count: fp_count });
         }
-        self.note_stage(|s| &s.fp_velocity, t);
 
-        let t = self.stage_clock();
         let sms_endpoint = matches!(endpoint, Endpoint::SendOtp | Endpoint::BoardingPass);
         if sms_endpoint {
             if let Some(reference) = booking {
                 let c = self.booking_sms_velocity.record_and_count(reference, now);
-                if c > self.config.booking_sms_threshold {
+                if c > BOOKING_SMS_THRESHOLD {
                     signals.push(Signal::BookingSmsVelocity { count: c });
                 }
             }
         }
-        self.note_stage(|s| &s.booking_sms_velocity, t);
 
         if endpoint == Endpoint::TrapFile {
             signals.push(Signal::TrapHit);
@@ -384,14 +322,14 @@ mod tests {
 
     #[test]
     fn quiet_human_is_clean() {
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let v = e.assess(SimTime::ZERO, ip(1), &human_fp(1), Endpoint::Search, None);
         assert_eq!(v, Verdict::clean());
     }
 
     #[test]
     fn webdriver_artifact_maxes_score() {
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let mut fp = human_fp(2);
         fp.webdriver = true;
         let v = e.assess(SimTime::ZERO, ip(1), &fp, Endpoint::Search, None);
@@ -404,7 +342,7 @@ mod tests {
 
     #[test]
     fn booking_sms_velocity_fires_fast() {
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let fp = human_fp(3);
         let booking = BookingRef::from_index(7);
         let mut last = Verdict::clean();
@@ -429,7 +367,7 @@ mod tests {
     #[test]
     fn sms_velocity_requires_booking_key() {
         // Without a booking key (the §IV-C gap), SMS velocity cannot fire.
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let fp = human_fp(4);
         for i in 0..10 {
             let v = e.assess(
@@ -450,7 +388,7 @@ mod tests {
 
     #[test]
     fn ip_velocity_fires_on_floods() {
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let fp = human_fp(5);
         let mut flagged = false;
         for i in 0..200u64 {
@@ -469,7 +407,7 @@ mod tests {
     fn low_volume_bot_evades_velocity_signals() {
         // The paper's core claim: a DoI bot making one hold per 30 min
         // triggers nothing volume-based.
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let fp = human_fp(6);
         for i in 0..48 {
             let v = e.assess(SimTime::from_mins(i * 30), ip(3), &fp, Endpoint::Hold, None);
@@ -479,14 +417,14 @@ mod tests {
 
     #[test]
     fn trap_hit_is_near_certain() {
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let v = e.assess(SimTime::ZERO, ip(1), &human_fp(7), Endpoint::TrapFile, None);
         assert!(v.score >= 0.9);
     }
 
     #[test]
     fn reputation_feedback_flags_future_requests() {
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         let bad_ip = ip(66);
         e.reputation_mut().report(bad_ip, 5.0, SimTime::ZERO);
         let v = e.assess(
@@ -517,31 +455,8 @@ mod tests {
     }
 
     #[test]
-    fn attached_telemetry_profiles_each_signal_family() {
-        let telemetry = Telemetry::new();
-        let mut e = DetectionEngine::with_defaults();
-        e.attach_telemetry(&telemetry);
-        e.assess(SimTime::ZERO, ip(1), &human_fp(1), Endpoint::Search, None);
-        let stages: Vec<String> = telemetry
-            .snapshot()
-            .stages()
-            .iter()
-            .map(|s| s.stage.clone())
-            .collect();
-        for expected in [
-            "detect.fingerprint-consistency",
-            "detect.ip-reputation",
-            "detect.ip-velocity",
-            "detect.fp-velocity",
-            "detect.booking-sms-velocity",
-        ] {
-            assert!(stages.iter().any(|s| s == expected), "missing {expected}");
-        }
-    }
-
-    #[test]
     fn compact_drops_expired_identities_without_changing_verdicts() {
-        let mut e = DetectionEngine::with_defaults();
+        let mut e = DetectionEngine::new();
         // 40 one-shot identities, one request each, spread over 40 minutes.
         for i in 0..40u64 {
             e.assess(
@@ -560,7 +475,7 @@ mod tests {
         // A returning identity scores exactly like a fresh engine would.
         let fp = human_fp(3);
         let v = e.assess(SimTime::from_hours(2), ip(3), &fp, Endpoint::Search, None);
-        let v_fresh = DetectionEngine::with_defaults().assess(
+        let v_fresh = DetectionEngine::new().assess(
             SimTime::from_hours(2),
             ip(3),
             &fp,

@@ -334,9 +334,7 @@ impl DefendedApp {
     /// trail, and stage profiles after the run.
     pub fn with_telemetry(config: AppConfig, seed: u64, telemetry: Arc<Telemetry>) -> Self {
         let shards = config.concurrency.shard_count();
-        let mut detection =
-            DetectionEngine::with_shards(fg_detection::engine::EngineConfig::default(), shards);
-        detection.attach_telemetry(&telemetry);
+        let detection = DetectionEngine::with_shards(shards);
         let policy = PolicyEngine::with_shards(config.policy.clone(), shards);
         let mut gateway = Gateway::default_network();
         gateway.attach_telemetry(telemetry.clone());
@@ -641,30 +639,15 @@ impl DefendedApp {
             tr.attr(check, "diverted", diverted);
         }
         if diverted {
-            if self.telemetry.audit_enabled() {
-                self.telemetry.record_audit(AuditRecord {
-                    at: now,
-                    endpoint: endpoint.to_string(),
-                    client: req.client.as_u64(),
-                    fingerprint: req.fingerprint.identity_hash(),
-                    ip: req.ip.to_string(),
-                    score: 0.0,
-                    signals: Vec::new(),
-                    decision: Decision::Honeypot.to_string(),
-                    reasons: vec!["honeypot:session-diverted".to_owned()],
-                    trace_id,
-                });
-            }
-            return (
-                GateDecision {
-                    trace_id,
-                    decision: Decision::Honeypot,
-                    reasons: vec!["honeypot:session-diverted".to_owned()],
-                    score: 0.0,
-                    signals: Vec::new(),
-                },
-                span_trace,
-            );
+            let gated = GateDecision {
+                trace_id,
+                decision: Decision::Honeypot,
+                reasons: vec!["honeypot:session-diverted".to_owned()],
+                score: 0.0,
+                signals: Vec::new(),
+            };
+            self.audit_gate_decision(req, endpoint, now, &gated);
+            return (gated, span_trace);
         }
 
         let t = Instant::now(); // fg-analyze: allow(wall-clock): stage profiling only
@@ -719,28 +702,21 @@ impl DefendedApp {
                 tr.attr(decide, "limiter_booking", booking.to_string());
             }
         }
-        let signal_scores: Vec<SignalScore> = verdict
-            .signals
-            .iter()
-            .map(|s| SignalScore {
-                signal: s.to_string(),
-                weight: s.weight(),
-            })
-            .collect();
-        if self.telemetry.audit_enabled() {
-            self.telemetry.record_audit(AuditRecord {
-                at: now,
-                endpoint: endpoint.to_string(),
-                client: req.client.as_u64(),
-                fingerprint: req.fingerprint.identity_hash(),
-                ip: req.ip.to_string(),
-                score: verdict.score,
-                signals: signal_scores.clone(),
-                decision: decision.to_string(),
-                reasons: reasons.clone(),
-                trace_id,
-            });
-        }
+        let gated = GateDecision {
+            trace_id,
+            decision,
+            reasons,
+            score: verdict.score,
+            signals: verdict
+                .signals
+                .iter()
+                .map(|s| SignalScore {
+                    signal: s.to_string(),
+                    weight: s.weight(),
+                })
+                .collect(),
+        };
+        self.audit_gate_decision(req, endpoint, now, &gated);
 
         // Honeypot diversion is part of the decision's effect on defence
         // state (the session turns sticky), so it is applied here — on the
@@ -754,16 +730,33 @@ impl DefendedApp {
             }
         }
 
-        (
-            GateDecision {
-                trace_id,
-                decision,
-                reasons,
-                score: verdict.score,
-                signals: signal_scores,
-            },
-            span_trace,
-        )
+        (gated, span_trace)
+    }
+
+    /// Records `gated`, the decision on `req`, in the audit trail, when the
+    /// hub keeps one.
+    fn audit_gate_decision(
+        &self,
+        req: &ClientRequest,
+        endpoint: Endpoint,
+        now: SimTime,
+        gated: &GateDecision,
+    ) {
+        if !self.telemetry.audit_enabled() {
+            return;
+        }
+        self.telemetry.record_audit(AuditRecord {
+            at: now,
+            endpoint: endpoint.to_string(),
+            client: req.client.as_u64(),
+            fingerprint: req.fingerprint.identity_hash(),
+            ip: req.ip.to_string(),
+            score: gated.score,
+            signals: gated.signals.clone(),
+            decision: gated.decision.to_string(),
+            reasons: gated.reasons.clone(),
+            trace_id: gated.trace_id,
+        });
     }
 
     /// Runs the decision pipeline for one wire request and returns the

@@ -232,7 +232,10 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Request, P
         let (name, value) = line
             .split_once(':')
             .ok_or(ParseError::Malformed("header without colon"))?;
-        if name.is_empty() || name.contains(' ') {
+        // No whitespace before the colon (RFC 9112 §5.1): a server that
+        // took `Content-Length\t: 5` as another field would frame the body
+        // differently from one that trims the name.
+        if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
             return Err(ParseError::Malformed("bad header name"));
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_owned()));
@@ -249,12 +252,7 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Request, P
     if request.header("transfer-encoding").is_some() {
         return Err(ParseError::Malformed("transfer-encoding not supported"));
     }
-    let content_length = match request.header("content-length") {
-        None => 0usize,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| ParseError::Malformed("bad content-length"))?,
-    };
+    let content_length = declared_content_length(&request.headers)?;
     if content_length > limits.max_body {
         return Err(ParseError::BodyTooLarge);
     }
@@ -271,6 +269,31 @@ pub fn read_request<R: BufRead>(r: &mut R, limits: &Limits) -> Result<Request, P
     }
     request.body = body;
     Ok(request)
+}
+
+/// The body length the `Content-Length` fields declare, `0` when there is
+/// none. A value is digits only (RFC 9110 §8.6), and repeated fields must
+/// all declare the same length (RFC 9112 §6.3): a sign, or a second length
+/// that differs, would let this parser and a peer frame the body
+/// differently and read the rest of it as the next request.
+fn declared_content_length(headers: &[(String, String)]) -> Result<usize, ParseError> {
+    let mut declared = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        // `usize::from_str` alone would take a leading `+` too. Past this
+        // check it refuses only an empty value and one too large to
+        // address.
+        if !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(ParseError::Malformed("bad content-length"));
+        }
+        let length = value
+            .parse::<usize>()
+            .map_err(|_| ParseError::Malformed("bad content-length"))?;
+        if declared.is_some_and(|first| first != length) {
+            return Err(ParseError::Malformed("conflicting content-length"));
+        }
+        declared = Some(length);
+    }
+    Ok(declared.unwrap_or(0))
 }
 
 /// One response to put on the wire.
@@ -424,12 +447,41 @@ mod tests {
             b"GET x HTTP/1.1\r\n\r\n".to_vec(),
             b"GET /x HTTP/2.0\r\n\r\n".to_vec(),
             b"GET /x HTTP/1.1\r\nbad header\r\n\r\n".to_vec(),
+            b"POST /x HTTP/1.1\r\nContent-Length\t: 5\r\n\r\nhello".to_vec(),
             b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_vec(),
             b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
         ] {
             let err = parse(&bytes).unwrap_err();
             assert_eq!(err.status().map(|(s, _)| s), Some(400), "{err:?}");
         }
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        for value in ["+5", "-5", "5 5", "0x5", "5;", "\u{0665}"] {
+            let bytes = format!("POST /x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            let err = parse(bytes.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, ParseError::Malformed(_)),
+                "{value:?}: {err:?}"
+            );
+        }
+        let empty = parse(b"POST /x HTTP/1.1\r\nContent-Length:\r\n\r\n").unwrap_err();
+        assert!(matches!(empty, ParseError::Malformed(_)), "{empty:?}");
+        let padded = parse(b"POST /x HTTP/1.1\r\nContent-Length:  5 \r\n\r\nhello").unwrap();
+        assert_eq!(padded.body, b"hello");
+    }
+
+    #[test]
+    fn repeated_content_lengths_must_agree() {
+        // Framing by the first field would read `he` as the body and leave
+        // `llo` on the connection as the start of the next request.
+        let conflicting =
+            b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello";
+        let err = parse(conflicting).unwrap_err();
+        assert_eq!(err.status().map(|(s, _)| s), Some(400), "{err:?}");
+        let same = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(parse(same).unwrap().body, b"hello");
     }
 
     #[test]

@@ -827,12 +827,11 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServeState>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = write_half;
-    let mut reader = BufReader::new(stream);
+    // One socket handle serves both directions: `&TcpStream` is `Read` and
+    // `Write`, so requests are read through the buffer and replies are
+    // written straight to the socket.
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     let mut idle_since = Instant::now();
     loop {
         match http::read_request(&mut reader, &state.limits) {
@@ -910,8 +909,10 @@ fn sentinel_tick(state: &Arc<ServeState>) {
         gauge.set(merged.map_or(0.0, |m| m.quantile_seconds(0.99)));
     }
 
-    // Re-snapshot so the evaluation sees the gauges just refreshed.
-    let snap = state.telemetry.metrics().snapshot();
+    // Re-snapshot so the evaluation sees the gauges just refreshed. The
+    // SLO rules read counters and gauges only, so the latency cells stay
+    // uncopied.
+    let snap = state.telemetry.metrics().snapshot_without_latencies();
     let now = SimTime::from_millis(state.boot_ms());
     let active = {
         let mut sentinel = state.sentinel.lock().unwrap_or_else(|e| e.into_inner());

@@ -181,6 +181,37 @@ mod tests {
     }
 
     #[test]
+    fn a_decision_times_each_layer_once() {
+        // Each layer is timed by the component that owns it, and only
+        // there: detection is one `detect.assess` sample, not a stage per
+        // signal family nested inside it.
+        let telemetry = Telemetry::shared();
+        let svc = DecisionService::new(&ServeConfig::recommended(), telemetry.clone());
+        let workload = generate(&WorkloadConfig {
+            seed: 5,
+            horizon_hours: 1,
+            arrivals_per_day: 60.0,
+            seat_spinner: false,
+            sms_pumper: false,
+        });
+        svc.decide(&workload.requests[0]);
+        let stages: Vec<(String, u64)> = telemetry
+            .profiler()
+            .snapshot()
+            .into_iter()
+            .map(|s| (s.stage, s.count))
+            .collect();
+        assert_eq!(
+            stages,
+            [
+                ("detect.assess".to_owned(), 1),
+                ("mitigation.honeypot-check".to_owned(), 1),
+                ("policy.decide".to_owned(), 1),
+            ]
+        );
+    }
+
+    #[test]
     fn report_validates_score_and_counts() {
         let svc = service();
         let ip = IpAddress::from_octets(10, 0, 0, 9);

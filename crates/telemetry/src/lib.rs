@@ -12,11 +12,12 @@
 //!    fixed-bucket histograms and log-linear latency histograms
 //!    ([`metrics::Latency`] over [`hist::Hist`], p50/p95/p99 within 1/64
 //!    of the exact values) whose hot-path cost is a few relaxed atomic
-//!    writes. Stage latencies are metrics too: each timed detection signal
-//!    and mitigation stage is one latency cell,
+//!    writes. Stage latencies are metrics too: each layer of a decision
+//!    (the detection pass, the policy decision, a mitigation stage) is
+//!    timed once, into one latency cell,
 //!    `fg_stage_latency_seconds{stage="…"}`, registered once by the
-//!    component that times it ([`Telemetry::stage_latency`]) and read back
-//!    per stage through [`profile`].
+//!    component that owns the layer ([`Telemetry::stage_latency`]) and
+//!    read back per stage through [`profile`].
 //! 2. **Audit trail** ([`audit`]) — a bounded ring buffer recording, for
 //!    every request through the defended app, the detection signals that
 //!    fired and the policy engine's machine-readable reason chain, so a

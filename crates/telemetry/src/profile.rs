@@ -1,6 +1,6 @@
 //! Per-stage wall-clock profiling of the defence pipeline.
 //!
-//! Each timed stage (a detection signal, a policy decision, a team review
+//! Each timed stage (the detection pass, a policy decision, a team review
 //! pass) is one [`crate::metrics::Latency`] cell of the metrics registry,
 //! `fg_stage_latency_seconds{stage="…"}`, registered once by the
 //! component that times it ([`crate::Telemetry::stage_latency`]) and
@@ -51,7 +51,7 @@ impl StageView<'_> {
 /// truth.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StageSnapshot {
-    /// Stage name, e.g. `detect.ip-velocity`.
+    /// Stage name, e.g. `detect.assess`.
     pub stage: String,
     /// Samples recorded.
     pub count: u64,

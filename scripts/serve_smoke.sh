@@ -8,8 +8,9 @@
 # with the wire-side measurement, and the decision-stage latencies must be
 # a histogram family that counts one honeypot check per decide), proves
 # hot-reload reject-and-keep-old, refuses deeply nested JSON bodies with
-# 400, drains on SIGTERM, and asserts the unified exit-code contract
-# (0/2/3/4) for both binaries.
+# 400, refuses signed, conflicting or tab-hidden Content-Length fields
+# with 400 and a close, drains on SIGTERM, and asserts the unified
+# exit-code contract (0/2/3/4) for both binaries.
 # Run from the repository root after
 # `cargo build --release -p fg-serve --bins`; CI calls it verbatim.
 #
@@ -288,6 +289,49 @@ rm -f serve-hostile-*.json
 status=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/readyz")
 [ "$status" = 200 ] || fail "/readyz answered $status after the hostile bodies"
 echo "serve-smoke: hostile nesting OK (400 on both endpoints, still ready)"
+
+# --- hostile framing --------------------------------------------------
+# A Content-Length value is digits only, repeated fields must agree, and
+# no whitespace may precede a field name's colon (RFC 9110 8.6, RFC 9112
+# 5.1 and 6.3). A signed length, a second one that differs, or a length
+# hidden behind a tab gets 400 and a closed connection: framing the body
+# by any other reading would leave the rest of it on the connection as
+# the next request.
+python3 - "$ADDR" <<'EOF'
+import socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+shapes = {
+    "signed": b"Content-Length: +5\r\n",
+    "conflicting": b"Content-Length: 2\r\nContent-Length: 5\r\n",
+    "tab-before-colon": b"Content-Length\t: 5\r\n",
+}
+for name, fields in shapes.items():
+    reply = b""
+    with socket.create_connection((host, int(port)), timeout=5) as conn:
+        conn.sendall(b"POST /v1/decide HTTP/1.1\r\nHost: smoke\r\n" + fields + b"\r\nhello")
+        try:
+            while True:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        except socket.timeout:
+            raise AssertionError(f"{name}: connection left open after {reply[:120]!r}")
+    head = reply.split(b"\r\n\r\n", 1)[0]
+    assert head.startswith(b"HTTP/1.1 400 "), (name, reply[:200])
+    assert b"Connection: close" in head, (name, head)
+    assert reply.count(b"HTTP/1.1 ") == 1, (name, reply)
+EOF
+# Valid decides still get 200 afterwards.
+"$BIN/fg-loadgen" --addr "$ADDR" --connections 1 --duration 1s --seed 45 --out serve-hostile-after.json
+python3 - <<'EOF'
+import json
+r = json.load(open("serve-hostile-after.json"))
+assert r["ok"] > 0 and r["errors"] == {} and r["transport_errors"] == 0, r
+assert r["statuses"] == {"200": r["ok"]}, r["statuses"]
+EOF
+rm -f serve-hostile-after.json
+echo "serve-smoke: hostile framing OK (signed, conflicting and tab-hidden Content-Length get 400 and a close; decides still 200)"
 
 # --- SIGTERM drain ----------------------------------------------------
 kill -TERM "$SERVE_PID"
