@@ -53,7 +53,6 @@ pub const RELAXED_COUNTERS: &[&str] = &[
     "generation",
     "draining",
     "limit",
-    "last_tick_ms",
     "next_index",
     "shutdown",
     "cursor",

@@ -28,6 +28,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// How far the clock must move past the last housekeeping tick before
+/// [`DefendedApp::housekeep`] runs the next one.
+const HOUSEKEEPING_EVERY: SimDuration = SimDuration::from_mins(5);
+
 /// Application-level configuration.
 #[derive(Clone, Debug)]
 pub struct AppConfig {
@@ -115,6 +119,8 @@ pub struct DefendedApp {
     /// Monotone per-app request counter; with the client id it derives the
     /// deterministic `trace_id` stamped on audit records and span traces.
     request_seq: u64,
+    /// When [`DefendedApp::housekeep`] last ran a tick.
+    last_housekeeping: SimTime,
     /// When recording, every gated request is appended here as a
     /// [`WireRequest`](crate::workload::WireRequest) — the replayable workload the serving layer's load
     /// generator and parity tests feed back through `/v1/decide`.
@@ -355,6 +361,7 @@ impl DefendedApp {
             metrics,
             sentinel: None,
             request_seq: 0,
+            last_housekeeping: SimTime::ZERO,
             recorder: None,
             config,
         }
@@ -526,6 +533,19 @@ impl DefendedApp {
         let mut d = self.defender;
         d.sms_cost = self.gateway.owner_cost();
         d
+    }
+
+    /// Runs [`DefendedApp::tick`] when `now` is at least five minutes past
+    /// the last tick it ran (the epoch at first), and says whether it did;
+    /// a clock that went backwards never ticks. The simulator calls this
+    /// before every event, fg-serve before every decision.
+    pub fn housekeep(&mut self, now: SimTime) -> bool {
+        let due = now.saturating_since(self.last_housekeeping) >= HOUSEKEEPING_EVERY;
+        if due {
+            self.tick(now);
+            self.last_housekeeping = now;
+        }
+        due
     }
 
     /// Advances application housekeeping to `now`: hold expiry, velocity-map
@@ -1260,6 +1280,41 @@ mod tests {
         // … the second records the sticky session.
         assert_eq!(routings[1].reasons, vec!["honeypot:session-diverted"]);
         assert_eq!(routings[1].endpoint, "/search");
+    }
+
+    #[test]
+    fn housekeeping_ticks_every_five_minutes_of_forward_clock() {
+        let mut a = app(PolicyConfig::recommended());
+        let at = SimTime::from_millis;
+        assert!(!a.housekeep(at(299_999)));
+        assert!(a.housekeep(at(300_000)));
+        assert!(!a.housekeep(at(599_999)));
+        assert!(!a.housekeep(at(0)), "a clock that went backwards");
+        assert!(a.housekeep(at(600_000)));
+
+        // Over a generated stream, whose clock steps backwards between
+        // sessions, it ticks on exactly the requests fg-serve's former rule
+        // ticked on.
+        let workload = crate::workload::generate(&crate::workload::WorkloadConfig {
+            seed: 42,
+            horizon_hours: 24,
+            arrivals_per_day: 300.0,
+            seat_spinner: true,
+            sms_pumper: true,
+        });
+        let clocks: Vec<u64> = workload.requests.iter().map(|r| r.now_ms).collect();
+        assert!(clocks.windows(2).any(|pair| pair[1] < pair[0]));
+        let mut a = app(PolicyConfig::recommended());
+        let (mut last_tick_ms, mut ticks) = (0u64, 0);
+        for now_ms in clocks {
+            let oracle = now_ms >= last_tick_ms.saturating_add(5 * 60 * 1_000);
+            if oracle {
+                last_tick_ms = now_ms;
+                ticks += 1;
+            }
+            assert_eq!(a.housekeep(at(now_ms)), oracle, "at {now_ms} ms");
+        }
+        assert!(ticks > 100, "{ticks} ticks");
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub struct Simulation {
     team: Option<(SecurityTeam, SimDuration)>,
     queue: EventQueue<Tick>,
     seeds: SeedFork,
-    housekeeping: SimDuration,
     /// Agents returning `next <= now` are clamped forward by 1 ms; counted
     /// here (exported as `fg_agent_wake_clamped_total`) so misbehaving
     /// agents are visible without debug/release divergence.
@@ -104,7 +103,6 @@ impl Simulation {
             team: None,
             queue: EventQueue::new(),
             seeds: SeedFork::new(seed),
-            housekeeping: SimDuration::from_mins(5),
         }
     }
 
@@ -135,14 +133,11 @@ impl Simulation {
     }
 
     /// Runs until `until` (inclusive of events at that instant), returning
-    /// the finished app for inspection.
+    /// the finished app for inspection. Housekeeping runs before each event
+    /// ([`DefendedApp::housekeep`]) and once more at `until`.
     pub fn run(mut self, until: SimTime) -> DefendedApp {
-        let mut last_housekeeping = SimTime::ZERO;
         while let Some((now, tick)) = self.queue.pop_before(until) {
-            if now.saturating_since(last_housekeeping) >= self.housekeeping {
-                self.app.tick(now);
-                last_housekeeping = now;
-            }
+            self.app.housekeep(now);
             match tick {
                 Tick::Agent(idx) => {
                     let rng = &mut self.agent_rngs[idx];

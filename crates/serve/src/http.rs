@@ -359,12 +359,13 @@ impl Response {
     /// it to `w` in a single `write_all`: an unbuffered `TcpStream` with
     /// Nagle off would otherwise send one segment per formatted piece.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let reason = status_index(self.status).and_then(|i| STATUSES.get(i));
         let mut wire = Vec::with_capacity(256 + self.body.len());
         write!(
             wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
-            reason(self.status),
+            reason.map_or("Unknown", |&(_, phrase)| phrase),
             self.content_type,
             self.body.len()
         )?;
@@ -381,21 +382,26 @@ impl Response {
     }
 }
 
-/// Canonical reason phrase for the status codes this server emits.
-pub fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Content Too Large",
-        429 => "Too Many Requests",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
+/// Every status this server answers with and its reason phrase: the
+/// status line reads the phrase here, and the server lays out its
+/// per-status metric cells in this order.
+pub(crate) const STATUSES: [(u16, &str); 10] = [
+    (200, "OK"),
+    (400, "Bad Request"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+    (408, "Request Timeout"),
+    (413, "Content Too Large"),
+    (429, "Too Many Requests"),
+    (431, "Request Header Fields Too Large"),
+    (500, "Internal Server Error"),
+    (503, "Service Unavailable"),
+];
+
+/// The position of `status` in [`STATUSES`]; `None` for a status this
+/// server never sends.
+pub(crate) fn status_index(status: u16) -> Option<usize> {
+    STATUSES.iter().position(|&(code, _)| code == status)
 }
 
 #[cfg(test)]
@@ -506,6 +512,22 @@ mod tests {
             parse(mid_head).unwrap_err(),
             ParseError::Truncated
         ));
+    }
+
+    #[test]
+    fn each_status_line_reads_its_phrase_from_the_table() {
+        let status_line = |status| {
+            let mut out = Vec::new();
+            Response::text(status, "").write_to(&mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            text.lines().next().unwrap().to_owned()
+        };
+        for (i, &(status, phrase)) in STATUSES.iter().enumerate() {
+            assert_eq!(status_index(status), Some(i));
+            assert_eq!(status_line(status), format!("HTTP/1.1 {status} {phrase}"));
+        }
+        assert_eq!(status_index(418), None);
+        assert_eq!(status_line(418), "HTTP/1.1 418 Unknown");
     }
 
     #[test]

@@ -110,20 +110,21 @@ pub fn path_of(target: &str) -> &str {
 }
 
 /// One request as the flight recorder remembers it.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct RequestSummary {
     /// Monotone per-boot request sequence number.
     pub seq: u64,
     /// Milliseconds since server boot when the response was written.
     pub boot_ms: u64,
     /// Endpoint class label (`decide`, `report`, `observe`, `other`).
-    pub endpoint: String,
-    /// Method and target, e.g. `POST /v1/decide`.
+    pub endpoint: &'static str,
+    /// Method and path, e.g. `POST /v1/decide`, or `(unparsed) <why>` and
+    /// `(shed before parse)` for exchanges refused before routing.
     pub request: String,
     /// Response status code.
     pub status: u16,
     /// Decision label for `/v1/decide` responses (`allow`, `block`, …).
-    pub decision: Option<String>,
+    pub decision: Option<&'static str>,
     /// Decision trace id as 16 hex digits, or `None` for untraced requests.
     pub trace_id: Option<String>,
     /// Wall-clock service latency, microseconds.
@@ -136,7 +137,7 @@ pub struct RequestSummary {
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FrozenFlight {
     /// What froze the ring (`breaker-open`, `shed`).
-    pub reason: String,
+    pub reason: &'static str,
     /// Milliseconds since server boot at freeze time.
     pub boot_ms: u64,
     /// The ring contents at freeze time, oldest first.
@@ -190,10 +191,10 @@ impl FlightRecorder {
 
     /// Freezes a copy of the ring. Idempotent: only the first freeze is
     /// kept, until restart.
-    pub fn freeze(&mut self, reason: &str, boot_ms: u64) {
+    pub fn freeze(&mut self, reason: &'static str, boot_ms: u64) {
         if self.frozen.is_none() {
             self.frozen = Some(FrozenFlight {
-                reason: reason.to_owned(),
+                reason,
                 boot_ms,
                 entries: self.ring.iter().cloned().collect(),
             });
@@ -268,10 +269,10 @@ mod tests {
         RequestSummary {
             seq,
             boot_ms: seq * 10,
-            endpoint: "decide".to_owned(),
+            endpoint: "decide",
             request: "POST /v1/decide".to_owned(),
             status,
-            decision: Some("allow".to_owned()),
+            decision: Some("allow"),
             trace_id: Some(format!("{:016x}", seq)),
             latency_us: 120,
             slow: false,

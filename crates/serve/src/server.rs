@@ -18,17 +18,18 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::config::ServeConfig;
-use crate::http::{self, Limits, ParseError, Request, Response};
+use crate::http::{self, Limits, ParseError, Request, Response, STATUSES};
 use crate::observe::{
     path_of, query_param, serve_slo_policy, FlightRecorder, RequestSummary, TraceParent,
 };
 use crate::service::{DecisionService, OutcomeReport};
 use fg_core::time::SimTime;
 use fg_scenario::workload::WireRequest;
-use fg_sentinel::Sentinel;
+use fg_sentinel::{AlertEvent, AlertPolicy, Sentinel};
 use fg_telemetry::metrics::{Counter, Gauge, Latency};
 use fg_telemetry::trace::TraceConfig;
-use fg_telemetry::{AttrValue, RequestTrace, Telemetry};
+use fg_telemetry::{AttrValue, HistSnapshot, RequestTrace, Telemetry};
+use serde::Serialize;
 use std::io::BufReader;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -74,13 +75,13 @@ impl Class {
 /// tallies — the serving layer's additions to the Prometheus export.
 struct HttpMetrics {
     /// One cell per (class, status) pair, class-major in [`Class::ALL`] and
-    /// [`STATUS_BUCKETS`] order: `fg_http_requests_total{endpoint, status}`
+    /// [`STATUSES`] order: `fg_http_requests_total{endpoint, status}`
     /// and `fg_http_request_duration_seconds{endpoint, status}`, a
     /// log-linear latency histogram.
     cells: Vec<(Counter, Latency)>,
-    /// `fg_http_request_p99_seconds{endpoint}` — refreshed by the sentinel
-    /// tick from the merged per-endpoint histograms.
-    p99: Vec<(&'static str, Gauge)>,
+    /// `fg_http_request_p99_seconds{endpoint}` in [`Class::ALL`] order —
+    /// refreshed by the sentinel tick from the class's merged cells.
+    p99: Vec<Gauge>,
     /// Aggregate 5xx counter the `serve-5xx-burn` alert watches.
     errors_5xx: Counter,
     /// Breaker trips, counted on the exchange whose failure opened the
@@ -93,9 +94,6 @@ struct HttpMetrics {
     reload_applied: Counter,
     reload_rejected: Counter,
 }
-
-/// Every status fg-serve answers with, ascending.
-const STATUS_BUCKETS: [u16; 10] = [200, 400, 404, 405, 408, 413, 429, 431, 500, 503];
 
 impl HttpMetrics {
     fn register(telemetry: &Telemetry) -> Self {
@@ -133,7 +131,7 @@ impl HttpMetrics {
         let mut cells = Vec::new();
         let mut p99 = Vec::new();
         for class in Class::ALL {
-            for status in STATUS_BUCKETS {
+            for (status, _) in STATUSES {
                 let status = status.to_string();
                 let labels = [("endpoint", class.label()), ("status", status.as_str())];
                 cells.push((
@@ -141,12 +139,9 @@ impl HttpMetrics {
                     registry.latency_with("fg_http_request_duration_seconds", &labels),
                 ));
             }
-            p99.push((
-                class.label(),
-                registry.gauge_with(
-                    "fg_http_request_p99_seconds",
-                    &[("endpoint", class.label())],
-                ),
+            p99.push(registry.gauge_with(
+                "fg_http_request_p99_seconds",
+                &[("endpoint", class.label())],
             ));
         }
         HttpMetrics {
@@ -164,21 +159,15 @@ impl HttpMetrics {
         }
     }
 
-    /// The (class, status) cell, found by index; `None` for a status
-    /// outside [`STATUS_BUCKETS`].
-    fn slot(&self, class: Class, status: u16) -> Option<&(Counter, Latency)> {
-        let column = STATUS_BUCKETS.binary_search(&status).ok()?;
-        self.cells
-            .get(class as usize * STATUS_BUCKETS.len() + column)
-    }
-
-    /// Counts one response, and returns its cell's latency histogram for
-    /// the caller to record into.
+    /// Counts one response in its (class, status) cell, found by index,
+    /// and returns the cell's latency histogram for the caller to record
+    /// into; `None` for a status outside [`STATUSES`].
     fn on_response(&self, class: Class, status: u16) -> Option<&Latency> {
         if status >= 500 {
             self.errors_5xx.inc();
         }
-        let (count, latency) = self.slot(class, status)?;
+        let column = http::status_index(status)?;
+        let (count, latency) = self.cells.get(class as usize * STATUSES.len() + column)?;
         count.inc();
         Some(latency)
     }
@@ -309,54 +298,53 @@ impl ServeState {
         Ok(self.generation.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
+    /// Answers one parsed request through the route table below: it gives
+    /// each served path its metric class and its one method, which reaches
+    /// the handler; another method gets 405, an unknown path 404 (`other`).
     fn route(&self, req: &Request) -> Response {
         let started = Instant::now();
-        let class = match path_of(&req.target) {
-            "/v1/decide" => Class::Decide,
-            "/v1/report" => Class::Report,
+        let path = path_of(&req.target);
+        let (class, method) = match path {
+            "/v1/decide" => (Class::Decide, Some("POST")),
+            "/v1/report" => (Class::Report, Some("POST")),
             "/metrics"
             | "/healthz"
             | "/readyz"
             | "/debug/traces"
             | "/debug/flightrecorder"
-            | "/debug/alerts" => Class::Observe,
-            _ => Class::Other,
+            | "/debug/alerts" => (Class::Observe, Some("GET")),
+            _ => (Class::Other, None),
         };
-        let (response, meta) = self.dispatch(req);
+        let (response, meta) = match method {
+            Some(method) if req.method != method => (
+                Response::error(405, "method not allowed"),
+                DecideMeta::default(),
+            ),
+            _ => self.dispatch(path, req),
+        };
         self.observe_response(class, req, response, started.elapsed(), meta)
     }
 
-    fn dispatch(&self, req: &Request) -> (Response, DecideMeta) {
-        let response = match (req.method.as_str(), path_of(&req.target)) {
-            ("GET", "/healthz") => Response::json(200, &b"{\"ok\":true}"[..]),
-            ("GET", "/readyz") => self.readyz(),
-            ("GET", "/metrics") => Response::text(200, self.telemetry.snapshot().to_prometheus()),
-            ("GET", "/debug/traces") => self.debug_traces(req),
-            ("GET", "/debug/flightrecorder") => self.debug_flightrecorder(),
-            ("GET", "/debug/alerts") => self.debug_alerts(),
-            ("POST", "/v1/decide") => return self.decide(req),
-            ("POST", "/v1/report") => self.report(req),
-            (
-                _,
-                "/healthz"
-                | "/readyz"
-                | "/metrics"
-                | "/v1/decide"
-                | "/v1/report"
-                | "/debug/traces"
-                | "/debug/flightrecorder"
-                | "/debug/alerts",
-            ) => Response::error(405, "method not allowed"),
+    /// Calls the handler of a path the route table serves.
+    fn dispatch(&self, path: &str, req: &Request) -> (Response, DecideMeta) {
+        let response = match path {
+            "/v1/decide" => return self.decide(req),
+            "/v1/report" => self.report(req),
+            "/metrics" => Response::text(200, self.telemetry.snapshot().to_prometheus()),
+            "/healthz" => Response::json(200, &b"{\"ok\":true}"[..]),
+            "/readyz" => self.readyz(),
+            "/debug/traces" => self.debug_traces(req),
+            "/debug/flightrecorder" => self.debug_flightrecorder(),
+            "/debug/alerts" => self.debug_alerts(),
             _ => Response::error(404, "no such endpoint"),
         };
         (response, DecideMeta::default())
     }
 
     /// Everything observability learns from one finished exchange: the
-    /// (class, status) counter and latency histogram cell (with an exemplar
-    /// when the request is worth retrieving), the flight-recorder ring and
-    /// its freeze when this exchange tripped the breaker, the trace
-    /// submission with its transport span, and the `traceparent` echo.
+    /// (class, status) counter and latency cell, the trace with its
+    /// transport span and, when the trace is worth keeping, its exemplar,
+    /// the flight-recorder entry, and the `traceparent` echo.
     fn observe_response(
         &self,
         class: Class,
@@ -367,23 +355,7 @@ impl ServeState {
     ) -> Response {
         let status = response.status;
         let slow = elapsed >= self.slow;
-        let decision_label = meta.decision;
-        let important = slow || status >= 500 || decision_label.is_some_and(|d| d != "allow");
         let trace_id = meta.trace_id;
-
-        if let Some(hist) = self.metrics.on_response(class, status) {
-            if important && trace_id != 0 {
-                // Swap the exemplar slot and move the tracer's citation
-                // under one tracer lock, so concurrent workers never leave
-                // a trace cited that no slot holds, or a slot's trace
-                // uncited.
-                let mut tracer = self.telemetry.tracer();
-                let displaced = hist.record_with_exemplar(elapsed, trace_id);
-                tracer.cite(trace_id, displaced);
-            } else {
-                hist.record(elapsed);
-            }
-        }
 
         // Wire trace correlation: parse the caller's traceparent, echo the
         // same trace id back with our decision trace id as the parent span,
@@ -397,7 +369,8 @@ impl ServeState {
             response = response.with_header("traceparent", w.echo(span));
         }
 
-        if let Some(mut tr) = meta.trace {
+        let mut trace = meta.trace;
+        if let Some(tr) = &mut trace {
             let span = tr.stage("serve.http");
             tr.attr(span, "status", u64::from(status));
             tr.attr(span, "latency_us", elapsed.as_micros() as u64);
@@ -409,31 +382,72 @@ impl ServeState {
             if slow || status >= 500 {
                 tr.pin();
             }
-            self.telemetry.record_trace(tr);
         }
-
-        let seq = self.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let summary = RequestSummary {
-            seq,
-            boot_ms: self.boot_ms(),
-            endpoint: class.label().to_owned(),
-            request: format!("{} {}", req.method, path_of(&req.target)),
-            status,
-            decision: decision_label.map(str::to_owned),
-            trace_id: (trace_id != 0).then(|| format!("{trace_id:016x}")),
-            latency_us: elapsed.as_micros() as u64,
-            slow,
-        };
-        {
-            let mut flight = self.flight.lock().unwrap_or_else(|e| e.into_inner());
-            flight.record(summary);
-            // Freeze on the exchange that opened the breaker, so the
-            // requests that tripped it, this one included, stay retrievable.
-            if meta.tripped {
-                flight.freeze("breaker-open", self.boot_ms());
+        match (self.metrics.on_response(class, status), trace) {
+            // Offer the exemplar, move the tracer's citation and submit the
+            // trace under one tracer lock, so concurrent workers never leave
+            // a trace cited that no slot holds, or a slot's trace uncited.
+            (Some(hist), Some(tr)) if tr.is_important() => {
+                let mut tracer = self.telemetry.tracer();
+                let displaced = hist.record_with_exemplar(elapsed, trace_id);
+                tracer.cite(trace_id, displaced);
+                tracer.submit(tr);
+            }
+            (hist, trace) => {
+                if let Some(hist) = hist {
+                    hist.record(elapsed);
+                }
+                if let Some(tr) = trace {
+                    self.telemetry.record_trace(tr);
+                }
             }
         }
+
+        self.record_flight(
+            RequestSummary {
+                endpoint: class.label(),
+                request: format!("{} {}", req.method, path_of(&req.target)),
+                status,
+                decision: meta.decision,
+                trace_id: (trace_id != 0).then(|| format!("{trace_id:016x}")),
+                latency_us: elapsed.as_micros() as u64,
+                slow,
+                ..RequestSummary::default()
+            },
+            // Freeze on the exchange that opened the breaker, so the
+            // requests that tripped it, this one included, stay
+            // retrievable.
+            meta.tripped.then_some("breaker-open"),
+        );
         response
+    }
+
+    /// Counts and records an exchange answered before routing (a shed, a
+    /// parse error) as class `other`, with no latency sample.
+    fn record_unrouted(&self, request: String, status: u16, incident: Option<&'static str>) {
+        self.metrics.on_response(Class::Other, status);
+        self.record_flight(
+            RequestSummary {
+                endpoint: Class::Other.label(),
+                request,
+                status,
+                ..RequestSummary::default()
+            },
+            incident,
+        );
+    }
+
+    /// The flight recorder's one writer: numbers and stamps `summary`,
+    /// appends it to the ring and, when `incident` names one, freezes the
+    /// ring with it.
+    fn record_flight(&self, mut summary: RequestSummary, incident: Option<&'static str>) {
+        summary.seq = self.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        summary.boot_ms = self.boot_ms();
+        let mut flight = self.flight.lock().unwrap_or_else(|e| e.into_inner());
+        flight.record(summary);
+        if let Some(reason) = incident {
+            flight.freeze(reason, self.boot_ms());
+        }
     }
 
     /// `GET /debug/traces[?trace_id=<16 hex>]`: the live tracer ring —
@@ -467,62 +481,49 @@ impl ServeState {
             let flight = self.flight.lock().unwrap_or_else(|e| e.into_inner());
             flight.snapshot()
         };
-        match serde_json::to_string(&snapshot) {
-            Ok(json) => Response::json(200, json.into_bytes()),
-            Err(e) => Response::error(500, &format!("serialize: {e}")),
-        }
+        json_reply(200, &snapshot)
     }
 
     /// `GET /debug/alerts`: the embedded sentinel's policy, currently
-    /// firing count, and full lifecycle event history.
+    /// firing count, and full lifecycle event history, written while the
+    /// sentinel lock is held.
     fn debug_alerts(&self) -> Response {
-        use serde_json::Value;
-        let (policy, active, events) = {
-            let sentinel = self.sentinel.lock().unwrap_or_else(|e| e.into_inner());
-            (
-                serde_json::to_value(sentinel.policy()).unwrap_or(Value::Null),
-                sentinel.active_alerts(),
-                serde_json::to_value(&sentinel.events().to_vec()).unwrap_or(Value::Null),
-            )
-        };
-        let body = Value::Object(vec![
-            ("active".to_owned(), Value::UInt(active)),
-            ("events".to_owned(), events),
-            ("policy".to_owned(), policy),
-        ]);
-        match serde_json::to_string(&body) {
-            Ok(json) => Response::json(200, json.into_bytes()),
-            Err(e) => Response::error(500, &format!("serialize: {e}")),
+        #[derive(Serialize)]
+        struct Body<'a> {
+            active: u64,
+            events: &'a [AlertEvent],
+            policy: &'a AlertPolicy,
         }
+        let sentinel = self.sentinel.lock().unwrap_or_else(|e| e.into_inner());
+        let body = Body {
+            active: sentinel.active_alerts(),
+            events: sentinel.events(),
+            policy: sentinel.policy(),
+        };
+        json_reply(200, &body)
     }
 
     fn readyz(&self) -> Response {
-        use serde_json::Value;
+        #[derive(Serialize)]
+        struct Body<'a> {
+            ready: bool,
+            draining: bool,
+            config_generation: u64,
+            last_reload: &'a str,
+            breaker: &'a str,
+            decisions: u64,
+        }
         let draining = self.draining();
-        let body = Value::Object(vec![
-            ("ready".to_owned(), Value::Bool(!draining)),
-            ("draining".to_owned(), Value::Bool(draining)),
-            (
-                "config_generation".to_owned(),
-                Value::UInt(self.generation()),
-            ),
-            ("last_reload".to_owned(), Value::String(self.last_reload())),
-            (
-                "breaker".to_owned(),
-                Value::String(self.breaker.state_name().to_owned()),
-            ),
-            (
-                "decisions".to_owned(),
-                Value::UInt(self.service.decisions()),
-            ),
-        ]);
-        let status = if draining { 503 } else { 200 };
-        Response::json(
-            status,
-            serde_json::to_string(&body)
-                .unwrap_or_default()
-                .into_bytes(),
-        )
+        let last_reload = self.last_reload();
+        let body = Body {
+            ready: !draining,
+            draining,
+            config_generation: self.generation(),
+            last_reload: &last_reload,
+            breaker: self.breaker.state_name(),
+            decisions: self.service.decisions(),
+        };
+        json_reply(if draining { 503 } else { 200 }, &body)
     }
 
     fn decide(&self, req: &Request) -> (Response, DecideMeta) {
@@ -597,12 +598,18 @@ impl ServeState {
             Err(e) => return Response::error(400, &format!("bad report body: {e}")),
         };
         match self.service.report(&outcome) {
-            Ok(ack) => Response::json(
-                200,
-                serde_json::to_string(&ack).unwrap_or_default().into_bytes(),
-            ),
+            Ok(ack) => json_reply(200, &ack),
             Err(why) => Response::error(400, &why),
         }
+    }
+}
+
+/// A JSON reply written straight from `body`; one that cannot be
+/// serialized answers 500.
+fn json_reply(status: u16, body: &impl Serialize) -> Response {
+    match serde_json::to_string(body) {
+        Ok(json) => Response::json(status, json.into_bytes()),
+        Err(e) => Response::error(500, &format!("serialize: {e}")),
     }
 }
 
@@ -782,24 +789,7 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, state: &Arc<S
 /// traffic that saturated the queue stays retrievable afterwards.
 fn shed(stream: TcpStream, state: &Arc<ServeState>) {
     state.metrics.shed.inc();
-    state.metrics.on_response(Class::Other, 429);
-    let seq = state.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
-    let summary = RequestSummary {
-        seq,
-        boot_ms: state.boot_ms(),
-        endpoint: Class::Other.label().to_owned(),
-        request: "(shed before parse)".to_owned(),
-        status: 429,
-        decision: None,
-        trace_id: None,
-        latency_us: 0,
-        slow: false,
-    };
-    {
-        let mut flight = state.flight.lock().unwrap_or_else(|e| e.into_inner());
-        flight.record(summary);
-        flight.freeze("shed", state.boot_ms());
-    }
+    state.record_unrouted("(shed before parse)".to_owned(), 429, Some("shed"));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     let mut stream = stream;
     let _ = Response::error(429, "server saturated, retry later")
@@ -857,7 +847,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServeState>) {
             Err(ParseError::IdleEof) => return,
             Err(err) => {
                 if let Some((status, why)) = err.status() {
-                    state.metrics.on_response(Class::Other, status);
+                    state.record_unrouted(format!("(unparsed) {why}"), status, None);
                     let _ = Response::error(status, why).closing().write_to(&mut writer);
                 }
                 return;
@@ -896,22 +886,21 @@ fn background_loop(state: &Arc<ServeState>, watch: Option<&Path>, mut last_seen:
 /// waiting on the poll cadence:
 ///
 /// 1. refresh `fg_http_request_p99_seconds{endpoint}` by exactly merging
-///    each endpoint's per-status histogram cells and reading q0.99,
+///    each endpoint class's per-status histogram cells and reading q0.99,
 /// 2. evaluate the SLO policy on sim-time = milliseconds since boot, and
 /// 3. publish the firing count as `fg_serve_active_alerts`.
 fn sentinel_tick(state: &Arc<ServeState>) {
-    let snap = state.telemetry.metrics().snapshot();
-    for (endpoint, gauge) in &state.metrics.p99 {
-        let merged = snap.latency_merged(
-            "fg_http_request_duration_seconds",
-            &[("endpoint", endpoint)],
-        );
-        gauge.set(merged.map_or(0.0, |m| m.quantile_seconds(0.99)));
+    let class_cells = state.metrics.cells.chunks(STATUSES.len());
+    for (cells, gauge) in class_cells.zip(&state.metrics.p99) {
+        let mut merged = HistSnapshot::empty();
+        for (_, latency) in cells {
+            merged.merge(&latency.snapshot().0);
+        }
+        gauge.set(merged.quantile_seconds(0.99));
     }
 
-    // Re-snapshot so the evaluation sees the gauges just refreshed. The
-    // SLO rules read counters and gauges only, so the latency cells stay
-    // uncopied.
+    // The SLO rules read counters and gauges only, so the latency cells
+    // stay uncopied.
     let snap = state.telemetry.metrics().snapshot_without_latencies();
     let now = SimTime::from_millis(state.boot_ms());
     let active = {
@@ -920,4 +909,127 @@ fn sentinel_tick(state: &Arc<ServeState>) {
         sentinel.active_alerts()
     };
     state.metrics.active_alerts.set(active as f64);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fg_scenario::workload::{generate, WorkloadConfig};
+
+    fn state() -> Arc<ServeState> {
+        Arc::new(ServeState::new(
+            ServeConfig::recommended(),
+            Telemetry::shared(),
+        ))
+    }
+
+    fn request(method: &str, target: &str, body: Vec<u8>) -> Request {
+        Request {
+            method: method.to_owned(),
+            target: target.to_owned(),
+            http11: true,
+            headers: Vec::new(),
+            body,
+        }
+    }
+
+    /// Every `fg_http_requests_total` cell's count, in cell order.
+    fn answered(state: &ServeState) -> Vec<u64> {
+        state.metrics.cells.iter().map(|(c, _)| c.get()).collect()
+    }
+
+    #[test]
+    fn route_gives_each_path_its_status_and_class() {
+        let state = state();
+        let observe = [
+            "/metrics",
+            "/healthz",
+            "/readyz",
+            "/debug/traces",
+            "/debug/flightrecorder",
+            "/debug/alerts",
+        ];
+        let mut cases = Vec::new();
+        for (path, class) in [("/v1/decide", Class::Decide), ("/v1/report", Class::Report)] {
+            // An empty body is not a valid decide or report.
+            cases.extend([
+                ("GET", path, class, 405),
+                ("POST", path, class, 400),
+                ("PUT", path, class, 405),
+            ]);
+        }
+        for path in observe {
+            cases.extend([
+                ("GET", path, Class::Observe, 200),
+                ("POST", path, Class::Observe, 405),
+                ("PUT", path, Class::Observe, 405),
+            ]);
+        }
+        cases.extend([
+            ("GET", "/healthz?probe=1", Class::Observe, 200),
+            ("GET", "/no/such/path", Class::Other, 404),
+            ("POST", "/no/such/path", Class::Other, 404),
+        ]);
+        assert_eq!(cases.len(), 3 * 8 + 3);
+        for (method, target, class, status) in cases {
+            let before = answered(&state);
+            let got = state.route(&request(method, target, Vec::new())).status;
+            assert_eq!(got, status, "{method} {target}");
+            let mut want = before;
+            let cell = class as usize * STATUSES.len() + http::status_index(status).unwrap();
+            want[cell] += 1;
+            assert_eq!(
+                answered(&state),
+                want,
+                "{method} {target} is counted once, under {} {status}",
+                class.label()
+            );
+        }
+    }
+
+    #[test]
+    fn the_p99_gauge_is_the_quantile_of_its_class_cells_merged() {
+        let state = state();
+        let workload = generate(&WorkloadConfig {
+            seed: 7,
+            horizon_hours: 1,
+            arrivals_per_day: 200.0,
+            seat_spinner: false,
+            sms_pumper: false,
+        });
+        // Samples in two of the decide class's cells: 200s and 400s.
+        for req in workload.requests.iter().take(5) {
+            let body = serde_json::to_string(req).unwrap().into_bytes();
+            let got = state.route(&request("POST", "/v1/decide", body)).status;
+            assert_eq!(got, 200);
+        }
+        let bad = state.route(&request("POST", "/v1/decide", b"{".to_vec()));
+        assert_eq!(bad.status, 400);
+        // A class without samples reads 0, whatever the gauge held before.
+        let report = Class::Report as usize;
+        state.metrics.p99[report].set(1.0);
+
+        sentinel_tick(&state);
+
+        let snap = state.telemetry.metrics().snapshot();
+        let mut decide = HistSnapshot::empty();
+        let mut cells = 0;
+        for latency in &snap.latencies {
+            let labels = &latency.name.labels;
+            if latency.name.name == "fg_http_request_duration_seconds"
+                && labels.contains(&("endpoint".to_owned(), "decide".to_owned()))
+                && latency.hist.count > 0
+            {
+                decide.merge(&latency.hist);
+                cells += 1;
+            }
+        }
+        assert_eq!((cells, decide.count), (2, 6));
+        let p99 = |endpoint: &str| {
+            snap.gauge_value("fg_http_request_p99_seconds", &[("endpoint", endpoint)])
+        };
+        assert_eq!(p99("decide"), Some(decide.quantile_seconds(0.99)));
+        assert!(decide.quantile_seconds(0.99) > 0.0);
+        assert_eq!(p99("report"), Some(0.0));
+    }
 }

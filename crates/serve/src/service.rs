@@ -20,11 +20,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::ServeConfig;
 
-/// Housekeeping cadence in session-clock milliseconds: when observed
-/// `now_ms` advances past this since the last tick, expiry/compaction runs
-/// before the next decision (same bounded-state contract as the simulator).
-const TICK_EVERY_MS: u64 = 5 * 60 * 1_000;
-
 /// Outcome feedback posted to `/v1/report`: a confirmed-abuse (or
 /// explicitly cleared) verdict for a source IP, folded into the reputation
 /// ledger that the detection engine consults on later requests.
@@ -51,7 +46,6 @@ pub struct ReportAck {
 pub struct DecisionService {
     app: Mutex<DefendedApp>,
     telemetry: Arc<Telemetry>,
-    last_tick_ms: AtomicU64,
     reports: AtomicU64,
     decisions: AtomicU64,
 }
@@ -78,7 +72,6 @@ impl DecisionService {
         DecisionService {
             app: Mutex::new(app),
             telemetry,
-            last_tick_ms: AtomicU64::new(0),
             reports: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
         }
@@ -111,11 +104,7 @@ impl DecisionService {
     /// to [`DecisionService::decide`] byte-for-byte.
     pub fn decide_traced(&self, req: &WireRequest) -> (GateDecision, Option<RequestTrace>) {
         let mut app = self.app();
-        let last = self.last_tick_ms.load(Ordering::Relaxed);
-        if req.now_ms >= last.saturating_add(TICK_EVERY_MS) {
-            app.tick(SimTime::from_millis(req.now_ms));
-            self.last_tick_ms.store(req.now_ms, Ordering::Relaxed);
-        }
+        app.housekeep(req.now());
         self.decisions.fetch_add(1, Ordering::Relaxed);
         app.decide_request_traced(&req.client_request(), req.endpoint, req.booking, req.now())
     }

@@ -241,7 +241,9 @@ fn render_prometheus(metrics: &MetricsSnapshot) -> String {
         for &(idx, bucket_count) in &l.hist.buckets {
             cumulative += bucket_count;
             // Bucket edges are finite, so `{le}` renders as `render_f64` would.
-            let le = crate::hist::bucket_high(idx as usize) as f64 * 1e-9;
+            // Whole nanoseconds over the exact `1e9` print as their decimal;
+            // a product with the inexact `1e-9` carries float noise.
+            let le = crate::hist::bucket_high(idx as usize) as f64 / 1e9;
             let _ = write!(out, "{name}_bucket{{{labels}le=\"{le}\"}} {cumulative}");
             if let Some((_, e)) = exemplar_at.iter().find(|(i, _)| *i == idx as usize) {
                 // OpenMetrics exemplar: `# {trace_id="…"} value`.
@@ -249,7 +251,7 @@ fn render_prometheus(metrics: &MetricsSnapshot) -> String {
                     out,
                     " # {{trace_id=\"{:016x}\"}} {}",
                     e.trace_id,
-                    render_f64(e.nanos as f64 * 1e-9)
+                    render_f64(e.nanos as f64 / 1e9)
                 );
             }
             let _ = writeln!(out);
@@ -260,7 +262,7 @@ fn render_prometheus(metrics: &MetricsSnapshot) -> String {
             "{}_sum{} {}",
             name,
             render_labels(&l.name, &[]),
-            render_f64(l.hist.sum as f64 * 1e-9)
+            render_f64(l.hist.sum as f64 / 1e9)
         );
         let _ = writeln!(
             out,
@@ -354,7 +356,7 @@ fn render_f64(v: f64) -> String {
 mod tests {
     use super::*;
     use crate::audit::AuditTrail;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::{Latency, MetricsRegistry};
     use crate::Telemetry;
     use std::time::Duration;
 
@@ -599,6 +601,34 @@ mod tests {
             text.contains("fg_http_request_duration_seconds_count{endpoint=\"/v1/decide\"} 2"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn latency_seconds_render_without_float_noise() {
+        let registry = MetricsRegistry::new();
+        registry
+            .latency("fg_stage_latency_seconds")
+            .record_with_exemplar(Duration::from_nanos(790), 0xA);
+        let text = TelemetrySnapshot {
+            metrics: registry.snapshot(),
+            audit: AuditTrail::new(4).snapshot(),
+        }
+        .to_prometheus();
+        // 790 ns falls in the [784, 800) ns bucket.
+        assert!(
+            text.contains(
+                "fg_stage_latency_seconds_bucket{le=\"0.0000008\"} 1 \
+                 # {trace_id=\"000000000000000a\"} 0.00000079\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("fg_stage_latency_seconds_sum 0.00000079\n"),
+            "{text}"
+        );
+        let latency = Latency::new();
+        latency.record(Duration::from_nanos(141_312));
+        assert_eq!(latency.snapshot().0.quantile_seconds(0.99), 0.000141312);
     }
 
     #[test]

@@ -147,12 +147,12 @@ impl HistSnapshot {
 
     /// Quantile in microseconds, the stage-snapshot unit.
     pub fn quantile_us(&self, q: f64) -> f64 {
-        self.quantile(q) as f64 * 1e-3
+        self.quantile(q) as f64 / 1e3
     }
 
     /// Quantile in seconds, the exposition unit.
     pub fn quantile_seconds(&self, q: f64) -> f64 {
-        self.quantile(q) as f64 * 1e-9
+        self.quantile(q) as f64 / 1e9
     }
 
     /// Exact bucket-wise merge. Snapshots from a different layout version

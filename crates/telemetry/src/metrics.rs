@@ -237,8 +237,8 @@ impl Latency {
     /// Records a sample and offers `trace_id` as the exemplar for its
     /// latency band. Each of the eight decade bands keeps the latest
     /// exemplar, so `/metrics` always links somewhere recent. The offer
-    /// takes a short mutex, but only interesting requests (slow, non-allow,
-    /// 5xx) make one.
+    /// takes a short mutex; fg-serve makes one only for an exchange whose
+    /// trace is worth keeping ([`crate::RequestTrace::is_important`]).
     ///
     /// Returns the trace id the offer displaced from its band — 0 when the
     /// band was empty or `trace_id` is 0, the "no trace" value, which is
@@ -622,26 +622,6 @@ impl MetricsSnapshot {
         let id = MetricName::with_labels(name, labels);
         self.latencies.iter().find(|l| l.name == id)
     }
-
-    /// Merges every latency series named `name` whose labels include all of
-    /// `labels` into one histogram — e.g. one endpoint's request latency
-    /// across every status. `None` when no series matches.
-    pub fn latency_merged(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistSnapshot> {
-        let mut merged: Option<HistSnapshot> = None;
-        let matches = |l: &&LatencySample| {
-            l.name.name == name
-                && labels
-                    .iter()
-                    .all(|(k, v)| l.name.labels.iter().any(|(lk, lv)| lk == k && lv == v))
-        };
-        for l in self.latencies.iter().filter(matches) {
-            match &mut merged {
-                Some(m) => m.merge(&l.hist),
-                None => merged = Some(l.hist.clone()),
-            }
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -714,26 +694,18 @@ mod tests {
     }
 
     #[test]
-    fn latency_merged_sums_the_series_a_label_filter_selects() {
+    fn snapshot_without_latencies_drops_only_the_latency_tables() {
         let registry = MetricsRegistry::new();
-        let name = "fg_http_request_duration_seconds";
-        for (endpoint, status, micros) in [
-            ("decide", "200", 10),
-            ("decide", "503", 20),
-            ("report", "200", 40),
-            ("report", "400", 80),
-        ] {
-            registry
-                .latency_with(name, &[("endpoint", endpoint), ("status", status)])
-                .record(Duration::from_micros(micros));
-        }
+        registry.counter("fg_http_5xx_total").inc();
+        registry.gauge("fg_serve_active_alerts").set(1.0);
+        registry
+            .latency_with(
+                "fg_http_request_duration_seconds",
+                &[("endpoint", "decide")],
+            )
+            .record(Duration::from_micros(10));
         let snap = registry.snapshot();
-        let merged =
-            |labels: &[(&str, &str)]| snap.latency_merged(name, labels).map(|h| (h.count, h.sum));
-        assert_eq!(merged(&[("endpoint", "decide")]), Some((2, 30_000)));
-        assert_eq!(merged(&[("status", "200")]), Some((2, 50_000)));
-        assert_eq!(merged(&[]), Some((4, 150_000)));
-        assert_eq!(merged(&[("endpoint", "observe")]), None);
+        assert_eq!(snap.latencies.len(), 1);
         // The sentinel's per-tick snapshot is the same minus the latencies.
         assert_eq!(
             registry.snapshot_without_latencies(),

@@ -78,16 +78,16 @@ impl StageSnapshot {
         StageSnapshot {
             stage,
             count: hist.count,
-            total_ms: hist.sum as f64 * 1e-6,
+            total_ms: hist.sum as f64 / 1e6,
             mean_us: if hist.count == 0 {
                 0.0
             } else {
-                hist.sum as f64 * (hist.count as f64).recip() * 1e-3
+                hist.sum as f64 * (hist.count as f64).recip() / 1e3
             },
             p50_us: hist.quantile_us(0.50),
             p95_us: hist.quantile_us(0.95),
             p99_us: hist.quantile_us(0.99),
-            max_us: hist.max as f64 * 1e-3,
+            max_us: hist.max as f64 / 1e3,
             hist,
         }
     }

@@ -234,6 +234,12 @@ impl RequestTrace {
         self.decision = decision;
     }
 
+    /// Whether the sampler keeps this trace whatever its coin: it is pinned,
+    /// or decided anything but `allow`.
+    pub fn is_important(&self) -> bool {
+        self.pinned || self.decision != "allow"
+    }
+
     /// The id of span `handle` (0 is the request root); never 0, which
     /// marks "no parent".
     fn span_id(&self, handle: usize) -> u64 {
@@ -564,17 +570,15 @@ impl Tracer {
         splitmix64(trace_id ^ SAMPLE_SALT) <= threshold
     }
 
-    /// Submits a finished request trace. Head+tail rule: non-`allow`
-    /// decisions, pinned sessions, and individually pinned traces
-    /// ([`RequestTrace::pin`]) are always kept; `allow` traces are kept at
-    /// the configured hash-keyed rate.
+    /// Submits a finished request trace. It is kept when it is important
+    /// ([`RequestTrace::is_important`]) or its session is pinned, and
+    /// otherwise at the configured hash-keyed rate.
     pub fn submit(&mut self, trace: RequestTrace) {
         let Some(config) = self.config else {
             return;
         };
         self.submitted += 1;
-        let important =
-            trace.pinned || trace.decision != "allow" || self.pinned.contains(&trace.session);
+        let important = trace.is_important() || self.pinned.contains(&trace.session);
         if !important && !Self::sample_keeps(trace.trace_id, config.allow_sample_rate) {
             self.sampled_out += 1;
             return;

@@ -6,11 +6,13 @@
 # /debug/flightrecorder, /debug/alerts — every latency exemplar must
 # resolve to a retrievable trace, the server-side p99 gauge must agree
 # with the wire-side measurement, and the decision-stage latencies must be
-# a histogram family that counts one honeypot check per decide), proves
+# a histogram family that counts one honeypot check per decide, and every
+# latency in seconds must print as its whole nanoseconds over 1e9), proves
 # hot-reload reject-and-keep-old, refuses deeply nested JSON bodies with
 # 400, refuses signed, conflicting or tab-hidden Content-Length fields
-# with 400 and a close, drains on SIGTERM, and asserts the unified
-# exit-code contract (0/2/3/4) for both binaries.
+# with 400 and a close and keeps each in the flight recorder, drains on
+# SIGTERM, and asserts the unified exit-code contract (0/2/3/4) for both
+# binaries.
 # Run from the repository root after
 # `cargo build --release -p fg-serve --bins`; CI calls it verbatim.
 #
@@ -232,8 +234,36 @@ checks = sample('fg_stage_latency_seconds_count{stage="mitigation.honeypot-check
 decides = sample('fg_http_requests_total{endpoint="decide",status="200"}')
 print(f"serve-smoke: {checks:.0f} honeypot-check stage samples for {decides:.0f} decides answered 200")
 assert checks == decides, (checks, decides)
+
+# Latencies are recorded in whole nanoseconds, so every `le` bound, `_sum`
+# and exemplar value of a `_seconds` histogram, and every p99 gauge, must
+# read as exactly that count over 1e9: no `le="0.0000008000000000000001"`.
+families = set(re.findall(r"^# TYPE (\w+_seconds) histogram$", metrics, re.M))
+assert families, "no latency histogram families on /metrics"
+def latency_values():
+    for line in metrics.splitlines():
+        if line.startswith("fg_http_request_p99_seconds"):
+            yield line, line.rsplit(" ", 1)[1]
+            continue
+        m = re.match(r"(\w+)_(bucket|sum)[{ ]", line)
+        if not m or m.group(1) not in families:
+            continue
+        if m.group(2) == "sum":
+            yield line, line.rsplit(" ", 1)[1]
+            continue
+        le = re.search(r'le="([^"]+)"', line).group(1)
+        if le != "+Inf":
+            yield line, le
+        exemplar = re.search(r"# \{[^}]*\} (\S+)$", line)
+        if exemplar:
+            yield line, exemplar.group(1)
+values = list(latency_values())
+noisy = [line for line, v in values if float(v) != round(float(v) * 1e9) / 1e9]
+print(f"serve-smoke: /metrics {len(metrics.encode())} bytes in {metrics.count(chr(10))} lines; "
+      f"{len(values)} latency values in seconds, {len(noisy)} with float noise")
+assert not noisy, noisy[:5]
 EOF
-echo "serve-smoke: observability plane OK (exemplars resolve, p99 agrees, stage histograms count every decide)"
+echo "serve-smoke: observability plane OK (exemplars resolve, p99 agrees, stage histograms count every decide, latencies print exactly)"
 
 # --- hot reload: rejected edit keeps the old config -------------------
 GEN_BEFORE=$(readyz | python3 -c 'import json,sys; print(json.load(sys.stdin)["config_generation"])')
@@ -321,6 +351,15 @@ for name, fields in shapes.items():
     assert head.startswith(b"HTTP/1.1 400 "), (name, reply[:200])
     assert b"Connection: close" in head, (name, head)
     assert reply.count(b"HTTP/1.1 ") == 1, (name, reply)
+
+# Each refusal is an answered parse error, so the flight recorder's live
+# ring holds all three, as `other` exchanges that never reached a route.
+import json, urllib.request
+with urllib.request.urlopen(f"http://{sys.argv[1]}/debug/flightrecorder", timeout=5) as reply:
+    flight = json.load(reply)
+unparsed = [e for e in flight["live"] if e["request"].startswith("(unparsed)")]
+assert [(e["status"], e["endpoint"]) for e in unparsed] == [(400, "other")] * 3, unparsed
+print("serve-smoke: flight recorder holds " + "; ".join(e["request"] for e in unparsed))
 EOF
 # Valid decides still get 200 afterwards.
 "$BIN/fg-loadgen" --addr "$ADDR" --connections 1 --duration 1s --seed 45 --out serve-hostile-after.json

@@ -827,6 +827,36 @@ fn every_answered_status_lands_in_its_own_metric_cell() {
         .sum();
     assert_eq!(answered, 12, "no exchange was counted twice or elsewhere");
 
+    // The flight recorder holds the parse errors too, as `other`
+    // exchanges that never reached a route.
+    #[derive(serde::Deserialize)]
+    struct Entry {
+        endpoint: String,
+        request: String,
+        status: u16,
+    }
+    #[derive(serde::Deserialize)]
+    struct Flight {
+        live: Vec<Entry>,
+    }
+    let (status, body) = request(addr, "GET", "/debug/flightrecorder", b"");
+    assert_eq!(status, 200, "{body}");
+    let flight: Flight = serde_json::from_str(&body).expect("flight JSON");
+    let unparsed: Vec<(u16, &str)> = flight
+        .live
+        .iter()
+        .filter(|entry| entry.endpoint == "other" && entry.status != 404)
+        .map(|entry| (entry.status, entry.request.as_str()))
+        .collect();
+    assert_eq!(
+        unparsed,
+        [
+            (413, "(unparsed) content too large"),
+            (431, "(unparsed) request header fields too large"),
+        ],
+        "{body}"
+    );
+
     let drained = server.drain(Duration::from_secs(10));
     assert!(drained.clean, "{drained:?}");
 }
