@@ -184,7 +184,10 @@ fn scan_fn(
                             .to_owned(),
                     );
                 }
-                // `/` or `%` with a non-literal right-hand side.
+                // `/` or `%` with a non-literal right-hand side, unless an
+                // operand is visibly a float: a cast just before it
+                // (`a as f64 / b`), a float literal on its left, or a right
+                // operand cast to float (`a / b as f64`).
                 if (p == "/" || p == "%")
                     && k >= 1
                     && k + 1 < idx.len()
@@ -193,6 +196,12 @@ fn scan_fn(
                         || text(k - 1) == ")"
                         || text(k - 1) == "]")
                     && toks[idx[k + 1]].kind != TokKind::Num
+                    && !matches!(text(k - 1), "f64" | "f32")
+                    && !is_float_literal(toks[idx[k - 1]].kind, text(k - 1))
+                    && !(k + 3 < idx.len()
+                        && toks[idx[k + 1]].kind == TokKind::Ident
+                        && text(k + 2) == "as"
+                        && matches!(text(k + 3), "f64" | "f32"))
                 {
                     emit(
                         k,
@@ -210,6 +219,14 @@ fn scan_fn(
             _ => {}
         }
     }
+}
+
+/// A float literal: a fraction, an exponent or a float suffix (`1.5`,
+/// `1e3`, `2f64`); a hex literal's `e` and `f` are digits.
+fn is_float_literal(kind: TokKind, text: &str) -> bool {
+    kind == TokKind::Num
+        && !text.starts_with("0x")
+        && (text.contains(['.', 'e', 'E']) || text.ends_with("f64") || text.ends_with("f32"))
 }
 
 /// An ident that can end an indexable expression — keywords (`let [a, b]`
@@ -354,6 +371,29 @@ mod tests {
                 .any(|d| d.explanation["operation"] == "division"),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn float_division_is_not_a_partial_op() {
+        let divisions = |body: &str| {
+            serve_ws(&format!("fn step(a: u32, b: u32, n: f64) {{ {body}; }}"))
+                .into_iter()
+                .filter(|d| d.lint == lints::PARTIAL_OP)
+                .filter(|d| d.explanation["operation"] == "division")
+                .count()
+        };
+        for float in [
+            "a as f64 / b",
+            "a / b as f64",
+            "n / 2.0",
+            "1.5 / n",
+            "1e3 % n",
+        ] {
+            assert_eq!(divisions(float), 0, "{float}");
+        }
+        for integer in ["a / b", "a % b", "0xe / a"] {
+            assert_eq!(divisions(integer), 1, "{integer}");
+        }
     }
 
     #[test]

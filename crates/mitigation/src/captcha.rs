@@ -51,19 +51,16 @@ pub struct CaptchaPolicy {
     pub solver_latency: SimDuration,
 }
 
-impl Default for CaptchaPolicy {
-    fn default() -> Self {
-        CaptchaPolicy {
-            human_abandon_prob: 0.03,
-            human_latency: SimDuration::from_secs(12),
-            solver_price: Money::from_micros(2_000), // $0.002
-            solver_success_prob: 0.92,
-            solver_latency: SimDuration::from_secs(25),
-        }
-    }
-}
-
 impl CaptchaPolicy {
+    /// The behaviour the defended app challenges with.
+    pub const DEFAULT: CaptchaPolicy = CaptchaPolicy {
+        human_abandon_prob: 0.03,
+        human_latency: SimDuration::from_secs(12),
+        solver_price: Money::from_micros(2_000), // $0.002
+        solver_success_prob: 0.92,
+        solver_latency: SimDuration::from_secs(25),
+    };
+
     /// Presents the challenge to a human.
     pub fn challenge_human<R: Rng + ?Sized>(&self, rng: &mut R) -> CaptchaOutcome {
         if rng.gen_bool(self.human_abandon_prob.clamp(0.0, 1.0)) {
@@ -101,7 +98,7 @@ mod tests {
 
     #[test]
     fn humans_usually_pass_free() {
-        let policy = CaptchaPolicy::default();
+        let policy = CaptchaPolicy::DEFAULT;
         let mut rng = StdRng::seed_from_u64(1);
         let outcomes: Vec<CaptchaOutcome> = (0..1000)
             .map(|_| policy.challenge_human(&mut rng))
@@ -114,7 +111,7 @@ mod tests {
     /// there (`challenged_bot_pays_solver_fees`).
     #[test]
     fn bots_solve_at_the_solver_success_rate() {
-        let policy = CaptchaPolicy::default();
+        let policy = CaptchaPolicy::DEFAULT;
         let mut rng = StdRng::seed_from_u64(2);
         let solved: u32 = (0..1000)
             .map(|_| u32::from(policy.challenge_bot(&mut rng).solved()))
@@ -124,7 +121,7 @@ mod tests {
 
     #[test]
     fn bot_solving_is_slower_than_human() {
-        let policy = CaptchaPolicy::default();
+        let policy = CaptchaPolicy::DEFAULT;
         let mut rng = StdRng::seed_from_u64(3);
         let human_mean: f64 = (0..200)
             .filter_map(|_| match policy.challenge_human(&mut rng) {
@@ -154,7 +151,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let policy = CaptchaPolicy::default();
+        let policy = CaptchaPolicy::DEFAULT;
         let a = policy.challenge_bot(&mut StdRng::seed_from_u64(7));
         let b = policy.challenge_bot(&mut StdRng::seed_from_u64(7));
         assert_eq!(a, b);

@@ -232,7 +232,7 @@ mod tests {
         assert!(app.gateway().sent_total() > 500);
         assert!(!app.logs().is_empty());
         // Most traffic is allowed under no protection.
-        assert_eq!(app.decision_counts().block, 0);
+        assert_eq!(app.core().decision_counts().block, 0);
     }
 
     #[test]

@@ -268,7 +268,7 @@ pub fn run_observed(
     // after it.
     let rotation_times = spinner.rotation_times();
     let mut deltas = Vec::new();
-    for rule in app.policy().rules().stats() {
+    for rule in app.core().policy().rules().stats() {
         if let Some(&rot) = rotation_times.iter().find(|&&t| t > rule.created_at) {
             deltas.push((rot - rule.created_at).as_hours_f64());
         }
@@ -287,7 +287,7 @@ pub fn run_observed(
             Some(deltas.iter().sum::<f64>() / deltas.len() as f64)
         },
         rotations: rotation_times.len() as u64,
-        rules_deployed: app.policy().rules().len(),
+        rules_deployed: app.core().policy().rules().len(),
         nip_before_cap: 6,
         nip_after_cap: spinner.chosen_nip(),
         attack_stopped_at_day: stats.stopped_at.map_or(config.departure_day as f64, |t| {
@@ -295,7 +295,7 @@ pub fn run_observed(
         }),
         departure_day: config.departure_day as f64,
         mean_hold_ratio_during_attack,
-        blocked_requests: app.decision_counts().block,
+        blocked_requests: app.core().decision_counts().block,
     };
     (report, alerts)
 }

@@ -261,7 +261,7 @@ fn run_arm(
         honeypot,
         rotations: spinner.rotation_times().len() as u64,
         real_hold_ratio,
-        absorbed_holds: app.honeypot().stats().holds_absorbed,
+        absorbed_holds: app.core().honeypot().stats().holds_absorbed,
         attacker_spend: ledger.total_cost() + app.solver_spend(ClientId(1)),
         legit_denied_by_stock,
     };

@@ -2,10 +2,12 @@
 //!
 //! The scenario layer of FeatureGuard — where the paper's systems meet.
 //!
-//! * [`app`] — [`DefendedApp`]: the airline web application with the full
-//!   defence pipeline (detection engine → policy engine → CAPTCHA /
-//!   honeypot / rate limits / gating) wired in front of the reservation
-//!   system and the SMS gateway. Implements [`fg_behavior::App`] so every
+//! * [`decision`] — [`decision::DecisionCore`]: the defence pipeline
+//!   (detection engine → policy engine → honeypot / rate limits / gating)
+//!   and the state it keeps; fg-serve locks it alone.
+//! * [`app`] — [`DefendedApp`]: the airline web application, the decision
+//!   core wired in front of the reservation system and the SMS gateway,
+//!   with CAPTCHA resolution. Implements [`fg_behavior::App`] so every
 //!   agent — legitimate or attacker — drives it identically.
 //! * [`team`] — [`SecurityTeam`]: the §IV-A incident-response loop that
 //!   periodically reviews logs and bookings, deploys fingerprint block
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod app;
+pub mod decision;
 pub mod engine;
 pub mod experiments;
 pub mod harness;

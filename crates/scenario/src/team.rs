@@ -142,7 +142,7 @@ impl SecurityTeam {
                 // sizeable share of the genuine population (mimicry bots use
                 // common configurations by design) and would lock real
                 // customers out — the §V usability/security balance.
-                app.policy_mut().rules_mut().add_rule(
+                app.core_mut().policy_mut().rules_mut().add_rule(
                     fg_mitigation::blocklist::BlockRule::FingerprintIdentity(hash),
                     now,
                 );

@@ -63,7 +63,8 @@ pub struct ServeConfig {
     /// Defence-store shard count, as in the simulator's `ConcurrencyMode`
     /// (boot-only — decisions are identical at any count).
     pub shards: usize,
-    /// Master seed for the decision core (boot-only).
+    /// Master seed (boot-only). No decision reads it: the decision core
+    /// takes no randomness, so replies are the same at any seed.
     pub seed: u64,
     /// The defensive posture (hot-reloadable, fg-analyze-gated).
     pub policy: PolicyConfig,

@@ -8,9 +8,9 @@
 //! * [`server`] — accept loop, fixed worker pool with a bounded hand-off
 //!   queue (full ⇒ shed with 429), one background thread (config watcher
 //!   and embedded sentinel), graceful drain.
-//! * [`service`] — the decision core: one [`fg_scenario::DefendedApp`]
-//!   behind a mutex, serving `POST /v1/decide` from the *same* code path
-//!   the simulator runs, so wire and sim decisions agree byte-for-byte.
+//! * [`service`] — one [`fg_scenario::decision::DecisionCore`] behind a
+//!   mutex, serving `POST /v1/decide` from the *same* call the simulator
+//!   makes, so wire and sim decisions agree byte-for-byte.
 //! * [`config`] — boot-only vs hot-reloadable config split; hot swaps are
 //!   gated by `fg_analyze::validate_serve_policy` (reject-and-keep-old).
 //! * [`breaker`] — a three-state circuit breaker around the decision path
@@ -28,7 +28,7 @@
 //! ## Where determinism stops
 //!
 //! Everything below the socket — detection, policy, tracing — is a pure
-//! function of (request stream, config, seed, shards): requests carry
+//! function of (request stream, config, shards): requests carry
 //! their own session clock (`now_ms`), so *what* is decided never depends
 //! on the wall. The serving shell around it is deliberately wall-clock:
 //! read timeouts, breaker cool-downs, drain deadlines, and measured

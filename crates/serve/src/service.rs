@@ -1,17 +1,20 @@
 //! The decision service: the deterministic core behind the HTTP endpoints.
 //!
-//! Wraps a [`DefendedApp`] behind one mutex. Decisions come out of exactly
-//! the code path the simulator exercises ([`DefendedApp::decide_request`]),
-//! so wire replies and simulator artifacts agree byte-for-byte under the
-//! same request stream, policy, seed, and shard count. Determinism stops at
-//! the transport: *when* a request arrives is wall-clock, *what* it decides
-//! is a pure function of its content (each request carries its own session
-//! clock, `now_ms`).
+//! Locks one [`DecisionCore`] behind a mutex: the detection, policy and
+//! honeypot engines with their metrics, and nothing of the simulator's
+//! airline. Decisions come out of [`DecisionCore::decide`], the call the
+//! simulator makes too, so wire replies and simulator artifacts agree
+//! byte-for-byte under the same request stream, policy and shard count. The service writes no audit record: each decision is
+//! explained by its trace (`/debug/traces` keeps every non-allow decision
+//! with its reason chain) and its flight-recorder entry. Determinism stops
+//! at the transport: *when* a request arrives is wall-clock, *what* it
+//! decides is a pure function of its content (each request carries its own
+//! session clock, `now_ms`).
 
 use fg_core::time::SimTime;
 use fg_mitigation::policy::PolicyConfig;
 use fg_netsim::ip::IpAddress;
-use fg_scenario::app::{AppConfig, DefendedApp, GateDecision};
+use fg_scenario::decision::{DecisionCore, GateDecision};
 use fg_scenario::workload::WireRequest;
 use fg_telemetry::{RequestTrace, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -44,43 +47,28 @@ pub struct ReportAck {
 
 /// The shared decision core.
 pub struct DecisionService {
-    app: Mutex<DefendedApp>,
+    core: Mutex<DecisionCore>,
     telemetry: Arc<Telemetry>,
     reports: AtomicU64,
     decisions: AtomicU64,
 }
 
 impl DecisionService {
-    /// Builds the defended app from the serve config, wired to `telemetry`.
-    ///
-    /// Switches `telemetry`'s audit layer off: the service keeps no audit
-    /// trail. Nothing in a serving process reads one — `/metrics` shows
-    /// none, and each decision is explained by its trace (`/debug/traces`
-    /// keeps every non-allow decision with its reason chain) and its
-    /// flight-recorder entry — yet building the record and pushing it into
-    /// a 65,536-entry ring would take the decision lock longer than
-    /// detection and policy do. The simulator builds its own
-    /// `DefendedApp` and keeps the trail.
+    /// Builds the decision core from the serve config, wired to `telemetry`.
     pub fn new(config: &ServeConfig, telemetry: Arc<Telemetry>) -> Self {
-        telemetry.disable_audit();
-        let concurrency = fg_core::shard::ConcurrencyMode::from_shards(config.shards);
-        let app = DefendedApp::with_telemetry(
-            AppConfig::airline(config.policy.clone()).with_concurrency(concurrency),
-            config.seed,
-            telemetry.clone(),
-        );
+        let core = DecisionCore::new(config.policy.clone(), config.shards, telemetry.clone());
         DecisionService {
-            app: Mutex::new(app),
+            core: Mutex::new(core),
             telemetry,
             reports: AtomicU64::new(0),
             decisions: AtomicU64::new(0),
         }
     }
 
-    /// Locks the app, recovering from a poisoned mutex (a panicking handler
+    /// Locks the core, recovering from a poisoned mutex (a panicking handler
     /// must not brick the service; the breaker absorbs repeated failures).
-    fn app(&self) -> MutexGuard<'_, DefendedApp> {
-        self.app.lock().unwrap_or_else(|e| e.into_inner())
+    fn core(&self) -> MutexGuard<'_, DecisionCore> {
+        self.core.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The telemetry hub the decision core records into.
@@ -103,10 +91,12 @@ impl DecisionService {
     /// and pin slow requests before submitting. The decision is identical
     /// to [`DecisionService::decide`] byte-for-byte.
     pub fn decide_traced(&self, req: &WireRequest) -> (GateDecision, Option<RequestTrace>) {
-        let mut app = self.app();
-        app.housekeep(req.now());
+        let request = req.client_request();
+        let now = req.now();
+        let mut core = self.core();
+        core.housekeep(now);
         self.decisions.fetch_add(1, Ordering::Relaxed);
-        app.decide_request_traced(&req.client_request(), req.endpoint, req.booking, req.now())
+        core.decide(&request, req.endpoint, req.booking, now)
     }
 
     /// Folds one outcome report into the reputation ledger.
@@ -114,8 +104,8 @@ impl DecisionService {
         if !(0.0..=1.0).contains(&outcome.score) {
             return Err(format!("score {} outside [0, 1]", outcome.score));
         }
-        let mut app = self.app();
-        app.detection_mut().reputation_mut().report(
+        let mut core = self.core();
+        core.detection_mut().reputation_mut().report(
             outcome.ip,
             outcome.score,
             SimTime::from_millis(outcome.now_ms),
@@ -127,7 +117,7 @@ impl DecisionService {
     /// Hot-swaps the policy (validated upstream by the watcher), keeping
     /// decision-counter continuity.
     pub fn replace_policy(&self, policy: PolicyConfig) {
-        self.app().replace_policy(policy);
+        self.core().replace_policy(policy);
     }
 
     /// Decisions served since boot.
@@ -147,33 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn decide_matches_the_in_process_replay() {
-        let cfg = WorkloadConfig {
-            seed: 11,
-            horizon_hours: 1,
-            arrivals_per_day: 100.0,
-            seat_spinner: true,
-            sms_pumper: false,
-        };
-        let workload = generate(&cfg);
-        let svc = ServeConfig {
-            seed: 99, // decision path takes no randomness; seed must not matter
-            ..ServeConfig::recommended()
-        };
-        let a = DecisionService::new(&svc, Telemetry::shared());
-        let b = DecisionService::new(&svc, Telemetry::shared());
-        for req in &workload.requests {
-            assert_eq!(a.decide(req), b.decide(req));
-        }
-        assert_eq!(a.decisions(), workload.requests.len() as u64);
-        assert_eq!(a.telemetry().audit().recorded(), 0);
-    }
-
-    #[test]
     fn a_decision_times_each_layer_once() {
         // Each layer is timed by the component that owns it, and only
         // there: detection is one `detect.assess` sample, not a stage per
-        // signal family nested inside it.
+        // signal family nested inside it, and the honeypot check, one map
+        // lookup, is a trace stage only.
         let telemetry = Telemetry::shared();
         let svc = DecisionService::new(&ServeConfig::recommended(), telemetry.clone());
         let workload = generate(&WorkloadConfig {
@@ -194,7 +162,6 @@ mod tests {
             stages,
             [
                 ("detect.assess".to_owned(), 1),
-                ("mitigation.honeypot-check".to_owned(), 1),
                 ("policy.decide".to_owned(), 1),
             ]
         );

@@ -22,10 +22,8 @@
 //!    every request through the defended app, the detection signals that
 //!    fired and the policy engine's machine-readable reason chain, so a
 //!    run can be queried after the fact ("show me every honeypot routing
-//!    and which signal triggered it"). On by default; a process that
-//!    never reads the trail switches it off with
-//!    [`Telemetry::disable_audit`], and decision paths then build no
-//!    record at all (fg-serve explains its decisions through traces).
+//!    and which signal triggered it"). The simulator writes it; fg-serve
+//!    writes none and explains its decisions through traces.
 //! 3. **Tracing** ([`trace`]) — deterministic, sim-time causal spans over
 //!    the decision path (fg-trace), with head+tail sampling and a Chrome
 //!    trace-event exporter. Off by default; when off, the only hot-path
@@ -89,9 +87,6 @@ pub const DEFAULT_AUDIT_CAPACITY: usize = 65_536;
 pub struct Telemetry {
     metrics: MetricsRegistry,
     audit: Mutex<AuditTrail>,
-    /// Whether decision paths record into `audit`; on until
-    /// [`Telemetry::disable_audit`].
-    auditing: AtomicBool,
     tracer: Mutex<Tracer>,
     /// Set by [`Telemetry::enable_tracing`] together with the tracer's
     /// config, so the tracing-off hot path pays one relaxed load instead
@@ -121,7 +116,6 @@ impl Telemetry {
         Telemetry {
             metrics,
             audit: Mutex::new(AuditTrail::new(capacity)),
-            auditing: AtomicBool::new(true),
             tracer: Mutex::new(Tracer::new()),
             tracing: AtomicBool::new(false),
         }
@@ -142,26 +136,9 @@ impl Telemetry {
         self.audit.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends one record to the audit trail. A no-op once the audit
-    /// layer is off.
+    /// Appends one record to the audit trail.
     pub fn record_audit(&self, record: AuditRecord) {
-        if self.audit_enabled() {
-            self.audit().push(record);
-        }
-    }
-
-    /// Switches the audit layer off for good: [`Telemetry::audit_enabled`]
-    /// turns false, so decision paths stop building records, and
-    /// [`Telemetry::record_audit`] drops any it is handed. For a process
-    /// that never reads the trail.
-    pub fn disable_audit(&self) {
-        self.auditing.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether the audit layer is on (the default) — the cheap check
-    /// callers make before building an [`AuditRecord`].
-    pub fn audit_enabled(&self) -> bool {
-        self.auditing.load(Ordering::Relaxed)
+        self.audit().push(record);
     }
 
     /// Registers (or fetches) the latency cell of pipeline stage `name`,
@@ -252,28 +229,6 @@ mod tests {
         assert_eq!(stages[0].stage, "gate.total");
         assert_eq!(snap.audit.recorded, 1);
         assert_eq!(snap.audit.decision_total("allow"), 1);
-    }
-
-    #[test]
-    fn a_disabled_audit_layer_records_nothing() {
-        let t = Telemetry::with_audit_capacity(4);
-        assert!(t.audit_enabled());
-        t.disable_audit();
-        assert!(!t.audit_enabled());
-        t.record_audit(AuditRecord {
-            at: fg_core::time::SimTime::from_secs(1),
-            endpoint: "/search".to_owned(),
-            client: 9,
-            fingerprint: 0xF00D,
-            ip: "10.1.2.3".to_owned(),
-            score: 0.0,
-            signals: Vec::new(),
-            decision: "allow".to_owned(),
-            reasons: vec!["clean".to_owned()],
-            trace_id: fg_core::hash::trace_id(9, 1),
-        });
-        assert_eq!(t.audit().recorded(), 0);
-        assert!(t.snapshot().audit.records.is_empty());
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl StageSnapshot {
             mean_us: if hist.count == 0 {
                 0.0
             } else {
-                hist.sum as f64 * (hist.count as f64).recip() / 1e3
+                hist.sum as f64 / (hist.count as f64 * 1e3)
             },
             p50_us: hist.quantile_us(0.50),
             p95_us: hist.quantile_us(0.95),

@@ -60,9 +60,10 @@ fn main() {
     println!("legitimate population : {:?}\n", legit.borrow().stats());
     println!("seat spinner          : {:?}", bot.borrow().stats());
     println!("seat spinner ledger   : {}\n", bot.borrow().ledger());
-    println!("defence decisions     : {:?}", app.decision_counts());
-    println!("block rules deployed  : {}", app.policy().rules().len());
-    println!("honeypot absorbed     : {:?}", app.honeypot().stats());
+    let core = app.core();
+    println!("defence decisions     : {:?}", core.decision_counts());
+    println!("block rules deployed  : {}", core.policy().rules().len());
+    println!("honeypot absorbed     : {:?}", core.honeypot().stats());
     println!(
         "target flight ledger  : {}",
         app.reservations()

@@ -5,14 +5,15 @@
 # exercises /metrics and the live-observability plane (/debug/traces,
 # /debug/flightrecorder, /debug/alerts — every latency exemplar must
 # resolve to a retrievable trace, the server-side p99 gauge must agree
-# with the wire-side measurement, and the decision-stage latencies must be
-# a histogram family that counts one honeypot check per decide, and every
-# latency in seconds must print as its whole nanoseconds over 1e9), proves
-# hot-reload reject-and-keep-old, refuses deeply nested JSON bodies with
-# 400, refuses signed, conflicting or tab-hidden Content-Length fields
-# with 400 and a close and keeps each in the flight recorder, drains on
-# SIGTERM, and asserts the unified exit-code contract (0/2/3/4) for both
-# binaries.
+# with the wire-side measurement, the decision-stage latencies must be a
+# histogram family that counts one policy.decide sample per policy
+# decision, every decide answered 200 must reach the decision core once,
+# no simulator series may appear, and every latency in seconds must print
+# as its whole nanoseconds over 1e9), proves hot-reload
+# reject-and-keep-old, refuses deeply nested JSON bodies with 400, refuses
+# signed, conflicting or tab-hidden Content-Length fields with 400 and a
+# close and keeps each in the flight recorder, drains on SIGTERM, and
+# asserts the unified exit-code contract (0/2/3/4) for both binaries.
 # Run from the repository root after
 # `cargo build --release -p fg-serve --bins`; CI calls it verbatim.
 #
@@ -223,17 +224,31 @@ client_ms = bench["latency_ms"]["p99"]
 assert server_ms > 0, "p99 gauge never refreshed by the sentinel"
 assert server_ms <= client_ms * 3 + 50, (server_ms, client_ms)
 
-# Decision-stage latencies are a native histogram family, and every decide
-# answered 200 ran the honeypot check exactly once.
+# Decision-stage latencies are a native histogram family. Every decide
+# answered 200 reached the decision core once, and every policy decision
+# recorded one `policy.decide` sample.
 assert "# TYPE fg_stage_latency_seconds histogram\n" in metrics, "stage family not a histogram"
 def sample(series):
     m = re.search(re.escape(series) + r" ([0-9.eE+-]+)$", metrics, re.M)
     assert m, f"{series} missing from /metrics"
     return float(m.group(1))
-checks = sample('fg_stage_latency_seconds_count{stage="mitigation.honeypot-check"}')
+def family_sum(name):
+    return sum(float(v) for v in re.findall(r"^" + name + r"(?:\{[^}]*\})? (\S+)$", metrics, re.M))
 decides = sample('fg_http_requests_total{endpoint="decide",status="200"}')
-print(f"serve-smoke: {checks:.0f} honeypot-check stage samples for {decides:.0f} decides answered 200")
-assert checks == decides, (checks, decides)
+gated = family_sum("fg_requests_total")
+decided = family_sum("fg_decisions_total")
+policy_samples = sample('fg_stage_latency_seconds_count{stage="policy.decide"}')
+print(f"serve-smoke: {decides:.0f} decides answered 200, {gated:.0f} requests reached the core, "
+      f"{decided:.0f} policy decisions, {policy_samples:.0f} policy.decide stage samples")
+assert gated == decides, (gated, decides)
+assert policy_samples == decided, (policy_samples, decided)
+
+# fg-serve hosts the decision core alone: none of the simulator's series
+# (SMS gateway, CAPTCHA outcomes and stage, seat holds, revenue) appear.
+simulator = re.findall(r"^(fg_sms_\w*|fg_nip_hold\w*|fg_ticket_revenue_units|fg_solver_spend_units"
+                       r"|fg_challenges_total|fg_human_abandons_total"
+                       r"|\w+\{stage=\"mitigation\.captcha\"[^}]*\})", metrics, re.M)
+assert not simulator, f"simulator series on fg-serve's /metrics: {sorted(set(simulator))[:8]}"
 
 # Latencies are recorded in whole nanoseconds, so every `le` bound, `_sum`
 # and exemplar value of a `_seconds` histogram, and every p99 gauge, must
@@ -263,7 +278,7 @@ print(f"serve-smoke: /metrics {len(metrics.encode())} bytes in {metrics.count(ch
       f"{len(values)} latency values in seconds, {len(noisy)} with float noise")
 assert not noisy, noisy[:5]
 EOF
-echo "serve-smoke: observability plane OK (exemplars resolve, p99 agrees, stage histograms count every decide, latencies print exactly)"
+echo "serve-smoke: observability plane OK (exemplars resolve, p99 agrees, stage histograms count every decision, no simulator series, latencies print exactly)"
 
 # --- hot reload: rejected edit keeps the old config -------------------
 GEN_BEFORE=$(readyz | python3 -c 'import json,sys; print(json.load(sys.stdin)["config_generation"])')

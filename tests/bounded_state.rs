@@ -84,7 +84,7 @@ fn rotating_identities_keep_defence_state_bounded() {
 
     // Velocity counters (1 h sliding window): live keys are only the last
     // hour's identities — ≤ 2 identities × 3 maps, doubled for slack.
-    let velocity = app.detection().tracked_keys();
+    let velocity = app.core().detection().tracked_keys();
     let velocity_live_bound = 2 * (IDENTITIES_PER_HOUR as usize) * 3;
     assert!(
         velocity.total() <= velocity_live_bound,
@@ -95,7 +95,7 @@ fn rotating_identities_keep_defence_state_bounded() {
     // Keyed limiters: a booking-SMS bucket (burst 3, 3/day) refills the one
     // spent token in 8 h; a client-hold bucket (burst 5, 10/day) in 2.4 h.
     // Live populations are the keys active inside those refill spans.
-    let (booking_sms, client_hold) = app.policy().limiter_tracked_keys();
+    let (booking_sms, client_hold) = app.core().policy().limiter_tracked_keys();
     let booking_live = (IDENTITIES_PER_HOUR * 9) as usize; // ≤ 9 h of bookings
     assert!(
         booking_sms <= 2 * booking_live,

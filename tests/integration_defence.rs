@@ -78,9 +78,9 @@ fn team_and_rotation_arms_race_runs_multiple_rounds() {
     // Multiple block rules were deployed and multiple rotations answered
     // them — the §IV-A cycle, several rounds deep.
     assert!(
-        app.policy().rules().len() >= 3,
+        app.core().policy().rules().len() >= 3,
         "rules {}",
-        app.policy().rules().len()
+        app.core().policy().rules().len()
     );
     assert!(
         bot.borrow().rotation_times().len() >= 3,
@@ -90,6 +90,7 @@ fn team_and_rotation_arms_race_runs_multiple_rounds() {
     // Every deployed rule eventually hit something (it was aimed at a real
     // identity the bot used).
     let effective = app
+        .core()
         .policy()
         .rules()
         .stats()
@@ -128,9 +129,9 @@ fn honeypot_keeps_attacker_spending_without_real_harm() {
     // After the team flags the bot, it lives in the decoy: fake holds pile
     // up, real inventory recovers, and the bot keeps "succeeding".
     assert!(
-        app.honeypot().stats().holds_absorbed > 20,
+        app.core().honeypot().stats().holds_absorbed > 20,
         "{:?}",
-        app.honeypot().stats()
+        app.core().honeypot().stats()
     );
     let avail = app.reservations().availability(FlightId(1)).unwrap();
     assert!(avail.held < 90, "real holds bounded once diverted: {avail}");

@@ -104,7 +104,7 @@ fn recommended_stack_protects_inventory() {
         mon.borrow().mean_hold_ratio()
     );
     // The defence acted (anything but a pile of Allows).
-    let counts = app.decision_counts();
+    let counts = app.core().decision_counts();
     assert!(
         counts.tier_denied + counts.honeypot + counts.block + counts.rate_limited > 0,
         "{counts:?}"

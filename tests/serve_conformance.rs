@@ -220,24 +220,31 @@ fn metrics_exposition_satisfies_histogram_and_exemplar_conformance() {
     );
 
     // Stage latencies are a native histogram family like any other, so the
-    // checks below hold for its series too; every decide ran the honeypot
-    // check once.
+    // checks below hold for its series too; every policy decision recorded
+    // one `policy.decide` sample.
     assert!(
         text.contains("# TYPE fg_stage_latency_seconds histogram\n"),
         "stage family must be typed histogram"
     );
-    let honeypot_check = (
+    let policy_decide = (
         "fg_stage_latency_seconds".to_owned(),
-        vec![("stage".to_owned(), "mitigation.honeypot-check".to_owned())],
+        vec![("stage".to_owned(), "policy.decide".to_owned())],
     );
-    let check = series
-        .get(&honeypot_check)
-        .expect("honeypot-check stage series missing");
-    assert!(!check.buckets.is_empty(), "honeypot-check has no buckets");
+    let decide = series
+        .get(&policy_decide)
+        .expect("policy.decide stage series missing");
+    assert!(!decide.buckets.is_empty(), "policy.decide has no buckets");
+    let decisions: f64 = text
+        .lines()
+        .filter_map(parse_line)
+        .filter(|s| s.name == "fg_decisions_total")
+        .map(|s| s.value)
+        .sum();
+    assert!(decisions > 0.0, "no policy decisions counted");
     assert_eq!(
-        check.count,
-        Some(decides as f64),
-        "one honeypot check per decide"
+        decide.count,
+        Some(decisions),
+        "one policy.decide sample per policy decision"
     );
 
     let mut exemplars_seen = 0usize;

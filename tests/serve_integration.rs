@@ -1,14 +1,17 @@
 //! End-to-end integration of the serving layer: endpoints, shedding at a
 //! full accept queue, config hot-reload (reject-and-keep-old), and
 //! graceful drain, queued work included — all over real sockets on an
-//! ephemeral port.
+//! ephemeral port — plus the decision service's parity with the
+//! simulator's host.
 
+use fg_core::shard::ConcurrencyMode;
+use fg_core::time::SimTime;
 use fg_detection::log::Endpoint;
 use fg_mitigation::policy::Decision;
-use fg_scenario::app::GateDecision;
+use fg_scenario::app::{AppConfig, DefendedApp, GateDecision};
 use fg_scenario::workload::{generate, WireRequest, WorkloadConfig};
 use fg_serve::loadgen::read_response;
-use fg_serve::{ServeConfig, Server};
+use fg_serve::{DecisionService, OutcomeReport, ServeConfig, Server};
 use fg_telemetry::{SpanRecord, Telemetry};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -255,6 +258,110 @@ fn endpoints_answer_with_correct_statuses() {
     let (status, _) = request(addr, "GET", "/no/such/path", b"");
     assert_eq!(status, 404);
 
+    let report = server.drain(Duration::from_secs(10));
+    assert!(report.clean, "{report:?}");
+}
+
+/// fg-serve's decision service and the simulator's app decide through one
+/// `DecisionCore`: fed the same stream, each housekeeping before every
+/// decision and both folding in the same outcome reports, they agree
+/// request by request at any shard count.
+#[test]
+fn decide_matches_the_in_process_replay() {
+    let workload = generate(&WorkloadConfig {
+        seed: 11,
+        horizon_hours: 12,
+        arrivals_per_day: 400.0,
+        seat_spinner: true,
+        sms_pumper: true,
+    });
+    for shards in [1, 4] {
+        let config = ServeConfig {
+            shards,
+            ..ServeConfig::recommended()
+        };
+        let service = DecisionService::new(&config, Telemetry::shared());
+        let mut app = DefendedApp::new(
+            AppConfig::airline(config.policy.clone())
+                .with_concurrency(ConcurrencyMode::from_shards(shards)),
+            config.seed,
+        );
+        let (mut refused, mut reports) = (0, 0);
+        for (i, req) in workload.requests.iter().enumerate() {
+            app.housekeep(req.now());
+            let simulated =
+                app.decide_request(&req.client_request(), req.endpoint, req.booking, req.now());
+            let served = service.decide(req);
+            assert_eq!(served, simulated, "request {i} at {shards} shards");
+            if served.decision != Decision::Allow {
+                refused += 1;
+            }
+            // Every seventh request's outcome comes back as confirmed
+            // abuse, so later decisions read reputation both sides fed.
+            if i % 7 == 6 {
+                let outcome = OutcomeReport {
+                    ip: req.ip,
+                    score: 1.0,
+                    now_ms: req.now_ms,
+                };
+                service.report(&outcome).expect("score in range");
+                app.detection_mut().reputation_mut().report(
+                    outcome.ip,
+                    outcome.score,
+                    SimTime::from_millis(outcome.now_ms),
+                );
+                reports += 1;
+            }
+        }
+        assert!(
+            refused > 0 && reports > 0,
+            "{refused} refused, {reports} reports"
+        );
+        assert_eq!(service.decisions(), workload.requests.len() as u64);
+        assert_eq!(
+            service.telemetry().audit().recorded(),
+            0,
+            "the service writes no audit record"
+        );
+    }
+}
+
+/// fg-serve hosts the decision core alone, so `/metrics` carries none of
+/// the simulator's series: no SMS gateway, CAPTCHA outcome, seat-hold or
+/// revenue family, and no CAPTCHA or honeypot-check stage latency.
+#[test]
+fn metrics_carry_no_simulator_series() {
+    let server = Server::start(test_config(), Telemetry::shared(), None).expect("boot");
+    let addr = server.addr();
+    let workload = generate(&WorkloadConfig {
+        seed: 5,
+        horizon_hours: 1,
+        arrivals_per_day: 200.0,
+        seat_spinner: true,
+        sms_pumper: false,
+    });
+    for req in workload.requests.iter().take(20) {
+        let body = serde_json::to_string(req).expect("request serializes");
+        let (status, reply) = request(addr, "POST", "/v1/decide", body.as_bytes());
+        assert_eq!(status, 200, "{reply}");
+    }
+    let (status, metrics) = request(addr, "GET", "/metrics", b"");
+    assert_eq!(status, 200);
+    for present in ["fg_decisions_total", "stage=\"policy.decide\""] {
+        assert!(metrics.contains(present), "{present} missing");
+    }
+    for absent in [
+        "fg_sms_",
+        "fg_nip_hold",
+        "fg_ticket_revenue_units",
+        "fg_solver_spend_units",
+        "fg_challenges_total",
+        "fg_human_abandons_total",
+        "stage=\"mitigation.captcha\"",
+        "stage=\"mitigation.honeypot-check\"",
+    ] {
+        assert!(!metrics.contains(absent), "{absent} on fg-serve's /metrics");
+    }
     let report = server.drain(Duration::from_secs(10));
     assert!(report.clean, "{report:?}");
 }
