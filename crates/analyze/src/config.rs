@@ -1,13 +1,14 @@
 //! Pass 1 — the defence-config semantic linter.
 //!
-//! Checks a [`DefenceProfile`] (policy + scenario facts) and a
-//! [`BlockRuleEngine`] for the *misconfigured-for-the-feature* failure modes
-//! the paper's case studies document: dead policy stages, rate limits sized
-//! for volumetric attacks that can never trip on low-and-slow functional
-//! abuse (§IV-C), block rules shadowed by earlier broader rules, eviction
+//! Checks a [`DefenceProfile`] (policy + scenario facts) for the
+//! *misconfigured-for-the-feature* failure modes the paper's case studies
+//! document: dead policy stages, rate limits sized for volumetric attacks
+//! that can never trip on low-and-slow functional abuse (§IV-C), eviction
 //! policies that would forget limiter state before the limit fires, honeypot
 //! decoy references that could collide with real inventory, and NiP caps out
-//! of line with the legitimate group-size distribution (§IV-B).
+//! of line with the legitimate group-size distribution (§IV-B). Block rules
+//! are not checked: the simulated security team deploys them at run time,
+//! where no analyzer runs.
 //!
 //! Everything here is *semantic*: each config is well-formed (that is
 //! [`PolicyConfig::validate`]'s job) but may still be incoherent against the
@@ -15,7 +16,6 @@
 
 use crate::diag::{Diagnostic, Severity};
 use fg_detection::log::Endpoint;
-use fg_mitigation::blocklist::{BlockRule, BlockRuleEngine};
 use fg_mitigation::policy::PolicyConfig;
 use fg_mitigation::profile::{ChannelTraffic, DefenceProfile, ScenarioContext};
 
@@ -26,10 +26,6 @@ pub mod lints {
     /// NaN threshold anywhere, or an infinite threshold in an otherwise
     /// protecting deployment (the score pipeline silently disabled).
     pub const NONFINITE_THRESHOLD: &str = "nonfinite-threshold";
-    /// A later block rule can never match: an earlier rule covers it.
-    pub const SHADOWED_RULE: &str = "shadowed-rule";
-    /// The same block rule deployed twice.
-    pub const DUPLICATE_RULE: &str = "duplicate-rule";
     /// No limiter guarding a modeled abuse channel can mathematically fire
     /// within the deployment horizon (§IV-C: Airline D's 20 000/day path
     /// limit against a 3-SMS-per-hour pump).
@@ -65,21 +61,17 @@ pub fn is_protecting(policy: &PolicyConfig) -> bool {
             .any(|&e| policy.gate.requirement(e).is_some())
 }
 
-/// Analyzes one deployment: the profile's policy against its scenario, plus
-/// whatever block rules are in force. Waivers the profile carries are applied
-/// before returning (waived findings are included, marked, and never gate).
-pub fn analyze(
-    policy: &PolicyConfig,
-    rules: &BlockRuleEngine,
-    profile: &DefenceProfile,
-) -> Vec<Diagnostic> {
+/// Analyzes one deployment: the profile's policy against its scenario.
+/// Waivers the profile carries are applied before returning (waived findings
+/// are included, marked, and never gate).
+pub fn analyze_profile(profile: &DefenceProfile) -> Vec<Diagnostic> {
+    let policy = &profile.policy;
     let src = &profile.name;
     let ctx = &profile.scenario;
     let mut diags = Vec::new();
     let protecting = is_protecting(policy);
 
     check_thresholds(policy, protecting, src, &mut diags);
-    diags.extend(analyze_rules(rules, src));
     if protecting {
         if let Some(sms) = &ctx.sms {
             check_channel(policy, ctx, sms, SmsOrHolds::Sms, src, &mut diags);
@@ -99,11 +91,6 @@ pub fn analyze(
         }
     }
     diags
-}
-
-/// Convenience wrapper: analyzes a profile with an empty rule set.
-pub fn analyze_profile(profile: &DefenceProfile) -> Vec<Diagnostic> {
-    analyze(&profile.policy, &BlockRuleEngine::new(), profile)
 }
 
 fn check_thresholds(
@@ -415,87 +402,12 @@ fn check_nip(ctx: &ScenarioContext, src: &str, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `true` when a match of `outer` implies a match of `inner` for every
-/// possible client — decidable statically for IP and attribute rules.
-/// Identity-hash rules are opaque (the hash does not expose attributes), so
-/// only equal hashes are comparable.
-fn covers(outer: &BlockRule, inner: &BlockRule) -> bool {
-    match (outer, inner) {
-        (a, b) if a == b => true,
-        (BlockRule::IpSubnet24(a), BlockRule::IpExact(b)) => a.subnet24() == b.subnet24(),
-        (BlockRule::IpSubnet24(a), BlockRule::IpSubnet24(b)) => a.subnet24() == b.subnet24(),
-        (
-            BlockRule::AttributeCombo {
-                browser: b1,
-                os: o1,
-                screen: None,
-            },
-            BlockRule::AttributeCombo {
-                browser: b2,
-                os: o2,
-                screen: _,
-            },
-        ) => b1 == b2 && o1 == o2,
-        _ => false,
-    }
-}
-
-/// Lints an ordered rule set for duplicates and shadowing. First match wins
-/// at evaluation time, so a later rule covered by an earlier one never fires
-/// — it is dead weight that also misattributes hit statistics.
-pub fn analyze_rules(rules: &BlockRuleEngine, src: &str) -> Vec<Diagnostic> {
-    let stats = rules.stats();
-    let mut diags = Vec::new();
-    for (j, later) in stats.iter().enumerate() {
-        for (i, earlier) in stats.iter().enumerate().take(j) {
-            if earlier.rule == later.rule {
-                diags.push(
-                    Diagnostic::new(
-                        lints::DUPLICATE_RULE,
-                        Severity::Warn,
-                        src,
-                        format!(
-                            "rule #{j} ({}) duplicates rule #{i}: it can never fire",
-                            later.rule
-                        ),
-                    )
-                    .note("rule", later.rule)
-                    .note("earlier_index", i)
-                    .note("index", j),
-                );
-                break;
-            }
-            if covers(&earlier.rule, &later.rule) {
-                diags.push(
-                    Diagnostic::new(
-                        lints::SHADOWED_RULE,
-                        Severity::Warn,
-                        src,
-                        format!(
-                            "rule #{j} ({}) is shadowed by broader rule #{i} ({}): \
-                             first match wins, so it can never fire",
-                            later.rule, earlier.rule
-                        ),
-                    )
-                    .note("rule", later.rule)
-                    .note("shadowed_by", earlier.rule)
-                    .note("earlier_index", i)
-                    .note("index", j),
-                );
-                break;
-            }
-        }
-    }
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_core::time::{SimDuration, SimTime};
+    use fg_core::time::SimDuration;
     use fg_mitigation::gating::TrustTier;
     use fg_mitigation::profile::Waiver;
-    use fg_netsim::ip::IpAddress;
 
     fn named(policy: PolicyConfig) -> DefenceProfile {
         DefenceProfile::airline("test", policy)
@@ -678,79 +590,6 @@ mod tests {
             .find(|d| d.lint == lints::NIP_CAP_FRICTION)
             .unwrap();
         assert_eq!(d.severity, Severity::Warn);
-    }
-
-    #[test]
-    fn duplicate_and_shadowed_rules_are_flagged() {
-        let mut rules = BlockRuleEngine::new();
-        let ip = IpAddress::from_octets(203, 0, 113, 7);
-        let sibling = IpAddress::from_octets(203, 0, 113, 99);
-        rules.add_rule(BlockRule::IpSubnet24(ip), SimTime::ZERO);
-        rules.add_rule(BlockRule::IpExact(sibling), SimTime::ZERO); // shadowed by /24
-        rules.add_rule(BlockRule::IpSubnet24(ip), SimTime::ZERO); // duplicate
-        rules.add_rule(BlockRule::FingerprintIdentity(42), SimTime::ZERO);
-        rules.add_rule(BlockRule::FingerprintIdentity(42), SimTime::ZERO); // duplicate
-        let diags = analyze_rules(&rules, "test");
-        let lints = lints_of(&diags);
-        assert_eq!(
-            lints
-                .iter()
-                .filter(|&&l| l == lints::DUPLICATE_RULE)
-                .count(),
-            2,
-            "{diags:?}"
-        );
-        assert_eq!(
-            lints.iter().filter(|&&l| l == lints::SHADOWED_RULE).count(),
-            1,
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn combo_without_screen_shadows_combo_with_screen() {
-        use fg_fingerprint::attributes::{BrowserFamily, OsFamily, ScreenResolution};
-        let mut rules = BlockRuleEngine::new();
-        rules.add_rule(
-            BlockRule::AttributeCombo {
-                browser: BrowserFamily::Chrome,
-                os: OsFamily::Windows,
-                screen: None,
-            },
-            SimTime::ZERO,
-        );
-        rules.add_rule(
-            BlockRule::AttributeCombo {
-                browser: BrowserFamily::Chrome,
-                os: OsFamily::Windows,
-                screen: Some(ScreenResolution::new(1920, 1080)),
-            },
-            SimTime::ZERO,
-        );
-        let diags = analyze_rules(&rules, "test");
-        assert!(
-            lints_of(&diags).contains(&lints::SHADOWED_RULE),
-            "{diags:?}"
-        );
-        // The reverse order is fine: narrow first, broad later.
-        let mut rules = BlockRuleEngine::new();
-        rules.add_rule(
-            BlockRule::AttributeCombo {
-                browser: BrowserFamily::Chrome,
-                os: OsFamily::Windows,
-                screen: Some(ScreenResolution::new(1920, 1080)),
-            },
-            SimTime::ZERO,
-        );
-        rules.add_rule(
-            BlockRule::AttributeCombo {
-                browser: BrowserFamily::Chrome,
-                os: OsFamily::Windows,
-                screen: None,
-            },
-            SimTime::ZERO,
-        );
-        assert!(analyze_rules(&rules, "test").is_empty());
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub const RELAXED_COUNTERS: &[&str] = &[
     "reports",
     "generation",
     "draining",
-    "limit",
     "next_index",
     "shutdown",
     "cursor",

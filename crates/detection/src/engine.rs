@@ -157,7 +157,7 @@ impl TrackedKeys {
 /// IP, 100 per fingerprint and 3 SMS requests per booking): the engine
 /// reads no clock and reports no metrics. Whoever calls
 /// [`DetectionEngine::assess`] times it as one stage, as
-/// `fg_scenario::app::DefendedApp` does with `detect.assess`.
+/// `fg_scenario::decision::DecisionCore` does with `detect.assess`.
 ///
 /// # Example
 ///

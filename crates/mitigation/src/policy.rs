@@ -309,8 +309,8 @@ impl DecisionTrace {
 }
 
 /// Counts of decisions taken, for experiment reports. The engine keeps
-/// none: the app that asks it for decisions counts them
-/// (`fg_scenario::app::DefendedApp::decision_counts`).
+/// none: the decision core that asks it for decisions counts them
+/// (`fg_scenario::decision::DecisionCore::decision_counts`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecisionCounts {
     /// Allowed.

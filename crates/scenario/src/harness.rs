@@ -174,17 +174,17 @@ impl ExperimentRun {
     /// The aggregate artifact (`results/<name>.agg.json`) as pretty JSON:
     /// the experiment name, the seeds aggregated, and one row per metric.
     pub fn aggregate_json(&self) -> String {
-        let artifact = Value::Object(vec![
-            ("experiment".to_owned(), Value::String(self.name.to_owned())),
-            (
-                "seeds".to_owned(),
-                Value::Array(self.cells.iter().map(|c| Value::UInt(c.seed)).collect()),
-            ),
-            (
-                "metrics".to_owned(),
-                serde_json::to_value(&self.aggregate).expect("aggregates serialize cleanly"),
-            ),
-        ]);
+        #[derive(Serialize)]
+        struct Artifact<'a> {
+            experiment: &'a str,
+            seeds: Vec<u64>,
+            metrics: &'a [AggregateRow],
+        }
+        let artifact = Artifact {
+            experiment: self.name,
+            seeds: self.cells.iter().map(|c| c.seed).collect(),
+            metrics: &self.aggregate,
+        };
         serde_json::to_string_pretty(&artifact).expect("aggregates serialize cleanly")
     }
 
@@ -194,91 +194,77 @@ impl ExperimentRun {
     /// report (alert events + incident timeline). `None` only for a run
     /// without cells.
     pub fn alerts_json(&self) -> Option<String> {
+        #[derive(Serialize)]
+        struct Replicate {
+            seed: u64,
+            alerts_fired: usize,
+            detected: bool,
+            time_to_detection_mins: Option<f64>,
+        }
+        #[derive(Serialize)]
+        struct TimeToDetection {
+            replicates_detected: usize,
+            replicates_total: usize,
+            ttd_mean_mins: f64,
+            ttd_std_dev_mins: f64,
+            ttd_min_mins: f64,
+            ttd_max_mins: f64,
+        }
+        #[derive(Serialize)]
+        struct Artifact<'a> {
+            experiment: &'a str,
+            policy: &'a str,
+            expect_detection: bool,
+            replicates: Vec<Replicate>,
+            time_to_detection: TimeToDetection,
+            report: &'a SentinelReport,
+        }
         let first = &self.cells.first()?.alerts;
         let ttd_mins =
             |r: &SentinelReport| r.time_to_detection.map(|d| d.as_millis() as f64 / 60_000.0);
-        let replicates: Vec<Value> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let report = &c.alerts;
-                Value::Object(vec![
-                    ("seed".to_owned(), Value::UInt(c.seed)),
-                    (
-                        "alerts_fired".to_owned(),
-                        Value::UInt(report.events.len() as u64),
-                    ),
-                    (
-                        "detected".to_owned(),
-                        Value::Bool(report.first_firing.is_some()),
-                    ),
-                    (
-                        "time_to_detection_mins".to_owned(),
-                        match ttd_mins(report) {
-                            Some(m) => Value::Float(m),
-                            None => Value::Null,
-                        },
-                    ),
-                ])
-            })
-            .collect();
         let ttds: Summary = self
             .cells
             .iter()
             .filter_map(|c| ttd_mins(&c.alerts))
             .collect();
-        let summary = Value::Object(vec![
-            (
-                "replicates_detected".to_owned(),
-                Value::UInt(ttds.count() as u64),
-            ),
-            (
-                "replicates_total".to_owned(),
-                Value::UInt(replicates.len() as u64),
-            ),
-            ("ttd_mean_mins".to_owned(), Value::Float(ttds.mean())),
-            ("ttd_std_dev_mins".to_owned(), Value::Float(ttds.std_dev())),
-            (
-                "ttd_min_mins".to_owned(),
-                Value::Float(ttds.min().unwrap_or(0.0)),
-            ),
-            (
-                "ttd_max_mins".to_owned(),
-                Value::Float(ttds.max().unwrap_or(0.0)),
-            ),
-        ]);
-        let artifact = Value::Object(vec![
-            ("experiment".to_owned(), Value::String(self.name.to_owned())),
-            (
-                "policy".to_owned(),
-                Value::String(first.policy.name.clone()),
-            ),
-            (
-                "expect_detection".to_owned(),
-                Value::Bool(first.policy.expect_detection),
-            ),
-            ("replicates".to_owned(), Value::Array(replicates)),
-            ("time_to_detection".to_owned(), summary),
-            (
-                "report".to_owned(),
-                serde_json::to_value(first).expect("sentinel reports serialize cleanly"),
-            ),
-        ]);
+        let artifact = Artifact {
+            experiment: self.name,
+            policy: &first.policy.name,
+            expect_detection: first.policy.expect_detection,
+            replicates: self
+                .cells
+                .iter()
+                .map(|c| Replicate {
+                    seed: c.seed,
+                    alerts_fired: c.alerts.events.len(),
+                    detected: c.alerts.first_firing.is_some(),
+                    time_to_detection_mins: ttd_mins(&c.alerts),
+                })
+                .collect(),
+            time_to_detection: TimeToDetection {
+                replicates_detected: ttds.count(),
+                replicates_total: self.cells.len(),
+                ttd_mean_mins: ttds.mean(),
+                ttd_std_dev_mins: ttds.std_dev(),
+                ttd_min_mins: ttds.min().unwrap_or(0.0),
+                ttd_max_mins: ttds.max().unwrap_or(0.0),
+            },
+            report: first,
+        };
         Some(serde_json::to_string_pretty(&artifact).expect("alert artifacts serialize cleanly"))
     }
 
     /// The trace artifact (`results/<name>.traces.json`) as pretty JSON in
     /// Chrome trace-event form (Perfetto-loadable): the traced cell's span
-    /// export plus provenance in `otherData`. `None` when no replicate
-    /// captured traces.
+    /// export plus provenance in `otherData`, written one span at a time.
+    /// `None` when no replicate captured traces.
     pub fn traces_json(&self) -> Option<String> {
         let cell = self.cells.iter().find(|c| c.traces.is_some())?;
-        let snapshot = cell.traces.as_ref()?;
-        let value = snapshot.to_chrome_trace(&[
-            ("experiment", Value::String(self.name.to_owned())),
-            ("seed", Value::UInt(cell.seed)),
-        ]);
-        Some(serde_json::to_string_pretty(&value).expect("trace artifacts serialize cleanly"))
+        let mut out = String::new();
+        cell.traces
+            .as_ref()?
+            .write_chrome(self.name, cell.seed, &mut out);
+        Some(out)
     }
 
     /// `true` when a traced cell's incident cites an exemplar `trace_id`

@@ -217,7 +217,6 @@ impl ServeState {
         // `/debug/traces` and the `/metrics` exemplars resolve from boot.
         telemetry.enable_tracing(TraceConfig {
             capacity: config.observe.trace_capacity,
-            ..TraceConfig::default()
         });
         let sentinel = Sentinel::new(serve_slo_policy(&config.observe), telemetry.metrics());
         ServeState {
@@ -465,12 +464,12 @@ impl ServeState {
         };
         // Only the shared handles are taken under the tracer lock, which
         // every decision also takes; the spans are formatted after it is
-        // released, one at a time: a copied snapshot and its JSON trees
-        // take about twelve times the body, which the allocator then keeps
-        // for whichever worker served it.
-        let export = self.telemetry.tracer().export_handles(only);
+        // released, one at a time: owned copies of the spans and their JSON
+        // trees take about twelve times the body, which the allocator then
+        // keeps for whichever worker served it.
+        let snapshot = self.telemetry.tracer().snapshot(only);
         let mut body = String::new();
-        export.write_json(&mut body);
+        snapshot.write_json(&mut body);
         Response::json(200, body.into_bytes())
     }
 

@@ -278,9 +278,13 @@ mod tests {
         let trace = trace.expect("the sticky decision hands its trace back");
         assert_eq!(trace.trace_id(), sticky.trace_id);
         telemetry.record_trace(trace);
-        let snap = telemetry.tracer().snapshot();
-        let root = snap
-            .spans
+        let mut body = String::new();
+        telemetry.trace_snapshot().write_json(&mut body);
+        let body: serde_json::Value = serde_json::from_str(&body).expect("traces json");
+        let spans: Vec<fg_telemetry::SpanRecord> =
+            serde_json::from_value(body.get("spans").cloned().expect("spans present"))
+                .expect("span records");
+        let root = spans
             .iter()
             .find(|s| s.trace_id == sticky.trace_id && s.parent_id == 0)
             .expect("the sticky trace was submitted");

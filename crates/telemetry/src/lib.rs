@@ -69,9 +69,7 @@ pub use metrics::{
     Counter, Exemplar, Gauge, Histogram, Latency, MetricName, MetricsRegistry, MetricsSnapshot,
 };
 pub use profile::{StageSnapshot, StageView};
-pub use trace::{
-    AttrValue, RequestTrace, SpanRecord, TraceConfig, TraceExport, TraceSnapshot, Tracer,
-};
+pub use trace::{AttrValue, RequestTrace, SpanRecord, TraceConfig, TraceSnapshot, Tracer};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -180,9 +178,10 @@ impl Telemetry {
         }
     }
 
-    /// Exports every retained span with the sampling accounting.
+    /// Takes a snapshot of every retained span with the sampling
+    /// accounting, to write after the tracer's lock is released.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.tracer().snapshot()
+        self.tracer().snapshot(None)
     }
 
     /// Captures metrics, stage latencies included, and the audit trail at

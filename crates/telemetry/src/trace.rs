@@ -22,7 +22,7 @@
 //! * **Sampling** ([`Tracer::submit`]) is head+tail and hash-keyed: every
 //!   non-`allow` decision is kept, every pinned (sentinel-correlated)
 //!   session is kept, and `allow` traces are kept when
-//!   `splitmix64(trace_id ^ salt)` falls under the configured rate — a
+//!   `splitmix64(trace_id ^ salt)` falls under a fixed 1/32 rate — a
 //!   deterministic per-trace coin.
 //!
 //! Retention is bounded: when the trace budget fills, sampled `allow`
@@ -35,22 +35,21 @@
 use fg_core::rng::splitmix64;
 use fg_core::time::SimTime;
 use serde::{json, Deserialize, Serialize};
-use serde_json::Value;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
-/// Default probability of keeping an `allow`-decision trace: 1/32. Exact in
-/// binary, so the keep/drop threshold arithmetic has no rounding surprises.
-pub const DEFAULT_ALLOW_SAMPLE_RATE: f64 = 0.031_25;
+/// Probability of keeping an `allow`-decision trace: 1/32. Exact in binary,
+/// so the keep/drop threshold arithmetic has no rounding surprises.
+const ALLOW_SAMPLE_RATE: f64 = 0.031_25;
 
 /// Default request-trace retention budget.
 pub const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
-/// Default auxiliary-span retention budget (sentinel evaluations, team
-/// reviews — spans not tied to one request).
-pub const DEFAULT_AUX_CAPACITY: usize = 8_192;
+/// Auxiliary-span retention budget (sentinel evaluations, team reviews —
+/// spans not tied to one request).
+const AUX_CAPACITY: usize = 8_192;
 
 /// Salt folded into the sampling hash so the keep/drop coin is independent
 /// of any other use of the trace id.
@@ -59,20 +58,14 @@ const SAMPLE_SALT: u64 = 0x5AD5_ABE1_7A1E_D00D;
 /// Tracer tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
-    /// Probability of keeping an `allow`-decision trace, in `[0, 1]`.
-    pub allow_sample_rate: f64,
     /// Maximum retained request traces.
     pub capacity: usize,
-    /// Maximum retained auxiliary spans.
-    pub aux_capacity: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            allow_sample_rate: DEFAULT_ALLOW_SAMPLE_RATE,
             capacity: DEFAULT_TRACE_CAPACITY,
-            aux_capacity: DEFAULT_AUX_CAPACITY,
         }
     }
 }
@@ -154,11 +147,11 @@ impl From<bool> for AttrValue {
     }
 }
 
-/// One in-flight request trace, built inside `DefendedApp::gate` and handed
-/// to [`Tracer::submit`] with the final decision. Names, keys and labels
-/// are `&'static str` and values stay [`AttrValue`]s, so building a trace
-/// formats nothing; [`Tracer::snapshot`] and [`TraceExport::write_json`]
-/// format the traces they export.
+/// One in-flight request trace, built inside `DecisionCore::decide` and
+/// handed to [`Tracer::submit`] with the final decision. Names, keys and
+/// labels are `&'static str` and values stay [`AttrValue`]s, so building a
+/// trace formats nothing; [`TraceSnapshot::write_json`] and
+/// [`TraceSnapshot::write_chrome`] format the traces they export.
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
     trace_id: u64,
@@ -386,22 +379,6 @@ impl<'a> SpanSource<'a> {
         }
     }
 
-    /// The span with its name and attributes formatted.
-    fn record(&self, head: &SpanHead) -> SpanRecord {
-        let mut attrs = Vec::new();
-        self.attrs(|key, value| attrs.push((key.to_owned(), value.to_string())));
-        SpanRecord {
-            trace_id: head.trace_id,
-            span_id: head.span_id,
-            parent_id: head.parent_id,
-            name: self.name().into_owned(),
-            session: head.session,
-            start_us: head.start_us,
-            dur_us: head.dur_us,
-            attrs,
-        }
-    }
-
     /// Appends the span to `out` as the JSON `serde_json` writes for its
     /// [`SpanRecord`], without building the record.
     fn write_json(&self, head: &SpanHead, out: &mut String) {
@@ -430,11 +407,39 @@ impl<'a> SpanSource<'a> {
         });
         out.push_str("]}");
     }
+
+    /// Appends the span to `out` as one pretty-printed Chrome trace-event
+    /// object at the indent of an element of `traceEvents`: a complete
+    /// (`"ph": "X"`) event on lane (`tid`) `session`, with the span's ids
+    /// (`0x` and 16 hex digits) and then its attributes as `args`.
+    fn write_chrome(&self, head: &SpanHead, out: &mut String) {
+        out.push_str("{\n      \"name\": ");
+        json::write_str(out, &self.name());
+        let _ = write!(
+            out,
+            ",\n      \"cat\": \"fg\",\n      \"ph\": \"X\",\n      \"ts\": {},\
+             \n      \"dur\": {},\n      \"pid\": 1,\n      \"tid\": {},\
+             \n      \"args\": {{\n        \"trace_id\": \"{:#018x}\",\
+             \n        \"span_id\": \"{:#018x}\",\n        \"parent_id\": \"{:#018x}\"",
+            head.start_us, head.dur_us, head.session, head.trace_id, head.span_id, head.parent_id
+        );
+        self.attrs(|key, value| {
+            out.push_str(",\n        ");
+            json::write_str(out, key);
+            out.push_str(": ");
+            json::write_display(out, value);
+        });
+        out.push_str("\n      }\n    }");
+    }
 }
 
-/// A point-in-time export of the tracer: retained spans plus the sampling
-/// and retention accounting.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// A point-in-time export of the tracer, taken by [`Tracer::snapshot`]: the
+/// sampling and retention accounting, the retained request trace ids, and
+/// shared handles to the traces and auxiliary spans it writes. Traces the
+/// tracer evicts later stay alive until the snapshot is dropped. Both
+/// writers sort references to the spans and format one span at a time, so
+/// writing needs little memory beyond the output itself.
+#[derive(Clone, Debug)]
 pub struct TraceSnapshot {
     /// Request traces submitted to the sampler.
     pub submitted: u64,
@@ -447,78 +452,88 @@ pub struct TraceSnapshot {
     pub evicted: u64,
     /// Auxiliary spans dropped by their retention budget.
     pub aux_dropped: u64,
-    /// Every retained span (session roots, request roots, stages,
-    /// auxiliary), sorted by `(start_us, trace_id, span_id)`.
-    pub spans: Vec<SpanRecord>,
+    only: Option<u64>,
+    retained_ids: Vec<u64>,
+    traces: Vec<Arc<RequestTrace>>,
+    aux: Vec<Arc<SpanRecord>>,
 }
 
 impl TraceSnapshot {
-    /// The set of request trace ids present in the export (session-root and
-    /// auxiliary ids excluded — these are what audit records and incident
-    /// exemplars refer to).
+    /// The request trace ids retained when the snapshot was taken (what
+    /// audit records and incident exemplars refer to).
     pub fn request_trace_ids(&self) -> BTreeSet<u64> {
-        self.spans
-            .iter()
-            .filter(|s| s.name.starts_with("request "))
-            .map(|s| s.trace_id)
-            .collect()
+        self.retained_ids.iter().copied().collect()
     }
 
-    /// Renders the export as a Chrome trace-event / Perfetto-loadable JSON
-    /// object: `traceEvents` holds one complete (`"ph": "X"`) event per
-    /// span, lanes (`tid`) are session ids, and `otherData` carries the
-    /// provenance pairs passed in.
-    pub fn to_chrome_trace(&self, other_data: &[(&str, Value)]) -> Value {
-        let events: Vec<Value> = self
-            .spans
-            .iter()
-            .map(|s| {
-                let mut args: Vec<(String, Value)> = vec![
-                    (
-                        "trace_id".to_owned(),
-                        Value::String(format!("{:#018x}", s.trace_id)),
-                    ),
-                    (
-                        "span_id".to_owned(),
-                        Value::String(format!("{:#018x}", s.span_id)),
-                    ),
-                    (
-                        "parent_id".to_owned(),
-                        Value::String(format!("{:#018x}", s.parent_id)),
-                    ),
-                ];
-                for (k, v) in &s.attrs {
-                    args.push((k.clone(), Value::String(v.clone())));
-                }
-                Value::Object(vec![
-                    ("name".to_owned(), Value::String(s.name.clone())),
-                    ("cat".to_owned(), Value::String("fg".to_owned())),
-                    ("ph".to_owned(), Value::String("X".to_owned())),
-                    ("ts".to_owned(), Value::UInt(s.start_us)),
-                    ("dur".to_owned(), Value::UInt(s.dur_us)),
-                    ("pid".to_owned(), Value::UInt(1)),
-                    ("tid".to_owned(), Value::UInt(s.session)),
-                    ("args".to_owned(), Value::Object(args)),
-                ])
-            })
-            .collect();
-        let stats = Value::Object(vec![
-            ("submitted".to_owned(), Value::UInt(self.submitted)),
-            ("kept".to_owned(), Value::UInt(self.kept)),
-            ("sampled_out".to_owned(), Value::UInt(self.sampled_out)),
-            ("evicted".to_owned(), Value::UInt(self.evicted)),
-            ("aux_dropped".to_owned(), Value::UInt(self.aux_dropped)),
-        ]);
-        let mut other: Vec<(String, Value)> = other_data
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), v.clone()))
-            .collect();
-        other.push(("sampling".to_owned(), stats));
-        Value::Object(vec![
-            ("traceEvents".to_owned(), Value::Array(events)),
-            ("displayTimeUnit".to_owned(), Value::String("ms".to_owned())),
-            ("otherData".to_owned(), Value::Object(other)),
-        ])
+    /// Every span the snapshot writes, unformatted and sorted by
+    /// `(start_us, trace_id, span_id)`: all of them, or only those of the
+    /// trace it was taken for.
+    fn spans(&self) -> Vec<(SpanHead, SpanSource<'_>)> {
+        let mut spans = sorted_spans(
+            self.traces.iter().map(|t| &**t),
+            self.aux.iter().map(|s| &**s),
+        );
+        spans.retain(|(head, _)| self.only.is_none_or(|id| head.trace_id == id));
+        spans
+    }
+
+    /// Appends the snapshot to `out` as one JSON object (the
+    /// `/debug/traces` body): `submitted`, `kept`, `sampled_out` and
+    /// `evicted`, `retained` (the retained request trace ids as 16 hex
+    /// digits, ascending) and `spans`, each serialised as its
+    /// [`SpanRecord`].
+    pub fn write_json(&self, out: &mut String) {
+        let mut retained = self.retained_ids.clone();
+        retained.sort_unstable();
+        retained.dedup();
+        let _ = write!(
+            out,
+            "{{\"submitted\":{},\"kept\":{},\"sampled_out\":{},\"evicted\":{},\"retained\":[",
+            self.submitted, self.kept, self.sampled_out, self.evicted
+        );
+        for (i, id) in retained.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{id:016x}\"");
+        }
+        out.push_str("],\"spans\":[");
+        for (i, (head, source)) in self.spans().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            source.write_json(head, out);
+        }
+        out.push_str("]}");
+    }
+
+    /// Appends the snapshot to `out` as a pretty-printed Chrome
+    /// trace-event / Perfetto-loadable JSON object (the
+    /// `results/<name>.traces.json` artifact): `traceEvents` holds one
+    /// complete event per span, lanes (`tid`) are session ids, and
+    /// `otherData` carries the run's provenance (`experiment`, `seed`) and
+    /// the sampling accounting.
+    pub fn write_chrome(&self, experiment: &str, seed: u64, out: &mut String) {
+        out.push_str("{\n  \"traceEvents\": [");
+        let spans = self.spans();
+        for (i, (head, source)) in spans.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+            source.write_chrome(head, out);
+        }
+        if !spans.is_empty() {
+            out.push_str("\n  ");
+        }
+        out.push_str(
+            "],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\n    \"experiment\": ",
+        );
+        json::write_str(out, experiment);
+        let _ = write!(
+            out,
+            ",\n    \"seed\": {seed},\n    \"sampling\": {{\n      \"submitted\": {},\
+             \n      \"kept\": {},\n      \"sampled_out\": {},\n      \"evicted\": {},\
+             \n      \"aux_dropped\": {}\n    }}\n  }}\n}}",
+            self.submitted, self.kept, self.sampled_out, self.evicted, self.aux_dropped
+        );
     }
 }
 
@@ -565,21 +580,21 @@ impl Tracer {
     }
 
     /// The deterministic keep/drop coin for an `allow` trace.
-    fn sample_keeps(trace_id: u64, rate: f64) -> bool {
-        let threshold = (rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+    fn sample_keeps(trace_id: u64) -> bool {
+        let threshold = (ALLOW_SAMPLE_RATE * u64::MAX as f64) as u64;
         splitmix64(trace_id ^ SAMPLE_SALT) <= threshold
     }
 
     /// Submits a finished request trace. It is kept when it is important
     /// ([`RequestTrace::is_important`]) or its session is pinned, and
-    /// otherwise at the configured hash-keyed rate.
+    /// otherwise at a hash-keyed rate of 1/32.
     pub fn submit(&mut self, trace: RequestTrace) {
         let Some(config) = self.config else {
             return;
         };
         self.submitted += 1;
         let important = trace.is_important() || self.pinned.contains(&trace.session);
-        if !important && !Self::sample_keeps(trace.trace_id, config.allow_sample_rate) {
+        if !important && !Self::sample_keeps(trace.trace_id) {
             self.sampled_out += 1;
             return;
         }
@@ -624,12 +639,12 @@ impl Tracer {
     }
 
     /// Records a span not tied to one request (sentinel rule evaluation,
-    /// team review). Bounded by `aux_capacity`, oldest dropped first.
+    /// team review). Bounded at 8,192, oldest dropped first.
     pub fn record_aux(&mut self, span: SpanRecord) {
-        let Some(config) = self.config else {
+        if self.config.is_none() {
             return;
-        };
-        if self.aux.len() == config.aux_capacity.max(1) {
+        }
+        if self.aux.len() == AUX_CAPACITY {
             self.aux.pop_front();
             self.aux_dropped += 1;
         }
@@ -656,36 +671,20 @@ impl Tracer {
             + self.evicted
     }
 
-    /// Exports every retained span, sorted by `(start_us, trace_id,
-    /// span_id)`, with the sampling and retention accounting.
-    pub fn snapshot(&self) -> TraceSnapshot {
+    /// Takes what [`TraceSnapshot`] writes: the counters, the retained
+    /// trace ids, and shared handles to the retained traces and auxiliary
+    /// spans (with `only`, just those that can carry a span of that trace
+    /// id). It formats and deep-copies nothing, so a caller holding the
+    /// tracer's lock can release it before writing, which takes far longer.
+    pub fn snapshot(&self, only: Option<u64>) -> TraceSnapshot {
+        let wanted = |id: u64| only.is_none_or(|o| o == id);
         TraceSnapshot {
             submitted: self.submitted,
             kept: self.kept(),
             sampled_out: self.sampled_out,
             evicted: self.evicted,
             aux_dropped: self.aux_dropped,
-            spans: sorted_spans(self.retained().map(|t| &**t), self.aux.iter().map(|s| &**s))
-                .iter()
-                .map(|(head, source)| source.record(head))
-                .collect(),
-        }
-    }
-
-    /// Copies out what [`TraceExport::write_json`] writes: the counters,
-    /// the retained trace ids, and shared handles to the retained traces and
-    /// auxiliary spans (with `only`, just those that can carry a span of
-    /// that trace id). It formats and deep-copies nothing, so a caller
-    /// holding the tracer's lock can release it before formatting, which
-    /// takes far longer.
-    pub fn export_handles(&self, only: Option<u64>) -> TraceExport {
-        let wanted = |id: u64| only.is_none_or(|o| o == id);
-        TraceExport {
             only,
-            submitted: self.submitted,
-            kept: self.kept(),
-            sampled_out: self.sampled_out,
-            evicted: self.evicted,
             retained_ids: self.retained().map(|t| t.trace_id).collect(),
             // A session root's bounds come from every trace of its session.
             traces: self
@@ -745,66 +744,10 @@ fn sorted_spans<'a>(
     spans
 }
 
-/// One `/debug/traces`-style export, taken by [`Tracer::export_handles`]:
-/// the tracer's counters and retained trace ids at that moment, and shared
-/// handles to the traces and spans it writes. Traces the tracer evicts
-/// later stay alive until the export is written.
-#[derive(Debug)]
-pub struct TraceExport {
-    only: Option<u64>,
-    submitted: u64,
-    kept: u64,
-    sampled_out: u64,
-    evicted: u64,
-    retained_ids: Vec<u64>,
-    traces: Vec<Arc<RequestTrace>>,
-    aux: Vec<Arc<SpanRecord>>,
-}
-
-impl TraceExport {
-    /// Appends the export to `out` as one JSON object: `submitted`, `kept`,
-    /// `sampled_out` and `evicted` as in [`Tracer::snapshot`], `retained`
-    /// (the retained request trace ids as 16 hex digits, ascending) and
-    /// `spans`, every one or only those of the trace the export was taken
-    /// for, each serialised as its [`SpanRecord`]. Spans are formatted
-    /// straight into `out`, one at a time, so the export needs little
-    /// memory beyond `out` itself.
-    pub fn write_json(mut self, out: &mut String) {
-        self.retained_ids.sort_unstable();
-        self.retained_ids.dedup();
-        let _ = write!(
-            out,
-            "{{\"submitted\":{},\"kept\":{},\"sampled_out\":{},\"evicted\":{},\"retained\":[",
-            self.submitted, self.kept, self.sampled_out, self.evicted
-        );
-        for (i, id) in self.retained_ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{id:016x}\"");
-        }
-        out.push_str("],\"spans\":[");
-        let mut first = true;
-        let spans = sorted_spans(
-            self.traces.iter().map(|t| &**t),
-            self.aux.iter().map(|s| &**s),
-        );
-        for (head, source) in &spans {
-            if self.only.is_none_or(|id| head.trace_id == id) {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                source.write_json(head, out);
-            }
-        }
-        out.push_str("]}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn trace(session: u64, seq: u64, decision: &'static str) -> RequestTrace {
         let mut t = RequestTrace::new(
@@ -829,6 +772,33 @@ mod tests {
         tr
     }
 
+    /// The first sequence number from `from` on at which the sampling coin
+    /// keeps (or drops) `session`'s `allow` trace.
+    fn coin_seq(session: u64, from: u64, keeps: bool) -> u64 {
+        (from..)
+            .find(|&seq| Tracer::sample_keeps(fg_core::hash::trace_id(session, seq)) == keeps)
+            .expect("the coin lands both ways")
+    }
+
+    impl SpanSource<'_> {
+        /// The oracle for the writers: the span with its name and
+        /// attributes formatted into an owned record.
+        fn record(&self, head: &SpanHead) -> SpanRecord {
+            let mut attrs = Vec::new();
+            self.attrs(|key, value| attrs.push((key.to_owned(), value.to_string())));
+            SpanRecord {
+                trace_id: head.trace_id,
+                span_id: head.span_id,
+                parent_id: head.parent_id,
+                name: self.name().into_owned(),
+                session: head.session,
+                start_us: head.start_us,
+                dur_us: head.dur_us,
+                attrs,
+            }
+        }
+    }
+
     /// One request trace's spans, root first, as the export formats them.
     fn spans_of(t: &RequestTrace) -> Vec<SpanRecord> {
         (0..=t.stages.len())
@@ -839,78 +809,76 @@ mod tests {
             .collect()
     }
 
+    /// The spans `snap.write_json` writes, read back.
+    fn written_spans(snap: &TraceSnapshot) -> Vec<SpanRecord> {
+        let mut body = String::new();
+        snap.write_json(&mut body);
+        let body: Value = serde_json::from_str(&body).expect("written JSON parses");
+        serde_json::from_value(body.get("spans").cloned().expect("spans present"))
+            .expect("span records")
+    }
+
     #[test]
     fn disabled_tracer_drops_everything() {
         let mut tr = Tracer::new();
         tr.submit(trace(1, 1, "block"));
-        let snap = tr.snapshot();
+        let snap = tr.snapshot(None);
         assert_eq!(snap.submitted, 0);
-        assert!(snap.spans.is_empty());
+        assert!(written_spans(&snap).is_empty());
     }
 
     #[test]
     fn non_allow_is_always_kept_and_allows_are_sampled() {
-        let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            allow_sample_rate: 0.0,
-            ..TraceConfig::default()
-        });
-        tr.submit(trace(1, 1, "allow"));
-        tr.submit(trace(1, 2, "challenge"));
-        tr.submit(trace(1, 3, "block"));
-        let snap = tr.snapshot();
-        assert_eq!(snap.submitted, 3);
+        let mut tr = enabled();
+        let dropped = coin_seq(1, 1, false);
+        let kept = coin_seq(1, dropped + 3, true);
+        tr.submit(trace(1, dropped, "allow"));
+        tr.submit(trace(1, dropped + 1, "challenge"));
+        tr.submit(trace(1, dropped + 2, "block"));
+        tr.submit(trace(1, kept, "allow"));
+        let snap = tr.snapshot(None);
+        assert_eq!(snap.submitted, 4);
         assert_eq!(snap.sampled_out, 1);
-        assert_eq!(snap.request_trace_ids().len(), 2);
+        let ids = snap.request_trace_ids();
+        assert_eq!(ids.len(), 3);
+        assert!(!ids.contains(&fg_core::hash::trace_id(1, dropped)));
     }
 
     #[test]
     fn pinned_sessions_bypass_the_sampling_coin() {
-        let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            allow_sample_rate: 0.0,
-            ..TraceConfig::default()
-        });
+        let mut tr = enabled();
         tr.pin_session(7);
-        tr.submit(trace(7, 1, "allow"));
-        tr.submit(trace(8, 1, "allow"));
-        let snap = tr.snapshot();
-        assert_eq!(snap.request_trace_ids().len(), 1);
-        assert!(snap
-            .request_trace_ids()
-            .contains(&fg_core::hash::trace_id(7, 1)));
+        let (pinned, other) = (coin_seq(7, 1, false), coin_seq(8, 1, false));
+        tr.submit(trace(7, pinned, "allow"));
+        tr.submit(trace(8, other, "allow"));
+        assert_eq!(
+            tr.snapshot(None).request_trace_ids(),
+            BTreeSet::from([fg_core::hash::trace_id(7, pinned)])
+        );
     }
 
     #[test]
     fn pinned_traces_bypass_the_sampling_coin() {
-        let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            allow_sample_rate: 0.0,
-            ..TraceConfig::default()
-        });
-        let mut slow_allow = trace(9, 1, "allow");
+        let mut tr = enabled();
+        let slow = coin_seq(9, 1, false);
+        let mut slow_allow = trace(9, slow, "allow");
         slow_allow.pin();
         tr.submit(slow_allow);
-        tr.submit(trace(9, 2, "allow"));
-        let snap = tr.snapshot();
-        assert_eq!(snap.request_trace_ids().len(), 1);
-        assert!(snap
-            .request_trace_ids()
-            .contains(&fg_core::hash::trace_id(9, 1)));
+        tr.submit(trace(9, coin_seq(9, slow + 1, false), "allow"));
+        assert_eq!(
+            tr.snapshot(None).request_trace_ids(),
+            BTreeSet::from([fg_core::hash::trace_id(9, slow)])
+        );
     }
 
     #[test]
     fn sampling_coin_is_deterministic() {
-        let rate = DEFAULT_ALLOW_SAMPLE_RATE;
         for seq in 0..1_000u64 {
             let id = fg_core::hash::trace_id(3, seq);
-            assert_eq!(
-                Tracer::sample_keeps(id, rate),
-                Tracer::sample_keeps(id, rate)
-            );
+            assert_eq!(Tracer::sample_keeps(id), Tracer::sample_keeps(id));
         }
         let kept = (0..10_000u64)
-            .filter(|&seq| Tracer::sample_keeps(fg_core::hash::trace_id(3, seq), rate))
+            .filter(|&seq| Tracer::sample_keeps(fg_core::hash::trace_id(3, seq)))
             .count();
         // 1/32 of 10 000 ≈ 312; allow generous slack for hash variance.
         assert!((150..600).contains(&kept), "kept {kept} of 10000");
@@ -919,27 +887,26 @@ mod tests {
     #[test]
     fn capacity_evicts_sampled_allows_before_important_traces() {
         let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            allow_sample_rate: 1.0,
-            capacity: 4,
-            aux_capacity: 4,
-        });
-        tr.submit(trace(1, 1, "allow"));
-        tr.submit(trace(1, 2, "allow"));
-        tr.submit(trace(1, 3, "block"));
-        tr.submit(trace(1, 4, "block"));
-        tr.submit(trace(1, 5, "block"));
-        let snap = tr.snapshot();
+        tr.enable(TraceConfig { capacity: 4 });
+        let first = coin_seq(1, 1, true);
+        let second = coin_seq(1, first + 1, true);
+        tr.submit(trace(1, first, "allow"));
+        tr.submit(trace(1, second, "allow"));
+        let blocks = [second + 1, second + 2, second + 3];
+        for seq in blocks {
+            tr.submit(trace(1, seq, "block"));
+        }
+        let snap = tr.snapshot(None);
         assert_eq!(snap.evicted, 1);
         let ids = snap.request_trace_ids();
-        for seq in [2, 3, 4, 5] {
+        for seq in [second].into_iter().chain(blocks) {
             assert!(
                 ids.contains(&fg_core::hash::trace_id(1, seq)),
                 "sequence {seq} retained"
             );
         }
         assert!(
-            !ids.contains(&fg_core::hash::trace_id(1, 1)),
+            !ids.contains(&fg_core::hash::trace_id(1, first)),
             "oldest allow evicted"
         );
     }
@@ -947,17 +914,14 @@ mod tests {
     #[test]
     fn cited_traces_outlive_eviction_until_displaced() {
         let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            capacity: 2,
-            ..TraceConfig::default()
-        });
+        tr.enable(TraceConfig { capacity: 2 });
         let cited = fg_core::hash::trace_id(1, 1);
         tr.cite(cited, 0);
         for seq in 1..=5 {
             tr.submit(trace(1, seq, "block"));
         }
         // Held past 4 later submissions, and not counted as evicted yet.
-        let snap = tr.snapshot();
+        let snap = tr.snapshot(None);
         assert!(snap.request_trace_ids().contains(&cited));
         let retained = snap.request_trace_ids().len();
         assert_eq!((retained, snap.kept, snap.evicted), (3, 5, 2));
@@ -969,7 +933,7 @@ mod tests {
         for seq in 6..=7 {
             tr.submit(trace(1, seq, "block"));
         }
-        let snap = tr.snapshot();
+        let snap = tr.snapshot(None);
         assert!(!snap.request_trace_ids().contains(&cited));
         assert!(snap.request_trace_ids().contains(&next), "held in turn");
         assert_eq!((snap.kept, snap.evicted), (7, 4));
@@ -1049,9 +1013,9 @@ mod tests {
         tr.submit(trace(2, 2, "block"));
         tr.submit(trace(2, 1, "block"));
         tr.submit(trace(5, 1, "challenge"));
-        let snap = tr.snapshot();
-        let roots: Vec<&SpanRecord> = snap
-            .spans
+        let snap = tr.snapshot(None);
+        let spans = written_spans(&snap);
+        let roots: Vec<&SpanRecord> = spans
             .iter()
             .filter(|s| s.name.starts_with("session "))
             .collect();
@@ -1059,11 +1023,14 @@ mod tests {
         let c2 = roots.iter().find(|s| s.session == 2).unwrap();
         // The session root brackets both of c2's requests.
         assert_eq!(c2.start_us, SimTime::from_secs(1).as_millis() * 1_000);
-        let sorted: Vec<u64> = snap.spans.iter().map(|s| s.start_us).collect();
+        let sorted: Vec<u64> = spans.iter().map(|s| s.start_us).collect();
         let mut expected = sorted.clone();
         expected.sort_unstable();
         assert_eq!(sorted, expected, "spans sorted by start time");
-        assert_eq!(tr.snapshot(), snap, "snapshot is a pure read");
+        let (mut first, mut again) = (String::new(), String::new());
+        snap.write_json(&mut first);
+        tr.snapshot(None).write_json(&mut again);
+        assert_eq!(first, again, "a snapshot is a pure read");
     }
 
     #[test]
@@ -1073,12 +1040,9 @@ mod tests {
         t.stage("detect.assess");
         t.finish("block");
         tr.submit(t);
-        let snap = tr.snapshot();
-        assert_eq!(snap.spans.len(), 3, "request, stage and session root");
-        assert!(snap.spans.iter().all(|s| s.start_us == u64::MAX));
-        let mut written = String::new();
-        tr.export_handles(None).write_json(&mut written);
-        assert!(written.contains(&format!("\"start_us\":{}", u64::MAX)));
+        let spans = written_spans(&tr.snapshot(None));
+        assert_eq!(spans.len(), 3, "request, stage and session root");
+        assert!(spans.iter().all(|s| s.start_us == u64::MAX));
     }
 
     #[test]
@@ -1129,18 +1093,15 @@ mod tests {
     #[test]
     fn written_json_equals_the_serialised_snapshot() {
         let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            allow_sample_rate: 1.0,
-            capacity: 3,
-            aux_capacity: 4,
-        });
+        tr.enable(TraceConfig { capacity: 3 });
         let cited = fg_core::hash::trace_id(4, 1);
         tr.cite(cited, 0);
         tr.pin_session(5);
-        for (session, seq, decision) in [(4, 1, "block"), (2, 1, "allow"), (5, 3, "allow")] {
+        let sampled = coin_seq(2, 1, true);
+        for (session, seq, decision) in [(4, 1, "block"), (2, sampled, "allow"), (5, 3, "allow")] {
             tr.submit(trace(session, seq, decision));
         }
-        // Same millisecond as session 2's request, so their spans
+        // Same millisecond as session 4's cited request, so their spans
         // interleave; attribute text that needs escaping.
         let mut odd = RequestTrace::new(
             fg_core::hash::trace_id(3, 1),
@@ -1169,18 +1130,18 @@ mod tests {
             attrs: vec![("k\"".to_owned(), "v\u{7f}".to_owned())],
         });
 
-        let snap = tr.snapshot();
+        let snap = tr.snapshot(None);
         assert_eq!(snap.evicted, 1, "one trace evicted, the cited one held");
-        let serialised = |only: Option<u64>| {
+        let records: Vec<SpanRecord> = snap
+            .spans()
+            .iter()
+            .map(|(head, source)| source.record(head))
+            .collect();
+        let serialised = |spans: &[SpanRecord]| {
             let retained = snap
                 .request_trace_ids()
                 .iter()
                 .map(|id| Value::String(format!("{id:016x}")))
-                .collect();
-            let spans: Vec<&SpanRecord> = snap
-                .spans
-                .iter()
-                .filter(|s| only.is_none_or(|id| s.trace_id == id))
                 .collect();
             serde_json::to_string(&Value::Object(vec![
                 ("submitted".to_owned(), Value::UInt(snap.submitted)),
@@ -1198,22 +1159,26 @@ mod tests {
             Some(fg_core::hash::trace_id(3, 1)),
             Some(1),
         ] {
+            let expected: Vec<SpanRecord> = records
+                .iter()
+                .filter(|s| only.is_none_or(|id| s.trace_id == id))
+                .cloned()
+                .collect();
+            let filtered = tr.snapshot(only);
+            assert_eq!(written_spans(&filtered), expected, "only {only:?}");
             let mut written = String::new();
-            tr.export_handles(only).write_json(&mut written);
-            assert_eq!(written, serialised(only), "only {only:?}");
+            filtered.write_json(&mut written);
+            assert_eq!(written, serialised(&expected), "only {only:?}");
         }
     }
 
     #[test]
     fn an_export_writes_what_was_retained_when_it_was_taken() {
         let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            allow_sample_rate: 1.0,
-            capacity: 2,
-            aux_capacity: 1,
-        });
+        tr.enable(TraceConfig { capacity: 2 });
+        let sampled = coin_seq(2, 1, true);
         tr.submit(trace(1, 1, "block"));
-        tr.submit(trace(2, 1, "allow"));
+        tr.submit(trace(2, sampled, "allow"));
         let aux = |trace_id| SpanRecord {
             trace_id,
             span_id: 1,
@@ -1225,37 +1190,44 @@ mod tests {
             attrs: Vec::new(),
         };
         tr.record_aux(aux(7));
-        let (mut expected, mut expected_one) = (String::new(), String::new());
-        tr.export_handles(None).write_json(&mut expected);
-        let one = fg_core::hash::trace_id(2, 1);
-        tr.export_handles(Some(one)).write_json(&mut expected_one);
-        let (export, export_one) = (tr.export_handles(None), tr.export_handles(Some(one)));
+        let (mut expected, mut expected_one, mut expected_chrome) =
+            (String::new(), String::new(), String::new());
+        tr.snapshot(None).write_json(&mut expected);
+        let one = fg_core::hash::trace_id(2, sampled);
+        tr.snapshot(Some(one)).write_json(&mut expected_one);
+        tr.snapshot(None).write_chrome("t", 1, &mut expected_chrome);
+        let (snap, snap_one) = (tr.snapshot(None), tr.snapshot(Some(one)));
 
         // Evict both traces and the auxiliary span.
         for seq in 2..5 {
             tr.submit(trace(3, seq, "block"));
         }
-        tr.record_aux(aux(8));
+        for id in 8..8 + AUX_CAPACITY as u64 {
+            tr.record_aux(aux(id));
+        }
         let mut now = String::new();
-        tr.export_handles(None).write_json(&mut now);
-        assert_ne!(now, expected);
+        tr.snapshot(None).write_json(&mut now);
+        assert!(
+            !now.contains("{\"trace_id\":7,"),
+            "the aux span was evicted"
+        );
 
-        let (mut written, mut written_one) = (String::new(), String::new());
-        export.write_json(&mut written);
-        export_one.write_json(&mut written_one);
+        let (mut written, mut written_one, mut written_chrome) =
+            (String::new(), String::new(), String::new());
+        snap.write_json(&mut written);
+        snap_one.write_json(&mut written_one);
+        snap.write_chrome("t", 1, &mut written_chrome);
         assert_eq!(written, expected);
         assert_eq!(written_one, expected_one);
+        assert_eq!(written_chrome, expected_chrome);
+        assert!(written.contains("{\"trace_id\":7,"));
         assert!(written_one.contains(&format!("{{\"trace_id\":{one},")));
     }
 
     #[test]
     fn aux_ring_is_bounded() {
-        let mut tr = Tracer::new();
-        tr.enable(TraceConfig {
-            aux_capacity: 2,
-            ..TraceConfig::default()
-        });
-        for i in 0..5u64 {
+        let mut tr = enabled();
+        for i in 0..AUX_CAPACITY as u64 + 3 {
             tr.record_aux(SpanRecord {
                 trace_id: fg_core::hash::trace_id(0, i),
                 span_id: i + 1,
@@ -1267,41 +1239,198 @@ mod tests {
                 attrs: Vec::new(),
             });
         }
-        let snap = tr.snapshot();
+        let snap = tr.snapshot(None);
         assert_eq!(snap.aux_dropped, 3);
-        assert_eq!(snap.spans.len(), 2);
+        let spans = written_spans(&snap);
+        assert_eq!(spans.len(), AUX_CAPACITY);
+        assert_eq!(spans[0].span_id, 4, "the oldest three dropped");
     }
 
     #[test]
-    fn chrome_export_is_valid_trace_event_json() {
+    fn chrome_export_of_a_small_tracer_is_pinned() {
         let mut tr = enabled();
-        tr.submit(trace(3, 1, "block"));
-        let snap = tr.snapshot();
-        let value = snap.to_chrome_trace(&[("experiment", Value::String("t".to_owned()))]);
-        let text = serde_json::to_string_pretty(&value).unwrap();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
-        let Value::Object(pairs) = parsed else {
-            panic!("top level must be an object")
-        };
-        let events = pairs
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .map(|(_, v)| v)
-            .expect("traceEvents present");
-        let Value::Array(events) = events else {
-            panic!("traceEvents must be an array")
-        };
-        assert_eq!(events.len(), snap.spans.len());
-        for e in events {
-            let Value::Object(fields) = e else {
-                panic!("event must be an object")
-            };
-            for required in ["name", "ph", "ts", "dur", "pid", "tid", "args"] {
-                assert!(
-                    fields.iter().any(|(k, _)| k == required),
-                    "event field {required}"
-                );
-            }
-        }
+        let mut first = RequestTrace::new(
+            fg_core::hash::trace_id(2, 1),
+            2,
+            "/booking/hold",
+            SimTime::from_millis(1),
+        );
+        let assess = first.stage("detect.assess");
+        let signal = first.child(assess, "detect.ip-velocity");
+        first.attr(signal, "note", String::from("a \"quoted\" \\ path\n"));
+        first.attr(assess, "score", AttrValue::Float3(0.75));
+        first.finish("challenge");
+        tr.submit(first);
+        let mut second = RequestTrace::new(
+            fg_core::hash::trace_id(3, 1),
+            3,
+            "/search",
+            SimTime::from_millis(2),
+        );
+        second.finish("block");
+        tr.submit(second);
+        tr.record_aux(SpanRecord {
+            trace_id: 5,
+            span_id: 6,
+            parent_id: 0,
+            name: "sentinel.evaluate".to_owned(),
+            session: 0,
+            start_us: 1_500,
+            dur_us: 1,
+            attrs: vec![("transitions".to_owned(), "1".to_owned())],
+        });
+        let mut out = String::new();
+        tr.snapshot(None).write_chrome("golden", 7, &mut out);
+        assert_eq!(out, GOLDEN_CHROME);
+        assert!(serde_json::from_str::<Value>(&out).is_ok());
     }
+
+    #[test]
+    fn chrome_export_of_an_empty_tracer_is_pinned() {
+        let mut out = String::new();
+        enabled().snapshot(None).write_chrome("empty", 0, &mut out);
+        assert_eq!(out, GOLDEN_EMPTY_CHROME);
+    }
+
+    /// The small tracer's Chrome trace-event export, byte for byte.
+    const GOLDEN_CHROME: &str = r#"{
+  "traceEvents": [
+    {
+      "name": "session c2",
+      "cat": "fg",
+      "ph": "X",
+      "ts": 1000,
+      "dur": 4,
+      "pid": 1,
+      "tid": 2,
+      "args": {
+        "trace_id": "0x8c39c2ee4fd2a8cc",
+        "span_id": "0x8c39c2ee4fd2a8cc",
+        "parent_id": "0x0000000000000000",
+        "client": "c2"
+      }
+    },
+    {
+      "name": "request /booking/hold",
+      "cat": "fg",
+      "ph": "X",
+      "ts": 1000,
+      "dur": 4,
+      "pid": 1,
+      "tid": 2,
+      "args": {
+        "trace_id": "0xde96bad4e1e15245",
+        "span_id": "0x18a792e79960e920",
+        "parent_id": "0x0000000000000000",
+        "endpoint": "/booking/hold",
+        "decision": "challenge"
+      }
+    },
+    {
+      "name": "detect.assess",
+      "cat": "fg",
+      "ph": "X",
+      "ts": 1001,
+      "dur": 2,
+      "pid": 1,
+      "tid": 2,
+      "args": {
+        "trace_id": "0xde96bad4e1e15245",
+        "span_id": "0x2b4056ba10871282",
+        "parent_id": "0x18a792e79960e920",
+        "score": "0.750"
+      }
+    },
+    {
+      "name": "detect.ip-velocity",
+      "cat": "fg",
+      "ph": "X",
+      "ts": 1002,
+      "dur": 1,
+      "pid": 1,
+      "tid": 2,
+      "args": {
+        "trace_id": "0xde96bad4e1e15245",
+        "span_id": "0xe58dae599c311312",
+        "parent_id": "0x2b4056ba10871282",
+        "note": "a \"quoted\" \\ path\n"
+      }
+    },
+    {
+      "name": "sentinel.evaluate",
+      "cat": "fg",
+      "ph": "X",
+      "ts": 1500,
+      "dur": 1,
+      "pid": 1,
+      "tid": 0,
+      "args": {
+        "trace_id": "0x0000000000000005",
+        "span_id": "0x0000000000000006",
+        "parent_id": "0x0000000000000000",
+        "transitions": "1"
+      }
+    },
+    {
+      "name": "session c3",
+      "cat": "fg",
+      "ph": "X",
+      "ts": 2000,
+      "dur": 2,
+      "pid": 1,
+      "tid": 3,
+      "args": {
+        "trace_id": "0x8b4025d2cc16de7b",
+        "span_id": "0x8b4025d2cc16de7b",
+        "parent_id": "0x0000000000000000",
+        "client": "c3"
+      }
+    },
+    {
+      "name": "request /search",
+      "cat": "fg",
+      "ph": "X",
+      "ts": 2000,
+      "dur": 2,
+      "pid": 1,
+      "tid": 3,
+      "args": {
+        "trace_id": "0xf88f01d8dfa0030f",
+        "span_id": "0x98a8155fc711398c",
+        "parent_id": "0x0000000000000000",
+        "endpoint": "/search",
+        "decision": "block"
+      }
+    }
+  ],
+  "displayTimeUnit": "ms",
+  "otherData": {
+    "experiment": "golden",
+    "seed": 7,
+    "sampling": {
+      "submitted": 2,
+      "kept": 2,
+      "sampled_out": 0,
+      "evicted": 0,
+      "aux_dropped": 0
+    }
+  }
+}"#;
+
+    /// An empty tracer's Chrome trace-event export, byte for byte.
+    const GOLDEN_EMPTY_CHROME: &str = r#"{
+  "traceEvents": [],
+  "displayTimeUnit": "ms",
+  "otherData": {
+    "experiment": "empty",
+    "seed": 0,
+    "sampling": {
+      "submitted": 0,
+      "kept": 0,
+      "sampled_out": 0,
+      "evicted": 0,
+      "aux_dropped": 0
+    }
+  }
+}"#;
 }

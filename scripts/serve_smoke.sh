@@ -4,7 +4,8 @@
 # Boots fg-serve from a watched config file, drives it with fg-loadgen,
 # exercises /metrics and the live-observability plane (/debug/traces,
 # /debug/flightrecorder, /debug/alerts — every latency exemplar must
-# resolve to a retrievable trace, the server-side p99 gauge must agree
+# resolve to a retrievable trace whose `?trace_id=` export is exactly the
+# full scrape's spans of that trace, the server-side p99 gauge must agree
 # with the wire-side measurement, the decision-stage latencies must be a
 # histogram family that counts one policy.decide sample per policy
 # decision, every decide answered 200 must reach the decision core once,
@@ -159,8 +160,8 @@ curl -sf "http://$ADDR/metrics" > serve-metrics.prom
 curl -sf "http://$ADDR/debug/traces" > serve-debug-traces.json
 curl -sf "http://$ADDR/debug/flightrecorder" > serve-debug-flightrecorder.json
 curl -sf "http://$ADDR/debug/alerts" > serve-debug-alerts.json
-python3 - "$OUT" <<'EOF'
-import json, re, sys
+python3 - "$OUT" "$ADDR" <<'EOF'
+import json, re, sys, urllib.request
 metrics = open("serve-metrics.prom").read()
 traces = json.load(open("serve-debug-traces.json"))
 flight = json.load(open("serve-debug-flightrecorder.json"))
@@ -177,6 +178,20 @@ dangling = exemplars - retained
 print(f"serve-smoke: traces submitted {traces['submitted']} kept {traces['kept']} "
       f"evicted {traces['evicted']}; {len(exemplars)} exemplars, {len(dangling)} dangling")
 assert not dangling, f"exemplars not resolvable via /debug/traces: {sorted(dangling)}"
+
+# The filtered export is the full one cut to one trace: for every exemplar,
+# `?trace_id=` returns the same accounting and retained ids (nothing is
+# decided between the scrapes) and exactly the full scrape's spans of that
+# trace, in order.
+for trace_id in sorted(exemplars):
+    url = f"http://{sys.argv[2]}/debug/traces?trace_id={trace_id}"
+    with urllib.request.urlopen(url) as reply:
+        one = json.load(reply)
+    for key in ("submitted", "kept", "sampled_out", "evicted", "retained"):
+        assert one[key] == traces[key], (trace_id, key, one[key], traces[key])
+    want = [s for s in traces["spans"] if s["trace_id"] == int(trace_id, 16)]
+    assert want and one["spans"] == want, (trace_id, len(one["spans"]), len(want))
+print(f"serve-smoke: /debug/traces?trace_id= equals the full scrape's spans for {len(exemplars)} exemplars")
 
 # Attribute formats: the tracer keeps each attribute value raw and
 # formats it only when a kept trace is exported, so check the formats of
