@@ -1,10 +1,12 @@
-//! The intra-workspace call-graph approximation the dataflow passes run on.
+//! The parsed workspace every source pass runs on, and the intra-workspace
+//! call-graph approximation the dataflow passes use.
 //!
-//! [`Workspace`] loads every `crates/*/src/**/*.rs` file (vendor trees are
-//! excluded by design — third-party idiom is not held to workspace
-//! contracts), lexes it, extracts items, and pre-computes the per-line
-//! code/comment views. [`CallGraph::build`] then links call sites to
-//! workspace functions:
+//! [`Workspace`] loads every `crates/*/src/**/*.rs` file once, lexes it,
+//! extracts items, and pre-computes its line index and per-line
+//! code/comment views. Vendor trees are excluded by design — third-party
+//! idiom is not held to workspace contracts — except that each vendored
+//! crate root is kept as text for the unsafe-code check.
+//! [`CallGraph::build`] then links call sites to workspace functions:
 //!
 //! * `foo(…)` — a free call: candidates are same-crate functions named
 //!   `foo`, falling back to the whole workspace (imports are not tracked).
@@ -33,7 +35,7 @@ use std::path::Path;
 
 /// One parsed source file.
 pub struct SourceFile {
-    /// Crate directory name (`"serve"`, `"core"`, …) or `"vendor"`.
+    /// Crate directory name (`"serve"`, `"core"`, …).
     pub krate: String,
     /// Root-relative path with `/` separators.
     pub path: String,
@@ -41,6 +43,8 @@ pub struct SourceFile {
     pub src: String,
     /// Token stream over `src`.
     pub tokens: Vec<Token>,
+    /// Maps byte offsets in `src` to lines.
+    pub line_index: LineIndex,
     /// Per-line code/comment views (1-based line `n` is `lines[n-1]`).
     pub lines: Vec<LineView>,
     /// Function items found in this file.
@@ -51,16 +55,23 @@ impl SourceFile {
     /// Parses one file from memory.
     pub fn parse(krate: &str, path: &str, src: String) -> SourceFile {
         let tokens = lex(&src);
-        let fns = extract_fns(krate, path, &src, &tokens);
-        let lines = strip_lines(&src);
+        let line_index = LineIndex::new(&src);
+        let fns = extract_fns(krate, path, &src, &tokens, &line_index);
+        let lines = strip_lines(&src, &tokens);
         SourceFile {
             krate: krate.to_owned(),
             path: path.to_owned(),
             src,
             tokens,
+            line_index,
             lines,
             fns,
         }
+    }
+
+    /// The 1-based line on which token `tok` starts.
+    pub fn line_of(&self, tok: usize) -> usize {
+        self.line_index.line(self.tokens[tok].start)
     }
 
     /// The code/comment view of 1-based line `n`.
@@ -88,24 +99,27 @@ impl SourceFile {
     }
 }
 
-/// The workspace the dataflow passes analyze.
+/// The workspace every source pass analyzes.
 pub struct Workspace {
     /// All parsed files, in path order.
     pub files: Vec<SourceFile>,
+    /// `(path, contents)` of each vendored crate root (`vendor/*/src/lib.rs`),
+    /// in path order: read only for the unsafe-code check, never parsed.
+    pub vendor_roots: Vec<(String, String)>,
 }
 
 impl Workspace {
-    /// Loads every workspace crate under `root/crates` (skipping `vendor/`,
-    /// which only the line-oriented unsafe-code check visits).
+    /// Loads every workspace crate under `root/crates`, plus the vendored
+    /// crate roots under `root/vendor`.
     pub fn load(root: &Path) -> io::Result<Workspace> {
-        let dir = root.join("crates");
-        let mut crate_dirs: Vec<_> = fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        crate_dirs.sort();
+        let rel = |p: &Path| {
+            p.strip_prefix(root)
+                .unwrap_or(p)
+                .to_string_lossy()
+                .replace('\\', "/")
+        };
         let mut files = Vec::new();
-        for crate_dir in crate_dirs {
+        for crate_dir in sorted_dirs(&root.join("crates"))? {
             let krate = crate_dir
                 .file_name()
                 .and_then(|n| n.to_str())
@@ -119,15 +133,20 @@ impl Workspace {
             collect_rs(&src_dir, &mut paths)?;
             paths.sort();
             for p in paths {
-                let rel = p
-                    .strip_prefix(root)
-                    .unwrap_or(&p)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                files.push(SourceFile::parse(&krate, &rel, fs::read_to_string(&p)?));
+                files.push(SourceFile::parse(&krate, &rel(&p), fs::read_to_string(&p)?));
             }
         }
-        Ok(Workspace { files })
+        let mut vendor_roots = Vec::new();
+        for crate_dir in sorted_dirs(&root.join("vendor"))? {
+            let lib = crate_dir.join("src/lib.rs");
+            if lib.is_file() {
+                vendor_roots.push((rel(&lib), fs::read_to_string(&lib)?));
+            }
+        }
+        Ok(Workspace {
+            files,
+            vendor_roots,
+        })
     }
 
     /// Builds a workspace from in-memory sources — the fixture entry point
@@ -138,8 +157,19 @@ impl Workspace {
                 .into_iter()
                 .map(|(k, p, s)| SourceFile::parse(k, p, s.to_owned()))
                 .collect(),
+            vendor_roots: Vec::new(),
         }
     }
+}
+
+/// The subdirectories of `dir`, sorted.
+fn sorted_dirs(dir: &Path) -> io::Result<Vec<std::path::PathBuf>> {
+    let mut dirs: Vec<_> = fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    Ok(dirs)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
@@ -424,7 +454,6 @@ pub fn extract_calls(
     body: std::ops::Range<usize>,
     nested: &[std::ops::Range<usize>],
 ) -> Vec<RawCall> {
-    let lines = LineIndex::new(&file.src);
     let toks = &file.tokens;
     // Significant tokens within the body, outside nested fn bodies.
     let idx: Vec<usize> = body
@@ -460,7 +489,7 @@ pub fn extract_calls(
                 segments: Vec::new(),
                 name,
                 is_method: true,
-                line: lines.line(toks[idx[k]].start),
+                line: file.line_of(idx[k]),
             });
             continue;
         }
@@ -481,7 +510,7 @@ pub fn extract_calls(
             segments,
             name,
             is_method: false,
-            line: lines.line(toks[idx[k]].start),
+            line: file.line_of(idx[k]),
         });
     }
     out

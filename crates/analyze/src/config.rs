@@ -10,8 +10,9 @@
 //! are not checked: the simulated security team deploys them at run time,
 //! where no analyzer runs.
 //!
-//! Everything here is *semantic*: each config is well-formed (that is
-//! [`PolicyConfig::validate`]'s job) but may still be incoherent against the
+//! A config that is not well-formed ([`PolicyConfig::validate`]) is reported
+//! as `invalid-config` and judged no further. Everything else here is
+//! *semantic*: a well-formed config may still be incoherent against the
 //! scenario it defends.
 
 use crate::diag::{Diagnostic, Severity};
@@ -21,10 +22,15 @@ use fg_mitigation::profile::{ChannelTraffic, DefenceProfile, ScenarioContext};
 
 /// Stable lint ids for pass 1.
 pub mod lints {
+    /// The policy fails
+    /// [`PolicyConfig::validate`](fg_mitigation::policy::PolicyConfig::validate)
+    /// (a NaN or negative threshold, an inverted escalation ladder, a
+    /// malformed limiter); the semantic lints are skipped.
+    pub const INVALID_CONFIG: &str = "invalid-config";
     /// `challenge_threshold >= block_threshold`: the Challenge stage is dead.
     pub const UNREACHABLE_CHALLENGE: &str = "unreachable-challenge";
-    /// NaN threshold anywhere, or an infinite threshold in an otherwise
-    /// protecting deployment (the score pipeline silently disabled).
+    /// An infinite threshold in an otherwise protecting deployment (the
+    /// score pipeline silently disabled).
     pub const NONFINITE_THRESHOLD: &str = "nonfinite-threshold";
     /// No limiter guarding a modeled abuse channel can mathematically fire
     /// within the deployment horizon (§IV-C: Airline D's 20 000/day path
@@ -62,12 +68,20 @@ pub fn is_protecting(policy: &PolicyConfig) -> bool {
 }
 
 /// Analyzes one deployment: the profile's policy against its scenario.
-/// Waivers the profile carries are applied before returning (waived findings
-/// are included, marked, and never gate).
+/// A policy that fails [`PolicyConfig::validate`] yields one
+/// [`lints::INVALID_CONFIG`] deny per error and nothing else. Otherwise
+/// the waivers the profile carries are applied before returning (waived
+/// findings are included, marked, and never gate).
 pub fn analyze_profile(profile: &DefenceProfile) -> Vec<Diagnostic> {
     let policy = &profile.policy;
     let src = &profile.name;
     let ctx = &profile.scenario;
+    if let Err(errors) = policy.validate() {
+        return errors
+            .into_iter()
+            .map(|e| Diagnostic::new(lints::INVALID_CONFIG, Severity::Deny, src, e))
+            .collect();
+    }
     let mut diags = Vec::new();
     let protecting = is_protecting(policy);
 
@@ -101,17 +115,7 @@ fn check_thresholds(
 ) {
     let (c, b) = (policy.challenge_threshold, policy.block_threshold);
     for (name, t) in [("challenge_threshold", c), ("block_threshold", b)] {
-        if t.is_nan() {
-            diags.push(
-                Diagnostic::new(
-                    lints::NONFINITE_THRESHOLD,
-                    Severity::Deny,
-                    src,
-                    format!("{name} is NaN: every score comparison is vacuously false"),
-                )
-                .note("threshold", name),
-            );
-        } else if t.is_infinite() && protecting {
+        if t.is_infinite() && protecting {
             diags.push(
                 Diagnostic::new(
                     lints::NONFINITE_THRESHOLD,
@@ -447,7 +451,7 @@ mod tests {
         let diags = analyze_profile(&named(policy));
         let d = diags
             .iter()
-            .find(|d| d.lint == lints::NONFINITE_THRESHOLD)
+            .find(|d| d.lint == lints::INVALID_CONFIG)
             .expect("NaN must be flagged");
         assert_eq!(d.severity, Severity::Deny);
     }

@@ -1,6 +1,6 @@
-//! The diagnostic model shared by both analysis passes.
+//! The diagnostic model shared by every analysis pass.
 //!
-//! Every finding — whether from the config linter or the source scanner — is
+//! Every finding — whether from the config linter or a source pass — is
 //! a [`Diagnostic`]: a stable lint id, a [`Severity`], the place it was found
 //! (a profile name or a `path:line` span), a human-readable message, and a
 //! machine-readable explanation map carrying the numbers behind the verdict

@@ -51,9 +51,14 @@ enum Scope {
 }
 
 /// Extracts every function item from `tokens` (as produced by
-/// [`crate::lexer::lex`] over `src`).
-pub fn extract_fns(krate: &str, file: &str, src: &str, tokens: &[Token]) -> Vec<FnItem> {
-    let lines = LineIndex::new(src);
+/// [`crate::lexer::lex`] over `src`); `lines` is `src`'s line index.
+pub fn extract_fns(
+    krate: &str,
+    file: &str,
+    src: &str,
+    tokens: &[Token],
+    lines: &LineIndex,
+) -> Vec<FnItem> {
     let mut fns = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     // Attribute state for the *next* item at this nesting level.
@@ -329,7 +334,8 @@ mod tests {
     use crate::lexer::lex;
 
     fn items(src: &str) -> Vec<FnItem> {
-        extract_fns("demo", "crates/demo/src/lib.rs", src, &lex(src))
+        let path = "crates/demo/src/lib.rs";
+        extract_fns("demo", path, src, &lex(src), &LineIndex::new(src))
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! A small Rust lexer for the dataflow passes.
+//! A small Rust lexer for the source passes.
 //!
-//! The v1 source pass stripped comments and strings with a per-line
-//! heuristic that was blind to raw strings (`r#"…"#`) and fragile around
-//! nested block comments spanning odd boundaries. Everything in `fg-analyze`
-//! v2 — the item extractor, the call graph, and the line-oriented pattern
-//! scanner — now sits on this tokenizer instead.
+//! Each workspace file is lexed once (`SourceFile::parse`), and everything
+//! in `fg-analyze` that reads source — the item extractor, the call graph,
+//! and the per-line views the pattern lints match ([`strip_lines`]) — reads
+//! those tokens. A per-line stripping heuristic is blind to raw strings
+//! (`r#"…"#`) and fragile around nested block comments; the tokenizer is
+//! not.
 //!
 //! Design constraints:
 //!
@@ -297,14 +298,13 @@ pub struct LineView {
     pub comment: String,
 }
 
-/// Splits `src` into per-line [`LineView`]s using the lexer — the
-/// raw-string- and nested-comment-correct replacement for the v1 per-line
-/// stripper.
-pub fn strip_lines(src: &str) -> Vec<LineView> {
+/// Splits `src` into per-line [`LineView`]s from its `tokens` (what
+/// [`lex`] returned for `src`), raw-string- and nested-comment-correct.
+pub fn strip_lines(src: &str, tokens: &[Token]) -> Vec<LineView> {
     let n_lines = src.lines().count().max(1);
     let mut lines: Vec<LineView> = vec![LineView::default(); n_lines];
     let mut line = 0usize;
-    for tok in lex(src) {
+    for tok in tokens {
         let text = tok.text(src);
         let is_doc = matches!(tok.kind, TokKind::LineComment | TokKind::BlockComment)
             && (text.starts_with("///") && !text.starts_with("////")
@@ -470,7 +470,7 @@ mod tests {
         let src = "let s = \"Instant::now\"; // fg-analyze: allow(wall-clock): x\n\
                    let t = r#\"thread_rng\"#;\n\
                    /* SystemTime in\n   a block */ let u = 1;\n";
-        let lines = strip_lines(src);
+        let lines = strip_lines(src, &lex(src));
         assert!(!lines[0].code.contains("Instant"));
         assert!(lines[0].comment.contains("allow(wall-clock)"));
         assert!(!lines[1].code.contains("thread_rng"));

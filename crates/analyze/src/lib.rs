@@ -1,19 +1,29 @@
 //! `fg-analyze` — static analysis for the defence stack.
 //!
-//! Two passes, one diagnostic model:
+//! [`full_report`] runs six passes with one diagnostic model, in this order:
 //!
 //! * **Config pass** ([`config`]): semantic lints over [`fg_mitigation`]
 //!   policy configurations *in the context of the scenario they defend* — a
 //!   rate limit is not judged in isolation but against the modeled traffic
 //!   it must catch. Run over the three built-in presets and every
 //!   [`DefenceProfile`] declared by the experiment registry.
-//! * **Source pass** ([`source`]): workspace invariant checks over the crate
-//!   sources themselves — no wall clocks or entropy RNG in
-//!   determinism-critical crates, `#![forbid(unsafe_code)]` in every crate
-//!   root, no std hash collections on hot paths.
 //! * **Alerts pass** ([`alerts`]): each experiment's [`fg_sentinel`] alert
 //!   policy judged against the scenario traffic its profiles declare — dead
 //!   alert rules and unwatched abuse channels.
+//!
+//! The other four run over one [`callgraph::Workspace`], which parses every
+//! workspace source file once:
+//!
+//! * **Source pass** ([`source`]): the line-pattern lints — no wall clocks,
+//!   entropy RNG or host-topology queries in determinism-critical crates, no
+//!   std hash collections on hot paths — and `#![forbid(unsafe_code)]` in
+//!   every crate root.
+//! * **Taint pass** ([`taint`]): non-determinism that reaches a
+//!   determinism-critical crate through calls, and stale allow markers.
+//! * **Panic-surface pass** ([`panic_path`]): panics and partial operations
+//!   reachable from fg-serve's request path.
+//! * **Discipline pass** ([`locks`]): shard borrows, lock order and atomic
+//!   orderings.
 //!
 //! All passes emit [`Diagnostic`]s; `--deny <severity>` turns any unwaived
 //! finding at or above that severity into a CI failure.
@@ -87,29 +97,18 @@ pub fn analyze_workspace_alerts() -> Vec<Diagnostic> {
 
 /// Validates a policy intended for the online decision service (`fg-serve`).
 ///
-/// This is the gate behind config hot-reload: a structurally invalid policy
-/// ([`PolicyConfig::validate`]) or one the config pass flags at
-/// [`Severity::Warn`] or above against the default airline serving scenario
-/// is rejected, and the service keeps running on its previous config.
-/// Waived findings never gate, matching the CI `--deny warn` contract.
+/// This is the gate behind config hot-reload: the config pass judges the
+/// policy against the default airline serving scenario, and a policy with
+/// any finding at [`Severity::Warn`] or above — a structurally invalid one
+/// ([`PolicyConfig::validate`]) included — is rejected, so the service keeps
+/// running on its previous config. Waived findings never gate, matching the
+/// CI `--deny warn` contract.
 pub fn validate_serve_policy(policy: &PolicyConfig) -> Result<(), Vec<Diagnostic>> {
-    let mut diags: Vec<Diagnostic> = match policy.validate() {
-        Ok(()) => Vec::new(),
-        Err(errors) => errors
-            .into_iter()
-            .map(|e| Diagnostic::new("invalid-config", Severity::Deny, "serve:policy", e))
-            .collect(),
-    };
-    // An invalid config cannot safely instantiate a PolicyEngine for the
-    // semantic pass (debug builds panic at construction), so stop here.
-    if diags.is_empty() {
-        let profile = DefenceProfile::airline("serve:policy", policy.clone());
-        diags.extend(
-            config::analyze_profile(&profile)
-                .into_iter()
-                .filter(|d| d.gates_at(Severity::Warn)),
-        );
-    }
+    let profile = DefenceProfile::airline("serve:policy", policy.clone());
+    let diags: Vec<Diagnostic> = config::analyze_profile(&profile)
+        .into_iter()
+        .filter(|d| d.gates_at(Severity::Warn))
+        .collect();
     if diags.is_empty() {
         Ok(())
     } else {
@@ -117,27 +116,19 @@ pub fn validate_serve_policy(policy: &PolicyConfig) -> Result<(), Vec<Diagnostic
     }
 }
 
-/// Runs the three call-graph dataflow passes (determinism taint, fg-serve
-/// panic surface, shard/lock discipline) over the workspace rooted at
-/// `root`.
-pub fn analyze_workspace_dataflow(root: &std::path::Path) -> std::io::Result<Vec<Diagnostic>> {
+/// Runs all passes: the config pass over all committed deployments, the
+/// alerts pass over all committed alert policies, then the source pass and
+/// the call-graph dataflow passes over the workspace rooted at `root`,
+/// which is loaded once.
+pub fn full_report(root: &std::path::Path) -> std::io::Result<Vec<Diagnostic>> {
     let ws = callgraph::Workspace::load(root)?;
     let graph = callgraph::CallGraph::build(&ws);
-    let mut diags = taint::run(&ws, &graph);
-    diags.extend(panic_path::run(&ws, &graph));
-    diags.extend(locks::run(&ws, &graph));
-    Ok(diags)
-}
-
-/// Runs all passes: the config pass over all committed deployments, the
-/// alerts pass over all committed alert policies, the line-oriented source
-/// pass, and the call-graph dataflow passes over the workspace rooted at
-/// `root`.
-pub fn full_report(root: &std::path::Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut diags = analyze_workspace_configs();
     diags.extend(analyze_workspace_alerts());
-    diags.extend(source::scan_workspace(root)?);
-    diags.extend(analyze_workspace_dataflow(root)?);
+    diags.extend(source::run(&ws));
+    diags.extend(taint::run(&ws, &graph));
+    diags.extend(panic_path::run(&ws, &graph));
+    diags.extend(locks::run(&ws, &graph));
     Ok(diags)
 }
 

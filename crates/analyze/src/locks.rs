@@ -30,7 +30,7 @@
 
 use crate::callgraph::{CallGraph, SourceFile, Workspace};
 use crate::diag::{Diagnostic, Severity};
-use crate::lexer::{LineIndex, TokKind};
+use crate::lexer::TokKind;
 
 /// Stable lint ids for the discipline pass.
 pub mod lints {
@@ -95,7 +95,6 @@ fn shard_checks(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) 
     for id in 0..graph.fns.len() {
         let file = graph.file(ws, id);
         let item = graph.item(ws, id);
-        let lines = LineIndex::new(&file.src);
         let idx = sig_tokens(file, item.body.clone());
         let text = |k: usize| file.tokens[idx[k]].text(&file.src);
 
@@ -114,7 +113,7 @@ fn shard_checks(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic>) 
             if next != "(" {
                 continue;
             }
-            let line_no = lines.line(file.tokens[idx[k]].start);
+            let line_no = file.line_of(idx[k]);
             if t == "shard_mut" {
                 let recv = receiver(file, &idx, k).unwrap_or("").to_owned();
                 if let Some((_, first_line)) =
@@ -177,7 +176,6 @@ struct Acq {
 /// Per-function acquisition sequence: syntactic `.lock()` receivers, with
 /// `self.lock()` helpers named by their impl type.
 fn own_trace(file: &SourceFile, item: &crate::items::FnItem) -> Vec<Acq> {
-    let lines = LineIndex::new(&file.src);
     let idx = sig_tokens(file, item.body.clone());
     let mut out = Vec::new();
     for k in 0..idx.len() {
@@ -200,7 +198,7 @@ fn own_trace(file: &SourceFile, item: &crate::items::FnItem) -> Vec<Acq> {
         };
         out.push(Acq {
             name,
-            line: lines.line(tok.start),
+            line: file.line_of(idx[k]),
         });
     }
     out
@@ -299,7 +297,6 @@ fn atomic_ordering(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic
             continue;
         }
         let item = graph.item(ws, id);
-        let lines = LineIndex::new(&file.src);
         let idx = sig_tokens(file, item.body.clone());
         let text = |k: usize| file.tokens[idx[k]].text(&file.src);
         for (k, &ti) in idx.iter().enumerate() {
@@ -315,7 +312,7 @@ fn atomic_ordering(ws: &Workspace, graph: &CallGraph, diags: &mut Vec<Diagnostic
             if k < 3 || text(k - 1) != ":" || text(k - 2) != ":" || text(k - 3) != "Ordering" {
                 continue;
             }
-            let line_no = lines.line(file.tokens[ti].start);
+            let line_no = file.line_of(ti);
             if file.allows(line_no, lints::ATOMIC_ORDERING) {
                 continue;
             }

@@ -13,8 +13,8 @@
 //!   contains `SUBSTR`.
 //! * `--deny LEVEL` — exit non-zero if any unwaived diagnostic is at or
 //!   above `LEVEL` (default `deny`).
-//! * `--root PATH` — workspace root for the source pass (defaults to the
-//!   workspace this binary was built from).
+//! * `--root PATH` — workspace root whose sources the source and dataflow
+//!   passes read (defaults to the workspace this binary was built from).
 //! * `--baseline FILE` — also compare against a committed
 //!   `ANALYZE_baseline.json` and exit non-zero on any new `(lint, file)`
 //!   finding, regardless of severity (the "no new diagnostics" ratchet).

@@ -29,7 +29,7 @@
 
 use crate::callgraph::{CallGraph, Workspace};
 use crate::diag::{Diagnostic, Severity};
-use crate::lexer::{LineIndex, TokKind};
+use crate::lexer::TokKind;
 
 /// Stable lint ids for the panic-surface pass.
 pub mod lints {
@@ -95,7 +95,6 @@ fn scan_fn(
 ) {
     let file = graph.file(ws, id);
     let item = graph.item(ws, id);
-    let lines = LineIndex::new(&file.src);
     let toks = &file.tokens;
     let idx: Vec<usize> = item
         .body
@@ -109,7 +108,7 @@ fn scan_fn(
         .collect();
     let text = |k: usize| toks[idx[k]].text(&file.src);
     let mut emit = |k: usize, lint: &str, severity: Severity, what: &str, msg: String| {
-        let line_no = lines.line(toks[idx[k]].start);
+        let line_no = file.line_of(idx[k]);
         if file.allows(line_no, lint) {
             return;
         }

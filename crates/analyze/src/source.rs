@@ -1,34 +1,37 @@
-//! Pass 2 — the workspace source invariant checker.
+//! Pass 2 — the workspace source invariants, checked line by line over the
+//! parsed [`Workspace`].
 //!
-//! A lightweight line scanner (no parser, no new dependencies) enforcing the
-//! contracts the simulation's reproducibility rests on:
+//! One table, [`PATTERN_LINTS`], states the line-pattern lints that enforce
+//! the contracts the simulation's reproducibility rests on:
 //!
 //! * **No wall clocks or entropy in determinism-critical crates.** The
 //!   multi-seed harness promises byte-identical artifacts per seed; one
 //!   `Instant::now()` or `thread_rng()` on a sim path silently breaks that.
 //!   Profiling sites that feed telemetry (and never influence sim state) are
-//!   acknowledged inline with `// fg-analyze: allow(wall-clock): <why>`.
+//!   acknowledged with `// fg-analyze: allow(wall-clock): <why>`.
 //! * **No host-topology queries in determinism-critical crates.** A shard or
 //!   worker count derived from `available_parallelism` makes the replay a
 //!   function of the machine, not the seed; partitioning is configured
 //!   through `ConcurrencyMode` instead.
-//! * **`#![forbid(unsafe_code)]` in every crate root**, workspace and vendor
-//!   alike. The single escape hatch is a root carrying both
-//!   `// fg-analyze: allow(missing-forbid-unsafe): <why>` and
-//!   `#![deny(unsafe_code)]` with scoped `#[allow]`s — required only by the
-//!   signal-handler FFI shim, which `forbid` cannot express.
 //! * **No SipHash maps in hot-path crates.** `fg_core::hash` (Fx) is
 //!   mandated where map operations dominate the per-request budget
 //!   (detection, mitigation).
 //!
-//! The scanner strips comments and string literals before matching, so prose
-//! mentioning `Instant::now` never trips it; the allow-marker is read from
-//! the comment part of the same line.
+//! The pass also requires **`#![forbid(unsafe_code)]` in every crate root**,
+//! workspace and vendor alike. The single escape hatch is a root carrying
+//! both `// fg-analyze: allow(missing-forbid-unsafe): <why>` and
+//! `#![deny(unsafe_code)]` with scoped `#[allow]`s — required only by the
+//! signal-handler FFI shim, which `forbid` cannot express.
+//!
+//! Patterns match each line's code with comments and literal contents
+//! stripped ([`SourceFile::lines`](crate::callgraph::SourceFile::lines)), so
+//! prose mentioning `Instant::now` never trips them. A finding is waived as
+//! every pass waives one, by
+//! [`SourceFile::allows`](crate::callgraph::SourceFile::allows): a marker in
+//! the line's own comment or alone on the line directly above it.
 
+use crate::callgraph::Workspace;
 use crate::diag::{Diagnostic, Severity};
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 /// Stable lint ids for pass 2.
 pub mod lints {
@@ -70,208 +73,151 @@ pub const DETERMINISM_CRITICAL: &[&str] = &[
 /// Crates where `fg_core::hash` is mandated for map-heavy request paths.
 pub const HOT_PATH: &[&str] = &["detection", "mitigation"];
 
-/// The per-lint pattern classes shared with the taint pass ([`crate::taint`]),
-/// which uses them both to seed direct taint and to verify that inline allow
-/// markers still match the line they waive.
-pub fn pattern_classes() -> [(&'static str, &'static [&'static str]); 4] {
-    [
-        (lints::WALL_CLOCK, WALL_CLOCK_PATTERNS),
-        (lints::ENTROPY_RNG, ENTROPY_PATTERNS),
-        (lints::MACHINE_DEPENDENT, MACHINE_DEPENDENT_PATTERNS),
-        (lints::STD_HASH_COLLECTIONS, STD_HASH_PATTERNS),
-    ]
+/// One line-pattern lint: a line of code in a governed crate that contains
+/// one of the patterns is a finding.
+pub struct PatternLint {
+    /// The lint id.
+    pub id: &'static str,
+    /// The severity of a finding.
+    pub severity: Severity,
+    /// The crates the lint governs ([`DETERMINISM_CRITICAL`] or [`HOT_PATH`]).
+    pub crates: &'static [&'static str],
+    /// The code fragments that trip it; a line reports the first it contains.
+    pub patterns: &'static [&'static str],
+    /// The finding's message; `{pattern}` and `{crate}` stand for the
+    /// fragment matched and the crate it was found in.
+    pub message: &'static str,
 }
 
-const WALL_CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime"];
-const ENTROPY_PATTERNS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "rand::random"];
-// Host-topology queries make shard/worker counts follow the machine, so the
-// same seed would replay differently on different hardware. Shard counts must
-// come from config (`ConcurrencyMode`), never from the host.
-const MACHINE_DEPENDENT_PATTERNS: &[&str] = &["available_parallelism", "num_cpus"];
-const STD_HASH_PATTERNS: &[&str] = &[
-    "HashMap::new(",
-    "HashSet::new(",
-    "HashMap::with_capacity(",
-    "HashSet::with_capacity(",
-    "collections::HashMap",
-    "collections::HashSet",
+impl PatternLint {
+    /// The first of the lint's patterns that `code` contains.
+    pub fn first_match(&self, code: &str) -> Option<&'static str> {
+        self.patterns.iter().copied().find(|p| code.contains(p))
+    }
+}
+
+/// Every line-pattern lint, in reporting order. The source pass reports from
+/// this table, the taint pass ([`crate::taint`]) seeds from the rows that
+/// govern [`DETERMINISM_CRITICAL`], and `stale-allow` checks a marker for one
+/// of these lints against its row.
+pub const PATTERN_LINTS: &[PatternLint] = &[
+    PatternLint {
+        id: lints::WALL_CLOCK,
+        severity: Severity::Deny,
+        crates: DETERMINISM_CRITICAL,
+        patterns: &["Instant::now", "SystemTime"],
+        message: "`{pattern}` in determinism-critical crate `{crate}`: \
+                  wall-clock reads break byte-identical multi-seed runs",
+    },
+    PatternLint {
+        id: lints::ENTROPY_RNG,
+        severity: Severity::Deny,
+        crates: DETERMINISM_CRITICAL,
+        patterns: &["thread_rng", "from_entropy", "OsRng", "rand::random"],
+        message: "`{pattern}` in determinism-critical crate `{crate}`: \
+                  all randomness must derive from the run seed",
+    },
+    // Host-topology queries make shard/worker counts follow the machine, so
+    // the same seed would replay differently on different hardware. Shard
+    // counts must come from config (`ConcurrencyMode`), never from the host.
+    PatternLint {
+        id: lints::MACHINE_DEPENDENT,
+        severity: Severity::Deny,
+        crates: DETERMINISM_CRITICAL,
+        patterns: &["available_parallelism", "num_cpus"],
+        message: "`{pattern}` in determinism-critical crate `{crate}`: \
+                  shard and worker counts must come from config, \
+                  not the host's core count",
+    },
+    PatternLint {
+        id: lints::STD_HASH_COLLECTIONS,
+        severity: Severity::Warn,
+        crates: HOT_PATH,
+        patterns: &[
+            "HashMap::new(",
+            "HashSet::new(",
+            "HashMap::with_capacity(",
+            "HashSet::with_capacity(",
+            "collections::HashMap",
+            "collections::HashSet",
+        ],
+        message: "std SipHash collections in hot-path crate `{crate}`: \
+                  use `fg_core::hash::FxHashMap`/`FxHashSet`",
+    },
 ];
 
-/// Scans every workspace crate under `root` (both `crates/` and `vendor/`)
-/// and returns the findings. Paths in diagnostics are root-relative.
-pub fn scan_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
+/// Runs the pass over `ws`: each workspace file's crate-root check and
+/// pattern lints, then the vendored crate roots' crate-root check. Paths in
+/// diagnostics are root-relative.
+pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    for tree in ["crates", "vendor"] {
-        let dir = root.join(tree);
-        let mut crates: Vec<PathBuf> = fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
+    for file in &ws.files {
+        diags.extend(missing_forbid_unsafe(&file.path, &file.src));
+        let rows: Vec<&PatternLint> = PATTERN_LINTS
+            .iter()
+            .filter(|row| row.crates.contains(&file.krate.as_str()))
             .collect();
-        crates.sort();
-        for crate_dir in crates {
-            let crate_name = crate_dir
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_owned();
-            let src = crate_dir.join("src");
-            if !src.is_dir() {
-                continue;
-            }
-            let mut files = Vec::new();
-            collect_rs_files(&src, &mut files)?;
-            files.sort();
-            for file in files {
-                let content = fs::read_to_string(&file)?;
-                let rel = file
-                    .strip_prefix(root)
-                    .unwrap_or(&file)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                // Vendored subsets are third-party idiom kept API-compatible;
-                // only the unsafe-code contract applies to them.
-                let name_for_rules = if tree == "vendor" {
-                    "vendor"
-                } else {
-                    &crate_name
+        for (idx, view) in file.lines.iter().enumerate() {
+            let line_no = idx + 1;
+            for row in &rows {
+                let Some(pattern) = row.first_match(&view.code) else {
+                    continue;
                 };
-                diags.extend(scan_file(name_for_rules, &rel, &content));
+                if file.allows(line_no, row.id) {
+                    continue;
+                }
+                let message = row
+                    .message
+                    .replace("{pattern}", pattern)
+                    .replace("{crate}", &file.krate);
+                diags.push(
+                    Diagnostic::new(
+                        row.id,
+                        row.severity,
+                        format!("{}:{line_no}", file.path),
+                        message,
+                    )
+                    .note("pattern", pattern)
+                    .note("crate", &file.krate),
+                );
             }
         }
     }
-    Ok(diags)
-}
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.is_dir() {
-            collect_rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Scans one file's content under the rules for `crate_name`. `path` is used
-/// only for diagnostic spans, so fixtures can pass any label.
-pub fn scan_file(crate_name: &str, path: &str, content: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-
-    // A crate root may trade `forbid` down to `deny` only when it both says
-    // so with an allow-marker and actually carries the `deny` attribute —
-    // the single FFI shim (`vendor/unix-signal`) needs scoped
-    // `#[allow(unsafe_code)]` blocks, which `forbid` cannot coexist with.
-    let unsafe_waived = content.contains("fg-analyze: allow(missing-forbid-unsafe)")
-        && content.contains("#![deny(unsafe_code)]");
-    if path.ends_with("src/lib.rs")
-        && !content.contains("#![forbid(unsafe_code)]")
-        && !unsafe_waived
-    {
-        diags.push(Diagnostic::new(
-            lints::MISSING_FORBID_UNSAFE,
-            Severity::Deny,
-            path,
-            "crate root does not `#![forbid(unsafe_code)]`",
-        ));
-    }
-
-    let critical = DETERMINISM_CRITICAL.contains(&crate_name);
-    let hot = HOT_PATH.contains(&crate_name);
-    if !critical && !hot {
-        return diags;
-    }
-
-    for (idx, view) in crate::lexer::strip_lines(content).iter().enumerate() {
-        let line_no = idx + 1;
-        let (code, comment) = (&view.code, &view.comment);
-        let allow = |lint: &str| comment.contains(&format!("fg-analyze: allow({lint})"));
-
-        if critical {
-            for pat in WALL_CLOCK_PATTERNS {
-                if code.contains(pat) && !allow(lints::WALL_CLOCK) {
-                    diags.push(
-                        Diagnostic::new(
-                            lints::WALL_CLOCK,
-                            Severity::Deny,
-                            format!("{path}:{line_no}"),
-                            format!(
-                                "`{pat}` in determinism-critical crate `{crate_name}`: \
-                                 wall-clock reads break byte-identical multi-seed runs"
-                            ),
-                        )
-                        .note("pattern", pat)
-                        .note("crate", crate_name),
-                    );
-                    break;
-                }
-            }
-            for pat in ENTROPY_PATTERNS {
-                if code.contains(pat) && !allow(lints::ENTROPY_RNG) {
-                    diags.push(
-                        Diagnostic::new(
-                            lints::ENTROPY_RNG,
-                            Severity::Deny,
-                            format!("{path}:{line_no}"),
-                            format!(
-                                "`{pat}` in determinism-critical crate `{crate_name}`: \
-                                 all randomness must derive from the run seed"
-                            ),
-                        )
-                        .note("pattern", pat)
-                        .note("crate", crate_name),
-                    );
-                    break;
-                }
-            }
-            for pat in MACHINE_DEPENDENT_PATTERNS {
-                if code.contains(pat) && !allow(lints::MACHINE_DEPENDENT) {
-                    diags.push(
-                        Diagnostic::new(
-                            lints::MACHINE_DEPENDENT,
-                            Severity::Deny,
-                            format!("{path}:{line_no}"),
-                            format!(
-                                "`{pat}` in determinism-critical crate `{crate_name}`: \
-                                 shard and worker counts must come from config, \
-                                 not the host's core count"
-                            ),
-                        )
-                        .note("pattern", pat)
-                        .note("crate", crate_name),
-                    );
-                    break;
-                }
-            }
-        }
-        if hot {
-            for pat in STD_HASH_PATTERNS {
-                if code.contains(pat) && !allow(lints::STD_HASH_COLLECTIONS) {
-                    diags.push(
-                        Diagnostic::new(
-                            lints::STD_HASH_COLLECTIONS,
-                            Severity::Warn,
-                            format!("{path}:{line_no}"),
-                            format!(
-                                "std SipHash collections in hot-path crate \
-                                 `{crate_name}`: use `fg_core::hash::FxHashMap`/`FxHashSet`"
-                            ),
-                        )
-                        .note("pattern", pat)
-                        .note("crate", crate_name),
-                    );
-                    break;
-                }
-            }
-        }
+    for (path, src) in &ws.vendor_roots {
+        diags.extend(missing_forbid_unsafe(path, src));
     }
     diags
+}
+
+/// The crate-root check for the file at `path`. A root may trade `forbid`
+/// down to `deny` only when it both says so with an allow-marker and
+/// actually carries the `deny` attribute — the single FFI shim
+/// (`vendor/unix-signal`) needs scoped `#[allow(unsafe_code)]` blocks, which
+/// `forbid` cannot coexist with.
+fn missing_forbid_unsafe(path: &str, src: &str) -> Option<Diagnostic> {
+    let waived = src.contains("fg-analyze: allow(missing-forbid-unsafe)")
+        && src.contains("#![deny(unsafe_code)]");
+    if !path.ends_with("src/lib.rs") || src.contains("#![forbid(unsafe_code)]") || waived {
+        return None;
+    }
+    Some(Diagnostic::new(
+        lints::MISSING_FORBID_UNSAFE,
+        Severity::Deny,
+        path,
+        "crate root does not `#![forbid(unsafe_code)]`",
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::CallGraph;
+    use std::path::Path;
+
+    /// Runs the pass over a one-file workspace.
+    fn scan_file(crate_name: &str, path: &str, content: &str) -> Vec<Diagnostic> {
+        run(&Workspace::from_sources(vec![(crate_name, path, content)]))
+    }
 
     fn lints_of(diags: &[Diagnostic]) -> Vec<&str> {
         diags.iter().map(|d| d.lint.as_str()).collect()
@@ -295,6 +241,43 @@ mod tests {
         let diags = scan_file("scenario", "x.rs", code);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(diags[0].source.ends_with(":2"));
+    }
+
+    #[test]
+    fn standalone_marker_waives_the_line_below_only() {
+        let code = "// fg-analyze: allow(wall-clock): profiling\n\
+                    let t = Instant::now();\n\
+                    let u = Instant::now();\n";
+        let diags = scan_file("scenario", "x.rs", code);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].source.ends_with(":3"));
+    }
+
+    /// The source, taint and stale-allow passes read one waiver rule: a
+    /// standalone marker above a clock read in a determinism-critical crate
+    /// raises no source finding, seeds no taint into the read's callers and
+    /// is not stale.
+    #[test]
+    fn standalone_waiver_holds_in_every_pass() {
+        let ws = Workspace::from_sources(vec![(
+            "core",
+            "crates/core/src/lib.rs",
+            "#![forbid(unsafe_code)]\n\
+             fn stamp() -> u64 {\n\
+                 // fg-analyze: allow(wall-clock): profiling only\n\
+                 let _t = std::time::Instant::now();\n\
+                 0\n\
+             }\n\
+             fn score() -> u64 { stamp() }\n",
+        )]);
+        let graph = CallGraph::build(&ws);
+        let source = run(&ws);
+        assert!(source.is_empty(), "{source:?}");
+        assert!(crate::taint::taint_map(&ws, &graph)
+            .iter()
+            .all(Option::is_none));
+        let taint = crate::taint::run(&ws, &graph);
+        assert!(taint.is_empty(), "{taint:?}");
     }
 
     #[test]
@@ -449,7 +432,7 @@ mod tests {
     #[test]
     fn workspace_is_clean_under_the_allowlist() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let diags = scan_workspace(&root).expect("workspace scan reads all sources");
+        let diags = run(&Workspace::load(&root).expect("workspace scan reads all sources"));
         assert!(
             diags.is_empty(),
             "source invariants violated:\n{}",

@@ -1,13 +1,15 @@
 //! Pass 4 — determinism taint, propagated through the call graph.
 //!
-//! The v1 source pass flags a wall-clock or entropy read *on the line it
-//! occurs*, which a one-line helper defeats: wrap `Instant::now()` in a
-//! function and every caller is clean. This pass closes that hole with a
-//! transitive taint analysis over the [`crate::callgraph::CallGraph`]:
+//! The source pass ([`crate::source`]) flags a wall-clock or entropy read
+//! *on the line it occurs*, which a one-line helper defeats: wrap
+//! `Instant::now()` in a function and every caller is clean. This pass
+//! closes that hole with a transitive taint analysis over the
+//! [`crate::callgraph::CallGraph`]:
 //!
 //! * A function is **directly tainted** when its body reads a
-//!   non-deterministic source — any v1 wall-clock / entropy / machine-
-//!   dependent pattern — without the corresponding sanitizing
+//!   non-deterministic source — a pattern of any
+//!   [`source::PATTERN_LINTS`] row that governs the determinism-critical
+//!   crates — without the corresponding sanitizing
 //!   `fg-analyze: allow(<lint>)` marker. Exempt crates (`telemetry`,
 //!   `serve`, …) never need markers, so their clock-reading APIs are
 //!   tainted *as propagation sources* even though they are legal locally.
@@ -42,7 +44,8 @@ pub mod lints {
 /// Why a function is tainted: the root non-deterministic read.
 #[derive(Clone, Debug)]
 pub struct TaintCause {
-    /// The v1 pattern that matched (`"Instant::now"`, `"thread_rng"`, …).
+    /// The source-pass pattern that matched (`"Instant::now"`,
+    /// `"thread_rng"`, …).
     pub pattern: String,
     /// `path:line` of the root read.
     pub at: String,
@@ -52,25 +55,25 @@ pub struct TaintCause {
 pub fn taint_map(ws: &Workspace, graph: &CallGraph) -> Vec<Option<TaintCause>> {
     let mut tainted: Vec<Option<TaintCause>> = vec![None; graph.fns.len()];
 
-    // Seed: direct non-deterministic reads inside each body.
+    // Seed: direct non-deterministic reads inside each body. Only the rows
+    // that guard the determinism contract seed taint — the std-hash row is
+    // a performance contract, not a source.
+    let sources: Vec<&source::PatternLint> = source::PATTERN_LINTS
+        .iter()
+        .filter(|row| row.crates == source::DETERMINISM_CRITICAL)
+        .collect();
     for (id, slot) in tainted.iter_mut().enumerate() {
         let file = graph.file(ws, id);
         let item = graph.item(ws, id);
         'lines: for line_no in body_lines(file, item.body.clone()) {
-            let view = file.line(line_no);
-            // Only genuine non-determinism seeds taint — the std-hash lint
-            // in pattern_classes() is a performance contract, not a source.
-            for (lint, patterns) in source::pattern_classes()
-                .into_iter()
-                .filter(|(id, _)| *id != source::lints::STD_HASH_COLLECTIONS)
-            {
-                for pat in patterns {
-                    if view.code.contains(pat)
-                        && !file.allows(line_no, lint)
+            let code = &file.line(line_no).code;
+            for row in &sources {
+                if let Some(pattern) = row.first_match(code) {
+                    if !file.allows(line_no, row.id)
                         && !file.allows(line_no, lints::DETERMINISM_TAINT)
                     {
                         *slot = Some(TaintCause {
-                            pattern: pat.to_string(),
+                            pattern: pattern.to_owned(),
                             at: format!("{}:{}", file.path, line_no),
                         });
                         break 'lines;
@@ -157,63 +160,25 @@ pub fn run(ws: &Workspace, graph: &CallGraph) -> Vec<Diagnostic> {
     diags
 }
 
-/// Lint ids whose markers this pass can verify against their line. Markers
-/// for other ids (file-scoped waivers like `missing-forbid-unsafe`) are
-/// trusted as written.
-const LINE_CHECKED: &[&str] = &[
-    source::lints::WALL_CLOCK,
-    source::lints::ENTROPY_RNG,
-    source::lints::MACHINE_DEPENDENT,
-    source::lints::STD_HASH_COLLECTIONS,
-    lints::DETERMINISM_TAINT,
-    crate::panic_path::lints::PANIC_PATH,
-    crate::panic_path::lints::PARTIAL_OP,
-    crate::locks::lints::SHARD_DISCIPLINE,
-    crate::locks::lints::NESTED_SHARD_BORROW,
-    crate::locks::lints::LOCK_ORDER_INVERSION,
-    crate::locks::lints::ATOMIC_ORDERING,
-];
-
-/// Every lint id that may legitimately appear in an allow marker.
-const KNOWN_LINTS: &[&str] = &[
-    source::lints::WALL_CLOCK,
-    source::lints::ENTROPY_RNG,
-    source::lints::MACHINE_DEPENDENT,
-    source::lints::MISSING_FORBID_UNSAFE,
-    source::lints::STD_HASH_COLLECTIONS,
-    lints::DETERMINISM_TAINT,
-    lints::STALE_ALLOW,
-    crate::panic_path::lints::PANIC_PATH,
-    crate::panic_path::lints::PARTIAL_OP,
-    crate::locks::lints::SHARD_DISCIPLINE,
-    crate::locks::lints::NESTED_SHARD_BORROW,
-    crate::locks::lints::LOCK_ORDER_INVERSION,
-    crate::locks::lints::ATOMIC_ORDERING,
-];
-
-/// Does the code on `view.code` still justify an `allow(lint)` marker?
+/// Does `code` (the code a marker waives) still justify an `allow(lint)`
+/// marker? `None` when no pass emits `lint`. A pattern lint's marker is
+/// checked against its [`source::PATTERN_LINTS`] row; markers for
+/// file-scoped lints (`missing-forbid-unsafe`) are trusted as written.
 fn marker_is_live(
     lint: &str,
     code: &str,
     file_path: &str,
     line_no: usize,
     tainted_call_lines: &std::collections::BTreeSet<(String, usize)>,
-) -> bool {
-    match lint {
-        l if l == source::lints::WALL_CLOCK
-            || l == source::lints::ENTROPY_RNG
-            || l == source::lints::MACHINE_DEPENDENT
-            || l == source::lints::STD_HASH_COLLECTIONS =>
-        {
-            source::pattern_classes()
-                .iter()
-                .find(|(id, _)| *id == l)
-                .is_some_and(|(_, pats)| pats.iter().any(|p| code.contains(p)))
-        }
-        l if l == lints::DETERMINISM_TAINT => {
-            tainted_call_lines.contains(&(file_path.to_owned(), line_no))
-        }
-        l if l == crate::panic_path::lints::PANIC_PATH => [
+) -> Option<bool> {
+    use crate::locks::lints as locks;
+    use crate::panic_path::lints as panics;
+    if let Some(row) = source::PATTERN_LINTS.iter().find(|row| row.id == lint) {
+        return Some(row.first_match(code).is_some());
+    }
+    Some(match lint {
+        lints::DETERMINISM_TAINT => tainted_call_lines.contains(&(file_path.to_owned(), line_no)),
+        panics::PANIC_PATH => [
             "unwrap",
             "expect",
             "panic!",
@@ -223,15 +188,14 @@ fn marker_is_live(
         ]
         .iter()
         .any(|p| code.contains(p)),
-        l if l == crate::panic_path::lints::PARTIAL_OP => {
-            code.contains('[') || code.contains('/') || code.contains('%')
-        }
-        l if l == crate::locks::lints::SHARD_DISCIPLINE => code.contains("shards_mut"),
-        l if l == crate::locks::lints::NESTED_SHARD_BORROW => code.contains("shard_mut"),
-        l if l == crate::locks::lints::LOCK_ORDER_INVERSION => code.contains(".lock"),
-        l if l == crate::locks::lints::ATOMIC_ORDERING => code.contains("Ordering::"),
-        _ => true,
-    }
+        panics::PARTIAL_OP => code.contains('[') || code.contains('/') || code.contains('%'),
+        locks::SHARD_DISCIPLINE => code.contains("shards_mut"),
+        locks::NESTED_SHARD_BORROW => code.contains("shard_mut"),
+        locks::LOCK_ORDER_INVERSION => code.contains(".lock"),
+        locks::ATOMIC_ORDERING => code.contains("Ordering::"),
+        source::lints::MISSING_FORBID_UNSAFE | lints::STALE_ALLOW => true,
+        _ => return None,
+    })
 }
 
 /// Reports `allow(...)` markers that no longer match their line, and markers
@@ -259,9 +223,9 @@ fn stale_allows(
             // A standalone marker line waives the line below it — check the
             // marker against the code it actually applies to.
             let (code_line, code) = if view.code.trim().is_empty() {
-                (line_no + 1, file.line(line_no + 1).code.clone())
+                (line_no + 1, file.line(line_no + 1).code.as_str())
             } else {
-                (line_no, view.code.clone())
+                (line_no, view.code.as_str())
             };
             let mut rest = view.comment.as_str();
             while let Some(pos) = rest.find("fg-analyze: allow(") {
@@ -269,35 +233,27 @@ fn stale_allows(
                 let Some(close) = rest.find(')') else { break };
                 let lint = &rest[..close];
                 rest = &rest[close..];
-                if !KNOWN_LINTS.contains(&lint) {
-                    diags.push(
-                        Diagnostic::new(
-                            lints::STALE_ALLOW,
-                            Severity::Warn,
-                            format!("{}:{}", file.path, line_no),
-                            format!(
-                                "allow marker names unknown lint `{lint}`: \
-                                 a typo'd marker waives nothing"
-                            ),
-                        )
-                        .note("marker_lint", lint),
-                    );
-                } else if LINE_CHECKED.contains(&lint)
-                    && !marker_is_live(lint, &code, &file.path, code_line, &tainted_call_lines)
-                {
-                    diags.push(
-                        Diagnostic::new(
-                            lints::STALE_ALLOW,
-                            Severity::Warn,
-                            format!("{}:{}", file.path, line_no),
-                            format!(
-                                "allow({lint}) marker is dead: the line no longer \
-                                 matches what it waives — remove the marker"
-                            ),
-                        )
-                        .note("marker_lint", lint),
-                    );
-                }
+                let message =
+                    match marker_is_live(lint, code, &file.path, code_line, &tainted_call_lines) {
+                        Some(true) => continue,
+                        Some(false) => format!(
+                            "allow({lint}) marker is dead: the line no longer \
+                         matches what it waives — remove the marker"
+                        ),
+                        None => format!(
+                            "allow marker names unknown lint `{lint}`: \
+                         a typo'd marker waives nothing"
+                        ),
+                    };
+                diags.push(
+                    Diagnostic::new(
+                        lints::STALE_ALLOW,
+                        Severity::Warn,
+                        format!("{}:{}", file.path, line_no),
+                        message,
+                    )
+                    .note("marker_lint", lint),
+                );
             }
         }
     }
@@ -307,13 +263,10 @@ fn stale_allows(
 /// The 1-based lines spanned by the token range `body` in `file`, as a
 /// half-open range.
 fn body_lines(file: &SourceFile, body: std::ops::Range<usize>) -> std::ops::Range<usize> {
-    let lines = crate::lexer::LineIndex::new(&file.src);
     if body.is_empty() {
         return 0..0;
     }
-    let first = lines.line(file.tokens[body.start].start);
-    let last = lines.line(file.tokens[body.end - 1].start);
-    first..last + 1
+    file.line_of(body.start)..file.line_of(body.end - 1) + 1
 }
 
 #[cfg(test)]

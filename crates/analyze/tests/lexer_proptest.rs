@@ -74,7 +74,7 @@ proptest! {
         raw in proptest::collection::vec(0u16..300, 0..256),
     ) {
         let src = String::from_utf8_lossy(&salt(raw)).into_owned();
-        let views = strip_lines(&src);
+        let views = strip_lines(&src, &lex(&src));
         // Empty input still yields one (empty) view.
         prop_assert_eq!(views.len(), src.lines().count().max(1));
     }

@@ -46,7 +46,8 @@
 use fg_scenario::experiments::all_specs;
 use fg_scenario::harness::{run_matrix, ExperimentRun, ExperimentSpec, HarnessConfig};
 use fg_scenario::report::{render_sentinel_report, render_stage_table};
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -74,7 +75,12 @@ impl From<Exit> for ExitCode {
 }
 
 fn write_file(path: &Path, contents: String) {
-    match fs::write(path, contents) {
+    report_artifact(path, fs::write(path, contents));
+}
+
+/// Prints where an artifact was written, or why it could not be.
+fn report_artifact(path: &Path, written: io::Result<()>) {
+    match written {
         Ok(()) => println!("[artifact] {}", path.display()),
         Err(e) => eprintln!("[artifact] failed to write {}: {e}", path.display()),
     }
@@ -118,8 +124,15 @@ fn write_artifacts(run: &ExperimentRun) {
     if let Some(json) = run.alerts_json() {
         write_file(&dir.join(format!("{}.alerts.json", run.name)), json);
     }
-    if let Some(json) = run.traces_json() {
-        write_file(&dir.join(format!("{}.traces.json", run.name)), json);
+    if let Some((snapshot, seed)) = run.traced() {
+        // Tens of MB: written span by span rather than built in memory.
+        let path = dir.join(format!("{}.traces.json", run.name));
+        let written = File::create(&path).and_then(|file| {
+            let mut out = BufWriter::new(file);
+            snapshot.write_chrome(run.name, seed, &mut out)?;
+            out.flush()
+        });
+        report_artifact(&path, written);
     }
 }
 

@@ -254,17 +254,24 @@ impl ExperimentRun {
         Some(serde_json::to_string_pretty(&artifact).expect("alert artifacts serialize cleanly"))
     }
 
-    /// The trace artifact (`results/<name>.traces.json`) as pretty JSON in
-    /// Chrome trace-event form (Perfetto-loadable): the traced cell's span
-    /// export plus provenance in `otherData`, written one span at a time.
-    /// `None` when no replicate captured traces.
+    /// The span export the trace artifact (`results/<name>.traces.json`)
+    /// describes, with its cell's seed: the first replicate that captured
+    /// traces, if any. [`TraceSnapshot::write_chrome`] writes the artifact
+    /// from it with `self.name` and the seed as provenance.
+    pub fn traced(&self) -> Option<(&TraceSnapshot, u64)> {
+        self.cells
+            .iter()
+            .find_map(|c| Some((c.traces.as_ref()?, c.seed)))
+    }
+
+    /// The trace artifact as one string: pretty JSON in Chrome trace-event
+    /// form (Perfetto-loadable), the traced cell's span export plus
+    /// provenance in `otherData`. `None` when no replicate captured traces.
     pub fn traces_json(&self) -> Option<String> {
-        let cell = self.cells.iter().find(|c| c.traces.is_some())?;
-        let mut out = String::new();
-        cell.traces
-            .as_ref()?
-            .write_chrome(self.name, cell.seed, &mut out);
-        Some(out)
+        let (snapshot, seed) = self.traced()?;
+        let mut out = Vec::new();
+        snapshot.write_chrome(self.name, seed, &mut out).ok()?;
+        String::from_utf8(out).ok()
     }
 
     /// `true` when a traced cell's incident cites an exemplar `trace_id`

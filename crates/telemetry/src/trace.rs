@@ -38,6 +38,7 @@ use serde::{json, Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
+use std::io;
 use std::sync::Arc;
 
 /// Probability of keeping an `allow`-decision trace: 1/32. Exact in binary,
@@ -507,33 +508,43 @@ impl TraceSnapshot {
         out.push_str("]}");
     }
 
-    /// Appends the snapshot to `out` as a pretty-printed Chrome
+    /// Writes the snapshot to `out` as a pretty-printed Chrome
     /// trace-event / Perfetto-loadable JSON object (the
     /// `results/<name>.traces.json` artifact): `traceEvents` holds one
     /// complete event per span, lanes (`tid`) are session ids, and
     /// `otherData` carries the run's provenance (`experiment`, `seed`) and
-    /// the sampling accounting.
-    pub fn write_chrome(&self, experiment: &str, seed: u64, out: &mut String) {
-        out.push_str("{\n  \"traceEvents\": [");
+    /// the sampling accounting. Each span is formatted into one reused
+    /// buffer and handed to `out` whole, so the artifact is never held in
+    /// memory at once.
+    pub fn write_chrome(
+        &self,
+        experiment: &str,
+        seed: u64,
+        out: &mut impl io::Write,
+    ) -> io::Result<()> {
+        let mut buf = String::from("{\n  \"traceEvents\": [");
         let spans = self.spans();
         for (i, (head, source)) in spans.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            source.write_chrome(head, out);
+            buf.push_str(if i > 0 { ",\n    " } else { "\n    " });
+            source.write_chrome(head, &mut buf);
+            out.write_all(buf.as_bytes())?;
+            buf.clear();
         }
         if !spans.is_empty() {
-            out.push_str("\n  ");
+            buf.push_str("\n  ");
         }
-        out.push_str(
+        buf.push_str(
             "],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\n    \"experiment\": ",
         );
-        json::write_str(out, experiment);
+        json::write_str(&mut buf, experiment);
         let _ = write!(
-            out,
+            buf,
             ",\n    \"seed\": {seed},\n    \"sampling\": {{\n      \"submitted\": {},\
              \n      \"kept\": {},\n      \"sampled_out\": {},\n      \"evicted\": {},\
              \n      \"aux_dropped\": {}\n    }}\n  }}\n}}",
             self.submitted, self.kept, self.sampled_out, self.evicted, self.aux_dropped
         );
+        out.write_all(buf.as_bytes())
     }
 }
 
@@ -816,6 +827,15 @@ mod tests {
         let body: Value = serde_json::from_str(&body).expect("written JSON parses");
         serde_json::from_value(body.get("spans").cloned().expect("spans present"))
             .expect("span records")
+    }
+
+    /// What [`TraceSnapshot::write_chrome`] writes, as a string.
+    fn chrome(snapshot: &TraceSnapshot, experiment: &str, seed: u64) -> String {
+        let mut out = Vec::new();
+        snapshot
+            .write_chrome(experiment, seed, &mut out)
+            .expect("a Vec takes every write");
+        String::from_utf8(out).expect("the Chrome artifact is UTF-8")
     }
 
     #[test]
@@ -1190,12 +1210,11 @@ mod tests {
             attrs: Vec::new(),
         };
         tr.record_aux(aux(7));
-        let (mut expected, mut expected_one, mut expected_chrome) =
-            (String::new(), String::new(), String::new());
+        let (mut expected, mut expected_one) = (String::new(), String::new());
         tr.snapshot(None).write_json(&mut expected);
         let one = fg_core::hash::trace_id(2, sampled);
         tr.snapshot(Some(one)).write_json(&mut expected_one);
-        tr.snapshot(None).write_chrome("t", 1, &mut expected_chrome);
+        let expected_chrome = chrome(&tr.snapshot(None), "t", 1);
         let (snap, snap_one) = (tr.snapshot(None), tr.snapshot(Some(one)));
 
         // Evict both traces and the auxiliary span.
@@ -1212,14 +1231,12 @@ mod tests {
             "the aux span was evicted"
         );
 
-        let (mut written, mut written_one, mut written_chrome) =
-            (String::new(), String::new(), String::new());
+        let (mut written, mut written_one) = (String::new(), String::new());
         snap.write_json(&mut written);
         snap_one.write_json(&mut written_one);
-        snap.write_chrome("t", 1, &mut written_chrome);
         assert_eq!(written, expected);
         assert_eq!(written_one, expected_one);
-        assert_eq!(written_chrome, expected_chrome);
+        assert_eq!(chrome(&snap, "t", 1), expected_chrome);
         assert!(written.contains("{\"trace_id\":7,"));
         assert!(written_one.contains(&format!("{{\"trace_id\":{one},")));
     }
@@ -1279,16 +1296,14 @@ mod tests {
             dur_us: 1,
             attrs: vec![("transitions".to_owned(), "1".to_owned())],
         });
-        let mut out = String::new();
-        tr.snapshot(None).write_chrome("golden", 7, &mut out);
+        let out = chrome(&tr.snapshot(None), "golden", 7);
         assert_eq!(out, GOLDEN_CHROME);
         assert!(serde_json::from_str::<Value>(&out).is_ok());
     }
 
     #[test]
     fn chrome_export_of_an_empty_tracer_is_pinned() {
-        let mut out = String::new();
-        enabled().snapshot(None).write_chrome("empty", 0, &mut out);
+        let out = chrome(&enabled().snapshot(None), "empty", 0);
         assert_eq!(out, GOLDEN_EMPTY_CHROME);
     }
 
