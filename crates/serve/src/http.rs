@@ -9,7 +9,9 @@
 //! the parser itself never panics on any byte stream (property-tested in
 //! `http_proptest`).
 
+use std::fmt;
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 /// Hard caps the parser enforces before buffering anything oversized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -296,20 +298,36 @@ fn declared_content_length(headers: &[(String, String)]) -> Result<usize, ParseE
     Ok(declared.unwrap_or(0))
 }
 
+/// A reply body written to the socket as it is produced, for a body too
+/// large to hold whole (`/debug/traces` runs to megabytes). The body is
+/// measured before the reply is sent and written once, so both methods
+/// must describe the same bytes.
+pub trait StreamedBody: fmt::Debug + Send + Sync {
+    /// The exact number of bytes [`StreamedBody::write_after`] writes after
+    /// `lead`: the reply's `Content-Length`.
+    fn byte_len(&self) -> u64;
+
+    /// Writes `lead` (the reply's head), then the body, to `out`; returns
+    /// the number of body bytes written.
+    fn write_after(&self, lead: &[u8], out: &mut dyn Write) -> io::Result<u64>;
+}
+
 /// One response to put on the wire.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
-    /// The payload.
+    /// The payload, when it is held in memory; empty for a streamed reply.
     pub body: Vec<u8>,
     /// When `true`, advertise and perform `Connection: close`.
     pub close: bool,
     /// Additional response headers (name, value), written after
     /// `Content-Length` — the `traceparent` echo rides here.
     pub headers: Vec<(&'static str, String)>,
+    /// A body written as it is produced, sent in place of `body`.
+    stream: Option<Arc<dyn StreamedBody>>,
 }
 
 impl Response {
@@ -321,17 +339,23 @@ impl Response {
             body: body.into(),
             close: false,
             headers: Vec::new(),
+            stream: None,
+        }
+    }
+
+    /// A JSON response whose body is streamed rather than held.
+    pub fn streamed_json(status: u16, body: impl StreamedBody + 'static) -> Self {
+        Response {
+            stream: Some(Arc::new(body)),
+            ..Response::json(status, Vec::new())
         }
     }
 
     /// A plain-text response.
     pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
         Response {
-            status,
             content_type: "text/plain; charset=utf-8",
-            body: body.into(),
-            close: false,
-            headers: Vec::new(),
+            ..Response::json(status, body)
         }
     }
 
@@ -355,19 +379,36 @@ impl Response {
         self
     }
 
-    /// Serializes status line, headers, and body into one buffer and hands
-    /// it to `w` in a single `write_all`: an unbuffered `TcpStream` with
-    /// Nagle off would otherwise send one segment per formatted piece.
+    /// Writes the reply to `w` and flushes it.
+    ///
+    /// An in-memory reply is serialised, status line, headers and body,
+    /// into one buffer and handed to `w` in a single `write_all`: an
+    /// unbuffered `TcpStream` with Nagle off would otherwise send one
+    /// segment per formatted piece. Sending the head and the body with one
+    /// `write_vectored` instead would save the copy of the body, but a
+    /// `Write` without its own `write_vectored` takes one slice per call,
+    /// so a reply would become two `write` calls wherever a caller counts
+    /// them (servebench's `http.write_calls`).
+    ///
+    /// A streamed reply declares its body's measured length, then writes
+    /// the head and the body through the body's own buffer, which goes to
+    /// `w` each time it fills, so the body is never held whole. A body
+    /// that writes a different number of bytes than it declared is an
+    /// error: the caller closes the connection rather than leave the peer
+    /// to frame the next reply from the wrong byte.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let reason = status_index(self.status).and_then(|i| STATUSES.get(i));
+        let declared = match &self.stream {
+            Some(body) => body.byte_len(),
+            None => self.body.len() as u64,
+        };
         let mut wire = Vec::with_capacity(256 + self.body.len());
         write!(
             wire,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {declared}\r\n",
             self.status,
             reason.map_or("Unknown", |&(_, phrase)| phrase),
             self.content_type,
-            self.body.len()
         )?;
         for (name, value) in &self.headers {
             write!(wire, "{name}: {value}\r\n")?;
@@ -376,8 +417,21 @@ impl Response {
             wire.extend_from_slice(b"Connection: close\r\n");
         }
         wire.extend_from_slice(b"\r\n");
-        wire.extend_from_slice(&self.body);
-        w.write_all(&wire)?;
+        match &self.stream {
+            None => {
+                wire.extend_from_slice(&self.body);
+                w.write_all(&wire)?;
+            }
+            Some(body) => {
+                let written = body.write_after(&wire, w)?;
+                if written != declared {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("streamed body wrote {written} bytes, declared {declared}"),
+                    ));
+                }
+            }
+        }
         w.flush()
     }
 }
@@ -630,5 +684,61 @@ mod tests {
         traced_closing_reply().write_to(&mut sink).unwrap();
         assert_eq!(sink.bytes, TRACED_CLOSING_WIRE);
         assert_eq!(sink.calls, TRACED_CLOSING_WIRE.len().div_ceil(7));
+    }
+
+    /// A streamed body of `len` copies of `byte` that declares `declared`
+    /// bytes.
+    #[derive(Debug)]
+    struct Repeated {
+        byte: u8,
+        len: usize,
+        declared: u64,
+    }
+
+    impl StreamedBody for Repeated {
+        fn byte_len(&self) -> u64 {
+            self.declared
+        }
+
+        fn write_after(&self, lead: &[u8], out: &mut dyn Write) -> io::Result<u64> {
+            out.write_all(&[lead, &vec![self.byte; self.len]].concat())?;
+            Ok(self.len as u64)
+        }
+    }
+
+    #[test]
+    fn a_streamed_reply_declares_its_measured_length() {
+        let body = Repeated {
+            byte: b'x',
+            len: 5,
+            declared: 5,
+        };
+        let mut sink = CallCounter::new(usize::MAX);
+        Response::streamed_json(200, body)
+            .with_header("traceparent", "00-abc-def-01".to_owned())
+            .closing()
+            .write_to(&mut sink)
+            .unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&sink.bytes),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 5\r\n\
+             traceparent: 00-abc-def-01\r\nConnection: close\r\n\r\nxxxxx"
+        );
+        assert_eq!(sink.calls, 1, "the body's writer decides the calls");
+    }
+
+    #[test]
+    fn a_streamed_body_that_miscounts_fails_the_exchange() {
+        for len in [4, 6] {
+            let body = Repeated {
+                byte: b'x',
+                len,
+                declared: 5,
+            };
+            let err = Response::streamed_json(200, body)
+                .write_to(&mut Vec::new())
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len} bytes");
+        }
     }
 }

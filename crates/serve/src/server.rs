@@ -27,10 +27,10 @@ use fg_core::time::SimTime;
 use fg_scenario::workload::WireRequest;
 use fg_sentinel::{AlertEvent, AlertPolicy, Sentinel};
 use fg_telemetry::metrics::{Counter, Gauge, Latency};
-use fg_telemetry::trace::TraceConfig;
+use fg_telemetry::trace::{JsonBody, TraceConfig};
 use fg_telemetry::{AttrValue, HistSnapshot, RequestTrace, Telemetry};
 use serde::Serialize;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -451,7 +451,16 @@ impl ServeState {
 
     /// `GET /debug/traces[?trace_id=<16 hex>]`: the live tracer ring —
     /// sampling accounting, retained trace ids, and the spans themselves
-    /// (optionally restricted to one trace).
+    /// (optionally restricted to one trace) — as a streamed reply.
+    ///
+    /// Only the shared handles are taken under the tracer lock, which every
+    /// decision also takes. After it is released the spans are sorted and
+    /// measured here; the body is written as `write_to` sends the reply,
+    /// one 64 KB buffer at a time, so it is never held whole. The
+    /// exchange's latency, in `fg_http_request_duration_seconds{endpoint=
+    /// "observe"}` and the flight recorder's `latency_us`, therefore covers
+    /// the snapshot, the sort and the counting pass, but not the writing of
+    /// the body, and both are recorded before the first byte is sent.
     fn debug_traces(&self, req: &Request) -> Response {
         let only = match query_param(&req.target, "trace_id") {
             None => None,
@@ -462,15 +471,8 @@ impl ServeState {
                 }
             },
         };
-        // Only the shared handles are taken under the tracer lock, which
-        // every decision also takes; the spans are formatted after it is
-        // released, one at a time: owned copies of the spans and their JSON
-        // trees take about twelve times the body, which the allocator then
-        // keeps for whichever worker served it.
         let snapshot = self.telemetry.tracer().snapshot(only);
-        let mut body = String::new();
-        snapshot.write_json(&mut body);
-        Response::json(200, body.into_bytes())
+        Response::streamed_json(200, snapshot.into_json_body())
     }
 
     /// `GET /debug/flightrecorder`: the rolling last-N request ring plus
@@ -600,6 +602,18 @@ impl ServeState {
             Ok(ack) => json_reply(200, &ack),
             Err(why) => Response::error(400, &why),
         }
+    }
+}
+
+/// `/debug/traces`' body: sorted and measured when the reply is built,
+/// written while it is sent.
+impl http::StreamedBody for JsonBody {
+    fn byte_len(&self) -> u64 {
+        JsonBody::byte_len(self)
+    }
+
+    fn write_after(&self, lead: &[u8], out: &mut dyn Write) -> std::io::Result<u64> {
+        JsonBody::write_after(self, lead, out)
     }
 }
 

@@ -37,7 +37,7 @@ use fg_core::time::SimTime;
 use serde::{json, Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::io;
 use std::sync::Arc;
 
@@ -109,19 +109,6 @@ pub enum AttrValue {
     Float3(f64),
     /// An id, exported as 16 lower-case hex digits.
     Hex16(u64),
-}
-
-/// The exported form of the value.
-impl fmt::Display for AttrValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttrValue::Text(text) => f.write_str(text),
-            AttrValue::Int(n) => write!(f, "{n}"),
-            AttrValue::Bool(flag) => write!(f, "{flag}"),
-            AttrValue::Float3(x) => write!(f, "{x:.3}"),
-            AttrValue::Hex16(id) => write!(f, "{id:016x}"),
-        }
-    }
 }
 
 impl From<&'static str> for AttrValue {
@@ -303,9 +290,9 @@ struct SpanHead {
     dur_us: u64,
 }
 
-/// Where an exported span comes from. The tracer sorts sources and formats
-/// a span's name and attributes only as it writes that span, so an export
-/// never holds every span formatted at once.
+/// Where an exported span comes from. The writers put a span's name and
+/// attributes straight into their output as they write that span, so an
+/// export never holds a span formatted.
 #[derive(Clone, Copy, Debug)]
 enum SpanSource<'a> {
     /// Span `handle` of a retained request trace; handle 0 is the request
@@ -316,6 +303,17 @@ enum SpanSource<'a> {
     Session { session: u64, start: u64, end: u64 },
     /// A span from the auxiliary ring.
     Aux(&'a SpanRecord),
+}
+
+/// An attribute value as the writers see it.
+#[derive(Clone, Copy, Debug)]
+enum AttrRef<'a> {
+    /// Text, exported as is.
+    Text(&'a str),
+    /// A request trace's raw value, exported in [`AttrValue`]'s form.
+    Raw(&'a AttrValue),
+    /// A session root's client, exported as `c<session>`.
+    Client(u64),
 }
 
 impl<'a> SpanSource<'a> {
@@ -334,7 +332,7 @@ impl<'a> SpanSource<'a> {
                     parent_id: 0,
                     session,
                     start_us: start,
-                    dur_us: end - start,
+                    dur_us: end.saturating_sub(start),
                 }
             }
             SpanSource::Aux(span) => SpanHead {
@@ -348,98 +346,444 @@ impl<'a> SpanSource<'a> {
         }
     }
 
-    fn name(&self) -> Cow<'a, str> {
-        match *self {
-            SpanSource::Request(trace, 0) => Cow::Owned(format!("request {}", trace.endpoint)),
-            SpanSource::Request(trace, handle) => {
-                Cow::Borrowed(trace.stages.get(handle - 1).map_or("", |&(_, name)| name))
-            }
-            SpanSource::Session { session, .. } => Cow::Owned(format!("session c{session}")),
-            SpanSource::Aux(span) => Cow::Borrowed(&span.name),
-        }
-    }
-
-    /// Calls `f` on each attribute, in export order.
-    fn attrs(&self, mut f: impl FnMut(&str, &dyn fmt::Display)) {
+    /// Writes the span's name, escaped, without its quotes; a request or
+    /// session root writes its name in pieces rather than building it.
+    fn put_name(&self, out: &mut impl Sink) -> fmt::Result {
         match *self {
             SpanSource::Request(trace, 0) => {
-                f("endpoint", &trace.endpoint);
-                f("decision", &trace.decision);
+                out.write_str("request ")?;
+                json::escape_to(out, trace.endpoint)
             }
             SpanSource::Request(trace, handle) => {
-                for (_, key, value) in trace.attrs.iter().filter(|(stage, _, _)| *stage == handle) {
-                    f(key, value);
-                }
+                let stage = handle.checked_sub(1).and_then(|i| trace.stages.get(i));
+                json::escape_to(out, stage.map_or("", |&(_, name)| name))
             }
-            SpanSource::Session { session, .. } => f("client", &format!("c{session}")),
-            SpanSource::Aux(span) => {
-                for (key, value) in &span.attrs {
-                    f(key, value);
-                }
+            SpanSource::Session { session, .. } => {
+                out.write_str("session c")?;
+                put_u64(out, session)
+            }
+            SpanSource::Aux(span) => json::escape_to(out, &span.name),
+        }
+    }
+
+    /// Calls `f` on each attribute, in export order, until it fails.
+    fn each_attr(&self, mut f: impl FnMut(&str, AttrRef<'a>) -> fmt::Result) -> fmt::Result {
+        match *self {
+            SpanSource::Request(trace, 0) => {
+                f("endpoint", AttrRef::Text(trace.endpoint))?;
+                f("decision", AttrRef::Text(trace.decision))
+            }
+            SpanSource::Request(trace, handle) => trace
+                .attrs
+                .iter()
+                .filter(|(stage, _, _)| *stage == handle)
+                .try_for_each(|(_, key, value)| f(key, AttrRef::Raw(value))),
+            SpanSource::Session { session, .. } => f("client", AttrRef::Client(session)),
+            SpanSource::Aux(span) => span
+                .attrs
+                .iter()
+                .try_for_each(|(key, value)| f(key, AttrRef::Text(value))),
+        }
+    }
+
+    /// Writes the span as the JSON `serde_json` writes for its
+    /// [`SpanRecord`], without building the record.
+    fn put_json(&self, head: &SpanHead, out: &mut impl Sink) -> fmt::Result {
+        out.write_str("{\"trace_id\":")?;
+        put_u64(out, head.trace_id)?;
+        out.write_str(",\"span_id\":")?;
+        put_u64(out, head.span_id)?;
+        out.write_str(",\"parent_id\":")?;
+        put_u64(out, head.parent_id)?;
+        out.write_str(",\"name\":\"")?;
+        self.put_name(out)?;
+        out.write_str("\",\"session\":")?;
+        put_u64(out, head.session)?;
+        out.write_str(",\"start_us\":")?;
+        put_u64(out, head.start_us)?;
+        out.write_str(",\"dur_us\":")?;
+        put_u64(out, head.dur_us)?;
+        out.write_str(",\"attrs\":[")?;
+        let mut first = true;
+        self.each_attr(|key, value| {
+            out.write_str(if first { "[\"" } else { ",[\"" })?;
+            first = false;
+            json::escape_to(out, key)?;
+            out.write_str("\",")?;
+            put_attr(out, value)?;
+            out.write_char(']')
+        })?;
+        out.write_str("]}")
+    }
+
+    /// Writes the span as one pretty-printed Chrome trace-event object at
+    /// the indent of an element of `traceEvents`: a complete (`"ph": "X"`)
+    /// event on lane (`tid`) `session`, with the span's ids (`0x` and 16
+    /// hex digits) and then its attributes as `args`.
+    fn put_chrome(&self, head: &SpanHead, out: &mut impl Sink) -> fmt::Result {
+        out.write_str("{\n      \"name\": \"")?;
+        self.put_name(out)?;
+        out.write_str("\",\n      \"cat\": \"fg\",\n      \"ph\": \"X\",\n      \"ts\": ")?;
+        put_u64(out, head.start_us)?;
+        out.write_str(",\n      \"dur\": ")?;
+        put_u64(out, head.dur_us)?;
+        out.write_str(",\n      \"pid\": 1,\n      \"tid\": ")?;
+        put_u64(out, head.session)?;
+        out.write_str(",\n      \"args\": {\n        \"trace_id\": \"0x")?;
+        put_hex16(out, head.trace_id)?;
+        out.write_str("\",\n        \"span_id\": \"0x")?;
+        put_hex16(out, head.span_id)?;
+        out.write_str("\",\n        \"parent_id\": \"0x")?;
+        put_hex16(out, head.parent_id)?;
+        out.write_char('"')?;
+        self.each_attr(|key, value| {
+            out.write_str(",\n        \"")?;
+            json::escape_to(out, key)?;
+            out.write_str("\": ")?;
+            put_attr(out, value)
+        })?;
+        out.write_str("\n      }\n    }")
+    }
+}
+
+/// Writes `value` as a JSON string in its export form.
+fn put_attr(out: &mut impl Sink, value: AttrRef<'_>) -> fmt::Result {
+    out.write_char('"')?;
+    match value {
+        AttrRef::Text(text) => json::escape_to(out, text)?,
+        AttrRef::Raw(AttrValue::Text(text)) => json::escape_to(out, text)?,
+        AttrRef::Raw(&AttrValue::Int(n)) => put_u64(out, n)?,
+        AttrRef::Raw(&AttrValue::Bool(flag)) => {
+            out.write_str(if flag { "true" } else { "false" })?
+        }
+        // The one value still formatted by `fmt`. It writes digits, `-`,
+        // `.`, `NaN` or `inf`, none of which needs escaping.
+        AttrRef::Raw(AttrValue::Float3(x)) => write!(out, "{x:.3}")?,
+        AttrRef::Raw(&AttrValue::Hex16(id)) => put_hex16(out, id)?,
+        AttrRef::Client(session) => {
+            out.write_char('c')?;
+            put_u64(out, session)?;
+        }
+    }
+    out.write_char('"')
+}
+
+/// Where the writers put an export. Text arrives through `fmt::Write`;
+/// digits arrive as ASCII bytes, which only a `String` has to check.
+trait Sink: fmt::Write {
+    /// Writes `ascii`, which holds ASCII bytes only.
+    fn put_ascii(&mut self, ascii: &[u8]) -> fmt::Result;
+}
+
+impl Sink for String {
+    fn put_ascii(&mut self, ascii: &[u8]) -> fmt::Result {
+        self.push_str(std::str::from_utf8(ascii).map_err(|_| fmt::Error)?);
+        Ok(())
+    }
+}
+
+/// The decimal digits of 0 to 99, two to a number.
+const DECIMAL_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0; 2]; 100];
+    let mut i = 0;
+    while i < 100 {
+        pairs[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
+        i += 1;
+    }
+    pairs
+};
+
+/// The lower-case hex digits of each byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0; 2]; 256];
+    let mut i = 0;
+    while i < 256 {
+        pairs[i] = [HEX[i >> 4], HEX[i & 0xf]];
+        i += 1;
+    }
+    pairs
+};
+
+/// Writes `n` in decimal, two digits at a time, without `fmt`.
+fn put_u64(out: &mut impl Sink, mut n: u64) -> fmt::Result {
+    // `u64::MAX` has 20 digits; the pairs fill the array from its end.
+    let mut digits = [b'0'; 20];
+    let mut first = digits.len();
+    for (pair, at) in digits.rchunks_exact_mut(2).zip((0..20).step_by(2).rev()) {
+        let (rest, last_two) = (n / 100, n % 100);
+        pair.copy_from_slice(DECIMAL_PAIRS.get(last_two as usize).unwrap_or(&[b'0'; 2]));
+        n = rest;
+        first = at;
+        if n == 0 {
+            break;
+        }
+    }
+    let text = digits.get(first..).unwrap_or_default();
+    // The top pair's tens digit is a zero unless the number has an even
+    // count of digits; `0` itself keeps one.
+    match text {
+        [b'0', rest @ ..] if !rest.is_empty() => out.put_ascii(rest),
+        _ => out.put_ascii(text),
+    }
+}
+
+/// Writes `id` as 16 lower-case hex digits, without `fmt`.
+fn put_hex16(out: &mut impl Sink, id: u64) -> fmt::Result {
+    let mut digits = [b'0'; 16];
+    for (pair, byte) in digits.chunks_exact_mut(2).zip(id.to_be_bytes()) {
+        pair.copy_from_slice(HEX_PAIRS.get(usize::from(byte)).unwrap_or(&[b'0'; 2]));
+    }
+    out.put_ascii(&digits)
+}
+
+/// A `fmt::Write` that keeps only the number of bytes written to it: the
+/// pass that learns a streamed body's length.
+struct ByteCount(u64);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.put_ascii(s.as_bytes())
+    }
+}
+
+impl Sink for ByteCount {
+    fn put_ascii(&mut self, ascii: &[u8]) -> fmt::Result {
+        self.0 = self.0.saturating_add(ascii.len() as u64);
+        Ok(())
+    }
+}
+
+/// How many bytes [`Chunked`] gathers before it hands them on.
+const CHUNK: usize = 64 * 1024;
+
+/// A `fmt::Write` over an `io::Write`: it gathers text in one buffer of
+/// [`CHUNK`] bytes and hands the buffer to `out` whenever the next piece
+/// would overflow it, so an export of any size reaches `out` in a few
+/// large writes and is never held whole. (A single piece larger than the
+/// buffer grows it.) The first error `out` returns is kept and stops the
+/// writer.
+struct Chunked<'a, W: io::Write + ?Sized> {
+    buf: Vec<u8>,
+    out: &'a mut W,
+    /// Bytes written through `fmt::Write`; the lead is not counted.
+    written: u64,
+    error: Option<io::Error>,
+}
+
+impl<'a, W: io::Write + ?Sized> Chunked<'a, W> {
+    /// A sink whose first bytes to `out` are `lead`.
+    fn new(lead: &[u8], out: &'a mut W) -> Self {
+        let mut buf = Vec::with_capacity(CHUNK.max(lead.len()));
+        buf.extend_from_slice(lead);
+        Chunked {
+            buf,
+            out,
+            written: 0,
+            error: None,
+        }
+    }
+
+    /// Hands the buffer to `out` and empties it.
+    fn hand_on(&mut self) -> fmt::Result {
+        match self.out.write_all(&self.buf) {
+            Ok(()) => {
+                self.buf.clear();
+                Ok(())
+            }
+            Err(e) => {
+                self.error = Some(e);
+                Err(fmt::Error)
             }
         }
     }
 
-    /// Appends the span to `out` as the JSON `serde_json` writes for its
-    /// [`SpanRecord`], without building the record.
-    fn write_json(&self, head: &SpanHead, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"trace_id\":{},\"span_id\":{},\"parent_id\":{},\"name\":",
-            head.trace_id, head.span_id, head.parent_id
-        );
-        json::write_str(out, &self.name());
-        let _ = write!(
-            out,
-            ",\"session\":{},\"start_us\":{},\"dur_us\":{},\"attrs\":[",
-            head.session, head.start_us, head.dur_us
-        );
-        let mut first = true;
-        self.attrs(|key, value| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('[');
-            json::write_str(out, key);
-            out.push(',');
-            json::write_display(out, value);
-            out.push(']');
+    /// Hands on what is left once `put`, the writer's result, is in, and
+    /// returns the bytes written or what stopped the writer.
+    fn finish(mut self, put: fmt::Result) -> io::Result<u64> {
+        match put.and_then(|()| self.hand_on()) {
+            Ok(()) => Ok(self.written),
+            Err(_) => Err(self
+                .error
+                .take()
+                .unwrap_or_else(|| io::Error::other("a trace export value failed to format"))),
+        }
+    }
+}
+
+impl<W: io::Write + ?Sized> fmt::Write for Chunked<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.put_ascii(s.as_bytes())
+    }
+}
+
+impl<W: io::Write + ?Sized> Sink for Chunked<'_, W> {
+    // Also takes any UTF-8 text, which `write_str` hands it.
+    fn put_ascii(&mut self, bytes: &[u8]) -> fmt::Result {
+        if self.buf.len().saturating_add(bytes.len()) > CHUNK {
+            self.hand_on()?;
+        }
+        self.buf.extend_from_slice(bytes);
+        self.written = self.written.saturating_add(bytes.len() as u64);
+        Ok(())
+    }
+}
+
+/// One span's place in an export, in 32 bytes. Keys order by their fields
+/// in declaration order: `(start_us, trace_id, span_id)`, then `pos`, the
+/// span's position among the unsorted sources. No two spans share a
+/// position, so an unstable sort gives exactly the order a stable sort by
+/// the first three fields gives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct SpanKey {
+    start_us: u64,
+    trace_id: u64,
+    span_id: u64,
+    pos: u64,
+}
+
+// Sorting a 4,096-trace ring's 22,000 spans takes about 0.7 MB.
+const _: () = assert!(std::mem::size_of::<SpanKey>() <= 32);
+
+/// What a snapshot writes, in export order: the retained ids ascending
+/// and one key per span. The sources are numbered in the order each
+/// retained trace's spans (root first, in snapshot order), then one root
+/// per session (by session id), then the auxiliary spans; a key's `pos`
+/// finds its source again.
+#[derive(Debug)]
+struct ExportOrder {
+    retained: Vec<u64>,
+    /// The position of each trace's root span, ascending.
+    first_pos: Vec<u64>,
+    /// The number of request and stage spans: the first session root's
+    /// position.
+    request_spans: u64,
+    /// `(session, start, end)` per session root: the session brackets its
+    /// retained requests from the first one's start to the last one's end.
+    sessions: Vec<(u64, u64, u64)>,
+    keys: Vec<SpanKey>,
+}
+
+impl ExportOrder {
+    /// Orders what `snapshot` writes: every span, or with its `only`, the
+    /// spans of that trace.
+    fn of(snapshot: &TraceSnapshot) -> Self {
+        let mut retained = snapshot.retained_ids.clone();
+        retained.sort_unstable();
+        retained.dedup();
+        let mut sessions: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        let mut first_pos = Vec::with_capacity(snapshot.traces.len());
+        let mut request_spans = 0u64;
+        for trace in &snapshot.traces {
+            first_pos.push(request_spans);
+            let spans = trace.stages.len() as u64;
+            request_spans = request_spans.saturating_add(spans).saturating_add(1);
+            let root = trace.span_head(0);
+            let (start, end) = (root.start_us, root.start_us.saturating_add(root.dur_us));
+            sessions
+                .entry(trace.session)
+                .and_modify(|(s, e)| {
+                    *s = (*s).min(start);
+                    *e = (*e).max(end);
+                })
+                .or_insert((start, end));
+        }
+        let sessions: Vec<(u64, u64, u64)> = sessions
+            .into_iter()
+            .map(|(session, (start, end))| (session, start, end))
+            .collect();
+        let sources = snapshot
+            .traces
+            .iter()
+            .flat_map(|trace| {
+                (0..=trace.stages.len()).map(move |handle| SpanSource::Request(trace, handle))
+            })
+            .chain(
+                sessions
+                    .iter()
+                    .map(|&(session, start, end)| SpanSource::Session {
+                        session,
+                        start,
+                        end,
+                    }),
+            )
+            .chain(snapshot.aux.iter().map(|span| SpanSource::Aux(span)));
+        // Every span is kept without `only`, so size for all of them.
+        let mut keys = Vec::with_capacity(match snapshot.only {
+            None => usize::try_from(request_spans)
+                .unwrap_or(0)
+                .saturating_add(sessions.len())
+                .saturating_add(snapshot.aux.len()),
+            Some(_) => 0,
         });
-        out.push_str("]}");
+        keys.extend(sources.zip(0u64..).filter_map(|(source, pos)| {
+            let head = source.head();
+            snapshot
+                .only
+                .is_none_or(|id| head.trace_id == id)
+                .then_some(SpanKey {
+                    start_us: head.start_us,
+                    trace_id: head.trace_id,
+                    span_id: head.span_id,
+                    pos,
+                })
+        }));
+        keys.sort_unstable();
+        ExportOrder {
+            retained,
+            first_pos,
+            request_spans,
+            sessions,
+            keys,
+        }
     }
 
-    /// Appends the span to `out` as one pretty-printed Chrome trace-event
-    /// object at the indent of an element of `traceEvents`: a complete
-    /// (`"ph": "X"`) event on lane (`tid`) `session`, with the span's ids
-    /// (`0x` and 16 hex digits) and then its attributes as `args`.
-    fn write_chrome(&self, head: &SpanHead, out: &mut String) {
-        out.push_str("{\n      \"name\": ");
-        json::write_str(out, &self.name());
-        let _ = write!(
-            out,
-            ",\n      \"cat\": \"fg\",\n      \"ph\": \"X\",\n      \"ts\": {},\
-             \n      \"dur\": {},\n      \"pid\": 1,\n      \"tid\": {},\
-             \n      \"args\": {{\n        \"trace_id\": \"{:#018x}\",\
-             \n        \"span_id\": \"{:#018x}\",\n        \"parent_id\": \"{:#018x}\"",
-            head.start_us, head.dur_us, head.session, head.trace_id, head.span_id, head.parent_id
-        );
-        self.attrs(|key, value| {
-            out.push_str(",\n        ");
-            json::write_str(out, key);
-            out.push_str(": ");
-            json::write_display(out, value);
-        });
-        out.push_str("\n      }\n    }");
+    /// The source numbered `pos`.
+    fn source_at<'s>(&self, snapshot: &'s TraceSnapshot, pos: u64) -> Option<SpanSource<'s>> {
+        let Some(rest) = pos.checked_sub(self.request_spans) else {
+            // The last trace whose root is at or before `pos`.
+            let i = self
+                .first_pos
+                .partition_point(|&first| first <= pos)
+                .checked_sub(1)?;
+            let handle = pos.checked_sub(*self.first_pos.get(i)?)?;
+            let trace = snapshot.traces.get(i)?;
+            return Some(SpanSource::Request(trace, usize::try_from(handle).ok()?));
+        };
+        let rest = usize::try_from(rest).ok()?;
+        match self.sessions.get(rest) {
+            Some(&(session, start, end)) => Some(SpanSource::Session {
+                session,
+                start,
+                end,
+            }),
+            None => {
+                let span = snapshot.aux.get(rest.checked_sub(self.sessions.len())?)?;
+                Some(SpanSource::Aux(span))
+            }
+        }
+    }
+
+    /// The spans in export order, each with its numeric fields.
+    fn in_order<'s>(
+        &'s self,
+        snapshot: &'s TraceSnapshot,
+    ) -> impl Iterator<Item = (SpanHead, SpanSource<'s>)> + 's {
+        self.keys
+            .iter()
+            .filter_map(move |key| self.source_at(snapshot, key.pos))
+            .map(|source| (source.head(), source))
     }
 }
 
 /// A point-in-time export of the tracer, taken by [`Tracer::snapshot`]: the
 /// sampling and retention accounting, the retained request trace ids, and
 /// shared handles to the traces and auxiliary spans it writes. Traces the
-/// tracer evicts later stay alive until the snapshot is dropped. Both
-/// writers sort references to the spans and format one span at a time, so
-/// writing needs little memory beyond the output itself.
+/// tracer evicts later stay alive until the snapshot is dropped. Each
+/// writer sorts 32-byte keys for the spans and writes one span at a time
+/// through direct integer, hex and escaping primitives, so writing needs
+/// little memory beyond the output, and [`TraceSnapshot::into_json_body`]
+/// streams the JSON without holding it.
 #[derive(Clone, Debug)]
 pub struct TraceSnapshot {
     /// Request traces submitted to the sampler.
@@ -466,46 +810,51 @@ impl TraceSnapshot {
         self.retained_ids.iter().copied().collect()
     }
 
-    /// Every span the snapshot writes, unformatted and sorted by
-    /// `(start_us, trace_id, span_id)`: all of them, or only those of the
-    /// trace it was taken for.
-    fn spans(&self) -> Vec<(SpanHead, SpanSource<'_>)> {
-        let mut spans = sorted_spans(
-            self.traces.iter().map(|t| &**t),
-            self.aux.iter().map(|s| &**s),
-        );
-        spans.retain(|(head, _)| self.only.is_none_or(|id| head.trace_id == id));
-        spans
-    }
-
     /// Appends the snapshot to `out` as one JSON object (the
     /// `/debug/traces` body): `submitted`, `kept`, `sampled_out` and
     /// `evicted`, `retained` (the retained request trace ids as 16 hex
-    /// digits, ascending) and `spans`, each serialised as its
-    /// [`SpanRecord`].
+    /// digits, ascending) and `spans` (sorted by `(start_us, trace_id,
+    /// span_id)`, then by source), each serialised as its [`SpanRecord`].
     pub fn write_json(&self, out: &mut String) {
-        let mut retained = self.retained_ids.clone();
-        retained.sort_unstable();
-        retained.dedup();
-        let _ = write!(
+        // Writing to a `String` cannot fail.
+        let _ = self.put_json(&ExportOrder::of(self), out);
+    }
+
+    /// The [`TraceSnapshot::write_json`] body, ready to stream: the spans
+    /// are sorted once here, and a first pass of the same writer over a
+    /// byte counter measures the body, so a reply can declare its exact
+    /// length before the body is written.
+    pub fn into_json_body(self) -> JsonBody {
+        let order = ExportOrder::of(&self);
+        let mut count = ByteCount(0);
+        // Counting cannot fail.
+        let _ = self.put_json(&order, &mut count);
+        JsonBody {
+            len: count.0,
+            order,
+            snapshot: self,
+        }
+    }
+
+    fn put_json(&self, order: &ExportOrder, out: &mut impl Sink) -> fmt::Result {
+        write!(
             out,
             "{{\"submitted\":{},\"kept\":{},\"sampled_out\":{},\"evicted\":{},\"retained\":[",
             self.submitted, self.kept, self.sampled_out, self.evicted
-        );
-        for (i, id) in retained.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{id:016x}\"");
+        )?;
+        for (i, &id) in order.retained.iter().enumerate() {
+            out.write_str(if i > 0 { ",\"" } else { "\"" })?;
+            put_hex16(out, id)?;
+            out.write_char('"')?;
         }
-        out.push_str("],\"spans\":[");
-        for (i, (head, source)) in self.spans().iter().enumerate() {
+        out.write_str("],\"spans\":[")?;
+        for (i, (head, source)) in order.in_order(self).enumerate() {
             if i > 0 {
-                out.push(',');
+                out.write_char(',')?;
             }
-            source.write_json(head, out);
+            source.put_json(&head, out)?;
         }
-        out.push_str("]}");
+        out.write_str("]}")
     }
 
     /// Writes the snapshot to `out` as a pretty-printed Chrome
@@ -513,38 +862,77 @@ impl TraceSnapshot {
     /// `results/<name>.traces.json` artifact): `traceEvents` holds one
     /// complete event per span, lanes (`tid`) are session ids, and
     /// `otherData` carries the run's provenance (`experiment`, `seed`) and
-    /// the sampling accounting. Each span is formatted into one reused
-    /// buffer and handed to `out` whole, so the artifact is never held in
-    /// memory at once.
+    /// the sampling accounting. The spans are written through one 64 KB
+    /// buffer that is handed to `out` each time it fills, so the artifact
+    /// is never held in memory at once.
     pub fn write_chrome(
         &self,
         experiment: &str,
         seed: u64,
         out: &mut impl io::Write,
     ) -> io::Result<()> {
-        let mut buf = String::from("{\n  \"traceEvents\": [");
-        let spans = self.spans();
-        for (i, (head, source)) in spans.iter().enumerate() {
-            buf.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            source.write_chrome(head, &mut buf);
-            out.write_all(buf.as_bytes())?;
-            buf.clear();
+        let mut sink = Chunked::new(&[], out);
+        let put = self.put_chrome(&ExportOrder::of(self), experiment, seed, &mut sink);
+        sink.finish(put).map(drop)
+    }
+
+    fn put_chrome(
+        &self,
+        order: &ExportOrder,
+        experiment: &str,
+        seed: u64,
+        out: &mut impl Sink,
+    ) -> fmt::Result {
+        out.write_str("{\n  \"traceEvents\": [")?;
+        let mut any = false;
+        for (head, source) in order.in_order(self) {
+            out.write_str(if any { ",\n    " } else { "\n    " })?;
+            any = true;
+            source.put_chrome(&head, out)?;
         }
-        if !spans.is_empty() {
-            buf.push_str("\n  ");
+        if any {
+            out.write_str("\n  ")?;
         }
-        buf.push_str(
-            "],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\n    \"experiment\": ",
-        );
-        json::write_str(&mut buf, experiment);
-        let _ = write!(
-            buf,
-            ",\n    \"seed\": {seed},\n    \"sampling\": {{\n      \"submitted\": {},\
+        out.write_str(
+            "],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\n    \"experiment\": \"",
+        )?;
+        json::escape_to(out, experiment)?;
+        write!(
+            out,
+            "\",\n    \"seed\": {seed},\n    \"sampling\": {{\n      \"submitted\": {},\
              \n      \"kept\": {},\n      \"sampled_out\": {},\n      \"evicted\": {},\
              \n      \"aux_dropped\": {}\n    }}\n  }}\n}}",
             self.submitted, self.kept, self.sampled_out, self.evicted, self.aux_dropped
-        );
-        out.write_all(buf.as_bytes())
+        )
+    }
+}
+
+/// A [`TraceSnapshot`]'s `/debug/traces` body, ready to stream: taken by
+/// [`TraceSnapshot::into_json_body`], which sorts the spans and counts the
+/// bytes once. A reply declares [`JsonBody::byte_len`] as its length and
+/// sends the body with [`JsonBody::write_after`]; the same writer produces
+/// both, so the count is exact.
+#[derive(Debug)]
+pub struct JsonBody {
+    snapshot: TraceSnapshot,
+    order: ExportOrder,
+    len: u64,
+}
+
+impl JsonBody {
+    /// The number of bytes [`JsonBody::write_after`] writes after its lead.
+    pub fn byte_len(&self) -> u64 {
+        self.len
+    }
+
+    /// Writes `lead` (a reply's head), then the body, to `out`, through
+    /// one 64 KB buffer that is handed to `out` each time it fills, so a
+    /// body under the buffer's size goes out with its lead in one write.
+    /// Returns the number of body bytes written.
+    pub fn write_after(&self, lead: &[u8], out: &mut dyn io::Write) -> io::Result<u64> {
+        let mut sink = Chunked::new(lead, out);
+        let put = self.snapshot.put_json(&self.order, &mut sink);
+        sink.finish(put)
     }
 }
 
@@ -713,48 +1101,6 @@ impl Tracer {
     }
 }
 
-/// Every span of `traces` and `aux`, unformatted: the request and stage
-/// spans, one root per session bracketing its requests from the first
-/// one's start to the last one's end, and the auxiliary spans — sorted by
-/// `(start_us, trace_id, span_id)`.
-fn sorted_spans<'a>(
-    traces: impl Iterator<Item = &'a RequestTrace> + Clone,
-    aux: impl ExactSizeIterator<Item = &'a SpanRecord>,
-) -> Vec<(SpanHead, SpanSource<'a>)> {
-    let mut sessions: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    let mut request_spans = 0;
-    for trace in traces.clone() {
-        let root = trace.span_head(0);
-        let (start, end) = (root.start_us, root.start_us.saturating_add(root.dur_us));
-        sessions
-            .entry(trace.session)
-            .and_modify(|(s, e)| {
-                *s = (*s).min(start);
-                *e = (*e).max(end);
-            })
-            .or_insert((start, end));
-        request_spans += trace.stages.len() + 1;
-    }
-    let mut spans = Vec::with_capacity(request_spans + sessions.len() + aux.len());
-    let sources = traces
-        .flat_map(|trace| {
-            (0..=trace.stages.len()).map(move |handle| SpanSource::Request(trace, handle))
-        })
-        .chain(
-            sessions
-                .into_iter()
-                .map(|(session, (start, end))| SpanSource::Session {
-                    session,
-                    start,
-                    end,
-                }),
-        )
-        .chain(aux.map(SpanSource::Aux));
-    spans.extend(sources.map(|source| (source.head(), source)));
-    spans.sort_by_key(|(head, _)| (head.start_us, head.trace_id, head.span_id));
-    spans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,20 +1139,80 @@ mod tests {
 
     impl SpanSource<'_> {
         /// The oracle for the writers: the span with its name and
-        /// attributes formatted into an owned record.
+        /// attributes formatted by `fmt` into an owned record.
         fn record(&self, head: &SpanHead) -> SpanRecord {
+            let name = match *self {
+                SpanSource::Request(trace, 0) => format!("request {}", trace.endpoint),
+                SpanSource::Request(trace, handle) => trace.stages[handle - 1].1.to_owned(),
+                SpanSource::Session { session, .. } => format!("session c{session}"),
+                SpanSource::Aux(span) => span.name.clone(),
+            };
             let mut attrs = Vec::new();
-            self.attrs(|key, value| attrs.push((key.to_owned(), value.to_string())));
+            self.each_attr(|key, value| {
+                attrs.push((key.to_owned(), value.to_string()));
+                Ok(())
+            })
+            .expect("collecting cannot fail");
             SpanRecord {
                 trace_id: head.trace_id,
                 span_id: head.span_id,
                 parent_id: head.parent_id,
-                name: self.name().into_owned(),
+                name,
                 session: head.session,
                 start_us: head.start_us,
                 dur_us: head.dur_us,
                 attrs,
             }
+        }
+    }
+
+    /// The oracle's form of each value, formatted by `fmt`.
+    impl fmt::Display for AttrRef<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match *self {
+                AttrRef::Text(text) => f.write_str(text),
+                AttrRef::Raw(AttrValue::Text(text)) => f.write_str(text),
+                AttrRef::Raw(AttrValue::Int(n)) => write!(f, "{n}"),
+                AttrRef::Raw(AttrValue::Bool(flag)) => write!(f, "{flag}"),
+                AttrRef::Raw(AttrValue::Float3(x)) => write!(f, "{x:.3}"),
+                AttrRef::Raw(AttrValue::Hex16(id)) => write!(f, "{id:016x}"),
+                AttrRef::Client(session) => write!(f, "c{session}"),
+            }
+        }
+    }
+
+    impl TraceSnapshot {
+        /// The oracle for the export order: every span the snapshot
+        /// writes, enumerated request spans first, then one root per
+        /// session, then the auxiliary spans, and stable-sorted by
+        /// `(start_us, trace_id, span_id)`; with `only`, just that trace's.
+        fn spans(&self) -> Vec<(SpanHead, SpanSource<'_>)> {
+            let mut sessions: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+            for trace in &self.traces {
+                let root = trace.span_head(0);
+                let end = root.start_us.saturating_add(root.dur_us);
+                let bounds = sessions
+                    .entry(trace.session)
+                    .or_insert((root.start_us, end));
+                *bounds = (bounds.0.min(root.start_us), bounds.1.max(end));
+            }
+            let mut spans: Vec<(SpanHead, SpanSource<'_>)> =
+                self.traces
+                    .iter()
+                    .flat_map(|t| (0..=t.stages.len()).map(move |h| SpanSource::Request(t, h)))
+                    .chain(sessions.into_iter().map(|(session, (start, end))| {
+                        SpanSource::Session {
+                            session,
+                            start,
+                            end,
+                        }
+                    }))
+                    .chain(self.aux.iter().map(|s| SpanSource::Aux(s)))
+                    .map(|source| (source.head(), source))
+                    .collect();
+            spans.sort_by_key(|(head, _)| (head.start_us, head.trace_id, head.span_id));
+            spans.retain(|(head, _)| self.only.is_none_or(|id| head.trace_id == id));
+            spans
         }
     }
 
@@ -1190,6 +1596,256 @@ mod tests {
             filtered.write_json(&mut written);
             assert_eq!(written, serialised(&expected), "only {only:?}");
         }
+    }
+
+    /// The `/debug/traces` body the oracle serialises for `snap`: serde's
+    /// form of its counters, retained ids and span records.
+    fn serialised_body(snap: &TraceSnapshot) -> String {
+        let spans: Vec<SpanRecord> = snap
+            .spans()
+            .iter()
+            .map(|(head, source)| source.record(head))
+            .collect();
+        let retained = snap
+            .request_trace_ids()
+            .iter()
+            .map(|id| Value::String(format!("{id:016x}")))
+            .collect();
+        serde_json::to_string(&Value::Object(vec![
+            ("submitted".to_owned(), Value::UInt(snap.submitted)),
+            ("kept".to_owned(), Value::UInt(snap.kept)),
+            ("sampled_out".to_owned(), Value::UInt(snap.sampled_out)),
+            ("evicted".to_owned(), Value::UInt(snap.evicted)),
+            ("retained".to_owned(), Value::Array(retained)),
+            ("spans".to_owned(), serde_json::to_value(&spans).unwrap()),
+        ]))
+        .unwrap()
+    }
+
+    /// Streams `snap` behind a lead and checks the count, the bytes and
+    /// what they read back as against the oracle.
+    fn assert_streams_the_oracle(snap: TraceSnapshot) {
+        let expected = serialised_body(&snap);
+        let records: Vec<SpanRecord> = snap
+            .spans()
+            .iter()
+            .map(|(head, source)| source.record(head))
+            .collect();
+        assert_eq!(written_spans(&snap), records, "spans read back");
+        let body = snap.into_json_body();
+        let mut out = b"HEAD\r\n\r\n".to_vec();
+        let lead = out.clone();
+        let sent = body
+            .write_after(&lead, &mut out)
+            .expect("a Vec takes every write");
+        let (head, streamed) = out.split_at(2 * lead.len());
+        assert_eq!(
+            (head, sent),
+            ([&lead[..], &lead[..]].concat().as_slice(), body.byte_len())
+        );
+        assert_eq!(streamed.len() as u64, body.byte_len(), "counted length");
+        assert_eq!(String::from_utf8_lossy(streamed), expected);
+    }
+
+    /// Every escape class of the JSON writer, and a multi-byte character.
+    const ESCAPES: &str = "q\" b\\ n\n t\t r\r b\u{8} f\u{c} u\u{1} del\u{7f} →";
+
+    #[test]
+    fn a_streamed_body_is_as_long_as_counted_and_equals_the_oracle() {
+        // Empty rings, on and off.
+        assert_streams_the_oracle(Tracer::new().snapshot(None));
+        assert_streams_the_oracle(enabled().snapshot(None));
+
+        // Every snapshot `written_json_equals_the_serialised_snapshot`
+        // writes: a cited trace held past its budget, a pinned session,
+        // interleaved spans, escaped text and an aux span.
+        let mut tr = Tracer::new();
+        tr.enable(TraceConfig { capacity: 3 });
+        let cited = fg_core::hash::trace_id(4, 1);
+        tr.cite(cited, 0);
+        tr.pin_session(5);
+        let sampled = coin_seq(2, 1, true);
+        for (session, seq, decision) in [(4, 1, "block"), (2, sampled, "allow"), (5, 3, "allow")] {
+            tr.submit(trace(session, seq, decision));
+        }
+        let mut odd = RequestTrace::new(
+            fg_core::hash::trace_id(3, 1),
+            3,
+            "/booking/hold",
+            SimTime::from_secs(1),
+        );
+        let stage = odd.stage("serve.http");
+        odd.attr(
+            stage,
+            "quote",
+            String::from("a \"b\" \\ c\n\t\r\u{8}\u{c}\u{1} é ✓"),
+        );
+        odd.attr(stage, "score", AttrValue::Float3(0.5));
+        odd.finish("challenge");
+        tr.submit(odd);
+        tr.submit(trace(6, 2, "block"));
+        tr.record_aux(SpanRecord {
+            trace_id: fg_core::hash::trace_id(u64::MAX, 1),
+            span_id: 1,
+            parent_id: 0,
+            name: "sentinel.evaluate".to_owned(),
+            session: 0,
+            start_us: 1_000_000,
+            dur_us: 1,
+            attrs: vec![("k\"".to_owned(), "v\u{7f}".to_owned())],
+        });
+        for only in [
+            None,
+            Some(cited),
+            Some(fg_core::hash::trace_id(3, 1)),
+            Some(1),
+        ] {
+            assert_streams_the_oracle(tr.snapshot(only));
+        }
+
+        // A saturated clock, the extreme values of each kind, and every
+        // escape class in an endpoint, a stage name, keys and values.
+        let mut tr = enabled();
+        let id = fg_core::hash::trace_id(8, 1);
+        let mut t = RequestTrace::new(id, 8, ESCAPES, SimTime::from_millis(u64::MAX));
+        let stage = t.stage(ESCAPES);
+        for (key, value) in [
+            ("nan", AttrValue::Float3(f64::NAN)),
+            ("inf", AttrValue::Float3(f64::INFINITY)),
+            ("-inf", AttrValue::Float3(f64::NEG_INFINITY)),
+            ("-0", AttrValue::Float3(-0.0)),
+            ("1e300", AttrValue::Float3(1e300)),
+            ("max", AttrValue::Int(u64::MAX)),
+            ("zero", AttrValue::Hex16(0)),
+            ("yes", AttrValue::Bool(true)),
+            (ESCAPES, AttrValue::from(ESCAPES)),
+        ] {
+            t.attr(stage, key, value);
+        }
+        t.child(stage, ESCAPES);
+        t.finish("block");
+        tr.submit(t);
+        tr.record_aux(SpanRecord {
+            trace_id: 9,
+            span_id: u64::MAX,
+            parent_id: 0,
+            name: ESCAPES.to_owned(),
+            session: u64::MAX,
+            start_us: 0,
+            dur_us: u64::MAX,
+            attrs: vec![(ESCAPES.to_owned(), ESCAPES.to_owned())],
+        });
+        // Two spans that tie on every sort key keep their ring order.
+        for name in ["tie.first", "tie.second"] {
+            tr.record_aux(SpanRecord {
+                trace_id: 9,
+                span_id: 1,
+                parent_id: 0,
+                name: name.to_owned(),
+                session: 0,
+                start_us: 7,
+                dur_us: 1,
+                attrs: Vec::new(),
+            });
+        }
+        let snap = tr.snapshot(None);
+        let mut written = String::new();
+        snap.write_json(&mut written);
+        for exported in [
+            "\"NaN\"",
+            "\"inf\"",
+            "\"-inf\"",
+            "\"-0.000\"",
+            "\"18446744073709551615\"",
+            "\"0000000000000000\"",
+        ] {
+            assert!(written.contains(exported), "{exported} in {written}");
+        }
+        // 1e300 in full: 301 digits before the point.
+        let big = format!("\"{:.3}\"", 1e300_f64);
+        assert!(big.len() == 307 && written.contains(&big), "{big}");
+        for only in [None, Some(id), Some(9)] {
+            assert_streams_the_oracle(tr.snapshot(only));
+        }
+    }
+
+    /// A `Write` that records each `write` call's length, like a socket
+    /// that takes everything it is given.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl io::Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_body_reaches_the_writer_in_full_chunks() {
+        let mut tr = enabled();
+        for seq in 1..=2_000 {
+            tr.submit(trace(seq % 50, seq, "block"));
+        }
+        let snap = tr.snapshot(None);
+        let mut expected = String::new();
+        snap.write_json(&mut expected);
+        assert!(expected.len() > 4 * CHUNK, "{} bytes", expected.len());
+        let body = snap.into_json_body();
+        let mut sink = Recorder::default();
+        let sent = body.write_after(b"HEAD\r\n\r\n", &mut sink).unwrap();
+        assert_eq!(sent, body.byte_len());
+        assert_eq!(sent, expected.len() as u64);
+        assert_eq!(
+            sink.bytes,
+            [&b"HEAD\r\n\r\n"[..], expected.as_bytes()].concat()
+        );
+        // Each write but the last hands on a buffer that the next piece,
+        // a few dozen bytes, would have overflowed.
+        let (last, full) = sink.writes.split_last().unwrap();
+        assert!(
+            full.iter().all(|&n| n > CHUNK - 256 && n <= CHUNK) && *last <= CHUNK,
+            "{:?}",
+            sink.writes
+        );
+
+        // A small body goes out with its lead in one write.
+        let mut sink = Recorder::default();
+        let one = enabled().snapshot(None).into_json_body();
+        one.write_after(b"HEAD\r\n\r\n", &mut sink).unwrap();
+        assert_eq!(sink.writes.len(), 1);
+    }
+
+    #[test]
+    fn a_refused_write_stops_the_export_with_its_error() {
+        struct Refusing;
+        impl io::Write for Refusing {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
+            }
+
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut tr = enabled();
+        tr.submit(trace(1, 1, "block"));
+        let body = tr.snapshot(None).into_json_body();
+        let err = body.write_after(b"HEAD", &mut Refusing).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        let err = tr
+            .snapshot(None)
+            .write_chrome("t", 1, &mut Refusing)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 # /debug/flightrecorder, /debug/alerts — every latency exemplar must
 # resolve to a retrievable trace whose `?trace_id=` export is exactly the
 # full scrape's spans of that trace, the server-side p99 gauge must agree
-# with the wire-side measurement, the decision-stage latencies must be a
-# histogram family that counts one policy.decide sample per policy
-# decision, every decide answered 200 must reach the decision core once,
+# with the wire-side measurement, the full /debug/traces scrape may raise
+# fg-serve's VmHWM by at most half its body, the decision-stage latencies
+# must be a histogram family that counts one policy.decide sample per
+# policy decision, every decide answered 200 must reach the decision core once,
 # no simulator series may appear, and every latency in seconds must print
 # as its whole nanoseconds over 1e9), proves hot-reload
 # reject-and-keep-old, refuses deeply nested JSON bodies with 400, refuses
@@ -157,7 +158,18 @@ echo "serve-smoke: /metrics OK"
 # artifact alongside BENCH_serve.json.
 sleep 2
 curl -sf "http://$ADDR/metrics" > serve-metrics.prom
+# /debug/traces is streamed: its body goes out in 64 KB pieces and is never
+# held whole, so the scrape may raise fg-serve's peak resident set (VmHWM,
+# in kB) by no more than half the body. Built whole and copied once more, a
+# body raised it by about twice its size.
+hwm_kb() { awk '/^VmHWM:/ { print $2 }' "/proc/$SERVE_PID/status"; }
+HWM_BEFORE=$(hwm_kb)
 curl -sf "http://$ADDR/debug/traces" > serve-debug-traces.json
+HWM_AFTER=$(hwm_kb)
+TRACES_BYTES=$(wc -c < serve-debug-traces.json)
+echo "serve-smoke: /debug/traces $TRACES_BYTES bytes; fg-serve VmHWM $HWM_BEFORE kB before the scrape, $HWM_AFTER kB after"
+[ $(( (HWM_AFTER - HWM_BEFORE) * 1024 * 2 )) -le "$TRACES_BYTES" ] \
+  || fail "the /debug/traces scrape raised VmHWM by $((HWM_AFTER - HWM_BEFORE)) kB, more than half its $TRACES_BYTES-byte body"
 curl -sf "http://$ADDR/debug/flightrecorder" > serve-debug-flightrecorder.json
 curl -sf "http://$ADDR/debug/alerts" > serve-debug-alerts.json
 python3 - "$OUT" "$ADDR" <<'EOF'

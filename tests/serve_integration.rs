@@ -124,15 +124,17 @@ fn request_full(
     )
 }
 
-/// Writes one keep-alive request on an open connection.
+/// Writes one keep-alive request on an open connection, head and body in
+/// one write: Nagle would hold a body written apart until the server's
+/// delayed ACK of the head, 40 ms later.
 fn send(stream: &mut TcpStream, method: &str, target: &str, body: &[u8]) {
-    write!(
-        stream,
+    let mut request = format!(
         "{method} {target} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )
-    .expect("write head");
-    stream.write_all(body).expect("write body");
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request).expect("write request");
 }
 
 /// One request and its reply on an open keep-alive connection.
@@ -553,6 +555,94 @@ fn observability_plane_links_metrics_traces_and_the_flight_recorder() {
     // Debug endpoints answer only GET.
     let (status, _) = request(addr, "POST", "/debug/traces", b"");
     assert_eq!(status, 405);
+
+    let report = server.drain(Duration::from_secs(10));
+    assert!(report.clean, "{report:?}");
+}
+
+/// `/debug/traces` as `TraceSnapshot::write_json` writes it into a
+/// `String`, for the ring as it is now.
+fn traces_body(telemetry: &Telemetry, only: Option<u64>) -> String {
+    let mut body = String::new();
+    telemetry.tracer().snapshot(only).write_json(&mut body);
+    body
+}
+
+#[test]
+fn debug_traces_streams_exactly_the_bytes_it_declares() {
+    let telemetry = Telemetry::shared();
+    let server = Server::start(test_config(), telemetry.clone(), None).expect("boot");
+    let addr = server.addr();
+    let workload = generate(&WorkloadConfig {
+        seed: 17,
+        horizon_hours: 24,
+        arrivals_per_day: 2000.0,
+        seat_spinner: true,
+        sms_pumper: true,
+    });
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut conn = BufReader::new(stream);
+    for req in workload.requests.iter().take(600) {
+        let body = serde_json::to_string(req).expect("request serializes");
+        send(conn.get_mut(), "POST", "/v1/decide", body.as_bytes());
+        let (status, _) = read_response(&mut conn).expect("decide reply");
+        assert_eq!(status, 200);
+    }
+    let one = *telemetry
+        .tracer()
+        .snapshot(None)
+        .request_trace_ids()
+        .last()
+        .expect("the ring kept a trace");
+    let targets = [
+        (None, "/debug/traces".to_owned()),
+        (Some(one), format!("/debug/traces?trace_id={one:016x}")),
+    ];
+
+    // Keep-alive: both scrapes and then a health check on one connection.
+    // `read_response` takes exactly `Content-Length` bytes, so a body that
+    // wrote fewer would stall here and one that wrote more would be read
+    // as the next status line.
+    for (only, target) in &targets {
+        let (status, body) = exchange(&mut conn, "GET", target);
+        assert_eq!(status, 200, "{target}");
+        assert_eq!(body, traces_body(&telemetry, *only), "{target}");
+        if only.is_none() {
+            // More than one of the writer's 64 KB buffers.
+            assert!(body.len() > 64 * 1024, "{} bytes", body.len());
+        }
+    }
+    assert_eq!(exchange(&mut conn, "GET", "/healthz").0, 200);
+
+    // Closing: everything the server sends before it closes is the head
+    // and exactly the declared body.
+    for (only, target) in &targets {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(
+            stream,
+            "GET {target} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+        )
+        .expect("write request");
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).expect("read to close");
+        let reply = String::from_utf8(reply).expect("utf-8 reply");
+        let (head, body) = reply.split_once("\r\n\r\n").expect("head and body");
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(head.contains("\r\nConnection: close"), "{head}");
+        let declared = head
+            .lines()
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .and_then(|n| n.parse::<usize>().ok())
+            .expect("declared length");
+        assert_eq!(body.len(), declared, "{target}");
+        assert_eq!(body, traces_body(&telemetry, *only), "{target}");
+    }
 
     let report = server.drain(Duration::from_secs(10));
     assert!(report.clean, "{report:?}");
